@@ -424,6 +424,8 @@ def hardy_check(a, q, draws, length, seed):
         raise ValueError(f"a = {a} must lie in (0, 1)")
     if not q > 0.0:
         raise ValueError("q must be positive")
+    if length < 1:
+        raise ValueError(f"length = {length} must be >= 1")
     e = min(1.0, q)
     bound = (1.0 - a ** e) ** (-1.0 / e)
     rng = np.random.default_rng(seed)

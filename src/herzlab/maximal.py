@@ -29,17 +29,33 @@ from .grid import spectral_transform
 from .herz import HypothesisError, _inv, mixed_herz_norm
 
 
-def axis_maximal(field, axis, widths=None):
-    """Centered maximal average along one axis; all half-widths by default."""
-    G = field.G
+def _maximal_along(mag, axis, widths):
+    """Centered maximal average of a float array along one of its axes."""
+    G = mag.shape[axis]
     if widths is None:
         widths = np.arange(0, G // 2 + 1, dtype=np.int64)
     else:
         widths = np.asarray(widths, dtype=np.int64)
-    mag = np.abs(np.moveaxis(field.values, axis, -1)).astype(np.float64)
-    rows = mag.reshape(-1, G)
-    out = _accel.maximal_rows(np.ascontiguousarray(rows), widths)
-    out = np.moveaxis(out.reshape(mag.shape), -1, axis)
+    moved = np.moveaxis(mag, axis, -1)
+    rows = np.ascontiguousarray(moved).reshape(-1, G)
+    out = _accel.maximal_rows(rows, widths)
+    return np.moveaxis(out.reshape(moved.shape), -1, axis)
+
+
+def _iterated_rows(mags, n, t, widths):
+    """(M_n ... M_1 mags^t)^(1/t) over the last n axes of a stack of fields.
+
+    Each axis takes one maximal_rows call over the rows of every field.
+    """
+    g = mags ** t
+    for axis in range(mags.ndim - n, mags.ndim):
+        g = _maximal_along(g, axis, widths)
+    return g ** (1.0 / t)
+
+
+def axis_maximal(field, axis, widths=None):
+    """Centered maximal average along one axis; all half-widths by default."""
+    out = _maximal_along(np.abs(field.values), axis, widths)
     return field.with_values(out.astype(np.complex128))
 
 
@@ -47,10 +63,8 @@ def iterated_maximal(field, t, widths=None):
     """(M_n ... M_1 |f|^t)^(1/t), the per-axis composition."""
     if not t > 0.0:
         raise ValueError("t must be positive")
-    g = field.with_values((np.abs(field.values) ** t).astype(np.complex128))
-    for axis in range(field.n):
-        g = axis_maximal(g, axis, widths)
-    return g.with_values((np.abs(g.values) ** (1.0 / t)).astype(np.complex128))
+    out = _iterated_rows(np.abs(field.values), field.n, t, widths)
+    return field.with_values(out.astype(np.complex128))
 
 
 def _support_guard(field):
@@ -99,10 +113,15 @@ def fs_vector_check(fields, herz, beta, t, widths=None):
     if not 0.0 < t < cap:
         raise HypothesisError(
             f"t = {t} outside (0, min(p, q, beta)) = (0, {cap})")
+    if not fields:
+        raise ValueError("need at least one field")
     for f in fields:
         _support_guard(f)
-    num = mixed_herz_norm(envelope([iterated_maximal(f, t, widths)
-                                    for f in fields], beta), herz)
+    stack = _iterated_rows(np.stack([np.abs(f.values) for f in fields]),
+                           fields[0].n, t, widths)
+    maxed = [f.with_values(m.astype(np.complex128))
+             for f, m in zip(fields, stack)]
+    num = mixed_herz_norm(envelope(maxed, beta), herz)
     den = mixed_herz_norm(envelope(fields, beta), herz)
     if den == 0.0:
         raise ValueError("zero input family")

@@ -16,6 +16,7 @@ occupied bounding box dilated by a window margin; r = inf takes the sup
 form.  The window is a truncation, so callers gauge it by doubling.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,19 +59,32 @@ def _cells_mixed_herz(arr, los, v, herz):
     return float(arr)
 
 
-def _level_box(level):
-    pos = np.array(sorted(level), dtype=np.int64)
+def _levels(coeffs):
+    """Occupied levels of a coefficient set as arrays, in ascending k.
+
+    Returns a list of (k, pos, mag): pos (H, n) int64 lattice indices in
+    lexicographic order, mag (H,) float64 the matching |lam[k, m]|.
+    """
+    count, n = len(coeffs.entries), coeffs.n
+    if not count:
+        return []
+    ks = np.fromiter((k for k, _ in coeffs.entries), np.int64, count)
+    pos = np.fromiter(itertools.chain.from_iterable(
+        m for _, m in coeffs.entries), np.int64, count * n).reshape(count, n)
+    mag = np.fromiter(map(abs, coeffs.entries.values()), np.float64, count)
+    order = np.lexsort((*pos.T[::-1], ks))
+    ks, pos, mag = ks[order], pos[order], mag[order]
+    levels, starts = np.unique(ks, return_index=True)
+    ends = [*starts[1:], ks.size]
+    return [(int(k), pos[a:b], mag[a:b])
+            for k, a, b in zip(levels, starts, ends)]
+
+
+def _level_block(pos, values):
+    """One level's values on its bounding box, and the box's corner index."""
     los = pos.min(axis=0)
-    his = pos.max(axis=0) + 1
-    return pos, los, his
-
-
-def _level_cells(level):
-    """Dense |lam| array over the bounding box of one level."""
-    pos, los, his = _level_box(level)
-    arr = np.zeros(tuple(his - los))
-    for m, val in level.items():
-        arr[tuple(np.array(m, dtype=np.int64) - los)] += abs(val)
+    arr = np.zeros(tuple(pos.max(axis=0) + 1 - los))
+    arr[tuple((pos - los).T)] = values
     return arr, los
 
 
@@ -79,16 +93,51 @@ def b_norm(coeffs, params):
     if params.herz.n != coeffs.n:
         raise ValueError(f"params for n = {params.herz.n}, coeffs have n = {coeffs.n}")
     n = coeffs.n
-    terms = []
-    for k in range(coeffs.K + 1):
-        level = coeffs.level_entries(k)
-        if not level:
-            terms.append(0.0)
-            continue
-        arr, los = _level_cells(level)
+    terms = np.zeros(coeffs.K + 1)
+    for k, pos, mag in _levels(coeffs):
+        arr, los = _level_block(pos, mag)
         t = _cells_mixed_herz(arr, los, k, params.herz)
-        terms.append(2.0 ** (k * (params.s + n / 2.0)) * t)
-    return lq_combine(np.array(terms), params.beta)
+        terms[k] = 2.0 ** (k * (params.s + n / 2.0)) * t
+    return lq_combine(terms, params.beta)
+
+
+def _f_envelope(coeffs, params):
+    """The l^beta envelope across levels, on the finest occupied tiling.
+
+    Each level is painted on its bounding box, upsampled to finest cells
+    and added in ascending k.  Each coefficient's power is taken with
+    Python's float power (libm pow), as in a per-entry painting; numpy's
+    vectorised power can differ from it in the last bit.  Returns the
+    envelope, its corner index and the finest level.
+    """
+    n = coeffs.n
+    levels = _levels(coeffs)
+    vf = levels[-1][0]
+    beta = params.beta
+    blocks = []
+    for k, pos, mag in levels:
+        contrib = 2.0 ** (k * (params.s + n / 2.0)) * mag
+        if not math.isinf(beta):
+            contrib = np.array([c ** beta for c in contrib.tolist()])
+        arr, lo = _level_block(pos, contrib)
+        blocks.append((1 << (vf - k), arr, lo))
+    # union bounding box, in finest-level indices
+    los = np.min([lo * scale for scale, _, lo in blocks], axis=0)
+    his = np.max([(lo + arr.shape) * scale for scale, arr, lo in blocks],
+                 axis=0)
+    env = np.zeros(tuple(his - los))
+    for scale, arr, lo in blocks:
+        for axis in range(n):
+            arr = np.repeat(arr, scale, axis=axis)
+        region = env[tuple(slice(a, a + s) for a, s in
+                           zip(lo * scale - los, arr.shape))]
+        if math.isinf(beta):
+            np.maximum(region, arr, out=region)
+        else:
+            region += arr
+    if not math.isinf(beta):
+        env = env ** (1.0 / beta)
+    return env, los, vf
 
 
 def f_norm(coeffs, params):
@@ -101,35 +150,9 @@ def f_norm(coeffs, params):
         raise ValueError("f_norm needs family 'f' parameters")
     if params.herz.n != coeffs.n:
         raise ValueError(f"params for n = {params.herz.n}, coeffs have n = {coeffs.n}")
-    n = coeffs.n
-    occupied = [k for k in range(coeffs.K + 1) if
-                any(kk == k for (kk, _) in coeffs.entries)]
-    if not occupied:
+    if not coeffs.entries:
         return 0.0
-    vf = max(occupied)
-    # union bounding box, in finest-level indices
-    los = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    his = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
-    for (k, m) in coeffs.entries:
-        scale = 1 << (vf - k)
-        mm = np.array(m, dtype=np.int64)
-        los = np.minimum(los, mm * scale)
-        his = np.maximum(his, (mm + 1) * scale)
-    beta = params.beta
-    env = np.zeros(tuple(his - los))
-    for (k, m), val in coeffs.entries.items():
-        scale = 1 << (vf - k)
-        mm = np.array(m, dtype=np.int64)
-        sl = tuple(slice(int(c * scale - l), int((c + 1) * scale - l))
-                   for c, l in zip(mm, los))
-        contrib = 2.0 ** (k * (params.s + n / 2.0)) * abs(val)
-        if math.isinf(beta):
-            np.maximum(env[sl], contrib, out=env[sl])
-        else:
-            env[sl] += contrib ** beta
-    if not math.isinf(beta):
-        env = env ** (1.0 / beta)
-    return _cells_mixed_herz(env, los, vf, params.herz)
+    return _cells_mixed_herz(*_f_envelope(coeffs, params), params.herz)
 
 
 def seq_norm(coeffs, params):
@@ -153,12 +176,9 @@ def lambda_star(coeffs, r, d, window):
         raise ValueError("window must be >= 0")
     n = coeffs.n
     entries = {}
-    for k in range(coeffs.K + 1):
-        level = coeffs.level_entries(k)
-        if not level:
-            continue
-        pos, los, his = _level_box(level)
-        mag = np.array([abs(level[tuple(p)]) for p in pos])
+    for k, pos, mag in _levels(coeffs):
+        los = pos.min(axis=0)
+        his = pos.max(axis=0) + 1
         axes = [np.arange(lo - window, hi + window, dtype=np.int64)
                 for lo, hi in zip(los, his)]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -168,8 +188,8 @@ def lambda_star(coeffs, r, d, window):
         else:
             out = _accel.lambda_star_sum(mag ** r, pos, targets, float(d)) \
                 ** (1.0 / r)
-        for row, val in zip(targets, out):
-            entries[(k, tuple(int(c) for c in row))] = complex(val)
+        keys = ((k, tuple(m)) for m in targets.tolist())
+        entries.update(zip(keys, map(complex, out.tolist())))
     return CoeffSeq(n, coeffs.K, coeffs.L, entries)
 
 

@@ -103,6 +103,18 @@ def test_bad_parameters_fail_cleanly(tmp_path, capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_hardy_check_rejects_short_length(tmp_path, capsys, length):
+    cfg = _write(tmp_path, "hardy.ini",
+                 f"[hardy]\na = 0.5\nq = 2\n\n[ensemble]\nseed = 1\n"
+                 f"draws = 3\nlength = {length}\n")
+    assert main(["hardy-check", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert "length" in err[0]
+
+
 def test_unknown_command_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x.ini"])

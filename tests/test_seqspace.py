@@ -6,7 +6,8 @@ import pytest
 from herzlab import (CoeffSeq, HerzParams, SeqSpaceParams, b_norm, f_norm,
                      lambda_star, lq_combine, make_field, mixed_herz_norm,
                      seq_norm)
-from herzlab.seqspace import RearrangedProfile
+from herzlab.seqspace import (RearrangedProfile, _cells_mixed_herz,
+                              _f_envelope)
 
 # ---------------------------------------------------------------------------
 # Reference route: paint each coefficient's dyadic carrier onto a fine grid
@@ -89,11 +90,14 @@ def test_pinned_fixed_sequence():
     assert math.isclose(f_norm(lam, fparams), PINNED_F, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_f_norm_matches_painted_reference(seed):
+@pytest.mark.parametrize("seed, beta", [
+    *(pytest.param(seed, 2.0, id=f"{seed}") for seed in (0, 1, 2)),
+    *(pytest.param(seed, math.inf, id=f"{seed}-inf") for seed in (0, 1, 2))])
+def test_f_norm_matches_painted_reference(seed, beta):
+    params = SeqSpaceParams(PARAMS_F.herz, PARAMS_F.s, beta, "f")
     lam = _random_seq(1, 3, 18, seed)
-    got = f_norm(lam, PARAMS_F)
-    want = reference_f_norm(lam, PARAMS_F, 2048)
+    got = f_norm(lam, params)
+    want = reference_f_norm(lam, params, 2048)
     assert math.isclose(got, want, rel_tol=1e-10)
 
 
@@ -114,6 +118,78 @@ def test_mixed_norms_match_reference_2d():
                         reference_f_norm(lam, fparams, 256), rel_tol=1e-10)
     assert math.isclose(b_norm(lam, bparams),
                         reference_b_norm(lam, bparams, 256), rel_tol=1e-10)
+
+
+def test_norms_independent_of_insertion_order():
+    # levels are summed in ascending k whatever order the entries came in
+    lam = _random_seq(2, 3, 40, 8)
+    shuffled = list(lam.entries.items())
+    np.random.default_rng(0).shuffle(shuffled)
+    other = CoeffSeq(lam.n, lam.K, lam.L, dict(shuffled[::-1]))
+    assert list(other.entries) != list(lam.entries)
+    herz = HerzParams((2.0, 1.5), (0.25, 0.0), (1.0, 2.0))
+    for beta in (1.5, 2.0, math.inf):
+        for family, norm in (("f", f_norm), ("b", b_norm)):
+            params = SeqSpaceParams(herz, s=0.5, beta=beta, family=family)
+            assert norm(lam, params) == norm(other, params)
+
+
+def per_entry_f_envelope(lam, params):
+    """The f-norm envelope painted one coefficient at a time, in dict order."""
+    n, beta = lam.n, params.beta
+    vf = max(k for k, _ in lam.entries)
+    boxes = [(c << (vf - k), (c + 1) << (vf - k))
+             for k, m in lam.entries for c in m]
+    los = [min(a for a, _ in boxes[i::n]) for i in range(n)]
+    his = [max(b for _, b in boxes[i::n]) for i in range(n)]
+    env = np.zeros([h - lo for lo, h in zip(los, his)])
+    for (k, m), val in lam.entries.items():
+        scale = 1 << (vf - k)
+        cell = tuple(slice(c * scale - lo, (c + 1) * scale - lo)
+                     for c, lo in zip(m, los))
+        contrib = 2.0 ** (k * (params.s + n / 2.0)) * abs(val)
+        if math.isinf(beta):
+            np.maximum(env[cell], contrib, out=env[cell])
+        else:
+            env[cell] += contrib ** beta
+    if not math.isinf(beta):
+        env = env ** (1.0 / beta)
+    return env, np.array(los), vf
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0, math.inf])
+def test_f_norm_bitwise_equals_per_entry_painting(beta):
+    # entries inserted in ascending k, as analyze and lambda_star produce
+    lam = _random_seq(2, 3, 200, 12, spread=1)
+    lam = CoeffSeq(2, 3, lam.L, dict(sorted(lam.entries.items(),
+                                            key=lambda kv: kv[0][0])))
+    herz = HerzParams((2.0, 1.5), (0.25, 0.0), (1.0, 2.0))
+    params = SeqSpaceParams(herz, s=0.5, beta=beta, family="f")
+    env, los, vf = per_entry_f_envelope(lam, params)
+    got, got_los, got_vf = _f_envelope(lam, params)
+    assert np.array_equal(got, env)
+    assert np.array_equal(got_los, los) and got_vf == vf
+    assert f_norm(lam, params) == _cells_mixed_herz(env, los, vf, herz)
+
+
+@pytest.mark.parametrize("r", [1.5, math.inf])
+def test_majorant_bitwise_equals_pairwise_sum(r):
+    # sources in sorted index order, one kernel value per (target, source)
+    lam = _random_seq(2, 2, 30, 13)
+    star = lambda_star(lam, r=r, d=3.0, window=2)
+    for k in {k for k, _ in lam.entries}:
+        level = lam.level_entries(k)
+        pos = np.array(sorted(level), dtype=np.float64)
+        mag = np.array([abs(level[m]) for m in sorted(level)])
+        targets = [m for kk, m in star.entries if kk == k]
+        diff = np.array(targets, dtype=np.float64)[:, None, :] - pos[None]
+        kern = (1.0 + np.sqrt(np.sum(diff * diff, axis=2))) ** -3.0
+        if math.isinf(r):
+            want = np.max(mag * kern, axis=1)
+        else:
+            want = np.sum(mag ** r * kern, axis=1) ** (1.0 / r)
+        got = np.array([star.entries[(k, m)].real for m in targets])
+        assert np.array_equal(got, want)
 
 
 def test_seq_norm_dispatch_and_family_guard():
