@@ -17,11 +17,11 @@ from .frames import (CoeffSeq, analyze, load_coeffs, roundtrip_error,
 from .grid import (DyadicGeometry, SampledField, annulus_mask_axis,
                    cube_indicator, load_field, make_field, save_field,
                    spectral_transform)
-from .herz import (HerzParams, HypothesisError, axis_herz_norm, axis_lp_norm,
-                   lq_combine, mixed_herz_norm, mixed_lebesgue_norm)
+from .herz import (HerzParams, HypothesisError, lq_combine, lq_envelope,
+                   mixed_herz_norm, mixed_lebesgue_norm)
 from .lpdecomp import (SpectralSystem, bandlimited_witness, build_fj_pair,
-                       build_resolution, lp_block, partition_sum,
-                       random_band_field)
+                       build_resolution, level_blocks, lp_block,
+                       partition_sum, random_band_field)
 from .maximal import (EtaKernel, axis_maximal, fs_vector_check,
                       iterated_maximal, rtrick_check)
 from .seqspace import (RearrangedProfile, SeqSpaceParams, b_norm, f_norm,

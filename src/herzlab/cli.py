@@ -76,11 +76,29 @@ class ExperimentConfig:
             raise ConfigError(f"missing key {key!r} in [{section}]")
         return value
 
+    def parsed(self, section, key, parse, what, default=None):
+        """parse() of a value; a ConfigError naming [section] key if it fails."""
+        text = self.get(section, key, default)
+        try:
+            return parse(text)
+        except ValueError:
+            raise ConfigError(
+                f"[{section}] {key} = {text!r} is not {what}") from None
+
     def get_int(self, section, key, default=None):
-        return int(self.get(section, key, default))
+        return self.parsed(section, key, int, "an integer", default)
 
     def get_float(self, section, key, default=None):
-        return _exponent(self.get(section, key, default))
+        return self.parsed(section, key, _exponent, "a number", default)
+
+    def get_vector(self, section, key, default=None):
+        return self.parsed(section, key, _vector,
+                           "a comma-separated list of numbers", default)
+
+    def get_ints(self, section, key, default=None):
+        return self.parsed(section, key,
+                           lambda text: [int(t) for t in str(text).split(",")],
+                           "a comma-separated list of integers", default)
 
     def seed(self):
         return self.get_int("ensemble", "seed")
@@ -106,11 +124,8 @@ def _vector(text):
 
 
 def _herz_from(cfg, name):
-    sec = cfg.section(name)
-    for key in ("p", "alpha", "q"):
-        if key not in sec:
-            raise ConfigError(f"missing key {key!r} in [{name}]")
-    p, alpha, q = _vector(sec["p"]), _vector(sec["alpha"]), _vector(sec["q"])
+    cfg.section(name)
+    p, alpha, q = (cfg.get_vector(name, key) for key in ("p", "alpha", "q"))
     n = max(len(p), len(alpha), len(q))
     bc = lambda t: t * n if len(t) == 1 else t
     try:
@@ -119,24 +134,12 @@ def _herz_from(cfg, name):
         raise ConfigError(f"[{name}]: {exc}") from exc
 
 
-def _seq_from(cfg, name):
-    sec = cfg.section(name)
+def _params_from(cfg, name, cls, family):
+    """SeqSpaceParams or SpaceParams (cls) of section [name]."""
+    herz = _herz_from(cfg, name)
+    s, beta = cfg.get_float(name, "s"), cfg.get_float(name, "beta")
     try:
-        return SeqSpaceParams(_herz_from(cfg, name),
-                              _exponent(cfg.get(name, "s")),
-                              _exponent(cfg.get(name, "beta")),
-                              sec.get("family", "b"))
-    except ValueError as exc:
-        raise ConfigError(f"[{name}]: {exc}") from exc
-
-
-def _space_from(cfg, name):
-    sec = cfg.section(name)
-    try:
-        return SpaceParams(_herz_from(cfg, name),
-                           _exponent(cfg.get(name, "s")),
-                           _exponent(cfg.get(name, "beta")),
-                           sec.get("family", "B"))
+        return cls(herz, s, beta, cfg.get(name, "family", family))
     except ValueError as exc:
         raise ConfigError(f"[{name}]: {exc}") from exc
 
@@ -161,20 +164,20 @@ def _build_field(cfg, n, L, G):
         return make_field(n, L, G)
     if kind == "constant":
         f = make_field(n, L, G)
-        return f.with_values(np.full((G,) * n, complex(sec.get("value", "1")),
-                                     dtype=np.complex128))
+        value = cfg.parsed("field", "value", complex, "a complex number", "1")
+        return f.with_values(np.full((G,) * n, value, dtype=np.complex128))
     if kind == "witness":
-        return bandlimited_witness(n, L, G, int(sec.get("level", "0")),
-                                   int(sec["seed"]))
+        return bandlimited_witness(n, L, G, cfg.get_int("field", "level", "0"),
+                                   cfg.get_int("field", "seed"))
     if kind == "band":
-        return random_band_field(n, L, G, _exponent(sec.get("radius", "8")),
-                                 int(sec["seed"]))
+        return random_band_field(n, L, G, cfg.get_float("field", "radius", "8"),
+                                 cfg.get_int("field", "seed"))
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
 def _system_from(cfg, n, L, G, default_k):
     kind = cfg.sections.get("system", {}).get("kind", "fj")
-    K = int(cfg.sections.get("system", {}).get("k", default_k))
+    K = cfg.get_int("system", "k", default_k)
     if kind == "resolution":
         return build_resolution(n, L, G, K)
     if kind == "fj":
@@ -222,7 +225,7 @@ def _cmd_phitransform(cfg):
 
 
 def _cmd_seqnorm(cfg):
-    params = _seq_from(cfg, "space")
+    params = _params_from(cfg, "space", SeqSpaceParams, "b")
     path = cfg.get("coeffs", "path")
     lam = load_coeffs(path)
     meta = {"coeffs.count": len(lam.entries), "coeffs.k": lam.K}
@@ -232,11 +235,12 @@ def _cmd_seqnorm(cfg):
 
 def _cmd_embed_sweep(cfg):
     spec = EmbeddingSpec(cfg.get("run", "theorem"),
-                         _seq_from(cfg, "source"), _seq_from(cfg, "target"))
+                         _params_from(cfg, "source", SeqSpaceParams, "b"),
+                         _params_from(cfg, "target", SeqSpaceParams, "b"))
     draws = cfg.get_int("ensemble", "draws", "100")
     seed = cfg.seed()
     control = cfg.get("ensemble", "control", "no") in ("yes", "true", "1")
-    levels = [int(t) for t in str(cfg.get("ensemble", "k_list", "4,6,8")).split(",")]
+    levels = cfg.get_ints("ensemble", "k_list", "4,6,8")
     records = []
     for K in levels:
         rep = seq_embedding_check(spec, K, draws, seed, control=control)
@@ -253,7 +257,8 @@ def _cmd_embed_sweep(cfg):
 def _cmd_necessity(cfg):
     n, L, G = _grid_from(cfg)
     spec = EmbeddingSpec("besov-function",
-                         _space_from(cfg, "source"), _space_from(cfg, "target"))
+                         _params_from(cfg, "source", SpaceParams, "B"),
+                         _params_from(cfg, "target", SpaceParams, "B"))
     n_max = cfg.get_int("ensemble", "n_max", "4")
     rep = necessity_fit(spec, n, L, G, n_max, cfg.seed())
     meta = _grid_meta(n, L, G)
@@ -272,7 +277,7 @@ def _cmd_maximal_check(cfg):
     t = cfg.get_float("maximal", "t")
     count = cfg.get_int("ensemble", "count", "16")
     seed = cfg.seed()
-    grids = [int(g) for g in str(cfg.get("maximal", "g_list", "256,512")).split(",")]
+    grids = cfg.get_ints("maximal", "g_list", "256,512")
     records = []
     for G in grids:
         fields = bump_family(n, L, G, count, seed)
@@ -299,9 +304,9 @@ def _cmd_ppn_check(cfg):
 
 
 def _cmd_hardy_check(cfg):
-    sec = cfg.section("hardy")
-    a_list = _vector(sec.get("a", "0.25,0.5,0.75"))
-    q_list = _vector(sec.get("q", "0.5,1,2,inf"))
+    cfg.section("hardy")
+    a_list = cfg.get_vector("hardy", "a", "0.25,0.5,0.75")
+    q_list = cfg.get_vector("hardy", "q", "0.5,1,2,inf")
     draws = cfg.get_int("ensemble", "draws", "100")
     length = cfg.get_int("ensemble", "length", "64")
     seed = cfg.seed()

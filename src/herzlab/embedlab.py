@@ -29,7 +29,8 @@ import numpy as np
 
 from .frames import CoeffSeq
 from .grid import SampledField
-from .herz import HerzParams, HypothesisError, _inv, mixed_herz_norm
+from .herz import (HerzParams, HypothesisError, _inv, lq_combine,
+                   mixed_herz_norm)
 from .seqspace import SeqSpaceParams, seq_norm
 from .spaces import SpaceParams
 
@@ -250,6 +251,26 @@ def dilation_scan(herz, s, n, L, G, N_max, seed, boxes=4):
             "residual": resid}
 
 
+def _ratio_fit(fields, target, source, gamma):
+    """Target/source norm records on a dilation family, and their fit.
+
+    target, source : (HerzParams, s); the norm of f_N carries 2^{s N}.
+    Returns the records, and the slope and residual of the line fitted to
+    log2(target / (2^{gamma N} source)) against N.
+    """
+    records = []
+    for N, f in enumerate(fields):
+        t, s = (2.0 ** (sm * N) * mixed_herz_norm(f, herz)
+                for herz, sm in (target, source))
+        if s == 0.0 or t == 0.0:
+            raise ValueError("degenerate dilation draw produced a zero norm")
+        records.append({"N": N, "target_norm": t, "source_norm": s,
+                        "log2_ratio": math.log2(t / (2.0 ** (gamma * N) * s))})
+    slope, _, resid = _fit_line([r["N"] for r in records],
+                                [r["log2_ratio"] for r in records])
+    return records, slope, resid
+
+
 def necessity_fit(spec, n, L, G, N_max, seed, boxes=4):
     """Fitted exponent c of the target/source norm ratio on dilates.
 
@@ -261,16 +282,8 @@ def necessity_fit(spec, n, L, G, N_max, seed, boxes=4):
     spec.validate(ignore_balance=True)
     src, tgt = spec.source, spec.target
     fields = dilation_family(n, L, G, N_max, seed, boxes)
-    records = []
-    for N, f in enumerate(fields):
-        t = 2.0 ** (tgt.s * N) * mixed_herz_norm(f, tgt.herz)
-        s = 2.0 ** (src.s * N) * mixed_herz_norm(f, src.herz)
-        if s == 0.0 or t == 0.0:
-            raise ValueError("degenerate dilation draw produced a zero norm")
-        records.append({"N": N, "target_norm": t, "source_norm": s,
-                        "log2_ratio": math.log2(t / s)})
-    c_fit, _, resid = _fit_line([r["N"] for r in records],
-                                [r["log2_ratio"] for r in records])
+    records, c_fit, resid = _ratio_fit(fields, (tgt.herz, tgt.s),
+                                       (src.herz, src.s), 0.0)
     c_expected = (tgt.s - src.s
                   - sum(tgt.herz.alpha) + sum(src.herz.alpha)
                   - _bold_inv(tgt.herz.p) + _bold_inv(src.herz.p))
@@ -306,16 +319,8 @@ def ppn_check(source, target, n, L, G, N_max, seed, boxes=4):
     gamma = (source.bold_inv_p() - target.bold_inv_p()
              + source.bold_alpha() - target.bold_alpha())
     fields = dilation_family(n, L, G, N_max, seed, boxes)
-    records = []
-    for N, f in enumerate(fields):
-        t = mixed_herz_norm(f, target)
-        s = mixed_herz_norm(f, source)
-        if s == 0.0 or t == 0.0:
-            raise ValueError("degenerate dilation draw produced a zero norm")
-        records.append({"N": N, "target_norm": t, "source_norm": s,
-                        "log2_ratio": math.log2(t / (2.0 ** (gamma * N) * s))})
-    slope, _, resid = _fit_line([r["N"] for r in records],
-                                [r["log2_ratio"] for r in records])
+    records, slope, resid = _ratio_fit(fields, (target, 0.0), (source, 0.0),
+                                       gamma)
     return {"records": records, "gamma": gamma, "slope": slope,
             "residual": resid}
 
@@ -449,17 +454,10 @@ def hardy_check(a, q, draws, length, seed):
         for k in range(length - 1, -1, -1):
             acc = a * acc + eps[k]
             eta[k] = acc
-        base = _lq(eps, q)
+        base = lq_combine(eps, q)
         if base == 0.0:
             continue
-        worst = max(worst, _lq(delta, q) / base, _lq(eta, q) / base)
+        worst = max(worst, lq_combine(delta, q) / base,
+                    lq_combine(eta, q) / base)
     return {"a": a, "q": q, "worst_ratio": worst, "bound": bound}
 
-
-def _lq(arr, q):
-    if math.isinf(q):
-        return float(np.max(arr))
-    m = float(np.max(arr))
-    if m == 0.0:
-        return 0.0
-    return m * float(np.sum((arr / m) ** q)) ** (1.0 / q)

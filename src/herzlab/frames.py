@@ -17,12 +17,14 @@ Coefficient sets serialise to a line-oriented text format with %.17g
 fields, which round-trips complex128 bit-exactly.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import SampledField, spectral_transform
+from .grid import SampledField, parse_header
+from .lpdecomp import level_blocks, lp_block
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,26 @@ class CoeffSeq:
     def level_entries(self, k):
         return {m: v for (kk, m), v in self.entries.items() if kk == k}
 
+    def levels(self):
+        """Occupied levels as arrays, in ascending k.
+
+        Returns a list of (k, pos, values): pos (H, n) int64 lattice indices
+        in lexicographic order, values (H,) complex128 the matching lam[k, m].
+        """
+        count, n = len(self.entries), self.n
+        if not count:
+            return []
+        ks = np.fromiter((k for k, _ in self.entries), np.int64, count)
+        pos = np.fromiter(itertools.chain.from_iterable(
+            m for _, m in self.entries), np.int64, count * n).reshape(count, n)
+        vals = np.fromiter(self.entries.values(), np.complex128, count)
+        order = np.lexsort((*pos.T[::-1], ks))
+        ks, pos, vals = ks[order], pos[order], vals[order]
+        levels, starts = np.unique(ks, return_index=True)
+        ends = [*starts[1:], ks.size]
+        return [(int(k), pos[a:b], vals[a:b])
+                for k, a, b in zip(levels, starts, ends)]
+
     def map_values(self, fn):
         return CoeffSeq(self.n, self.K, self.L,
                         {key: fn(val) for key, val in self.entries.items()})
@@ -64,36 +86,30 @@ def lattice_span(L, k):
     return int(half)
 
 
-def _level_stride(field, k):
-    stride = field.G // (1 << k) / field.L
-    if stride != int(stride) or int(stride) < 1:
+def _lattice(G, L, k):
+    """The level-k lattice as a per-axis basic slice of the grid.
+
+    Lattice index m sits at grid index m * stride + G/2, so the indices
+    -half..half-1 are every stride-th sample from 0.  Returns (slice, half).
+    """
+    half = lattice_span(L, k)
+    stride = G // (2 * half)
+    if stride * 2 * half != G:
         raise ValueError(
             f"level {k} lattice (spacing 2^-{k}) does not embed in the grid "
-            f"(h = {field.h:g})")
-    return int(stride)
+            f"(h = {L / G:g})")
+    return slice(None, None, stride), half
 
 
 def analyze(field, system):
     """Inner products of the field against every lattice translate."""
-    system.check_grid(field)
-    if field.domain != "space":
-        raise ValueError("expected a space-domain field")
-    n, G = field.n, field.G
-    spec = spectral_transform(field)
+    n = field.n
     entries = {}
-    for k in range(system.K + 1):
-        stride = _level_stride(field, k)
-        half = lattice_span(field.L, k)
-        u = spectral_transform(
-            spec.with_values(spec.values * system.multipliers[k]))
-        scale = 2.0 ** (-k * n / 2.0)
-        offsets = [(np.arange(-half, half) * stride + G // 2) for _ in range(n)]
-        mesh = np.meshgrid(*offsets, indexing="ij")
-        sub = u.values[tuple(mesh)]
-        it = np.nditer(sub, flags=["multi_index"])
-        for val in it:
-            m = tuple(int(i) - half for i in it.multi_index)
-            entries[(k, m)] = complex(val) * scale
+    for k, block in enumerate(level_blocks(field, system)):
+        sub, half = _lattice(field.G, field.L, k)
+        vals = (block.values[(sub,) * n] * 2.0 ** (-k * n / 2.0)).ravel()
+        keys = itertools.product(range(-half, half), repeat=n)
+        entries.update(zip(((k, m) for m in keys), vals.tolist()))
     return CoeffSeq(n, system.K, field.L, entries)
 
 
@@ -104,22 +120,16 @@ def synthesize(coeffs, system):
     n, G, L = system.n, system.G, system.L
     h = L / G
     acc = np.zeros((G,) * n, dtype=np.complex128)
-    probe = SampledField(n, L, G, acc, domain="space")
-    for k in range(system.K + 1):
-        level = coeffs.level_entries(k)
-        if not level:
-            continue
-        stride = _level_stride(probe, k)
-        half = lattice_span(L, k)
+    for k, pos, vals in coeffs.levels():
+        sub, half = _lattice(G, L, k)
+        outside = np.any((pos < -half) | (pos >= half), axis=1)
+        if outside.any():
+            m = tuple(pos[outside.argmax()].tolist())
+            raise ValueError(f"lattice index {m} outside level {k} span")
         comb = np.zeros((G,) * n, dtype=np.complex128)
-        for m, val in level.items():
-            if any(not -half <= c < half for c in m):
-                raise ValueError(f"lattice index {m} outside level {k} span")
-            pos = tuple(c * stride + G // 2 for c in m)
-            comb[pos] += val
-        spec = spectral_transform(SampledField(n, L, G, comb, domain="space"))
-        cut = spec.with_values(spec.values * system.multipliers[k])
-        acc = acc + spectral_transform(cut).values * (2.0 ** (-k * n / 2.0) / h ** n)
+        comb[(sub,) * n][tuple((pos + half).T)] += vals
+        block = lp_block(SampledField(n, L, G, comb, domain="space"), system, k)
+        acc = acc + block.values * (2.0 ** (-k * n / 2.0) / h ** n)
     return SampledField(n, L, G, acc, domain="space")
 
 
@@ -153,15 +163,19 @@ def load_coeffs(path):
         magic = fh.readline().rstrip("\n")
         if magic != COEFF_MAGIC:
             raise ValueError(f"not a coefficient snapshot: {magic!r}")
-        head = dict(part.split("=") for part in fh.readline().split())
-        n, K, L = int(head["n"]), int(head["K"]), float(head["L"])
-        count = int(head["count"])
+        head = parse_header(fh.readline(),
+                            {"n": int, "K": int, "L": float, "count": int})
+        n = head["n"]
         entries = {}
-        for _ in range(count):
+        for lineno in range(3, head["count"] + 3):
             toks = fh.readline().split()
             if len(toks) != n + 3:
-                raise ValueError("malformed coefficient line")
-            k = int(toks[0])
-            m = tuple(int(t) for t in toks[1:n + 1])
-            entries[(k, m)] = complex(float(toks[n + 1]), float(toks[n + 2]))
-    return CoeffSeq(n, K, L, entries)
+                raise ValueError(f"line {lineno}: {len(toks)} fields, a "
+                                 f"coefficient line has {n + 3}")
+            try:
+                key = (int(toks[0]), tuple(int(t) for t in toks[1:n + 1]))
+                entries[key] = complex(float(toks[n + 1]), float(toks[n + 2]))
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed coefficient line "
+                                 f"{' '.join(toks)!r}") from None
+    return CoeffSeq(n, head["K"], head["L"], entries)

@@ -177,22 +177,50 @@ def save_field(field, path):
             fh.write("%.17g %.17g\n" % (z.real, z.imag))
 
 
+def parse_header(line, casts):
+    """The key=value fields of a snapshot header line, converted.
+
+    casts maps each required key to its converter; a ValueError names the
+    malformed, missing or unconvertible field.
+    """
+    fields = {}
+    for part in line.split():
+        key, eq, text = part.partition("=")
+        if not eq:
+            raise ValueError(
+                f"malformed header field {part!r}, expected key=value")
+        fields[key] = text
+    out = {}
+    for key, cast in casts.items():
+        if key not in fields:
+            raise ValueError(f"header has no {key!r} field")
+        try:
+            out[key] = cast(fields[key])
+        except ValueError:
+            raise ValueError(
+                f"header field {key}={fields[key]!r} is not a valid "
+                f"{cast.__name__}") from None
+    return out
+
+
 def load_field(path):
     with open(path, "r", encoding="ascii") as fh:
         magic = fh.readline().strip()
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"not a field snapshot: bad magic {magic!r}")
-        header = dict(item.split("=", 1) for item in fh.readline().split())
-        n = int(header["n"])
-        L = float(header["L"])
-        G = int(header["G"])
-        domain = header["domain"]
+        header = parse_header(fh.readline(),
+                              {"n": int, "L": float, "G": int, "domain": str})
+        n, L, G = header["n"], header["L"], header["G"]
         count = G ** n
         vals = np.empty(count, dtype=np.complex128)
         for i in range(count):
             parts = fh.readline().split()
             if len(parts) != 2:
                 raise ValueError(f"snapshot truncated at sample {i}")
-            vals[i] = complex(float(parts[0]), float(parts[1]))
+            try:
+                vals[i] = complex(float(parts[0]), float(parts[1]))
+            except ValueError:
+                raise ValueError(f"line {i + 3}: malformed sample "
+                                 f"{' '.join(parts)!r}") from None
     return SampledField(n=n, L=L, G=G, values=vals.reshape((G,) * n),
-                        domain=domain)
+                        domain=header["domain"])

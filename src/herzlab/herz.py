@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledField, _log2_exact
+from .grid import _log2_exact
 
 
 class HypothesisError(ValueError):
@@ -174,73 +174,63 @@ def lq_combine(values, q):
     return peak * float(np.sum((v / peak) ** q)) ** (1.0 / q)
 
 
-def _axis_reduce_lp(mag, p, mu):
-    """(sum |f|^p mu)^(1/p) down the first dimension, or max for p = inf."""
-    if math.isinf(p):
-        return mag.max(axis=0)
-    return (np.sum(mag ** p, axis=0) * mu) ** (1.0 / p)
+def lq_envelope(arrays, beta):
+    """Pointwise l^beta of an iterable of nonnegative arrays.
 
-
-def _grid_cell_layout(field):
-    """(lo, v) of the grid-cell lattice: indices m in [-G/2, G/2), side 2^-v."""
-    v = _log2_exact(field.G) - _log2_exact(field.L)
-    return -field.G // 2, v
-
-
-def axis_lp_norm(field, axis, p):
-    """L^p norm in the coordinate x_axis alone; collapses that axis.
-
-    Returns a SampledField of dimension n-1, or a float when n = 1.
+    The maximum for beta = inf, otherwise (sum a^beta)^(1/beta); terms are
+    consumed one at a time.
     """
-    if not p > 0:
-        raise ValueError(f"p = {p} must be positive")
-    mag = np.abs(np.moveaxis(field.values, axis, 0))
-    rest = mag.shape[1:]
-    out = _axis_reduce_lp(mag.reshape(field.G, -1), p, field.h)
-    if field.n == 1:
-        return float(out[0])
-    return SampledField(field.n - 1, field.L, field.G, out.reshape(rest),
-                        field.domain)
+    terms = iter(arrays)
+    first = next(terms)
+    if math.isinf(beta):
+        acc = first
+        for a in terms:
+            acc = np.maximum(acc, a)
+        return acc
+    acc = first ** beta
+    for a in terms:
+        acc = acc + a ** beta
+    return acc ** (1.0 / beta)
 
 
-def axis_herz_norm(field, axis, p, alpha, q):
-    """One-axis Herz norm K(p, alpha, q) in x_axis; collapses that axis."""
-    HerzParams((p,), (alpha,), (q,))  # validate admissibility
-    lo, v = _grid_cell_layout(field)
-    mag = np.abs(np.moveaxis(field.values, axis, 0))
-    rest = mag.shape[1:]
-    out = _axis_reduce_herz(mag.reshape(field.G, -1), lo, v, p, alpha, q)
-    if field.n == 1:
-        return float(out[0])
-    return SampledField(field.n - 1, field.L, field.G, out.reshape(rest),
-                        field.domain)
+def _reduce_axes(arr, reduce):
+    """Collapse axis 1, then 2, then 3 of ``arr`` to a float.
+
+    reduce(i, cells) maps the (C, M) cells of axis i (rows along it,
+    columns the remaining positions) to the (M,) reduced values.
+    """
+    for i in range(arr.ndim):
+        rest = arr.shape[1:]
+        arr = reduce(i, arr.reshape(arr.shape[0], -1)).reshape(rest)
+    return float(arr)
+
+
+def _cells_mixed_herz(arr, los, v, herz):
+    """Exact mixed Herz norm of a cell array (side 2^-v, corner index los)."""
+    return _reduce_axes(arr, lambda i, cells: _axis_reduce_herz(
+        cells, los[i], v, herz.p[i], herz.alpha[i], herz.q[i]))
 
 
 def mixed_herz_norm(field, params):
     """Iterated per-axis Herz norm, axis 1 innermost.
 
-    params : HerzParams with params.n == field.n.
+    params : HerzParams with params.n == field.n.  Grid cells have side h
+    and indices m in [-G/2, G/2) on every axis.
     """
     if params.n != field.n:
         raise ValueError(f"params for n = {params.n}, field has n = {field.n}")
-    lo, v = _grid_cell_layout(field)
-    arr = np.abs(field.values)
-    for i in range(field.n):
-        G = arr.shape[0]
-        rest = arr.shape[1:]
-        arr = _axis_reduce_herz(arr.reshape(G, -1), lo, v,
-                                params.p[i], params.alpha[i], params.q[i])
-        arr = arr.reshape(rest)
-    return float(arr)
+    v = _log2_exact(field.G) - _log2_exact(field.L)
+    return _cells_mixed_herz(np.abs(field.values), (-field.G // 2,) * field.n,
+                             v, params)
 
 
 def mixed_lebesgue_norm(field, p):
     """Iterated per-axis L^p norm, axis 1 innermost; p is scalar or n-tuple."""
     p = _as_exponent_tuple(p, field.n, "p")
-    arr = np.abs(field.values)
-    for i in range(field.n):
-        G = arr.shape[0]
-        rest = arr.shape[1:]
-        arr = _axis_reduce_lp(arr.reshape(G, -1), p[i], field.h)
-        arr = arr.reshape(rest)
-    return float(arr)
+
+    def reduce(i, mag):
+        if math.isinf(p[i]):
+            return mag.max(axis=0)
+        return (np.sum(mag ** p[i], axis=0) * field.h) ** (1.0 / p[i])
+
+    return _reduce_axes(np.abs(field.values), reduce)

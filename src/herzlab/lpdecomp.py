@@ -131,10 +131,22 @@ def lp_block(field, system, k):
     if not 0 <= k <= system.K:
         raise ValueError(f"level k = {k} outside 0..{system.K}")
     if field.domain == "space":
-        spec = spectral_transform(field)
-        cut = spec.with_values(spec.values * system.multipliers[k])
-        return spectral_transform(cut)
+        return spectral_transform(lp_block(spectral_transform(field), system, k))
     return field.with_values(field.values * system.multipliers[k])
+
+
+def level_blocks(field, system):
+    """The space-domain blocks F^-1[M_k F f], k = 0..K, one at a time.
+
+    The domain and grid are checked, and the forward transform taken, when
+    this is called, not when the first block is drawn.
+    """
+    if field.domain != "space":
+        raise ValueError("expected a space-domain field")
+    system.check_grid(field)
+    spec = spectral_transform(field)
+    return (spectral_transform(spec.with_values(spec.values * m))
+            for m in system.multipliers)
 
 
 def partition_sum(system):

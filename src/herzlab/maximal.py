@@ -19,14 +19,13 @@ the smoothed average (eta_R,N * |g|^r)^(1/r) with the product kernel
 eta_R,N(x) = R^n prod_i (1 + R |x_i|)^(-N/n).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _accel
 from .grid import spectral_transform
-from .herz import HypothesisError, _inv, mixed_herz_norm
+from .herz import HypothesisError, _inv, lq_envelope, mixed_herz_norm
 
 
 def _maximal_along(mag, axis, widths):
@@ -87,15 +86,7 @@ def envelope(fields, beta):
     """Pointwise l^beta magnitude envelope of a family of fields."""
     if not fields:
         raise ValueError("need at least one field")
-    if math.isinf(beta):
-        acc = np.abs(fields[0].values)
-        for f in fields[1:]:
-            acc = np.maximum(acc, np.abs(f.values))
-    else:
-        acc = np.zeros_like(np.abs(fields[0].values))
-        for f in fields:
-            acc = acc + np.abs(f.values) ** beta
-        acc = acc ** (1.0 / beta)
+    acc = lq_envelope((np.abs(f.values) for f in fields), beta)
     return fields[0].with_values(acc.astype(np.complex128))
 
 

@@ -16,7 +16,6 @@ occupied bounding box dilated by a window margin; r = inf takes the sup
 form.  The window is a truncation, so callers gauge it by doubling.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import _accel
 from .frames import CoeffSeq
-from .herz import HerzParams, _axis_reduce_herz, lq_combine
+from .herz import HerzParams, _cells_mixed_herz, lq_combine
 
 
 @dataclass(frozen=True)
@@ -48,36 +47,14 @@ class SeqSpaceParams:
                         f"family 'f' requires finite {name}, got {vec}")
 
 
-def _cells_mixed_herz(arr, los, v, herz):
-    """Exact mixed Herz norm of a cell array (side 2^-v, corner index los)."""
-    for i in range(herz.n):
-        C = arr.shape[0]
-        rest = arr.shape[1:]
-        arr = _axis_reduce_herz(arr.reshape(C, -1), los[i], v,
-                                herz.p[i], herz.alpha[i], herz.q[i])
-        arr = arr.reshape(rest)
-    return float(arr)
+def _level_mags(coeffs):
+    """Per-level (k, pos, |lam|) of a coefficient set, in ascending k.
 
-
-def _levels(coeffs):
-    """Occupied levels of a coefficient set as arrays, in ascending k.
-
-    Returns a list of (k, pos, mag): pos (H, n) int64 lattice indices in
-    lexicographic order, mag (H,) float64 the matching |lam[k, m]|.
+    Magnitudes are np.hypot of the parts, which equals Python's abs of a
+    complex bit for bit; np.abs of complex128 can differ in the last bit.
     """
-    count, n = len(coeffs.entries), coeffs.n
-    if not count:
-        return []
-    ks = np.fromiter((k for k, _ in coeffs.entries), np.int64, count)
-    pos = np.fromiter(itertools.chain.from_iterable(
-        m for _, m in coeffs.entries), np.int64, count * n).reshape(count, n)
-    mag = np.fromiter(map(abs, coeffs.entries.values()), np.float64, count)
-    order = np.lexsort((*pos.T[::-1], ks))
-    ks, pos, mag = ks[order], pos[order], mag[order]
-    levels, starts = np.unique(ks, return_index=True)
-    ends = [*starts[1:], ks.size]
-    return [(int(k), pos[a:b], mag[a:b])
-            for k, a, b in zip(levels, starts, ends)]
+    return [(k, pos, np.hypot(vals.real, vals.imag))
+            for k, pos, vals in coeffs.levels()]
 
 
 def _level_block(pos, values):
@@ -94,7 +71,7 @@ def b_norm(coeffs, params):
         raise ValueError(f"params for n = {params.herz.n}, coeffs have n = {coeffs.n}")
     n = coeffs.n
     terms = np.zeros(coeffs.K + 1)
-    for k, pos, mag in _levels(coeffs):
+    for k, pos, mag in _level_mags(coeffs):
         arr, los = _level_block(pos, mag)
         t = _cells_mixed_herz(arr, los, k, params.herz)
         terms[k] = 2.0 ** (k * (params.s + n / 2.0)) * t
@@ -111,7 +88,7 @@ def _f_envelope(coeffs, params):
     envelope, its corner index and the finest level.
     """
     n = coeffs.n
-    levels = _levels(coeffs)
+    levels = _level_mags(coeffs)
     vf = levels[-1][0]
     beta = params.beta
     blocks = []
@@ -176,7 +153,7 @@ def lambda_star(coeffs, r, d, window):
         raise ValueError("window must be >= 0")
     n = coeffs.n
     entries = {}
-    for k, pos, mag in _levels(coeffs):
+    for k, pos, mag in _level_mags(coeffs):
         los = pos.min(axis=0)
         his = pos.max(axis=0) + 1
         axes = [np.arange(lo - window, hi + window, dtype=np.int64)

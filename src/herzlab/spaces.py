@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import spectral_transform
-from .herz import HerzParams, lq_combine, mixed_herz_norm
-from .lpdecomp import bandlimited_witness, build_fj_pair, build_resolution
+from .herz import HerzParams, lq_combine, lq_envelope, mixed_herz_norm
+from .lpdecomp import (bandlimited_witness, build_fj_pair, build_resolution,
+                       level_blocks)
 
 
 @dataclass(frozen=True)
@@ -48,28 +48,16 @@ class SpaceParams:
                         f"family 'F' requires finite {name}, got {vec}")
 
 
-def _level_fields(field, system):
-    if field.domain != "space":
-        raise ValueError("expected a space-domain field")
-    system.check_grid(field)
-    spec = spectral_transform(field)
-    out = []
-    for k in range(system.K + 1):
-        cut = spec.with_values(spec.values * system.multipliers[k])
-        out.append(spectral_transform(cut))
-    return out
-
-
 def block_norms(field, herz_params, system):
     """Mixed Herz norm of every level block, unweighted."""
-    return [mixed_herz_norm(b, herz_params) for b in _level_fields(field, system)]
+    return [mixed_herz_norm(b, herz_params)
+            for b in level_blocks(field, system)]
 
 
 def besov_norm(field, params, system):
     """Levelwise Herz norms combined in weighted l^beta."""
-    blocks = _level_fields(field, system)
     terms = [2.0 ** (k * params.s) * mixed_herz_norm(b, params.herz)
-             for k, b in enumerate(blocks)]
+             for k, b in enumerate(level_blocks(field, system))]
     return lq_combine(np.array(terms), params.beta)
 
 
@@ -77,17 +65,9 @@ def triebel_norm(field, params, system):
     """Pointwise weighted l^beta over levels, then the Herz norm."""
     if params.family != "F":
         raise ValueError("triebel_norm needs family 'F' parameters")
-    blocks = _level_fields(field, system)
-    beta = params.beta
-    if math.isinf(beta):
-        env = np.zeros_like(np.abs(blocks[0].values))
-        for k, b in enumerate(blocks):
-            env = np.maximum(env, 2.0 ** (k * params.s) * np.abs(b.values))
-    else:
-        env = np.zeros_like(np.abs(blocks[0].values))
-        for k, b in enumerate(blocks):
-            env = env + (2.0 ** (k * params.s) * np.abs(b.values)) ** beta
-        env = env ** (1.0 / beta)
+    env = lq_envelope((2.0 ** (k * params.s) * np.abs(b.values)
+                       for k, b in enumerate(level_blocks(field, system))),
+                      params.beta)
     carrier = field.with_values(env.astype(np.complex128))
     return mixed_herz_norm(carrier, params.herz)
 

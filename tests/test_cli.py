@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import herzlab
 from herzlab import CoeffSeq, save_coeffs
 from herzlab.cli import ConfigError, ExperimentConfig, main, render_report
 
@@ -101,6 +104,60 @@ def test_bad_parameters_fail_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "alpha" in err
+
+
+def _one_error_line(capsys, argv, *names):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    for name in names:
+        assert name in err[0]
+    return err[0]
+
+
+def test_non_integer_grid_size_names_its_key(tmp_path, capsys):
+    cfg = _write(tmp_path, "bad.ini", NORM_CFG.replace("g = 256", "g = abc"))
+    line = _one_error_line(capsys, ["norm", "--config", cfg], "[grid] g", "abc")
+    assert "invalid literal" not in line
+
+
+def test_non_integer_draws_names_its_key(tmp_path, capsys):
+    cfg = _write(tmp_path, "bad.ini", SWEEP_CFG.replace("draws = 20",
+                                                        "draws = x"))
+    line = _one_error_line(capsys, ["embed-sweep", "--config", cfg],
+                           "[ensemble] draws")
+    assert "invalid literal" not in line
+
+
+@pytest.mark.parametrize("key, old", [("p", "p = 2"), ("alpha", "alpha = 0"),
+                                      ("q", "q = 2")])
+def test_non_numeric_exponent_names_its_key(tmp_path, capsys, key, old):
+    # the [target] section of the sweep; its family line comes first
+    head, tail = SWEEP_CFG.split("[target]")
+    bad = head + "[target]" + tail.replace(old, f"{key} = 1,two", 1)
+    cfg = _write(tmp_path, "bad.ini", bad)
+    line = _one_error_line(capsys, ["embed-sweep", "--config", cfg],
+                           f"[target] {key}", "1,two")
+    assert "could not convert" not in line
+
+
+def test_malformed_coefficient_header_names_the_field(tmp_path, capsys):
+    coeffs = tmp_path / "lam.coeffs"
+    coeffs.write_text("herzcoeffs 1\nn=1 K=2 L16 count=1\n0 0 1 0\n")
+    cfg = _write(tmp_path, "seq.ini", f"""
+[space]
+family = b
+s = 0.5
+beta = 2
+p = 2
+alpha = 0.25
+q = 1
+
+[coeffs]
+path = {coeffs}
+""")
+    line = _one_error_line(capsys, ["seqnorm", "--config", cfg], "L16")
+    assert "dictionary update" not in line
 
 
 @pytest.mark.parametrize("length", ["0", "-3"])
@@ -204,8 +261,11 @@ p = inf
 
 def test_console_entry_point(tmp_path):
     cfg = _write(tmp_path, "norm.ini", NORM_CFG)
+    # the child imports the same herzlab as this process
+    src = str(Path(herzlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "herzlab.cli", "norm", "--config", cfg],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "0.066126878826180971" in proc.stdout

@@ -101,3 +101,20 @@ def test_load_field_rejects_garbage(tmp_path):
     path.write_text("not a field\n")
     with pytest.raises(ValueError):
         load_field(path)
+
+
+@pytest.mark.parametrize("line, edit, names", [
+    (1, lambda t: t.replace("G=4", "G=four"), ["G", "'four'"]),
+    (1, lambda t: t.replace(" domain=space", ""), ["domain"]),
+    (4, lambda t: "1 q", ["line 5", "1 q"]),
+])
+def test_load_field_names_the_malformed_part(tmp_path, line, edit, names):
+    path = tmp_path / "f.field"
+    save_field(make_field(1, 8.0, 4), path)
+    lines = path.read_text().split("\n")
+    lines[line] = edit(lines[line])
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError) as info:
+        load_field(path)
+    for name in names:
+        assert name in str(info.value)

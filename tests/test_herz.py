@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from herzlab import (HerzParams, HypothesisError, lq_combine, make_field,
-                     mixed_herz_norm, mixed_lebesgue_norm)
+from herzlab import (HerzParams, HypothesisError, lq_combine, lq_envelope,
+                     make_field, mixed_herz_norm, mixed_lebesgue_norm)
+from herzlab.herz import _axis_reduce_herz
 
 # ---------------------------------------------------------------------------
 # Reference implementation, kept deliberately naive: every cell's |x| interval
@@ -162,3 +163,52 @@ def test_lq_combine_edges():
 
 def test_hypothesis_error_is_value_error():
     assert issubclass(HypothesisError, ValueError)
+
+
+# Former per-function axis loops, kept to pin the shared iterated reduction.
+
+
+def former_mixed_herz(field, params):
+    v = int(round(math.log2(field.G / field.L)))
+    arr = np.abs(field.values)
+    for i in range(field.n):
+        rest = arr.shape[1:]
+        arr = _axis_reduce_herz(arr.reshape(field.G, -1), -field.G // 2, v,
+                                params.p[i], params.alpha[i], params.q[i])
+        arr = arr.reshape(rest)
+    return float(arr)
+
+
+def former_mixed_lebesgue(field, p):
+    arr = np.abs(field.values)
+    for i in range(field.n):
+        rest = arr.shape[1:]
+        mag = arr.reshape(field.G, -1)
+        if math.isinf(p[i]):
+            arr = mag.max(axis=0)
+        else:
+            arr = (np.sum(mag ** p[i], axis=0) * field.h) ** (1.0 / p[i])
+        arr = arr.reshape(rest)
+    return float(arr)
+
+
+@pytest.mark.parametrize("n, G", [(1, 256), (2, 32), (3, 16)])
+def test_iterated_norms_bitwise_equal_former_loops(n, G):
+    f = _seeded_field(n, 8.0, G, 20 + n)
+    p = (1.5, math.inf, 3.0)[:n]
+    params = HerzParams(p, (0.25, 0.125, -0.25)[:n], (2.0, 0.75, math.inf)[:n])
+    assert mixed_herz_norm(f, params) == former_mixed_herz(f, params)
+    assert mixed_lebesgue_norm(f, p) == former_mixed_lebesgue(f, p)
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, math.inf])
+def test_lq_envelope_equals_loop_from_zeros(beta):
+    rng = np.random.default_rng(4)
+    terms = [np.abs(rng.standard_normal((8, 8))) for _ in range(4)]
+    terms[1][0, 0] = 0.0
+    want = np.zeros((8, 8))
+    for t in terms:
+        want = np.maximum(want, t) if math.isinf(beta) else want + t ** beta
+    if not math.isinf(beta):
+        want = want ** (1.0 / beta)
+    assert np.array_equal(lq_envelope(iter(terms), beta), want)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from herzlab import (bandlimited_witness, build_fj_pair, build_resolution,
-                     lp_block, make_field, mixed_lebesgue_norm, partition_sum,
-                     random_band_field, spectral_transform)
+                     level_blocks, lp_block, make_field, mixed_lebesgue_norm,
+                     partition_sum, random_band_field, spectral_transform)
 from herzlab.lpdecomp import (rho_profile, smooth_step, theta_profile,
                               witness_modes)
 
@@ -148,3 +148,18 @@ def test_witness_deterministic_per_seed():
     c = bandlimited_witness(1, 32.0, 2048, 0, seed=5)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+def test_level_blocks_equal_lp_block_and_validate_when_called():
+    system = build_fj_pair(2, 16.0, 64, 2)
+    f = random_band_field(2, 16.0, 64, 4.0, seed=5)
+    blocks = list(level_blocks(f, system))
+    assert len(blocks) == system.K + 1
+    for k, b in enumerate(blocks):
+        assert b.domain == "space"
+        assert np.array_equal(b.values, lp_block(f, system, k).values)
+    # bad input fails at the call, before any block is drawn
+    with pytest.raises(ValueError, match="space-domain"):
+        level_blocks(spectral_transform(f), system)
+    with pytest.raises(ValueError, match="grid"):
+        level_blocks(f, build_fj_pair(2, 16.0, 128, 2))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from herzlab import (HerzParams, SpaceParams, bandlimited_witness, besov_norm,
-                     block_norms, build_fj_pair, build_resolution,
-                     norm_equivalence_report, random_band_field, space_norm,
+                     block_norms, build_fj_pair, build_resolution, lp_block,
+                     mixed_herz_norm, norm_equivalence_report,
+                     random_band_field, space_norm, spectral_transform,
                      triebel_norm)
 
 HERZ = HerzParams(2.0, 0.25, 1.0)
@@ -113,3 +114,43 @@ def test_equivalence_report_between_systems():
     again = norm_equivalence_report(bp, 1, 16.0, 2048, 5, levels=(0, 1, 2),
                                     seed=13, draws=4)
     assert rep == again
+
+
+def former_triebel_norm(field, params, system):
+    """The envelope loop from zeros over a list of all blocks."""
+    blocks = [lp_block(field, system, k) for k in range(system.K + 1)]
+    env = np.zeros_like(np.abs(blocks[0].values))
+    for k, b in enumerate(blocks):
+        term = 2.0 ** (k * params.s) * np.abs(b.values)
+        if math.isinf(params.beta):
+            env = np.maximum(env, term)
+        else:
+            env = env + term ** params.beta
+    if not math.isinf(params.beta):
+        env = env ** (1.0 / params.beta)
+    return mixed_herz_norm(field.with_values(env.astype(np.complex128)),
+                           params.herz)
+
+
+@pytest.mark.parametrize("beta", [2.0, math.inf])
+def test_triebel_norm_equals_former_envelope_loop(beta):
+    f, system = _field(), _system()
+    fp = SpaceParams(HERZ, s=0.5, beta=beta, family="F")
+    assert triebel_norm(f, fp, system) == former_triebel_norm(f, fp, system)
+    g = random_band_field(2, 16.0, 128, 8.0, seed=3)
+    sys2 = build_fj_pair(2, 16.0, 128, 3)
+    fp2 = SpaceParams(HerzParams((2.0, 1.5), (0.25, 0.0), (1.0, 2.0)),
+                      s=0.5, beta=beta, family="F")
+    assert triebel_norm(g, fp2, sys2) == former_triebel_norm(g, fp2, sys2)
+
+
+def test_norms_validate_field_when_called():
+    f, system = _field(), _system()
+    bp = SpaceParams(HERZ, s=0.5, beta=2.0, family="B")
+    fp = SpaceParams(HERZ, s=0.5, beta=2.0, family="F")
+    other = build_fj_pair(1, 16.0, 1024, 5)
+    for norm, params in ((besov_norm, bp), (triebel_norm, fp)):
+        with pytest.raises(ValueError, match="space-domain"):
+            norm(spectral_transform(f), params, system)
+        with pytest.raises(ValueError, match="grid"):
+            norm(f, params, other)
