@@ -1,17 +1,36 @@
 """Analysis and synthesis sums over dyadic lattices.
 
 Coefficients live on level lattices 2^-k m, m integer, k = 0..K.  With the
-unitary centered transform F and level multipliers M_k:
+unitary centered transform F_G on the grid (G points per axis, spacing
+h = L/G) and real level multipliers M_k:
 
-  analysis:   lam[k, m] = 2^{-k n / 2} * (F^-1 [conj(M_k) F f]) (2^-k m)
-  synthesis:  f = sum_k 2^{-k n / 2} h^{-n} F^-1 [M_k F comb_k],
+  analysis:   lam[k, m] = 2^{-k n / 2} * (F_G^-1 [M_k F_G f]) (2^-k m)
+  synthesis:  f = sum_k 2^{-k n / 2} h^{-n} F_G^-1 [M_k F_G comb_k],
 
 where comb_k holds lam[k, m] at the grid index of 2^-k m and 0 elsewhere.
-The level-k lattice embeds in the grid when the stride 2^-k / h is a
-positive integer, i.e. k <= log2(G / L).  Nonzero spectral copies made by
+The level-k lattice has N = 2^k L points per axis and embeds in the grid
+when N divides G, i.e. k <= log2(G / L).  Nonzero spectral copies made by
 the lattice subsampling sit 2 pi 2^k apart while the multiplier support
 has radius 2^{k+1} < 2 pi 2^k / 2, so no copy overlaps: for fields
 band-limited to the system's band the round trip is exact up to rounding.
+
+Both sums are evaluated on each level's own N^n lattice.  The aliasing
+identities of the DFT hold for any multiplier, so nothing is cropped:
+
+  (F_G^-1 U)(2^-k m) = (N / G)^{n/2} (F_N^-1 fold_N U)[m + N/2]
+  F_G comb_k         = (N / G)^{n/2} tile_G (F_N c_k)
+
+fold_N sums the centered spectrum over index shifts by multiples of N on
+each axis, tile_G repeats an N-periodic spectrum over the grid, and c_k is
+the (N,)^n array holding lam[k, m] at m + N/2.  With 2^{-k} (N / G) = h:
+
+  lam[k, m] = h^{n/2} (F_N^-1 fold_N(M_k F_G f))[m + N/2]
+  f         = F_G^-1 [h^{-n/2} sum_k M_k tile_G(F_N c_k)]
+
+which is one full-size transform each way plus one of size N^n per level.
+A sampled field has at least 4 points per axis, so a level with N < 4 is
+folded or tiled to N' = 4 with its lattice at stride t = N'/N, and the
+constants become (h t)^{n/2} and (h / t)^{-n/2}.
 
 Coefficient sets serialise to a line-oriented text format with %.17g
 fields, which round-trips complex128 bit-exactly.
@@ -20,55 +39,66 @@ fields, which round-trips complex128 bit-exactly.
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 
 import numpy as np
 
-from .grid import SampledField, parse_header
-from .lpdecomp import level_blocks, lp_block
+from .grid import SampledField, parse_header, spectral_transform
+from .lpdecomp import level_spectra
 
 
 @dataclass(frozen=True)
 class CoeffSeq:
-    """Sparse dyadic coefficients: (level k, lattice index tuple) -> value."""
+    """Sparse dyadic coefficients: (level k, lattice index tuple) -> value.
+
+    The per-level arrays are built once, at construction, so ``entries``
+    must not be changed afterwards.
+    """
 
     n: int
     K: int
     L: float
     entries: dict = dc_field(default_factory=dict)
+    _levels: list = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.K < 0:
             raise ValueError("K must be >= 0")
-        for (k, m) in self.entries:
+        count, n = len(self.entries), self.n
+        ks = np.fromiter(map(itemgetter(0), self.entries), np.int64, count)
+        dims = np.fromiter(map(len, map(itemgetter(1), self.entries)),
+                           np.int64, count)
+        bad = (ks < 0) | (ks > self.K) | (dims != n)
+        if bad.any():
+            k, m = list(self.entries)[bad.argmax()]
             if not 0 <= k <= self.K:
                 raise ValueError(f"entry level {k} outside 0..{self.K}")
-            if len(m) != self.n:
-                raise ValueError(f"entry index {m} is not {self.n}-dimensional")
+            raise ValueError(f"entry index {m} is not {n}-dimensional")
+        pos = np.fromiter(itertools.chain.from_iterable(
+            map(itemgetter(1), self.entries)), np.int64, count * n)
+        pos = pos.reshape(count, n)
+        vals = np.fromiter(self.entries.values(), np.complex128, count)
+        order = np.lexsort((*pos.T[::-1], ks))
+        ks, pos, vals = ks[order], pos[order], vals[order]
+        pos.flags.writeable = vals.flags.writeable = False
+        levels, starts = np.unique(ks, return_index=True)
+        ends = [*starts[1:], count]
+        object.__setattr__(self, "_levels", [
+            (int(k), pos[a:b], vals[a:b])
+            for k, a, b in zip(levels, starts, ends)])
 
     def level_entries(self, k):
         return {m: v for (kk, m), v in self.entries.items() if kk == k}
 
     def levels(self):
-        """Occupied levels as arrays, in ascending k.
+        """Occupied levels as read-only arrays, in ascending k.
 
         Returns a list of (k, pos, values): pos (H, n) int64 lattice indices
         in lexicographic order, values (H,) complex128 the matching lam[k, m].
         """
-        count, n = len(self.entries), self.n
-        if not count:
-            return []
-        ks = np.fromiter((k for k, _ in self.entries), np.int64, count)
-        pos = np.fromiter(itertools.chain.from_iterable(
-            m for _, m in self.entries), np.int64, count * n).reshape(count, n)
-        vals = np.fromiter(self.entries.values(), np.complex128, count)
-        order = np.lexsort((*pos.T[::-1], ks))
-        ks, pos, vals = ks[order], pos[order], vals[order]
-        levels, starts = np.unique(ks, return_index=True)
-        ends = [*starts[1:], ks.size]
-        return [(int(k), pos[a:b], vals[a:b])
-                for k, a, b in zip(levels, starts, ends)]
+        return self._levels
 
     def map_values(self, fn):
         return CoeffSeq(self.n, self.K, self.L,
@@ -87,30 +117,43 @@ def lattice_span(L, k):
 
 
 def _lattice(G, L, k):
-    """The level-k lattice as a per-axis basic slice of the grid.
+    """The level-k lattice size N and the transform size N' = max(N, 4).
 
-    Lattice index m sits at grid index m * stride + G/2, so the indices
-    -half..half-1 are every stride-th sample from 0.  Returns (slice, half).
+    N = 2^k L must divide G so that the lattice embeds in the grid.
     """
-    half = lattice_span(L, k)
-    stride = G // (2 * half)
-    if stride * 2 * half != G:
+    N = 2 * lattice_span(L, k)
+    if G % N:
         raise ValueError(
             f"level {k} lattice (spacing 2^-{k}) does not embed in the grid "
             f"(h = {L / G:g})")
-    return slice(None, None, stride), half
+    return N, max(N, 4)
+
+
+def _fold(spec, size):
+    """Sum a centered (G,)^n spectrum over index shifts by multiples of size.
+
+    Returns the aliased spectrum in the centered (size,)^n layout.
+    """
+    n, G = spec.ndim, spec.shape[0]
+    blocks = spec.reshape((G // size, size) * n)
+    folded = blocks.sum(axis=tuple(range(0, 2 * n, 2)))
+    return np.roll(folded, (size // 2 - G // 2) % size, axis=tuple(range(n)))
 
 
 def analyze(field, system):
     """Inner products of the field against every lattice translate."""
-    n = field.n
+    n, G, L = field.n, field.G, field.L
     entries = {}
-    for k, block in enumerate(level_blocks(field, system)):
-        sub, half = _lattice(field.G, field.L, k)
-        vals = (block.values[(sub,) * n] * 2.0 ** (-k * n / 2.0)).ravel()
-        keys = itertools.product(range(-half, half), repeat=n)
-        entries.update(zip(((k, m) for m in keys), vals.tolist()))
-    return CoeffSeq(n, system.K, field.L, entries)
+    for k, spec in enumerate(level_spectra(field, system)):
+        N, size = _lattice(G, L, k)
+        stride = size // N
+        small = spectral_transform(SampledField(
+            n, L, size, _fold(spec.values, size), domain="freq")).values
+        lattice = small[(slice(None, None, stride),) * n]
+        vals = (lattice * (field.h * stride) ** (n / 2.0)).ravel()
+        keys = itertools.product(range(-N // 2, N // 2), repeat=n)
+        entries.update(zip(zip(itertools.repeat(k), keys), vals.tolist()))
+    return CoeffSeq(n, system.K, L, entries)
 
 
 def synthesize(coeffs, system):
@@ -118,27 +161,33 @@ def synthesize(coeffs, system):
     if (coeffs.n, coeffs.L, coeffs.K) != (system.n, system.L, system.K):
         raise ValueError("coefficient set does not match the system")
     n, G, L = system.n, system.G, system.L
-    h = L / G
+    h, axes = L / G, tuple(range(n))
     acc = np.zeros((G,) * n, dtype=np.complex128)
     for k, pos, vals in coeffs.levels():
-        sub, half = _lattice(G, L, k)
+        N, size = _lattice(G, L, k)
+        half, stride = N // 2, size // N
         outside = np.any((pos < -half) | (pos >= half), axis=1)
         if outside.any():
             m = tuple(pos[outside.argmax()].tolist())
             raise ValueError(f"lattice index {m} outside level {k} span")
-        comb = np.zeros((G,) * n, dtype=np.complex128)
-        comb[(sub,) * n][tuple((pos + half).T)] += vals
-        block = lp_block(SampledField(n, L, G, comb, domain="space"), system, k)
-        acc = acc + block.values * (2.0 ** (-k * n / 2.0) / h ** n)
-    return SampledField(n, L, G, acc, domain="space")
+        comb = np.zeros((size,) * n, dtype=np.complex128)
+        comb[(slice(None, None, stride),) * n][tuple((pos + half).T)] += vals
+        small = spectral_transform(SampledField(n, L, size, comb)).values
+        small = np.roll(small * (h / stride) ** (-n / 2.0),
+                        (G // 2 - size // 2) % size, axis=axes)
+        shape = (G // size, size) * n
+        tiled = acc.reshape(shape)
+        tiled += (system.multipliers[k].reshape(shape)
+                  * small.reshape((1, size) * n))
+    return spectral_transform(SampledField(n, L, G, acc, domain="freq"))
 
 
 def roundtrip_error(field, system):
     """Relative l2 error of synthesize(analyze(f)) against f."""
-    back = synthesize(analyze(field, system), system)
     ref = math.sqrt(float(np.sum(np.abs(field.values) ** 2)))
     if ref == 0.0:
         raise ValueError("zero field has no relative error")
+    back = synthesize(analyze(field, system), system)
     diff = math.sqrt(float(np.sum(np.abs(back.values - field.values) ** 2)))
     return diff / ref
 

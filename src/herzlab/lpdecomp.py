@@ -135,18 +135,25 @@ def lp_block(field, system, k):
     return field.with_values(field.values * system.multipliers[k])
 
 
-def level_blocks(field, system):
-    """The space-domain blocks F^-1[M_k F f], k = 0..K, one at a time.
+def level_spectra(field, system):
+    """The level spectra M_k F f, k = 0..K, one at a time.
 
     The domain and grid are checked, and the forward transform taken, when
-    this is called, not when the first block is drawn.
+    this is called, not when the first spectrum is drawn.
     """
     if field.domain != "space":
         raise ValueError("expected a space-domain field")
     system.check_grid(field)
     spec = spectral_transform(field)
-    return (spectral_transform(spec.with_values(spec.values * m))
-            for m in system.multipliers)
+    return (spec.with_values(spec.values * m) for m in system.multipliers)
+
+
+def level_blocks(field, system):
+    """The space-domain blocks F^-1[M_k F f], k = 0..K, one at a time.
+
+    Checked and forward-transformed when called, as in level_spectra.
+    """
+    return (spectral_transform(s) for s in level_spectra(field, system))
 
 
 def partition_sum(system):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from herzlab import (CoeffSeq, SampledField, analyze, build_fj_pair,
-                     load_coeffs, make_field, random_band_field,
-                     roundtrip_error, save_coeffs, spectral_transform,
-                     synthesize)
+from herzlab import (CoeffSeq, SampledField, SpectralSystem, analyze,
+                     build_fj_pair, load_coeffs, make_field,
+                     random_band_field, roundtrip_error, save_coeffs,
+                     spectral_transform, synthesize)
+from herzlab import frames, lpdecomp
 from herzlab.frames import lattice_span
 
 # ---------------------------------------------------------------------------
@@ -130,9 +131,12 @@ def test_load_coeffs_rejects_garbage(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Former per-entry route: meshgrid gather plus np.nditer for analysis, one
-# dict scan and one scalar add per coefficient for synthesis.  The array
-# route must reproduce it bit for bit, entry order included.
+# Former full-size route: every level inverse-transformed at grid size and
+# subsampled (meshgrid gather plus np.nditer) for analysis; for synthesis one
+# dict scan and one scalar add per coefficient, then a full forward and a
+# full inverse transform per level.  The lattice route folds and tiles
+# instead, which changes rounding only: values agree to 1e-13, while entry
+# keys, their order and their Python types stay exact.
 # ---------------------------------------------------------------------------
 
 
@@ -181,30 +185,92 @@ def former_synthesize(coeffs, system):
     return SampledField(n, L, G, acc, domain="space")
 
 
+def _close(got, want, rel):
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("n, L, G, K", [(1, 16.0, 512, 3), (2, 8.0, 64, 2),
                                         (3, 4.0, 32, 3)])
-def test_transforms_bitwise_equal_former_per_entry_route(n, L, G, K):
+def test_transforms_match_former_per_entry_route(n, L, G, K):
     system = build_fj_pair(n, L, G, K)
     field = random_band_field(n, L, G, system.band_radius(), seed=40 + n)
     lam = analyze(field, system)
     ref = former_analyze(field, system)
     assert list(lam.entries) == list(ref.entries)
     assert all(type(v) is complex for v in lam.entries.values())
-    got = np.array(list(lam.entries.values()))
-    assert np.array_equal(got.view(np.float64),
-                          np.array(list(ref.entries.values())).view(np.float64))
-    assert np.array_equal(synthesize(lam, system).values,
-                          former_synthesize(ref, system).values)
-    # a sparse subset inserted in shuffled order, signed zeros included
+    assert _close(np.array(list(lam.entries.values())),
+                  np.array(list(ref.entries.values())), 1e-13)
+    assert _close(synthesize(lam, system).values,
+                  former_synthesize(ref, system).values, 1e-13)
+    # a sparse subset inserted in shuffled order, signed zeros included,
+    # synthesizes bit for bit as the same subset inserted in sorted order
     rng = np.random.default_rng(n)
     keys = list(ref.entries)
     pick = rng.choice(len(keys), size=len(keys) // 3, replace=False)
     sparse = {keys[i]: ref.entries[keys[i]] for i in pick}
     sparse[keys[pick[0]]] = complex(-0.0, -0.0)
     shuffled = CoeffSeq(n, K, L, sparse)
+    ordered = CoeffSeq(n, K, L, dict(sorted(sparse.items())))
     out = synthesize(shuffled, system).values
-    want = former_synthesize(shuffled, system).values
-    assert np.array_equal(out.view(np.float64), want.view(np.float64))
+    assert np.array_equal(out.view(np.float64),
+                          synthesize(ordered, system).values.view(np.float64))
+    assert _close(out, former_synthesize(shuffled, system).values, 1e-13)
+
+
+@pytest.mark.parametrize("n, L, G, K", [(1, 16.0, 256, 3), (2, 4.0, 32, 2)])
+def test_transforms_exact_for_arbitrary_multipliers(n, L, G, K):
+    # folding and tiling are exact DFT identities, not band-limited ones:
+    # random multipliers over the whole grid and a white-noise field
+    rng = np.random.default_rng(70 + n)
+    mults = tuple(rng.uniform(0.1, 1.0, (G,) * n) for _ in range(K + 1))
+    system = SpectralSystem("fj", n, L, G, K, mults, (math.nan, math.nan))
+    noise = rng.standard_normal((G,) * n) + 1j * rng.standard_normal((G,) * n)
+    field = SampledField(n, L, G, noise)
+    lam = analyze(field, system)
+    ref = former_analyze(field, system)
+    assert list(lam.entries) == list(ref.entries)
+    assert _close(np.array(list(lam.entries.values())),
+                  np.array(list(ref.entries.values())), 1e-12)
+    assert _close(synthesize(ref, system).values,
+                  former_synthesize(ref, system).values, 1e-12)
+
+
+def test_one_full_size_transform_each_way(monkeypatch):
+    # L = 2: level 0 has N = 2 points per axis and is transformed at size 4
+    n, L, G, K = 2, 2.0, 64, 2
+    system = build_fj_pair(n, L, G, K)
+    field = random_band_field(n, L, G, system.band_radius(), seed=5)
+    sizes = []
+
+    def counted(f):
+        sizes.append(f.G)
+        return spectral_transform(f)
+
+    monkeypatch.setattr(frames, "spectral_transform", counted)
+    monkeypatch.setattr(lpdecomp, "spectral_transform", counted)
+    lam = analyze(field, system)
+    assert sizes == [G, 4, 4, 8]
+    sizes.clear()
+    synthesize(lam, system)
+    assert sizes == [4, 4, 8, G]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_roundtrip_with_two_point_coarsest_lattice(n):
+    system = build_fj_pair(n, 2.0, 64, 2)
+    field = random_band_field(n, 2.0, 64, system.band_radius(), seed=n)
+    assert roundtrip_error(field, system) <= 1e-12
+
+
+def test_roundtrip_rejects_zero_field_before_transforming(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("transform ran on a zero field")
+
+    system = build_fj_pair(1, 16.0, 512, 3)
+    monkeypatch.setattr(frames, "analyze", refuse)
+    monkeypatch.setattr(frames, "synthesize", refuse)
+    with pytest.raises(ValueError, match="zero field"):
+        roundtrip_error(make_field(1, 16.0, 512), system)
 
 
 def test_levels_are_sorted_arrays_per_level():
@@ -217,6 +283,20 @@ def test_levels_are_sorted_arrays_per_level():
     assert pos.tolist() == [[-4, 5], [1, -3], [1, -1]]
     assert vals.tolist() == [-1.0 + 0j, 0.5j, 2j]
     assert CoeffSeq(1, 2, 16.0, {}).levels() == []
+    assert lam.levels() is levels
+    assert not pos.flags.writeable and not vals.flags.writeable
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({(0, (1,)): 1j, (3, (0,)): 1j, (1, (0, 0)): 1j},
+     r"entry level 3 outside 0\.\.2"),
+    ({(0, (1,)): 1j, (1, (0, 0)): 1j, (-1, (0,)): 1j},
+     r"entry index \(0, 0\) is not 1-dimensional"),
+    ({(2, (1,)): 1j, (5, (0, 0)): 1j}, r"entry level 5 outside 0\.\.2"),
+])
+def test_coeffseq_names_the_first_bad_key(entries, message):
+    with pytest.raises(ValueError, match=message):
+        CoeffSeq(1, 2, 16.0, entries)
 
 
 def test_synthesize_rejects_index_outside_level_span():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from herzlab import (bandlimited_witness, build_fj_pair, build_resolution,
-                     level_blocks, lp_block, make_field, mixed_lebesgue_norm,
-                     partition_sum, random_band_field, spectral_transform)
+                     level_blocks, level_spectra, lp_block, make_field,
+                     mixed_lebesgue_norm, partition_sum, random_band_field,
+                     spectral_transform)
 from herzlab.lpdecomp import (rho_profile, smooth_step, theta_profile,
                               witness_modes)
 
@@ -158,8 +159,13 @@ def test_level_blocks_equal_lp_block_and_validate_when_called():
     for k, b in enumerate(blocks):
         assert b.domain == "space"
         assert np.array_equal(b.values, lp_block(f, system, k).values)
+    spec = spectral_transform(f)
+    for k, s in enumerate(level_spectra(f, system)):
+        assert s.domain == "freq"
+        assert np.array_equal(s.values, lp_block(spec, system, k).values)
     # bad input fails at the call, before any block is drawn
-    with pytest.raises(ValueError, match="space-domain"):
-        level_blocks(spectral_transform(f), system)
-    with pytest.raises(ValueError, match="grid"):
-        level_blocks(f, build_fj_pair(2, 16.0, 128, 2))
+    for levels in (level_blocks, level_spectra):
+        with pytest.raises(ValueError, match="space-domain"):
+            levels(spectral_transform(f), system)
+        with pytest.raises(ValueError, match="grid"):
+            levels(f, build_fj_pair(2, 16.0, 128, 2))
