@@ -31,7 +31,7 @@ from .frames import CoeffSeq
 from .grid import SampledField
 from .herz import (HerzParams, HypothesisError, _inv, lq_combine,
                    mixed_herz_norm)
-from .seqspace import SeqSpaceParams, seq_norm
+from .seqspace import SeqSpaceParams, seq_norms
 from .spaces import SpaceParams
 
 THEOREMS = ("sobolev", "jawerth-strict", "jawerth-equal",
@@ -339,7 +339,7 @@ def _random_coeffs(n, K, rng, box_half=2, lattice_period=16.0):
     """
     width = min(int(rng.integers(1, 5)), K + 1)
     k0 = int(rng.integers(0, K - width + 2))
-    entries = {}
+    levels = []
     for k in range(k0, k0 + width):
         half = box_half << k
         volume = (2 * half) ** n
@@ -350,9 +350,8 @@ def _random_coeffs(n, K, rng, box_half=2, lattice_period=16.0):
         pos = rng.integers(-half, half, size=(count, n))
         mags = rng.lognormal(0.0, 1.0, size=count)
         phases = np.exp(2j * np.pi * rng.random(count))
-        for row, m, ph in zip(pos, mags, phases):
-            entries[(k, tuple(int(c) for c in row))] = m * ph
-    return CoeffSeq(n, K, lattice_period, entries)
+        levels.append((k, pos, mags * phases))
+    return CoeffSeq.from_levels(n, K, lattice_period, levels)
 
 
 def probe_coeffs(n, K, level):
@@ -381,8 +380,12 @@ def seq_embedding_check(spec, K, draws, seed, control=False, box_half=2):
     Refuses hypothesis-violating specs unless ``control=True``, which
     permits exactly one defect: a broken smoothness balance.  Probe
     spikes at the top level and mid level are always included; they pin
-    the growth rate when the balance is broken.
+    the growth rate when the balance is broken.  All draws are made first
+    and their norms taken as one batch; draws with a zero source norm are
+    skipped.
     """
+    if draws < 0:
+        raise ValueError(f"draws = {draws} must be >= 0")
     if spec.theorem == "besov-function":
         raise HypothesisError("seq_embedding_check needs a sequence spec")
     if control:
@@ -394,25 +397,22 @@ def seq_embedding_check(spec, K, draws, seed, control=False, box_half=2):
     else:
         spec.validate()
     rng = np.random.default_rng(seed)
-    ratios = []
-    skipped = 0
-    for _ in range(draws):
-        lam = _random_coeffs(spec.n, K, rng, box_half)
-        den = seq_norm(lam, spec.source)
-        if den == 0.0:
-            skipped += 1
-            continue
-        ratios.append(seq_norm(lam, spec.target) / den)
-    probe_ratios = []
-    for level in sorted({K, max(1, K // 2)}):
-        lam = probe_coeffs(spec.n, K, level)
-        probe_ratios.append(seq_norm(lam, spec.target) / seq_norm(lam, spec.source))
-    all_ratios = ratios + probe_ratios
+    lams = [_random_coeffs(spec.n, K, rng, box_half) for _ in range(draws)]
+    den = seq_norms(lams, spec.source)
+    kept = den != 0.0
+    ratios = seq_norms([lam for lam, ok in zip(lams, kept) if ok],
+                       spec.target) / den[kept]
+    # the probes sit on distinct levels, so each is reduced on its own
+    probes = [probe_coeffs(spec.n, K, level)
+              for level in sorted({K, max(1, K // 2)})]
+    probe_ratios = (seq_norms(probes, spec.target)
+                    / seq_norms(probes, spec.source)).tolist()
+    ratios = ratios.tolist()
     return {
         "K": K,
         "draws": len(ratios),
-        "skipped": skipped,
-        "max_ratio": max(all_ratios),
+        "skipped": draws - len(ratios),
+        "max_ratio": max(ratios + probe_ratios),
         "max_random_ratio": max(ratios) if ratios else 0.0,
         "probe_ratios": probe_ratios,
     }
@@ -429,6 +429,8 @@ def hardy_check(a, q, draws, length, seed):
         raise ValueError(f"a = {a} must lie in (0, 1)")
     if not q > 0.0:
         raise ValueError("q must be positive")
+    if draws < 0:
+        raise ValueError(f"draws = {draws} must be >= 0")
     if length < 1:
         raise ValueError(f"length = {length} must be >= 1")
     e = min(1.0, q)

@@ -38,7 +38,6 @@ fields, which round-trips complex128 bit-exactly.
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
 import numpy as np
@@ -47,47 +46,102 @@ from .grid import SampledField, parse_header, spectral_transform
 from .lpdecomp import level_spectra
 
 
-@dataclass(frozen=True)
 class CoeffSeq:
     """Sparse dyadic coefficients: (level k, lattice index tuple) -> value.
 
-    The per-level arrays are built once, at construction, so ``entries``
-    must not be changed afterwards.
+    A set is stored as per-level arrays (see ``levels``), built once by
+    ``from_levels``; ``CoeffSeq(n, K, L, entries)`` builds them from a dict
+    keyed by (k, m).  ``entries`` is the (k, m) -> complex mapping: the
+    given dict, or for an array-built set a dict in lexicographic order,
+    made on first access.  Neither may be changed afterwards.
     """
 
-    n: int
-    K: int
-    L: float
-    entries: dict = dc_field(default_factory=dict)
-    _levels: list = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.K < 0:
-            raise ValueError("K must be >= 0")
-        count, n = len(self.entries), self.n
-        ks = np.fromiter(map(itemgetter(0), self.entries), np.int64, count)
-        dims = np.fromiter(map(len, map(itemgetter(1), self.entries)),
+    def __init__(self, n, K, L, entries=None):
+        entries = {} if entries is None else entries
+        count = len(entries)
+        ks = np.fromiter(map(itemgetter(0), entries), np.int64, count)
+        dims = np.fromiter(map(len, map(itemgetter(1), entries)),
                            np.int64, count)
-        bad = (ks < 0) | (ks > self.K) | (dims != n)
-        if bad.any():
-            k, m = list(self.entries)[bad.argmax()]
-            if not 0 <= k <= self.K:
-                raise ValueError(f"entry level {k} outside 0..{self.K}")
-            raise ValueError(f"entry index {m} is not {n}-dimensional")
-        pos = np.fromiter(itertools.chain.from_iterable(
-            map(itemgetter(1), self.entries)), np.int64, count * n)
-        pos = pos.reshape(count, n)
-        vals = np.fromiter(self.entries.values(), np.complex128, count)
+        # one group per run of equally long index tuples, in insertion
+        # order, so that from_levels meets the first bad key first
+        cuts = [0, *(np.flatnonzero(np.diff(dims)) + 1).tolist(), count]
+        keys, values = list(entries), list(entries.values())
+        groups = []
+        for a, b in zip(cuts, cuts[1:]) if count else ():
+            pos = np.fromiter(itertools.chain.from_iterable(
+                map(itemgetter(1), keys[a:b])), np.int64, (b - a) * dims[a])
+            groups.append((ks[a:b], pos.reshape(b - a, dims[a]),
+                           values[a:b]))
+        self._build(n, K, L, groups)
+        self._entries = entries
+
+    @classmethod
+    def from_levels(cls, n, K, L, groups):
+        """A set from (k, pos, values) groups; the array constructor.
+
+        k is a level, or an (H,) array of one level per row; pos is (H, n)
+        integer lattice indices and values (H,) the matching lam[k, m].
+        Groups may come in any order and repeat an index: the last value
+        given for an index wins.
+        """
+        self = cls.__new__(cls)
+        self._build(n, K, L, groups)
+        self._entries = None
+        return self
+
+    def _build(self, n, K, L, groups):
+        """Validate, lexsort and de-duplicate groups into per-level arrays."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if K < 0:
+            raise ValueError("K must be >= 0")
+        self.n, self.K, self.L = n, K, L
+        ks, pos, vals = [], [], []
+        for k, p, v in groups:
+            if not len(p):
+                continue
+            p = np.asarray(p, dtype=np.int64)
+            if np.isscalar(k):
+                if not (0 <= k <= K and p.shape[1] == n):
+                    raise _bad_entry(k, p[0], n, K)
+                k = np.full(len(p), k, dtype=np.int64)
+            else:
+                k = np.asarray(k, dtype=np.int64)
+                bad = (k < 0) | (k > K)
+                bad[:1] |= p.shape[1] != n
+                if bad.any():
+                    i = int(bad.argmax())
+                    raise _bad_entry(int(k[i]), p[i], n, K)
+            ks.append(k)
+            pos.append(p)
+            vals.append(np.asarray(v, dtype=np.complex128))
+        if len(ks) == 1:
+            ks, pos, vals = ks[0], pos[0], vals[0]
+        elif ks:
+            ks, pos, vals = (np.concatenate(ks), np.concatenate(pos),
+                             np.concatenate(vals))
+        else:
+            ks, pos, vals = (np.zeros(0, np.int64), np.zeros((0, n), np.int64),
+                             np.zeros(0, np.complex128))
         order = np.lexsort((*pos.T[::-1], ks))
         ks, pos, vals = ks[order], pos[order], vals[order]
+        # a stable sort keeps repeats in the order given: keep the last
+        last = np.append((ks[1:] != ks[:-1])
+                         | (pos[1:] != pos[:-1]).any(axis=1), True)
+        if not last.all():
+            ks, pos, vals = ks[last], pos[last], vals[last]
         pos.flags.writeable = vals.flags.writeable = False
-        levels, starts = np.unique(ks, return_index=True)
-        ends = [*starts[1:], count]
-        object.__setattr__(self, "_levels", [
-            (int(k), pos[a:b], vals[a:b])
-            for k, a, b in zip(levels, starts, ends)])
+        starts = [0, *(np.flatnonzero(np.diff(ks)) + 1).tolist(), len(ks)]
+        self._levels = [(int(ks[a]), pos[a:b], vals[a:b])
+                        for a, b in zip(starts, starts[1:]) if b > a]
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            self._entries = {
+                (k, m): v for k, pos, vals in self._levels
+                for m, v in zip(map(tuple, pos.tolist()), vals.tolist())}
+        return self._entries
 
     def level_entries(self, k):
         return {m: v for (kk, m), v in self.entries.items() if kk == k}
@@ -100,12 +154,13 @@ class CoeffSeq:
         """
         return self._levels
 
-    def map_values(self, fn):
-        return CoeffSeq(self.n, self.K, self.L,
-                        {key: fn(val) for key, val in self.entries.items()})
 
-    def scaled(self, factor):
-        return self.map_values(lambda v: v * factor)
+def _bad_entry(k, m, n, K):
+    """The error for an entry (k, m) that fails validation."""
+    if not 0 <= k <= K:
+        return ValueError(f"entry level {k} outside 0..{K}")
+    return ValueError(f"entry index {tuple(m.tolist())} is not "
+                      f"{n}-dimensional")
 
 
 def lattice_span(L, k):
@@ -143,7 +198,7 @@ def _fold(spec, size):
 def analyze(field, system):
     """Inner products of the field against every lattice translate."""
     n, G, L = field.n, field.G, field.L
-    entries = {}
+    levels = []
     for k, spec in enumerate(level_spectra(field, system)):
         N, size = _lattice(G, L, k)
         stride = size // N
@@ -151,9 +206,9 @@ def analyze(field, system):
             n, L, size, _fold(spec.values, size), domain="freq")).values
         lattice = small[(slice(None, None, stride),) * n]
         vals = (lattice * (field.h * stride) ** (n / 2.0)).ravel()
-        keys = itertools.product(range(-N // 2, N // 2), repeat=n)
-        entries.update(zip(zip(itertools.repeat(k), keys), vals.tolist()))
-    return CoeffSeq(n, system.K, L, entries)
+        pos = np.indices((N,) * n).reshape(n, -1).T - N // 2
+        levels.append((k, pos, vals))
+    return CoeffSeq.from_levels(n, system.K, L, levels)
 
 
 def synthesize(coeffs, system):

@@ -103,29 +103,29 @@ def _axis_reduce_herz(mag, lo, v, p, alpha, q):
     if not p_inf:
         pw = mag ** p
 
-    terms = []
+    # row j: the p-norm (p-mass for finite p) of annulus k = 1 - v + j
     max_abs = max(hi - 1, -lo)
-    j = 0
-    while (1 << j) <= max_abs:
-        k = 1 - v + j
-        w = 2.0 ** (k * alpha)
+    span = int(max_abs).bit_length()
+    rows = np.zeros((span, M))
+    for j in range(span):
         p0, p1 = max(1 << j, lo), min(1 << (j + 1), hi)
         n0, n1 = max(-(1 << (j + 1)), lo), min(-(1 << j), hi)
         if p_inf:
-            nrm = np.zeros(M)
             if p1 > p0:
-                np.maximum(nrm, mag[p0 - lo:p1 - lo].max(axis=0), out=nrm)
+                np.maximum(rows[j], mag[p0 - lo:p1 - lo].max(axis=0),
+                           out=rows[j])
             if n1 > n0:
-                np.maximum(nrm, mag[n0 - lo:n1 - lo].max(axis=0), out=nrm)
+                np.maximum(rows[j], mag[n0 - lo:n1 - lo].max(axis=0),
+                           out=rows[j])
         else:
-            mass = np.zeros(M)
             if p1 > p0:
-                mass += pw[p0 - lo:p1 - lo].sum(axis=0)
+                rows[j] += pw[p0 - lo:p1 - lo].sum(axis=0)
             if n1 > n0:
-                mass += pw[n0 - lo:n1 - lo].sum(axis=0)
-            nrm = (mass * mu) ** (1.0 / p)
-        terms.append(w * nrm)
-        j += 1
+                rows[j] += pw[n0 - lo:n1 - lo].sum(axis=0)
+    if not p_inf:
+        rows = (rows * mu) ** (1.0 / p)
+    weights = [2.0 ** ((1 - v + j) * alpha) for j in range(span)]
+    terms = np.reshape(weights, (span, 1)) * rows
 
     # cells m = 0 and m = -1 cross every annulus k <= -v; closed-form tail
     a = mag[0 - lo] if lo <= 0 < hi else np.zeros(M)
@@ -141,16 +141,11 @@ def _axis_reduce_herz(mag, lo, v, p, alpha, q):
     # glog > 0 by admissibility, so the tail is geometric with top term at
     # k = -v and ratio 2^-glog.
 
+    peak = np.maximum(terms.max(axis=0, initial=0.0), top)
     if q_inf:
-        out = top.copy()
-        for t in terms:
-            np.maximum(out, t, out=out)
-        return out
-
-    stack = np.vstack(terms) if terms else np.zeros((0, M))
-    peak = np.maximum(stack.max(axis=0) if terms else np.zeros(M), top)
+        return peak
     safe = np.where(peak > 0.0, peak, 1.0)
-    s = ((stack / safe) ** q).sum(axis=0)
+    s = ((terms / safe) ** q).sum(axis=0)
     s += (top / safe) ** q / (1.0 - 2.0 ** (-glog * q))
     return np.where(peak > 0.0, safe * s ** (1.0 / q), 0.0)
 
@@ -158,20 +153,25 @@ def _axis_reduce_herz(mag, lo, v, p, alpha, q):
 def lq_combine(values, q):
     """Finite l^q sum of nonnegative terms, max-normalised for stability.
 
-    With a single nonzero term the result equals that term exactly, for any
-    q; q = inf is the maximum.
+    Sums along the last axis: a 1d input gives a float, a stack of rows
+    one value per row, each equal to that row's own sum.  With a single
+    nonzero term the result equals that term exactly, for any q; q = inf
+    is the maximum.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        return 0.0
+    if v.shape[-1] == 0:
+        return np.zeros(v.shape[:-1]) if v.ndim > 1 else 0.0
     if np.any(v < 0.0):
         raise ValueError("lq_combine expects nonnegative terms")
-    peak = float(v.max())
-    if peak == 0.0:
-        return 0.0
-    if math.isinf(q):
-        return peak
-    return peak * float(np.sum((v / peak) ** q)) ** (1.0 / q)
+    peak = v.max(axis=-1)
+    if not math.isinf(q):
+        safe = np.where(peak > 0.0, peak, 1.0)
+        sums = np.sum((v / safe[..., None]) ** q, axis=-1)
+        # Python's float power per row, as for a single sum
+        root = np.reshape([s ** (1.0 / q) for s in np.ravel(sums).tolist()],
+                          sums.shape)
+        peak = np.where(peak > 0.0, peak * root, 0.0)
+    return float(peak) if v.ndim == 1 else peak
 
 
 def lq_envelope(arrays, beta):
@@ -193,22 +193,28 @@ def lq_envelope(arrays, beta):
     return acc ** (1.0 / beta)
 
 
-def _reduce_axes(arr, reduce):
-    """Collapse axis 1, then 2, then 3 of ``arr`` to a float.
+def _reduce_axes(arr, reduce, n):
+    """Collapse axis 1, then 2, ..., then n of ``arr``.
 
     reduce(i, cells) maps the (C, M) cells of axis i (rows along it,
-    columns the remaining positions) to the (M,) reduced values.
+    columns the remaining positions) to the (M,) reduced values.  Axes
+    after the n-th survive: returns the array of their shape (0d when
+    there are none).
     """
-    for i in range(arr.ndim):
+    for i in range(n):
         rest = arr.shape[1:]
         arr = reduce(i, arr.reshape(arr.shape[0], -1)).reshape(rest)
-    return float(arr)
+    return arr
 
 
 def _cells_mixed_herz(arr, los, v, herz):
-    """Exact mixed Herz norm of a cell array (side 2^-v, corner index los)."""
+    """Exact mixed Herz norm of a cell array (side 2^-v, corner index los).
+
+    The first len(los) axes are the cell axes; a trailing axis stacks
+    several arrays on the same box and gets one norm per entry.
+    """
     return _reduce_axes(arr, lambda i, cells: _axis_reduce_herz(
-        cells, los[i], v, herz.p[i], herz.alpha[i], herz.q[i]))
+        cells, los[i], v, herz.p[i], herz.alpha[i], herz.q[i]), len(los))
 
 
 def mixed_herz_norm(field, params):
@@ -220,8 +226,8 @@ def mixed_herz_norm(field, params):
     if params.n != field.n:
         raise ValueError(f"params for n = {params.n}, field has n = {field.n}")
     v = _log2_exact(field.G) - _log2_exact(field.L)
-    return _cells_mixed_herz(np.abs(field.values), (-field.G // 2,) * field.n,
-                             v, params)
+    return float(_cells_mixed_herz(np.abs(field.values),
+                                   (-field.G // 2,) * field.n, v, params))
 
 
 def mixed_lebesgue_norm(field, p):
@@ -233,4 +239,4 @@ def mixed_lebesgue_norm(field, p):
             return mag.max(axis=0)
         return (np.sum(mag ** p[i], axis=0) * field.h) ** (1.0 / p[i])
 
-    return _reduce_axes(np.abs(field.values), reduce)
+    return float(_reduce_axes(np.abs(field.values), reduce, field.n))

@@ -10,6 +10,10 @@ no sampling step:
   f-norm: herz of (sum_k (2^{k s} g_k)^beta)^(1/beta), assembled exactly on
           the finest occupied level's tiling.
 
+The norms take a list of sets (b_norms, f_norms, seq_norms) and stack the
+sets' cell arrays as columns of one array per reduction; the single-set
+norms are the batch of one.
+
 lambda_star is the discretised peak majorant
 (sum_h |lam[k, h]|^r (1 + |h - m|)^-d)^(1/r) per level, evaluated on the
 occupied bounding box dilated by a window margin; r = inf takes the sup
@@ -18,6 +22,7 @@ form.  The window is a truncation, so callers gauge it by doubling.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +52,11 @@ class SeqSpaceParams:
                         f"family 'f' requires finite {name}, got {vec}")
 
 
+# Cells of one stacked array of a batch.  A set whose own box holds more
+# is evaluated on its own.
+BATCH_CELLS = 1 << 16
+
+
 def _level_mags(coeffs):
     """Per-level (k, pos, |lam|) of a coefficient set, in ascending k.
 
@@ -57,64 +67,197 @@ def _level_mags(coeffs):
             for k, pos, vals in coeffs.levels()]
 
 
-def _level_block(pos, values):
-    """One level's values on its bounding box, and the box's corner index."""
-    los = pos.min(axis=0)
-    arr = np.zeros(tuple(pos.max(axis=0) + 1 - los))
-    arr[tuple((pos - los).T)] = values
-    return arr, los
+class _Blocks(NamedTuple):
+    """Every occupied level of a batch of sets, one block per (set, level).
+
+    Blocks run set by set, levels ascending.  Block b is level k[b] of
+    set d[b]: rows starts[b]:starts[b+1] of pos and mag, inside the box
+    [lo[b], hi[b]).
+    """
+
+    d: np.ndarray
+    k: np.ndarray
+    starts: np.ndarray
+    pos: np.ndarray
+    mag: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @classmethod
+    def of(cls, batch, n):
+        d, k, pos, vals = [], [], [], []
+        for i, coeffs in enumerate(batch):
+            for kk, p, v in coeffs.levels():
+                d.append(i)
+                k.append(kk)
+                pos.append(p)
+                vals.append(v)
+        starts = np.cumsum([0, *map(len, pos)])
+        pos = np.concatenate(pos) if pos else np.zeros((0, n), np.int64)
+        vals = np.concatenate(vals) if vals else np.zeros(0, np.complex128)
+        lo = hi = np.zeros((0, n), np.int64)
+        if d:
+            lo = np.minimum.reduceat(pos, starts[:-1], axis=0)
+            hi = np.maximum.reduceat(pos, starts[:-1], axis=0) + 1
+        return cls(np.array(d, np.int64), np.array(k, np.int64), starts, pos,
+                   np.hypot(vals.real, vals.imag), lo, hi)
+
+    def rows(self, sel):
+        """Rows of blocks sel, block after block, and each block's length."""
+        lens = self.starts[sel + 1] - self.starts[sel]
+        first = np.repeat(self.starts[sel] - np.cumsum(lens) + lens, lens)
+        return np.arange(lens.sum()) + first, lens
+
+    def paint(self, sel, values):
+        """values of blocks sel on their union box, one column per block.
+
+        Returns the (*box, len(sel)) array and the box's corner index.
+        """
+        lo, hi = self.lo[sel].min(axis=0), self.hi[sel].max(axis=0)
+        rows, lens = self.rows(sel)
+        arr = np.zeros((*(hi - lo).tolist(), len(sel)))
+        arr[(*(self.pos[rows] - lo).T, np.repeat(np.arange(len(sel)), lens))] \
+            = values[rows]
+        return arr, lo
+
+
+def _chunks(los, his):
+    """Split boxes into runs whose union box, times the run's length, holds
+    at most BATCH_CELLS cells (or one box, if it alone holds more).
+
+    los, his : (D, n) corner and end indices.  Yields (a, b): boxes a..b-1.
+    """
+    start = 0
+    while start < len(los):
+        lo = np.minimum.accumulate(los[start:], axis=0)
+        hi = np.maximum.accumulate(his[start:], axis=0)
+        cells = np.prod(hi - lo, axis=1) * np.arange(1, len(lo) + 1)
+        stop = start + max(1, int(np.count_nonzero(cells <= BATCH_CELLS)))
+        yield start, stop
+        start = stop
+
+
+def _check_batch(batch, params):
+    for coeffs in batch:
+        if params.herz.n != coeffs.n:
+            raise ValueError(f"params for n = {params.herz.n}, coeffs have "
+                             f"n = {coeffs.n}")
+
+
+def b_norms(batch, params):
+    """b_norm of each coefficient set in a list, as an array.
+
+    Each level's blocks are stacked as columns on a common box (chunked
+    by BATCH_CELLS) and reduced in one call.  Every set's levels are
+    combined over max(K) + 1 terms of the batch.
+    """
+    _check_batch(batch, params)
+    n = params.herz.n
+    blk = _Blocks.of(batch, n)
+    terms = np.zeros((len(batch), max((c.K for c in batch), default=0) + 1))
+    for k in sorted(set(blk.k.tolist())):
+        ids = np.flatnonzero(blk.k == k)
+        for a, b in _chunks(blk.lo[ids], blk.hi[ids]):
+            sel = ids[a:b]
+            arr, lo = blk.paint(sel, blk.mag)
+            t = _cells_mixed_herz(arr, lo, k, params.herz)
+            terms[blk.d[sel], k] = 2.0 ** (k * (params.s + n / 2.0)) * t
+    return lq_combine(terms, params.beta)
+
+
+def _f_envelopes(batch, params):
+    """The l^beta envelopes across levels, on the finest occupied tilings.
+
+    Sets are grouped by finest occupied level vf; a group's envelopes are
+    stacked as columns on their union box (chunked by BATCH_CELLS).  A
+    level-k coefficient covers 2^((vf - k) n) finest cells; its term is
+    added into each of them level by level in ascending k, starting from
+    zero.  Each coefficient's power is taken with Python's float power
+    (libm pow), as in a per-entry painting; numpy's vectorised power can
+    differ from it in the last bit.  Yields (sets, env, corner index, vf)
+    per stack; empty sets are in none.
+    """
+    n, beta = params.herz.n, params.beta
+    blk = _Blocks.of(batch, n)
+    if not len(blk.d):
+        return
+    lens = np.diff(blk.starts)
+    weight = [2.0 ** (k * (params.s + n / 2.0)) for k in blk.k.tolist()]
+    contrib = np.repeat(weight, lens) * blk.mag
+    if not math.isinf(beta):
+        contrib = np.array([c ** beta for c in contrib.tolist()])
+    # each set's finest level and envelope box, in finest-level indices
+    first = np.flatnonzero(np.diff(blk.d, prepend=-1))
+    sets = blk.d[first]
+    vf = np.zeros(len(batch), np.int64)
+    vf[sets] = blk.k[np.append(first[1:], len(blk.d)) - 1]
+    shift = vf[blk.d] - blk.k
+    los = np.minimum.reduceat(blk.lo << shift[:, None], first, axis=0)
+    his = np.maximum.reduceat(blk.hi << shift[:, None], first, axis=0)
+    for top in sorted(set(vf[sets].tolist())):
+        group = np.flatnonzero(vf[sets] == top)
+        for a, b in _chunks(los[group], his[group]):
+            members = sets[group[a:b]]
+            lo = los[group[a:b]].min(axis=0)
+            shape = (*(his[group[a:b]].max(axis=0) - lo).tolist(), b - a)
+            chosen = np.zeros(len(batch), dtype=bool)
+            chosen[members] = True
+            mine = np.flatnonzero(chosen[blk.d])
+            column = np.searchsorted(members, blk.d[mine])
+            strides = np.array([math.prod(shape[i + 1:]) for i in range(n)])
+            env = np.zeros(shape)
+            flat_env = env.reshape(-1)
+            for k in sorted(set(blk.k[mine].tolist())):
+                at = blk.k[mine] == k
+                rows, counts = blk.rows(mine[at])
+                scale = 1 << (top - k)
+                corner = ((blk.pos[rows] * scale - lo) @ strides
+                          + np.repeat(column[at], counts))
+                # the scale^n finest cells of one coefficient, as offsets
+                offsets = np.indices((scale,) * n).reshape(n, -1).T @ strides
+                flat = (corner[:, None] + offsets).reshape(-1)
+                terms = np.repeat(contrib[rows], len(offsets))
+                # a level's cells are distinct, so each is updated once
+                if math.isinf(beta):
+                    flat_env[flat] = np.maximum(flat_env[flat], terms)
+                else:
+                    flat_env[flat] += terms
+            if not math.isinf(beta):
+                env = env ** (1.0 / beta)
+            yield members, env, lo, top
+
+
+def _f_envelope(coeffs, params):
+    """The envelope of one nonempty set: (env, corner index, vf)."""
+    _, env, lo, top = next(_f_envelopes([coeffs], params))
+    return env[..., 0], lo, top
+
+
+def f_norms(batch, params):
+    """f_norm of each coefficient set in a list, as an array.
+
+    One reduction per finest-level group (and BATCH_CELLS chunk) of
+    stacked envelopes.
+    """
+    if params.family != "f":
+        raise ValueError("f_norm needs family 'f' parameters")
+    _check_batch(batch, params)
+    out = np.zeros(len(batch))
+    for members, env, lo, top in _f_envelopes(batch, params):
+        out[members] = _cells_mixed_herz(env, lo, top, params.herz)
+    return out
+
+
+def seq_norms(batch, params):
+    """The params family's norm of each coefficient set in a list."""
+    if params.family == "b":
+        return b_norms(batch, params)
+    return f_norms(batch, params)
 
 
 def b_norm(coeffs, params):
     """l^beta over levels of weighted exact cell-carrier Herz norms."""
-    if params.herz.n != coeffs.n:
-        raise ValueError(f"params for n = {params.herz.n}, coeffs have n = {coeffs.n}")
-    n = coeffs.n
-    terms = np.zeros(coeffs.K + 1)
-    for k, pos, mag in _level_mags(coeffs):
-        arr, los = _level_block(pos, mag)
-        t = _cells_mixed_herz(arr, los, k, params.herz)
-        terms[k] = 2.0 ** (k * (params.s + n / 2.0)) * t
-    return lq_combine(terms, params.beta)
-
-
-def _f_envelope(coeffs, params):
-    """The l^beta envelope across levels, on the finest occupied tiling.
-
-    Each level is painted on its bounding box, upsampled to finest cells
-    and added in ascending k.  Each coefficient's power is taken with
-    Python's float power (libm pow), as in a per-entry painting; numpy's
-    vectorised power can differ from it in the last bit.  Returns the
-    envelope, its corner index and the finest level.
-    """
-    n = coeffs.n
-    levels = _level_mags(coeffs)
-    vf = levels[-1][0]
-    beta = params.beta
-    blocks = []
-    for k, pos, mag in levels:
-        contrib = 2.0 ** (k * (params.s + n / 2.0)) * mag
-        if not math.isinf(beta):
-            contrib = np.array([c ** beta for c in contrib.tolist()])
-        arr, lo = _level_block(pos, contrib)
-        blocks.append((1 << (vf - k), arr, lo))
-    # union bounding box, in finest-level indices
-    los = np.min([lo * scale for scale, _, lo in blocks], axis=0)
-    his = np.max([(lo + arr.shape) * scale for scale, arr, lo in blocks],
-                 axis=0)
-    env = np.zeros(tuple(his - los))
-    for scale, arr, lo in blocks:
-        for axis in range(n):
-            arr = np.repeat(arr, scale, axis=axis)
-        region = env[tuple(slice(a, a + s) for a, s in
-                           zip(lo * scale - los, arr.shape))]
-        if math.isinf(beta):
-            np.maximum(region, arr, out=region)
-        else:
-            region += arr
-    if not math.isinf(beta):
-        env = env ** (1.0 / beta)
-    return env, los, vf
+    return float(b_norms([coeffs], params)[0])
 
 
 def f_norm(coeffs, params):
@@ -123,19 +266,11 @@ def f_norm(coeffs, params):
     The envelope is assembled exactly on the finest occupied level: each
     coefficient cell covers a full block of finest cells.
     """
-    if params.family != "f":
-        raise ValueError("f_norm needs family 'f' parameters")
-    if params.herz.n != coeffs.n:
-        raise ValueError(f"params for n = {params.herz.n}, coeffs have n = {coeffs.n}")
-    if not coeffs.entries:
-        return 0.0
-    return _cells_mixed_herz(*_f_envelope(coeffs, params), params.herz)
+    return float(f_norms([coeffs], params)[0])
 
 
 def seq_norm(coeffs, params):
-    if params.family == "b":
-        return b_norm(coeffs, params)
-    return f_norm(coeffs, params)
+    return float(seq_norms([coeffs], params)[0])
 
 
 def lambda_star(coeffs, r, d, window):
@@ -151,8 +286,7 @@ def lambda_star(coeffs, r, d, window):
         raise ValueError("d must be positive")
     if window < 0:
         raise ValueError("window must be >= 0")
-    n = coeffs.n
-    entries = {}
+    levels = []
     for k, pos, mag in _level_mags(coeffs):
         los = pos.min(axis=0)
         his = pos.max(axis=0) + 1
@@ -165,9 +299,8 @@ def lambda_star(coeffs, r, d, window):
         else:
             out = _accel.lambda_star_sum(mag ** r, pos, targets, float(d)) \
                 ** (1.0 / r)
-        keys = ((k, tuple(m)) for m in targets.tolist())
-        entries.update(zip(keys, map(complex, out.tolist())))
-    return CoeffSeq(n, coeffs.K, coeffs.L, entries)
+        levels.append((k, targets, out))
+    return CoeffSeq.from_levels(coeffs.n, coeffs.K, coeffs.L, levels)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,16 @@ def test_hardy_check_rejects_short_length(tmp_path, capsys, length):
     assert "length" in err[0]
 
 
+@pytest.mark.parametrize("command, text", [
+    ("embed-sweep", SWEEP_CFG.replace("draws = 20", "draws = -5")),
+    ("hardy-check", "[hardy]\na = 0.5\nq = 2\n\n[ensemble]\nseed = 1\n"
+                    "draws = -5\nlength = 8\n"),
+])
+def test_negative_draws_rejected_by_name(tmp_path, capsys, command, text):
+    cfg = _write(tmp_path, "draws.ini", text)
+    _one_error_line(capsys, [command, "--config", cfg], "draws", "-5")
+
+
 def test_unknown_command_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x.ini"])

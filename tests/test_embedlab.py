@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from herzlab import (EmbeddingSpec, HerzParams, HypothesisError,
+from herzlab import (CoeffSeq, EmbeddingSpec, HerzParams, HypothesisError,
                      SeqSpaceParams, SpaceParams, dilation_family,
                      dilation_scan, hardy_check, mixed_herz_norm,
                      necessity_fit, ppn_check, seq_embedding_check, seq_norm,
                      single_spike_ratio)
-from herzlab.embedlab import probe_coeffs
+from herzlab import seqspace
+from herzlab.embedlab import _random_coeffs, probe_coeffs
 
 
 def _seq(family, p, alpha, r, s, beta):
@@ -262,6 +263,126 @@ def test_embedding_check_refuses_mislabeled_controls():
                            _seq("f", 2.0, 0.0, 2.0, 1.0, 2.0))
     with pytest.raises(HypothesisError):
         seq_embedding_check(broken, 4, draws=5, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# Former per-draw route: each draw a dict filled entry by entry, and one
+# seq_norm call per norm.  The batched sweep must make the same draws, skip
+# the same ones and agree on the ratios to rounding.
+# ---------------------------------------------------------------------------
+
+
+def former_random_coeffs(n, K, rng, box_half=2, lattice_period=16.0):
+    width = min(int(rng.integers(1, 5)), K + 1)
+    k0 = int(rng.integers(0, K - width + 2))
+    entries = {}
+    for k in range(k0, k0 + width):
+        half = box_half << k
+        volume = (2 * half) ** n
+        density = 2.0 ** (-n * k / 2.0)
+        count = rng.poisson(volume * density)
+        if count == 0:
+            continue
+        pos = rng.integers(-half, half, size=(count, n))
+        mags = rng.lognormal(0.0, 1.0, size=count)
+        phases = np.exp(2j * np.pi * rng.random(count))
+        for row, m, ph in zip(pos, mags, phases):
+            entries[(k, tuple(int(c) for c in row))] = m * ph
+    return CoeffSeq(n, K, lattice_period, entries)
+
+
+def former_seq_embedding_check(spec, K, draws, seed, box_half=2):
+    rng = np.random.default_rng(seed)
+    ratios = []
+    skipped = 0
+    for _ in range(draws):
+        lam = former_random_coeffs(spec.n, K, rng, box_half)
+        den = seq_norm(lam, spec.source)
+        if den == 0.0:
+            skipped += 1
+            continue
+        ratios.append(seq_norm(lam, spec.target) / den)
+    probe_ratios = []
+    for level in sorted({K, max(1, K // 2)}):
+        lam = probe_coeffs(spec.n, K, level)
+        probe_ratios.append(seq_norm(lam, spec.target)
+                            / seq_norm(lam, spec.source))
+    return {"draws": len(ratios), "skipped": skipped,
+            "max_ratio": max(ratios + probe_ratios),
+            "max_random_ratio": max(ratios) if ratios else 0.0,
+            "probe_ratios": probe_ratios}
+
+
+def _seq2(family, p, alpha, r, s, beta):
+    return SeqSpaceParams(HerzParams((p, p), (alpha, alpha), (r, r)), s=s,
+                          beta=beta, family=family)
+
+
+def conforming_2d(theorem):
+    # s - bold 1/p - bold alpha is 1 on both sides
+    if theorem == "franke-strict":
+        return EmbeddingSpec(theorem, _seq2("b", 1.0, 0.25, 2.0, 3.5, 2.0),
+                             _seq2("f", 2.0, 0.0, 2.0, 2.0, 1.7))
+    assert theorem == "jawerth-strict"
+    return EmbeddingSpec(theorem, _seq2("f", 1.0, 0.25, 2.0, 3.5, 3.0),
+                         _seq2("b", 2.0, 0.0, 1.5, 2.0, 2.0))
+
+
+def _lowered(spec):
+    src = spec.source
+    return EmbeddingSpec(spec.theorem,
+                         SeqSpaceParams(src.herz, src.s - 0.25, src.beta,
+                                        src.family), spec.target)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_coeffs_draw_the_former_sets(n):
+    new, old = np.random.default_rng(40 + n), np.random.default_rng(40 + n)
+    for _ in range(40):
+        got = _random_coeffs(n, 5, new).levels()
+        want = former_random_coeffs(n, 5, old).levels()
+        assert [k for k, _, _ in got] == [k for k, _, _ in want]
+        for (_, pos, vals), (_, ref_pos, ref_vals) in zip(got, want):
+            assert np.array_equal(pos, ref_pos)
+            assert np.array_equal(vals.view(np.float64),
+                                  ref_vals.view(np.float64))
+
+
+@pytest.mark.parametrize("n, theorem, control, K, draws, seed, box_half", [
+    (1, "franke-strict", False, 6, 40, 21, 2),
+    (1, "jawerth-strict", True, 4, 40, 22, 2),
+    (1, "sobolev", True, 8, 30, 23, 2),
+    (2, "franke-strict", True, 3, 20, 24, 2),
+    (2, "jawerth-strict", False, 3, 20, 25, 2),
+    # K = 2 on half-size boxes leaves some draws empty
+    (1, "franke-strict", False, 2, 40, 1, 1),
+    # each top-level box holds 128^2 cells: a batch outgrows BATCH_CELLS
+    (2, "jawerth-strict", True, 5, 12, 26, 2),
+])
+def test_batched_sweep_matches_per_draw_route(n, theorem, control, K, draws,
+                                              seed, box_half):
+    spec = conforming(theorem) if n == 1 else conforming_2d(theorem)
+    if control:
+        spec = _lowered(spec)
+    got = seq_embedding_check(spec, K, draws, seed, control=control,
+                              box_half=box_half)
+    want = former_seq_embedding_check(spec, K, draws, seed, box_half)
+    for key in ("draws", "skipped", "probe_ratios"):
+        assert got[key] == want[key]
+    for key in ("max_ratio", "max_random_ratio"):
+        assert math.isclose(got[key], want[key], rel_tol=1e-12)
+    if box_half == 1:
+        assert got["skipped"] > 0
+    if K == 5:
+        assert draws * (2 * box_half << K) ** n > seqspace.BATCH_CELLS
+
+
+def test_negative_draws_rejected_by_name():
+    with pytest.raises(ValueError, match="draws"):
+        seq_embedding_check(conforming("sobolev"), 4, draws=-1, seed=1)
+    with pytest.raises(ValueError, match="draws"):
+        hardy_check(0.5, 2.0, -1, 10, 0)
+    assert seq_embedding_check(conforming("sobolev"), 4, 0, 1)["draws"] == 0
 
 
 def test_hardy_bound_and_guards():

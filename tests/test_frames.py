@@ -299,6 +299,67 @@ def test_coeffseq_names_the_first_bad_key(entries, message):
         CoeffSeq(1, 2, 16.0, entries)
 
 
+def _groups(entries):
+    """The entries as from_levels groups, one group per entry."""
+    return [(k, [m], [v]) for (k, m), v in entries.items()]
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({(0, (1,)): 1j, (3, (0,)): 1j, (1, (0, 0)): 1j},
+     r"entry level 3 outside 0\.\.2"),
+    ({(0, (1,)): 1j, (1, (0, 0)): 1j, (-1, (0,)): 1j},
+     r"entry index \(0, 0\) is not 1-dimensional"),
+    ({(2, (1,)): 1j, (5, (0, 0)): 1j}, r"entry level 5 outside 0\.\.2"),
+])
+def test_from_levels_names_the_first_bad_key(entries, message):
+    with pytest.raises(ValueError, match=message):
+        CoeffSeq.from_levels(1, 2, 16.0, _groups(entries))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_from_levels_equals_dict_constructor(n):
+    rng = np.random.default_rng(n)
+    entries = {}
+    for _ in range(300):
+        k = int(rng.integers(0, 4))
+        m = tuple(rng.integers(-4 << k, 4 << k, size=n).tolist())
+        entries[(k, m)] = complex(*rng.standard_normal(2))
+    # grouped by level in shuffled order, rows shuffled within each level
+    levels = sorted({k for k, _ in entries}, key=lambda k: (k * 7) % 4)
+    groups = []
+    for k in levels:
+        keys = [m for kk, m in entries if kk == k]
+        order = rng.permutation(len(keys))
+        groups.append((k, np.array([keys[i] for i in order]),
+                       np.array([entries[(k, keys[i])] for i in order])))
+    got = CoeffSeq.from_levels(n, 3, 16.0, groups)
+    want = CoeffSeq(n, 3, 16.0, dict(sorted(entries.items())))
+    assert len(got.levels()) == len(want.levels())
+    for (k, pos, vals), (ref_k, ref_pos, ref_vals) in zip(got.levels(),
+                                                          want.levels()):
+        assert k == ref_k and type(k) is int
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(vals.view(np.float64),
+                              ref_vals.view(np.float64))
+        assert not pos.flags.writeable and not vals.flags.writeable
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert all(type(v) is complex for v in got.entries.values())
+    assert got.entries is got.entries
+
+
+def test_from_levels_keeps_the_last_repeated_value():
+    lam = CoeffSeq.from_levels(2, 2, 16.0, [
+        (1, [[0, 1], [2, 3], [0, 1]], [1.0, 2.0, 3.0]),
+        (0, [[5, 5]], [4.0]),
+        (1, [[2, 3]], [5.0]),
+        (np.array([0, 1]), [[5, 5], [0, 1]], [6.0, 7.0]),
+    ])
+    assert lam.entries == {(0, (5, 5)): 6.0, (1, (0, 1)): 7.0,
+                           (1, (2, 3)): 5.0}
+    assert list(lam.entries) == [(0, (5, 5)), (1, (0, 1)), (1, (2, 3))]
+    assert CoeffSeq.from_levels(1, 0, 16.0, []).levels() == []
+
+
 def test_synthesize_rejects_index_outside_level_span():
     system = build_fj_pair(1, 16.0, 512, 3)
     # the level-1 span is [-16, 16)

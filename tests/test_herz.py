@@ -161,6 +161,27 @@ def test_lq_combine_edges():
         lq_combine([1.0, -1.0], 2.0)
 
 
+def former_lq_combine(values, q):
+    v = np.asarray(values, dtype=np.float64)
+    peak = float(v.max())
+    if peak == 0.0:
+        return 0.0
+    if math.isinf(q):
+        return peak
+    return peak * float(np.sum((v / peak) ** q)) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.7, 2.0, math.inf])
+def test_lq_combine_rows_bitwise_equal_single_sums(q):
+    rng = np.random.default_rng(6)
+    rows = rng.lognormal(size=(40, 9)) * (rng.random((40, 9)) < 0.7)
+    rows[3] = 0.0
+    got = lq_combine(rows, q)
+    assert got.shape == (40,)
+    for row, value in zip(rows, got):
+        assert value == lq_combine(row, q) == former_lq_combine(row, q)
+
+
 def test_hypothesis_error_is_value_error():
     assert issubclass(HypothesisError, ValueError)
 
@@ -199,6 +220,60 @@ def test_iterated_norms_bitwise_equal_former_loops(n, G):
     params = HerzParams(p, (0.25, 0.125, -0.25)[:n], (2.0, 0.75, math.inf)[:n])
     assert mixed_herz_norm(f, params) == former_mixed_herz(f, params)
     assert mixed_lebesgue_norm(f, p) == former_mixed_lebesgue(f, p)
+
+
+def former_axis_reduce_herz(mag, lo, v, p, alpha, q):
+    """The one-axis reduction with one weighted term built per annulus."""
+    C, M = mag.shape
+    hi = lo + C
+    mu = 2.0 ** (-v)
+    pw = None if math.isinf(p) else mag ** p
+    terms = []
+    j = 0
+    while (1 << j) <= max(hi - 1, -lo):
+        w = 2.0 ** ((1 - v + j) * alpha)
+        p0, p1 = max(1 << j, lo), min(1 << (j + 1), hi)
+        n0, n1 = max(-(1 << (j + 1)), lo), min(-(1 << j), hi)
+        acc = np.zeros(M)
+        for a, b in ((p0, p1), (n0, n1)):
+            if b > a and pw is None:
+                np.maximum(acc, mag[a - lo:b - lo].max(axis=0), out=acc)
+            elif b > a:
+                acc += pw[a - lo:b - lo].sum(axis=0)
+        terms.append(w * (acc if pw is None else (acc * mu) ** (1.0 / p)))
+        j += 1
+    a = mag[0 - lo] if lo <= 0 < hi else np.zeros(M)
+    b = mag[-1 - lo] if lo <= -1 < hi else np.zeros(M)
+    if pw is None:
+        glog, top = alpha, np.maximum(a, b) * 2.0 ** (-v * alpha)
+    else:
+        glog = alpha + 1.0 / p
+        top = (a ** p + b ** p) ** (1.0 / p) * 2.0 ** (-1.0 / p - v * glog)
+    if math.isinf(q):
+        out = top.copy()
+        for t in terms:
+            np.maximum(out, t, out=out)
+        return out
+    stack = np.vstack(terms) if terms else np.zeros((0, M))
+    peak = np.maximum(stack.max(axis=0) if terms else np.zeros(M), top)
+    safe = np.where(peak > 0.0, peak, 1.0)
+    s = ((stack / safe) ** q).sum(axis=0)
+    s += (top / safe) ** q / (1.0 - 2.0 ** (-glog * q))
+    return np.where(peak > 0.0, safe * s ** (1.0 / q), 0.0)
+
+
+@pytest.mark.parametrize("p, alpha, q", [(1.0, 0.25, 2.0), (2.0, -0.25, 0.5),
+                                         (3.0, 0.0, math.inf),
+                                         (math.inf, 0.25, 1.5),
+                                         (math.inf, 0.5, math.inf)])
+def test_axis_reduce_bitwise_equals_former_loop(p, alpha, q):
+    rng = np.random.default_rng(11)
+    for C, M, lo, v in [(1, 1, 0, 0), (37, 1, -20, 3), (200, 5, -64, 6),
+                        (64, 33, 3, -2), (90, 4, -95, 1), (16, 2, 0, 4)]:
+        mag = rng.lognormal(size=(C, M)) * (rng.random((C, M)) < 0.6)
+        got = _axis_reduce_herz(mag, lo, v, p, alpha, q)
+        want = former_axis_reduce_herz(mag, lo, v, p, alpha, q)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0, math.inf])

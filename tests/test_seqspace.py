@@ -5,7 +5,7 @@ import pytest
 
 from herzlab import (CoeffSeq, HerzParams, SeqSpaceParams, b_norm, f_norm,
                      lambda_star, lq_combine, make_field, mixed_herz_norm,
-                     seq_norm)
+                     seq_norm, seqspace)
 from herzlab.seqspace import (RearrangedProfile, _cells_mixed_herz,
                               _f_envelope)
 
@@ -190,6 +190,66 @@ def test_majorant_bitwise_equals_pairwise_sum(r):
             want = np.sum(mag ** r * kern, axis=1) ** (1.0 / r)
         got = np.array([star.entries[(k, m)].real for m in targets])
         assert np.array_equal(got, want)
+
+
+def _mixed_batch(n, K, spread):
+    # sets of several finest levels, an empty set and a one-entry set
+    batch = [_random_seq(n, K, 30, seed, spread) for seed in range(10)]
+    batch += [CoeffSeq(n, K, 16.0, {}), CoeffSeq(n, K, 16.0, {(0, (1,) * n): 2j})]
+    return batch
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("family, beta", [("b", 2.0), ("b", math.inf),
+                                          ("f", 1.5), ("f", math.inf)])
+def test_batched_norms_match_single_norms(monkeypatch, n, family, beta):
+    herz = HerzParams((2.0, 1.5)[:n], (0.25, 0.0)[:n], (1.0, 2.0)[:n])
+    params = SeqSpaceParams(herz, 0.5, beta, family)
+    batch = _mixed_batch(n, 4, 3)
+    singles = np.array([seq_norm(lam, params) for lam in batch])
+    got = seqspace.seq_norms(batch, params)
+    assert got[-2] == 0.0 and singles[-2] == 0.0
+    assert np.allclose(got, singles, rtol=1e-12, atol=0.0)
+    # with no room to stack, every set is reduced alone, as a single set is
+    monkeypatch.setattr(seqspace, "BATCH_CELLS", 0)
+    assert np.array_equal(seqspace.seq_norms(batch, params), singles)
+
+
+@pytest.mark.parametrize("family", ["b", "f"])
+def test_batches_stay_within_the_cell_budget(monkeypatch, family):
+    # level-6 boxes of up to 256^2 cells, two of which outgrow the budget,
+    # and small sets that stack
+    herz = HerzParams((2.0, 1.5), (0.25, 0.0), (1.0, 2.0))
+    params = SeqSpaceParams(herz, 0.5, 2.0, family)
+    batch = [_random_seq(2, 6, 12, seed, spread=2) for seed in range(8)]
+    batch += [CoeffSeq(2, 6, 16.0, {(6, (i, j)): complex(i, j + 1)
+                                    for i in range(d) for j in range(3)})
+              for d in (1, 2, 3, 4)]
+    singles = np.array([seq_norm(lam, params) for lam in batch])
+    shapes = []
+
+    def recording(arr, los, v, herz):
+        shapes.append(arr.shape)
+        return _cells_mixed_herz(arr, los, v, herz)
+
+    monkeypatch.setattr(seqspace, "_cells_mixed_herz", recording)
+    got = seqspace.seq_norms(batch, params)
+    assert np.allclose(got, singles, rtol=1e-12, atol=0.0)
+    sizes = [math.prod(shape) for shape in shapes]
+    assert all(size <= seqspace.BATCH_CELLS or shape[-1] == 1
+               for size, shape in zip(sizes, shapes))
+    assert sum(sizes) > seqspace.BATCH_CELLS
+    assert max(shape[-1] for shape in shapes) > 1
+
+
+def test_batched_norms_check_every_set():
+    lam = CoeffSeq(1, 2, 16.0, FIXED_ENTRIES)
+    other = CoeffSeq(2, 2, 16.0, {(0, (0, 0)): 1j})
+    with pytest.raises(ValueError, match="coeffs have n = 2"):
+        seqspace.b_norms([lam, other], PARAMS_B)
+    with pytest.raises(ValueError, match="family 'f'"):
+        seqspace.f_norms([lam], PARAMS_B)
+    assert seqspace.seq_norms([], PARAMS_F).shape == (0,)
 
 
 def test_seq_norm_dispatch_and_family_guard():
