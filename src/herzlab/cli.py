@@ -26,7 +26,7 @@ from . import __version__
 from .embedlab import (EmbeddingSpec, hardy_check, necessity_fit, ppn_check,
                        seq_embedding_check)
 from .frames import load_coeffs, roundtrip_error
-from .grid import DyadicGeometry, make_field
+from .grid import DyadicGeometry, check_grid_memory, make_field
 from .herz import HerzParams, HypothesisError, mixed_herz_norm
 from .lpdecomp import (bandlimited_witness, build_fj_pair, build_resolution,
                        random_band_field, smooth_step)
@@ -148,7 +148,16 @@ def _grid_from(cfg):
     n = cfg.get_int("grid", "n")
     L = cfg.get_float("grid", "l")
     G = cfg.get_int("grid", "g")
+    _check_grid(n, G, "[grid] g")
     return n, L, G
+
+
+def _check_grid(n, G, key):
+    """check_grid_memory as a ConfigError naming the key that gave G."""
+    try:
+        check_grid_memory(n, G)
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {G}: {exc}") from None
 
 
 def _grid_meta(n, L, G):
@@ -278,6 +287,8 @@ def _cmd_maximal_check(cfg):
     count = cfg.get_int("ensemble", "count", "16")
     seed = cfg.seed()
     grids = cfg.get_ints("maximal", "g_list", "256,512")
+    for G in grids:
+        _check_grid(n, G, "[maximal] g_list")
     records = []
     for G in grids:
         fields = bump_family(n, L, G, count, seed)

@@ -84,16 +84,6 @@ class EmbeddingSpec:
         ts, ss = self.balance_sides()
         return ts - ss
 
-    def shifted_smoothness(self):
-        """Partial-sum shifted exponents s2^v, v = 1..n."""
-        t, s = self.target, self.source
-        out = []
-        for v in range(1, self.n + 1):
-            out.append(s.s
-                       - _bold_inv(s.herz.p[:v]) + _bold_inv(t.herz.p[:v])
-                       - sum(t.herz.alpha[:v]) + sum(s.herz.alpha[:v]))
-        return tuple(out)
-
     def franke_delta(self):
         r_n = self.source.herz.q[-1]
         p_n = self.target.herz.p[-1]

@@ -14,23 +14,36 @@ the lattice subsampling sit 2 pi 2^k apart while the multiplier support
 has radius 2^{k+1} < 2 pi 2^k / 2, so no copy overlaps: for fields
 band-limited to the system's band the round trip is exact up to rounding.
 
-Both sums are evaluated on each level's own N^n lattice.  The aliasing
-identities of the DFT hold for any multiplier, so nothing is cropped:
+Both sums are evaluated on each level's own lattice with numpy's
+unnormalised DFTs in native order (see ``grid``): D_G on the grid and D_N'
+on N' = max(N, 4) points per axis, where the lattice sits at stride
+t = N'/N (a sampled field has at least 4 points per axis).  The aliasing
+identities of the DFT hold for any multiplier, so nothing is cropped away:
 
-  (F_G^-1 U)(2^-k m) = (N / G)^{n/2} (F_N^-1 fold_N U)[m + N/2]
-  F_G comb_k         = (N / G)^{n/2} tile_G (F_N c_k)
+  (D_G^-1 U)[(G / N') j] = (D_N'^-1 fold_N' U)[j]
+  D_G (zero-fill c)      = tile_G (D_N' c)
 
-fold_N sums the centered spectrum over index shifts by multiples of N on
-each axis, tile_G repeats an N-periodic spectrum over the grid, and c_k is
-the (N,)^n array holding lam[k, m] at m + N/2.  With 2^{-k} (N / G) = h:
+fold_N' sums a spectrum over frequency shifts by multiples of N' on each
+axis, tile_G repeats an N'-periodic spectrum over the grid, and zero-fill
+puts the N'^n values of c at every (G / N')-th grid point.  The arrays are
+stored centered (x = 0 at index G/2), so D_G of a stored field is its
+spectrum times (-1)^(m_1 + ... + m_n).  N' is even, so that sign is the
+same on every class mod N' that fold and tile combine, and a sign
+(-1)^(j_1 + ... + j_n) before a DFT of N' points shifts its output by N'/2:
+exactly the shift between the centered and the native layout.  The signs of
+the two transforms cancel, and with c_k the (N',)^n array holding lam[k, m]
+at (t (m + N/2))_i, both sums need no shift at all:
 
-  lam[k, m] = h^{n/2} (F_N^-1 fold_N(M_k F_G f))[m + N/2]
-  f         = F_G^-1 [h^{-n/2} sum_k M_k tile_G(F_N c_k)]
+  lam[k, m] = N'^{n/2} (h t)^{n/2} G^{-n/2}
+              (D_N'^-1 fold_N'(M_k D_G f))[t (m + N/2)]
+  f         = G^{n/2} D_G^-1 [sum_k (h / t)^{-n/2} N'^{-n/2}
+                                 M_k tile_G(D_N' c_k)]
 
-which is one full-size transform each way plus one of size N^n per level.
-A sampled field has at least 4 points per axis, so a level with N < 4 is
-folded or tiled to N' = 4 with its lattice at stride t = N'/N, and the
-constants become (h t)^{n/2} and (h / t)^{-n/2}.
+M_k D_G f is computed on level k's band only (lpdecomp.level_spectra); it
+is placed in one period when the band fits there and scatter-added when it
+does not.  The tiled sum is accumulated on the widest band and transformed
+back once (grid.band_ifft).  So each way takes one pruned full-size
+transform plus one of N'^n points per level.
 
 Coefficient sets serialise to a line-oriented text format with %.17g
 fields, which round-trips complex128 bit-exactly.
@@ -42,7 +55,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .grid import SampledField, parse_header, spectral_transform
+from .grid import (SampledField, band_box, band_fft, band_freqs, band_ifft,
+                   parse_header)
 from .lpdecomp import level_spectra
 
 
@@ -184,28 +198,36 @@ def _lattice(G, L, k):
     return N, max(N, 4)
 
 
-def _fold(spec, size):
-    """Sum a centered (G,)^n spectrum over index shifts by multiples of size.
+def _fold(crop, size):
+    """Sum a native-order band crop over frequency shifts by multiples of size.
 
-    Returns the aliased spectrum in the centered (size,)^n layout.
+    Returns the aliased spectrum in native (size,)^n order.  An axis whose
+    band fits in one period is placed as it is; a wider one is scatter-added.
     """
-    n, G = spec.ndim, spec.shape[0]
-    blocks = spec.reshape((G // size, size) * n)
-    folded = blocks.sum(axis=tuple(range(0, 2 * n, 2)))
-    return np.roll(folded, (size // 2 - G // 2) % size, axis=tuple(range(n)))
+    for axis in range(crop.ndim):
+        width = crop.shape[axis]
+        out = np.zeros(crop.shape[:axis] + (size,) + crop.shape[axis + 1:],
+                       dtype=np.complex128)
+        index = (slice(None),) * axis + (band_freqs(width) % size,)
+        if width <= size:
+            out[index] = crop
+        else:
+            np.add.at(out, index, crop)
+        crop = out
+    return crop
 
 
 def analyze(field, system):
     """Inner products of the field against every lattice translate."""
     n, G, L = field.n, field.G, field.L
+    scale = float(G) ** (n / 2.0)
     levels = []
     for k, spec in enumerate(level_spectra(field, system)):
         N, size = _lattice(G, L, k)
         stride = size // N
-        small = spectral_transform(SampledField(
-            n, L, size, _fold(spec.values, size), domain="freq")).values
+        small = band_ifft(_fold(spec, size), size) * float(size) ** (n / 2.0)
         lattice = small[(slice(None, None, stride),) * n]
-        vals = (lattice * (field.h * stride) ** (n / 2.0)).ravel()
+        vals = (lattice * ((field.h * stride) ** (n / 2.0) / scale)).ravel()
         pos = np.indices((N,) * n).reshape(n, -1).T - N // 2
         levels.append((k, pos, vals))
     return CoeffSeq.from_levels(n, system.K, L, levels)
@@ -216,8 +238,9 @@ def synthesize(coeffs, system):
     if (coeffs.n, coeffs.L, coeffs.K) != (system.n, system.L, system.K):
         raise ValueError("coefficient set does not match the system")
     n, G, L = system.n, system.G, system.L
-    h, axes = L / G, tuple(range(n))
-    acc = np.zeros((G,) * n, dtype=np.complex128)
+    h, width = L / G, system.width
+    scale = float(G) ** (n / 2.0)
+    acc = np.zeros((width,) * n, dtype=np.complex128)
     for k, pos, vals in coeffs.levels():
         N, size = _lattice(G, L, k)
         half, stride = N // 2, size // N
@@ -227,14 +250,12 @@ def synthesize(coeffs, system):
             raise ValueError(f"lattice index {m} outside level {k} span")
         comb = np.zeros((size,) * n, dtype=np.complex128)
         comb[(slice(None, None, stride),) * n][tuple((pos + half).T)] += vals
-        small = spectral_transform(SampledField(n, L, size, comb)).values
-        small = np.roll(small * (h / stride) ** (-n / 2.0),
-                        (G // 2 - size // 2) % size, axis=axes)
-        shape = (G // size, size) * n
-        tiled = acc.reshape(shape)
-        tiled += (system.multipliers[k].reshape(shape)
-                  * small.reshape((1, size) * n))
-    return spectral_transform(SampledField(n, L, G, acc, domain="freq"))
+        small = (band_fft(comb, size) / float(size) ** (n / 2.0)
+                 * ((h / stride) ** (-n / 2.0) * scale))
+        crop = system.crops[k]
+        acc[band_box(crop.shape[0], width, n)] += (
+            crop * small[band_box(crop.shape[0], size, n)])
+    return SampledField(n, L, G, band_ifft(acc, G))
 
 
 def roundtrip_error(field, system):

@@ -9,8 +9,20 @@ dyadic breakpoint is a cell boundary.
 The same container carries spectra: frequencies are xi_m = (m - G/2)*(2*pi/L)
 in the same centered layout, and ``spectral_transform`` is the unitary
 centered DFT (norm preserved, exact round trip).
+
+The level transforms use numpy's unnormalised DFT of the value array as it
+is stored, in native FFT order (frequency index m at position m mod G), on
+a band: the centered box |m_i| <= r of width w = 2r + 1, or w = G when the
+box covers the grid.  A band crop holds those w^n frequencies, each axis in
+the native order of w points (0..r, then -r..-1; see ``band_freqs``).
+Since G is even, the DFT of the stored array is the spectrum of the field
+times (-1)^(m_1 + ... + m_n); a convolution (multiply, transform back)
+cancels that sign, so no shift is needed.  ``band_fft`` and ``band_ifft``
+skip the lines a band leaves at zero and give the same bits as
+``np.fft.fftn`` cropped and ``np.fft.ifftn`` of the zero-padded crop.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +98,32 @@ class DyadicGeometry:
         return cls(k_min=k_min, k_max=k_max, v_max=-k_min)
 
 
+def check_grid_memory(n, G):
+    """Reject a grid whose one complex field outgrows physical memory.
+
+    G^n samples of 16 bytes are compared with the machine's physical memory
+    (os.sysconf), before anything is allocated; where sysconf cannot tell,
+    nothing is rejected.
+    """
+    need = G ** n * 16
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    if need > have:
+        raise ValueError(
+            f"a field of G^n = {G}^{n} samples needs {need} bytes, more than "
+            f"the {have} bytes of physical memory")
+
+
 def make_field(n, L, G, generator=None, domain="space"):
     """Build a SampledField, evaluating ``generator`` at the sample points.
 
     generator may be None (zero field), an ndarray of matching shape, or a
     callable taking n coordinate arrays (broadcast meshgrid) and returning
-    values.
+    values.  The grid's size is checked (check_grid_memory) first.
     """
+    check_grid_memory(n, G)
     shape = (G,) * n
     if generator is None:
         vals = np.zeros(shape, dtype=np.complex128)
@@ -119,6 +150,57 @@ def spectral_transform(field):
         return field.with_values(out, domain="freq")
     out = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(field.values))) * scale
     return field.with_values(out, domain="space")
+
+
+def band_freqs(width):
+    """Signed frequency of each position of a native-order band crop axis.
+
+    An odd width 2r + 1 gives 0..r, -r..-1; an even width (a whole grid
+    axis) gives numpy's fftfreq order 0..w/2 - 1, -w/2..-1.
+    """
+    freqs = np.arange(width)
+    freqs[(width + 1) // 2:] -= width
+    return freqs
+
+
+def band_box(width, size, n):
+    """np.ix_ index of the band of ``width`` in a native (size,)^n array."""
+    return np.ix_(*[band_freqs(width) % size] * n)
+
+
+def band_fft(values, width):
+    """fftn(values) on the centered band box of ``width`` points per axis.
+
+    Each axis, last first as in np.fft.fftn, is transformed on the lines
+    still held and then cut to its band, so the next axis transforms only
+    band lines.  Returns the native-order crop of (min(width, G),)^n.
+    """
+    out = values
+    for axis in reversed(range(values.ndim)):
+        out = np.fft.fft(out, axis=axis)
+        size = out.shape[axis]
+        if width < size:
+            out = out.take(band_freqs(width) % size, axis=axis)
+    return out
+
+
+def band_ifft(crop, size):
+    """ifftn of the (size,)^n spectrum equal to ``crop`` on its band, else 0.
+
+    Axis by axis, last first as in np.fft.ifftn, the crop is scattered into
+    zeros along that axis and transformed there; a line the band leaves at
+    zero is never transformed, as its transform is zero.
+    """
+    out = crop
+    for axis in reversed(range(crop.ndim)):
+        width = out.shape[axis]
+        if width < size:
+            full = np.zeros(out.shape[:axis] + (size,) + out.shape[axis + 1:],
+                            dtype=np.complex128)
+            full[(slice(None),) * axis + (band_freqs(width) % size,)] = out
+            out = full
+        out = np.fft.ifft(out, axis=axis)
+    return out
 
 
 def annulus_mask_axis(field, axis, k):

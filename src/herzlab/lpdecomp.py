@@ -17,13 +17,23 @@ supp rho    = {|xi| <= 1},   rho = 1 on |xi| <= 1/2.
 Level-k supports: resolution annulus 2^k-1 <= |xi| <= 3*2^k-1, fj annulus
 2^k-1 <= |xi| <= 2^k+1.  A band-limited witness with spectrum in the open
 shell 3/4 * 2^N < |xi| < 2^N is reproduced by resolution block N alone.
+
+The multipliers are kept in the centered layout.  For the transforms a
+system also holds, per level, its band: the least centered half-width r_k
+outside which M_k is exactly 0, read from the array (so a multiplier that
+is nonzero everywhere gets the whole grid), and M_k cropped to that box in
+native FFT order (see ``grid``).  A level block is then
+F^-1[M_k F f] = band_ifft(band_fft(f) * crop_k): one forward transform
+pruned to the widest band, and one inverse per level pruned to its own.
+On an fj pair the bands have r_k ~ 2^(k+1) L / (2 pi), far inside the grid.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .grid import SampledField, TAU, make_field, spectral_transform
+from .grid import (SampledField, TAU, band_box, band_fft, band_freqs,
+                   band_ifft, spectral_transform)
 
 
 def smooth_step(t):
@@ -54,7 +64,10 @@ class SpectralSystem:
     kind 'resolution': multipliers sum to 1 on the resolvable band.
     kind 'fj': squared multipliers sum to 1 there (analysis = synthesis).
     ``lower_bounds`` records the positivity floor of levels 0 and 1 over
-    their nominal annuli.
+    their nominal annuli.  ``radii`` and ``crops`` are derived from the
+    multipliers: the band half-width r_k of each level (0 for a multiplier
+    that is 0 everywhere) and M_k on its band in native order, an array of
+    (min(2 r_k + 1, G),)^n.
     """
 
     kind: str
@@ -64,6 +77,25 @@ class SpectralSystem:
     K: int
     multipliers: tuple
     lower_bounds: tuple
+    radii: tuple = dataclass_field(init=False, repr=False, compare=False)
+    crops: tuple = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        half = self.G // 2
+        radii, crops = [], []
+        for m in self.multipliers:
+            r = max((int(np.abs(i - half).max()) for i in np.nonzero(m)
+                     if i.size), default=0)
+            box = band_freqs(min(2 * r + 1, self.G)) + half
+            radii.append(r)
+            crops.append(m[np.ix_(*[box] * self.n)])
+        object.__setattr__(self, "radii", tuple(radii))
+        object.__setattr__(self, "crops", tuple(crops))
+
+    @property
+    def width(self):
+        """Band width per axis that holds every level's band."""
+        return max(c.shape[0] for c in self.crops)
 
     def band_radius(self):
         """The identity (partition or squared sum) holds for |xi| <= this."""
@@ -126,26 +158,36 @@ def build_fj_pair(n, L, G, K):
 
 
 def lp_block(field, system, k):
-    """Apply the level-k multiplier; returns a field in the input's domain."""
+    """Apply the level-k multiplier; returns a field in the input's domain.
+
+    A space-domain field gives the k-th of its level_blocks, bit for bit.
+    """
     system.check_grid(field)
     if not 0 <= k <= system.K:
         raise ValueError(f"level k = {k} outside 0..{system.K}")
     if field.domain == "space":
-        return spectral_transform(lp_block(spectral_transform(field), system, k))
+        crop = system.crops[k]
+        spec = band_fft(field.values, crop.shape[0])
+        return field.with_values(band_ifft(spec * crop, field.G))
     return field.with_values(field.values * system.multipliers[k])
 
 
 def level_spectra(field, system):
-    """The level spectra M_k F f, k = 0..K, one at a time.
+    """The level spectra M_k F f on their bands, k = 0..K, one at a time.
 
+    Each is a native-order crop shaped like system.crops[k], with F the
+    unnormalised DFT of the stored values (see ``grid``): the entry at
+    frequency m is (-1)^(m_1 + ... + m_n) G^(n/2) times the matching entry
+    of the centered spectrum lp_block(spectral_transform(field), system, k).
     The domain and grid are checked, and the forward transform taken, when
     this is called, not when the first spectrum is drawn.
     """
     if field.domain != "space":
         raise ValueError("expected a space-domain field")
     system.check_grid(field)
-    spec = spectral_transform(field)
-    return (spec.with_values(spec.values * m) for m in system.multipliers)
+    spec = band_fft(field.values, system.width)
+    return (spec[band_box(c.shape[0], spec.shape[0], field.n)] * c
+            for c in system.crops)
 
 
 def level_blocks(field, system):
@@ -153,7 +195,8 @@ def level_blocks(field, system):
 
     Checked and forward-transformed when called, as in level_spectra.
     """
-    return (spectral_transform(s) for s in level_spectra(field, system))
+    return (field.with_values(band_ifft(s, field.G))
+            for s in level_spectra(field, system))
 
 
 def partition_sum(system):
@@ -223,9 +266,6 @@ def bandlimited_witness(n, L, G, N, seed):
     phases = np.exp(2j * np.pi * rng.random(base.shape[0]))
     amp = smooth_step((rad - 0.75) / 0.125) * smooth_step((1.0 - rad) / 0.125)
     spec = np.zeros((G,) * n, dtype=np.complex128)
-    half = G // 2
-    for i in range(base.shape[0]):
-        pos = tuple(int(c) + half for c in scaled[i])
-        spec[pos] = amp[i] * phases[i]
+    spec[tuple((scaled + G // 2).T)] = amp * phases
     f = SampledField(n, float(L), G, spec, domain="freq")
     return spectral_transform(f)

@@ -121,6 +121,42 @@ def test_non_integer_grid_size_names_its_key(tmp_path, capsys):
     assert "invalid literal" not in line
 
 
+MAXIMAL_CFG = """
+[grid]
+n = 2
+l = 16
+
+[space]
+p = 2
+alpha = 0.25
+q = 2
+
+[maximal]
+beta = 2
+t = 0.5
+g_list = 64,1048576
+
+[ensemble]
+seed = 1
+count = 2
+"""
+
+
+@pytest.mark.parametrize("command, key", [("norm", "[grid] g"),
+                                          ("maximal-check", "[maximal] g_list")])
+def test_grid_beyond_physical_memory_names_its_key(tmp_path, capsys, command,
+                                                   key):
+    # G^n * 16 bytes = 16 TiB at G = 2^20, n = 2: refused by the preflight
+    # before any array is allocated (before, numpy raised a traceback)
+    norm = NORM_CFG.replace("n = 1", "n = 2").replace("g = 256", "g = 1048576")
+    text = {"norm": norm.replace("kind = witness", "kind = zero"),
+            "maximal-check": MAXIMAL_CFG}[command]
+    cfg = _write(tmp_path, "big.ini", text)
+    line = _one_error_line(capsys, [command, "--config", cfg], key,
+                           "physical memory")
+    assert "Unable to allocate" not in line
+
+
 def test_non_integer_draws_names_its_key(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.ini", SWEEP_CFG.replace("draws = 20",
                                                         "draws = x"))

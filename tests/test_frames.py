@@ -7,7 +7,7 @@ from herzlab import (CoeffSeq, SampledField, SpectralSystem, analyze,
                      build_fj_pair, load_coeffs, make_field,
                      random_band_field, roundtrip_error, save_coeffs,
                      spectral_transform, synthesize)
-from herzlab import frames, lpdecomp
+from herzlab import frames, grid, lpdecomp
 from herzlab.frames import lattice_span
 
 # ---------------------------------------------------------------------------
@@ -235,24 +235,33 @@ def test_transforms_exact_for_arbitrary_multipliers(n, L, G, K):
                   former_synthesize(ref, system).values, 1e-12)
 
 
-def test_one_full_size_transform_each_way(monkeypatch):
+def test_one_pruned_full_size_transform_each_way(monkeypatch):
     # L = 2: level 0 has N = 2 points per axis and is transformed at size 4
     n, L, G, K = 2, 2.0, 64, 2
     system = build_fj_pair(n, L, G, K)
     field = random_band_field(n, L, G, system.band_radius(), seed=5)
-    sizes = []
+    calls = []
 
-    def counted(f):
-        sizes.append(f.G)
-        return spectral_transform(f)
+    def forward(values, width):
+        calls.append(("fft", values.shape[0], width))
+        return grid.band_fft(values, width)
 
-    monkeypatch.setattr(frames, "spectral_transform", counted)
-    monkeypatch.setattr(lpdecomp, "spectral_transform", counted)
+    def inverse(crop, size):
+        calls.append(("ifft", size, crop.shape[0]))
+        return grid.band_ifft(crop, size)
+
+    monkeypatch.setattr(lpdecomp, "band_fft", forward)
+    monkeypatch.setattr(frames, "band_fft", forward)
+    monkeypatch.setattr(frames, "band_ifft", inverse)
+    width = system.width
+    assert width < G  # the full-size transforms are pruned to the band
     lam = analyze(field, system)
-    assert sizes == [G, 4, 4, 8]
-    sizes.clear()
+    assert calls == [("fft", G, width), ("ifft", 4, 4), ("ifft", 4, 4),
+                     ("ifft", 8, 8)]
+    calls.clear()
     synthesize(lam, system)
-    assert sizes == [4, 4, 8, G]
+    assert calls == [("fft", 4, 4), ("fft", 4, 4), ("fft", 8, 8),
+                     ("ifft", G, width)]
 
 
 @pytest.mark.parametrize("n", [1, 2])

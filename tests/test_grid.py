@@ -5,6 +5,9 @@ import pytest
 
 from herzlab import (DyadicGeometry, annulus_mask_axis, cube_indicator,
                      load_field, make_field, save_field, spectral_transform)
+from herzlab.grid import band_fft, band_freqs, band_ifft, check_grid_memory
+
+TIB16 = 1 << 20  # G = 2^20 in n = 2: 16 TiB per field, more than any machine
 
 
 def test_make_field_defaults_to_zeros():
@@ -118,3 +121,32 @@ def test_load_field_names_the_malformed_part(tmp_path, line, edit, names):
         load_field(path)
     for name in names:
         assert name in str(info.value)
+
+
+def test_band_freqs_native_order():
+    assert band_freqs(7).tolist() == [0, 1, 2, 3, -3, -2, -1]
+    assert band_freqs(8).tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
+    assert np.array_equal(band_freqs(8), np.fft.fftfreq(8, 1 / 8))
+
+
+@pytest.mark.parametrize("n, G", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("width", [1, 5, 15, None])
+def test_band_transforms_are_cropped_and_padded_fftn(n, G, width):
+    # the pruned transforms give the bits of the full ones on the band
+    width = G if width is None else width
+    rng = np.random.default_rng(n * 100 + width)
+    values = rng.standard_normal((G,) * n) + 1j * rng.standard_normal((G,) * n)
+    box = np.ix_(*[band_freqs(width) % G] * n)
+    crop = band_fft(values, width)
+    assert crop.shape == (width,) * n
+    assert np.array_equal(crop, np.fft.fftn(values)[box])
+    padded = np.zeros((G,) * n, dtype=np.complex128)
+    padded[box] = crop
+    assert np.array_equal(band_ifft(crop, G), np.fft.ifftn(padded))
+
+
+def test_grid_memory_preflight_rejects_before_allocating():
+    with pytest.raises(ValueError, match="physical memory"):
+        check_grid_memory(2, TIB16)
+    with pytest.raises(ValueError, match="physical memory"):
+        make_field(2, 8.0, TIB16)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from herzlab import (bandlimited_witness, build_fj_pair, build_resolution,
-                     level_blocks, level_spectra, lp_block, make_field,
-                     mixed_lebesgue_norm, partition_sum, random_band_field,
-                     spectral_transform)
+from herzlab import (SampledField, SpectralSystem, bandlimited_witness,
+                     build_fj_pair, build_resolution, level_blocks,
+                     level_spectra, lp_block, make_field, mixed_lebesgue_norm,
+                     partition_sum, random_band_field, spectral_transform)
+from herzlab.grid import band_freqs
 from herzlab.lpdecomp import (rho_profile, smooth_step, theta_profile,
                               witness_modes)
 
@@ -159,13 +160,85 @@ def test_level_blocks_equal_lp_block_and_validate_when_called():
     for k, b in enumerate(blocks):
         assert b.domain == "space"
         assert np.array_equal(b.values, lp_block(f, system, k).values)
+    # the band crops are the centered level spectra on the band, in native
+    # order, times (-1)^(m_1 + m_2) G^(n/2); G^(n/2) = 64 is a power of two
     spec = spectral_transform(f)
-    for k, s in enumerate(level_spectra(f, system)):
-        assert s.domain == "freq"
-        assert np.array_equal(s.values, lp_block(spec, system, k).values)
+    for k, crop in enumerate(level_spectra(f, system)):
+        assert crop.shape == system.crops[k].shape
+        freqs = band_freqs(crop.shape[0])
+        centered = lp_block(spec, system, k).values[np.ix_(*[freqs + 32] * 2)]
+        sign = np.where((freqs[:, None] + freqs[None, :]) % 2, -1.0, 1.0)
+        assert np.array_equal(crop, centered * sign * 64.0)
     # bad input fails at the call, before any block is drawn
     for levels in (level_blocks, level_spectra):
         with pytest.raises(ValueError, match="space-domain"):
             levels(spectral_transform(f), system)
         with pytest.raises(ValueError, match="grid"):
             levels(f, build_fj_pair(2, 16.0, 128, 2))
+
+
+def _full_grid_system():
+    # a multiplier nonzero everywhere gets the whole grid; a zero one r = 0
+    rng = np.random.default_rng(8)
+    mults = (rng.uniform(0.1, 1.0, (32, 32)), np.zeros((32, 32)))
+    return SpectralSystem("fj", 2, 4.0, 32, 1, mults, (math.nan, math.nan))
+
+
+SYSTEMS = {"fj1d": lambda: build_fj_pair(1, 16.0, 4096, 6),
+           "fj2d": lambda: build_fj_pair(2, 16.0, 512, 3),
+           "res2d": lambda: build_resolution(2, 16.0, 128, 3),
+           "fj3d": lambda: build_fj_pair(3, 4.0, 32, 3),
+           "full": _full_grid_system}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_bands_are_minimal_boxes(name):
+    system = SYSTEMS[name]()
+    n, G = system.n, system.G
+    dist = np.zeros((G,) * n, dtype=np.int64)
+    for axis in range(n):
+        shape = [1] * n
+        shape[axis] = G
+        dist = np.maximum(dist, np.abs(np.arange(G) - G // 2).reshape(shape))
+    for m, r, crop in zip(system.multipliers, system.radii, system.crops):
+        assert np.all(m[dist > r] == 0.0)
+        if np.any(m):
+            assert np.any(m[dist == r] != 0.0)  # nonzero on the box's edge
+        else:
+            assert r == 0
+        width = min(2 * r + 1, G)
+        assert crop.shape == (width,) * n
+        box = np.ix_(*[band_freqs(width) + G // 2] * n)
+        assert np.array_equal(crop, m[box])
+    assert system.width == max(c.shape[0] for c in system.crops)
+
+
+def test_fj_bands_far_inside_the_grid():
+    # r_k < 2^(k+1) L / (2 pi): the outer ramp underflows to 0 before it
+    assert build_fj_pair(2, 16.0, 512, 3).radii == (5, 10, 20, 40)
+    assert build_fj_pair(1, 16.0, 4096, 6).radii == (
+        5, 10, 20, 40, 80, 160, 321)
+
+
+def _former_witness(n, L, G, N, seed):
+    """bandlimited_witness with its former per-mode loop."""
+    base, rad, scaled = witness_modes(n, L, G, N)
+    rng = np.random.default_rng(seed)
+    phases = np.exp(2j * np.pi * rng.random(base.shape[0]))
+    amp = smooth_step((rad - 0.75) / 0.125) * smooth_step((1.0 - rad) / 0.125)
+    spec = np.zeros((G,) * n, dtype=np.complex128)
+    half = G // 2
+    for i in range(base.shape[0]):
+        pos = tuple(int(c) + half for c in scaled[i])
+        spec[pos] = amp[i] * phases[i]
+    f = SampledField(n, float(L), G, spec, domain="freq")
+    return spectral_transform(f)
+
+
+@pytest.mark.parametrize("n, L, G, N", [(1, 32.0, 2048, 0), (1, 32.0, 2048, 3),
+                                        (2, 16.0, 128, 1), (3, 8.0, 32, 0)])
+def test_witness_equals_former_per_mode_loop(n, L, G, N):
+    got = bandlimited_witness(n, L, G, N, seed=N + 11)
+    want = _former_witness(n, L, G, N, seed=N + 11)
+    assert np.array_equal(got.values.view(np.float64),
+                          want.values.view(np.float64))
