@@ -5,7 +5,8 @@ a [grid] section (n, L, G), parameter sections ([space], [source],
 [target]) holding per-axis exponent lists, command-specific blocks
 ([field], [ensemble], [hardy], [maximal]) and an optional [output]
 section (format = csv | json).  Exponents accept 'inf'; vectors are
-comma-separated, scalars broadcast over axes.
+comma-separated, and a single value is broadcast over the axes (the
+grid's n where the command has a [grid]).
 
 Reports carry a meta block (config echo, version, truncation parameters
 in effect) and a record list.  Identical configs and seeds produce
@@ -31,7 +32,7 @@ from .herz import HerzParams, HypothesisError, mixed_herz_norm
 from .lpdecomp import (bandlimited_witness, build_fj_pair, build_resolution,
                        random_band_field, smooth_step)
 from .maximal import fs_vector_check
-from .seqspace import SeqSpaceParams, b_norm, f_norm
+from .seqspace import SeqSpaceParams, seq_norm
 from .spaces import SpaceParams, block_norms
 
 COMMANDS = ("norm", "decompose", "phitransform", "seqnorm", "embed-sweep",
@@ -123,20 +124,26 @@ def _vector(text):
     return tuple(_exponent(part) for part in str(text).split(","))
 
 
-def _herz_from(cfg, name):
+def _herz_from(cfg, name, n=None):
+    """HerzParams of [name]; one-entry lists broadcast to n (the grid's n,
+    else the longest list's length)."""
     cfg.section(name)
-    p, alpha, q = (cfg.get_vector(name, key) for key in ("p", "alpha", "q"))
-    n = max(len(p), len(alpha), len(q))
-    bc = lambda t: t * n if len(t) == 1 else t
+    lists = [cfg.get_vector(name, key) for key in ("p", "alpha", "q")]
+    if n is None:
+        n = max(len(t) for t in lists)
+    for key, t in zip(("p", "alpha", "q"), lists):
+        if len(t) not in (1, n):
+            raise ConfigError(f"[{name}] {key} has {len(t)} entries, "
+                              f"expected 1 or n = {n}")
     try:
-        return HerzParams(bc(p), bc(alpha), bc(q))
+        return HerzParams(*(t * n if len(t) == 1 else t for t in lists))
     except ValueError as exc:
         raise ConfigError(f"[{name}]: {exc}") from exc
 
 
-def _params_from(cfg, name, cls, family):
+def _params_from(cfg, name, cls, family, n=None):
     """SeqSpaceParams or SpaceParams (cls) of section [name]."""
-    herz = _herz_from(cfg, name)
+    herz = _herz_from(cfg, name, n)
     s, beta = cfg.get_float(name, "s"), cfg.get_float(name, "beta")
     try:
         return cls(herz, s, beta, cfg.get(name, "family", family))
@@ -160,10 +167,11 @@ def _check_grid(n, G, key):
         raise ConfigError(f"{key} = {G}: {exc}") from None
 
 
-def _grid_meta(n, L, G):
-    geo = DyadicGeometry.of(make_field(n, L, G))
+def _grid_meta(L, G, extra=None):
+    """The grid's dyadic index ranges, then the ``extra`` meta entries."""
+    geo = DyadicGeometry.of(L, G)
     return {"grid.k_min": geo.k_min, "grid.k_max": geo.k_max,
-            "grid.v_max": geo.v_max}
+            "grid.v_max": geo.v_max, **(extra or {})}
 
 
 def _build_field(cfg, n, L, G):
@@ -172,9 +180,8 @@ def _build_field(cfg, n, L, G):
     if kind == "zero":
         return make_field(n, L, G)
     if kind == "constant":
-        f = make_field(n, L, G)
         value = cfg.parsed("field", "value", complex, "a complex number", "1")
-        return f.with_values(np.full((G,) * n, value, dtype=np.complex128))
+        return make_field(n, L, G, np.full((G,) * n, value, dtype=np.complex128))
     if kind == "witness":
         return bandlimited_witness(n, L, G, cfg.get_int("field", "level", "0"),
                                    cfg.get_int("field", "seed"))
@@ -199,20 +206,18 @@ def _system_from(cfg, n, L, G, default_k):
 
 def _cmd_norm(cfg):
     n, L, G = _grid_from(cfg)
-    herz = _herz_from(cfg, "space")
+    herz = _herz_from(cfg, "space", n)
     f = _build_field(cfg, n, L, G)
-    meta = _grid_meta(n, L, G)
-    return meta, [{"norm": mixed_herz_norm(f, herz)}]
+    return _grid_meta(L, G), [{"norm": mixed_herz_norm(f, herz)}]
 
 
 def _cmd_decompose(cfg):
     n, L, G = _grid_from(cfg)
-    herz = _herz_from(cfg, "space")
+    herz = _herz_from(cfg, "space", n)
     f = _build_field(cfg, n, L, G)
     system = _system_from(cfg, n, L, G, default_k=3)
-    meta = _grid_meta(n, L, G)
-    meta["system.kind"] = system.kind
-    meta["system.k"] = system.K
+    meta = _grid_meta(L, G, {"system.kind": system.kind,
+                             "system.k": system.K})
     norms = block_norms(f, herz, system)
     return meta, [{"level": k, "block_norm": v} for k, v in enumerate(norms)]
 
@@ -227,19 +232,15 @@ def _cmd_phitransform(cfg):
         f = random_band_field(n, L, G, system.band_radius(), seed + t)
         records.append({"trial": t, "relative_error":
                         roundtrip_error(f, system)})
-    meta = _grid_meta(n, L, G)
-    meta["system.kind"] = system.kind
-    meta["system.k"] = system.K
-    return meta, records
+    return _grid_meta(L, G, {"system.kind": system.kind,
+                             "system.k": system.K}), records
 
 
 def _cmd_seqnorm(cfg):
     params = _params_from(cfg, "space", SeqSpaceParams, "b")
-    path = cfg.get("coeffs", "path")
-    lam = load_coeffs(path)
+    lam = load_coeffs(cfg.get("coeffs", "path"))
     meta = {"coeffs.count": len(lam.entries), "coeffs.k": lam.K}
-    value = b_norm(lam, params) if params.family == "b" else f_norm(lam, params)
-    return meta, [{"family": params.family, "norm": value}]
+    return meta, [{"family": params.family, "norm": seq_norm(lam, params)}]
 
 
 def _cmd_embed_sweep(cfg):
@@ -266,22 +267,21 @@ def _cmd_embed_sweep(cfg):
 def _cmd_necessity(cfg):
     n, L, G = _grid_from(cfg)
     spec = EmbeddingSpec("besov-function",
-                         _params_from(cfg, "source", SpaceParams, "B"),
-                         _params_from(cfg, "target", SpaceParams, "B"))
+                         _params_from(cfg, "source", SpaceParams, "B", n),
+                         _params_from(cfg, "target", SpaceParams, "B", n))
     n_max = cfg.get_int("ensemble", "n_max", "4")
     rep = necessity_fit(spec, n, L, G, n_max, cfg.seed())
-    meta = _grid_meta(n, L, G)
-    meta.update({"fit.c_fit": f"{rep['c_fit']:.17g}",
-                 "fit.c_expected": f"{rep['c_expected']:.17g}",
-                 "fit.residual": f"{rep['residual']:.17g}",
-                 "spec.balance_class": rep["balance_class"]})
+    meta = _grid_meta(L, G, {"fit.c_fit": f"{rep['c_fit']:.17g}",
+                             "fit.c_expected": f"{rep['c_expected']:.17g}",
+                             "fit.residual": f"{rep['residual']:.17g}",
+                             "spec.balance_class": rep["balance_class"]})
     return meta, rep["records"]
 
 
 def _cmd_maximal_check(cfg):
-    herz = _herz_from(cfg, "space")
     n = cfg.get_int("grid", "n")
     L = cfg.get_float("grid", "l")
+    herz = _herz_from(cfg, "space", n)
     beta = cfg.get_float("maximal", "beta")
     t = cfg.get_float("maximal", "t")
     count = cfg.get_int("ensemble", "count", "16")
@@ -303,14 +303,13 @@ def _cmd_maximal_check(cfg):
 
 def _cmd_ppn_check(cfg):
     n, L, G = _grid_from(cfg)
-    source = _herz_from(cfg, "source")
-    target = _herz_from(cfg, "target")
+    source = _herz_from(cfg, "source", n)
+    target = _herz_from(cfg, "target", n)
     n_max = cfg.get_int("ensemble", "n_max", "4")
     rep = ppn_check(source, target, n, L, G, n_max, cfg.seed())
-    meta = _grid_meta(n, L, G)
-    meta.update({"fit.gamma": f"{rep['gamma']:.17g}",
-                 "fit.slope": f"{rep['slope']:.17g}",
-                 "fit.residual": f"{rep['residual']:.17g}"})
+    meta = _grid_meta(L, G, {"fit.gamma": f"{rep['gamma']:.17g}",
+                             "fit.slope": f"{rep['slope']:.17g}",
+                             "fit.residual": f"{rep['residual']:.17g}"})
     return meta, rep["records"]
 
 

@@ -92,9 +92,9 @@ class DyadicGeometry:
     v_max: int
 
     @classmethod
-    def of(cls, field):
-        k_min = _log2_exact(field.L) - _log2_exact(field.G)
-        k_max = _log2_exact(field.L) - 1
+    def of(cls, L, G):
+        k_min = _log2_exact(L) - _log2_exact(G)
+        k_max = _log2_exact(L) - 1
         return cls(k_min=k_min, k_max=k_max, v_max=-k_min)
 
 

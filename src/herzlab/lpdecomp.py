@@ -18,17 +18,16 @@ Level-k supports: resolution annulus 2^k-1 <= |xi| <= 3*2^k-1, fj annulus
 2^k-1 <= |xi| <= 2^k+1.  A band-limited witness with spectrum in the open
 shell 3/4 * 2^N < |xi| < 2^N is reproduced by resolution block N alone.
 
-The multipliers are kept in the centered layout.  For the transforms a
-system also holds, per level, its band: the least centered half-width r_k
-outside which M_k is exactly 0, read from the array (so a multiplier that
-is nonzero everywhere gets the whole grid), and M_k cropped to that box in
-native FFT order (see ``grid``).  A level block is then
-F^-1[M_k F f] = band_ifft(band_fft(f) * crop_k): one forward transform
-pruned to the widest band, and one inverse per level pruned to its own.
-On an fj pair the bands have r_k ~ 2^(k+1) L / (2 pi), far inside the grid.
+A system stores each multiplier M_k once, as its band crop: M_k on the
+least centered box |m_i| <= r_k outside which it is exactly 0, in native
+FFT order (see ``grid``), an array of (min(2 r_k + 1, G),)^n.  A level
+block is F^-1[M_k F f] = band_ifft(band_fft(f) * crop_k): one forward
+transform pruned to the widest band, one inverse per level pruned to its
+own.  On an fj pair r_k ~ 2^(k+1) L / (2 pi), far inside the grid.  The
+centered full-grid M_k is built only on demand (``multiplier``).
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,11 +62,10 @@ class SpectralSystem:
 
     kind 'resolution': multipliers sum to 1 on the resolvable band.
     kind 'fj': squared multipliers sum to 1 there (analysis = synthesis).
-    ``lower_bounds`` records the positivity floor of levels 0 and 1 over
-    their nominal annuli.  ``radii`` and ``crops`` are derived from the
-    multipliers: the band half-width r_k of each level (0 for a multiplier
-    that is 0 everywhere) and M_k on its band in native order, an array of
-    (min(2 r_k + 1, G),)^n.
+    ``crops[k]`` is M_k in native order on a box of (w,)^n, w odd <= G or
+    w = G, trimmed here (the one place that decides a band) to the least
+    such box holding its nonzeros.  ``lower_bounds`` records the positivity floor of levels 0 and 1 over
+    their nominal annuli.
     """
 
     kind: str
@@ -75,27 +73,34 @@ class SpectralSystem:
     L: float
     G: int
     K: int
-    multipliers: tuple
+    crops: tuple
     lower_bounds: tuple
-    radii: tuple = dataclass_field(init=False, repr=False, compare=False)
-    crops: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        half = self.G // 2
-        radii, crops = [], []
-        for m in self.multipliers:
-            r = max((int(np.abs(i - half).max()) for i in np.nonzero(m)
-                     if i.size), default=0)
-            box = band_freqs(min(2 * r + 1, self.G)) + half
-            radii.append(r)
-            crops.append(m[np.ix_(*[box] * self.n)])
-        object.__setattr__(self, "radii", tuple(radii))
-        object.__setattr__(self, "crops", tuple(crops))
+        trimmed = []
+        for k, crop in enumerate(map(np.asarray, self.crops)):
+            w = crop.shape[0] if crop.ndim else 0
+            if crop.shape != (w,) * self.n or not (
+                    w == self.G or w % 2 == 1 and w <= self.G):
+                raise ValueError(
+                    f"level {k} crop has shape {crop.shape}, expected "
+                    f"(w,)^{self.n} with w odd <= G = {self.G} or w = G")
+            freqs = np.abs(band_freqs(w))
+            r = max((freqs[i].max() for i in np.nonzero(crop) if i.size),
+                    default=0)
+            trimmed.append(crop[band_box(min(2 * r + 1, self.G), w, self.n)])
+        object.__setattr__(self, "crops", tuple(trimmed))
 
     @property
     def width(self):
         """Band width per axis that holds every level's band."""
         return max(c.shape[0] for c in self.crops)
+
+    def multiplier(self, k):
+        """M_k on the whole grid in the centered layout, 0 off its band."""
+        full = np.zeros((self.G,) * self.n, dtype=self.crops[k].dtype)
+        full[band_box(self.crops[k].shape[0], self.G, self.n)] = self.crops[k]
+        return np.fft.fftshift(full)
 
     def band_radius(self):
         """The identity (partition or squared sum) holds for |xi| <= this."""
@@ -106,55 +111,57 @@ class SpectralSystem:
             raise ValueError("field grid does not match the system's grid")
 
 
-def _radial_freq(n, L, G):
-    xi = (np.arange(G) - G // 2) * (TAU / L)
-    mesh = np.meshgrid(*([xi] * n), indexing="ij")
-    return np.sqrt(sum(m * m for m in mesh))
+def _radial_freq(freqs, n, L):
+    """|xi| on the (len(freqs),)^n grid of integer frequencies ``freqs``."""
+    xi = freqs * (TAU / L)
+    return np.sqrt(sum((xi * xi).reshape((-1,) + (1,) * (n - 1 - axis))
+                       for axis in range(n)))
+
+
+def _build_levels(kind, n, L, G, K, window, reach, support, floors):
+    """Levels w(|xi|), w(2^-k |xi|) - w(2^(1-k) |xi|); square roots for fj.
+
+    w is 0 from ``reach`` on, so level k is 0 for |xi| >= reach 2^k (named
+    ``support`` at k = K) and is evaluated only on the native box of
+    half-width floor(reach 2^k L / 2 pi), capped at the grid.  lower_bounds
+    takes M_k's minimum on the annulus floors[k], inside that support.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    xi_max = np.pi * G / L
+    if reach * 2.0 ** K > xi_max:
+        raise ValueError(
+            f"level K = {K} support {support} = {int(reach * 2 ** K)} "
+            f"exceeds the grid band xi_max = {xi_max:g}")
+    crops, lows = [], []
+    for k in range(K + 1):
+        half = int(reach * 2.0 ** k * L / TAU)
+        r = _radial_freq(band_freqs(min(2 * half + 1, G)), n, L)
+        m = window(r / 2.0 ** k)
+        if k > 0:
+            m = m - window(r / 2.0 ** (k - 1))
+        if kind == "fj":
+            m = np.sqrt(np.maximum(m, 0.0))
+        if k < len(floors):
+            sel = (r >= floors[k][0]) & (r <= floors[k][1])
+            lows.append(float(m[sel].min()) if np.any(sel) else float("nan"))
+        crops.append(m)
+    return SpectralSystem(kind, n, float(L), G, K, tuple(crops), tuple(lows))
 
 
 def build_resolution(n, L, G, K):
     """Smooth dyadic resolution of unity, levels 0..K."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    xi_max = np.pi * G / L
-    if 3.0 * 2.0 ** (K - 1) > xi_max:
-        raise ValueError(
-            f"level K = {K} support 3*2^(K-1) = {3 * 2 ** (K - 1)} exceeds "
-            f"the grid band xi_max = {xi_max:g}")
-    r = _radial_freq(n, L, G)
-    mults = [theta_profile(r)]
-    for k in range(1, K + 1):
-        mults.append(theta_profile(r / 2.0 ** k) - theta_profile(r / 2.0 ** (k - 1)))
-    lows = []
-    for k, band in ((0, (0.0, 1.0)), (1, (6.0 / 5.0, 5.0 / 3.0))):
-        sel = (r >= band[0]) & (r <= band[1])
-        lows.append(float(mults[k][sel].min()) if np.any(sel) else float("nan"))
-    return SpectralSystem("resolution", n, float(L), G, K,
-                          tuple(m for m in mults), tuple(lows))
+    return _build_levels("resolution", n, L, G, K, theta_profile, 1.5,
+                         "3*2^(K-1)", ((0.0, 1.0), (6.0 / 5.0, 5.0 / 3.0)))
 
 
 def build_fj_pair(n, L, G, K):
     """Smooth analysis/synthesis pair with squared-sum identity."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    xi_max = np.pi * G / L
-    if 2.0 ** (K + 1) > xi_max:
-        raise ValueError(
-            f"level K = {K} support 2^(K+1) = {2 ** (K + 1)} exceeds the "
-            f"grid band xi_max = {xi_max:g}")
-    r = _radial_freq(n, L, G)
-    mults = [np.sqrt(rho_profile(r / 2.0))]
-    for k in range(1, K + 1):
-        diff = rho_profile(r / 2.0 ** (k + 1)) - rho_profile(r / 2.0 ** k)
-        mults.append(np.sqrt(np.maximum(diff, 0.0)))
     # positivity floors on the annuli where the pair must not vanish:
     # level 0 on |xi| <= 5/3, level 1 on 2*(3/5) <= |xi| <= 2*(5/3)
-    lows = []
-    for k, band in ((0, (0.0, 5.0 / 3.0)), (1, (6.0 / 5.0, 10.0 / 3.0))):
-        sel = (r >= band[0]) & (r <= band[1])
-        lows.append(float(mults[k][sel].min()) if np.any(sel) else float("nan"))
-    return SpectralSystem("fj", n, float(L), G, K,
-                          tuple(m for m in mults), tuple(lows))
+    return _build_levels("fj", n, L, G, K, lambda x: rho_profile(x / 2.0),
+                         2.0, "2^(K+1)",
+                         ((0.0, 5.0 / 3.0), (6.0 / 5.0, 10.0 / 3.0)))
 
 
 def lp_block(field, system, k):
@@ -169,7 +176,7 @@ def lp_block(field, system, k):
         crop = system.crops[k]
         spec = band_fft(field.values, crop.shape[0])
         return field.with_values(band_ifft(spec * crop, field.G))
-    return field.with_values(field.values * system.multipliers[k])
+    return field.with_values(field.values * system.multiplier(k))
 
 
 def level_spectra(field, system):
@@ -201,10 +208,9 @@ def level_blocks(field, system):
 
 def partition_sum(system):
     """sum_k of the multipliers (kind 'resolution') or their squares ('fj')."""
-    acc = np.zeros((system.G,) * system.n)
-    for m in system.multipliers:
-        acc = acc + (m * m if system.kind == "fj" else m)
-    return acc
+    square = system.kind == "fj"
+    return sum(m * m if square else m
+               for m in map(system.multiplier, range(system.K + 1)))
 
 
 def witness_modes(n, L, G, N):
@@ -212,16 +218,14 @@ def witness_modes(n, L, G, N):
 
     Base modes are grid frequencies with 3/4 < |xi| < 1; level N places the
     same coefficients at 2^N * xi, which stays on-grid.  Returns an (M, n)
-    integer array of centered indices and the base radii (M,).
+    integer array of centered indices in lexicographic order, the base
+    radii (M,) and the indices dilated to level N.
     """
-    step = TAU / L
     half = G // 2
-    # base indices t with 3/4 < |t|*step (radially) < 1 and 2^N t resolvable
-    span = int(np.floor(1.0 / step)) + 1
-    axes = [np.arange(-span, span + 1)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    idx = np.stack([m.ravel() for m in mesh], axis=1)
-    rad = np.sqrt(np.sum((idx * step) ** 2, axis=1))
+    # base indices t with 3/4 < |t| 2 pi / L < 1 and 2^N t resolvable
+    span = int(np.floor(L / TAU)) + 1
+    idx = np.indices((2 * span + 1,) * n).reshape(n, -1).T - span
+    rad = _radial_freq(np.arange(-span, span + 1), n, L).ravel()
     keep = (rad > 0.75) & (rad < 1.0)
     idx, rad = idx[keep], rad[keep]
     if idx.shape[0] == 0:
@@ -230,8 +234,7 @@ def witness_modes(n, L, G, N):
     if not np.all((scaled >= -half) & (scaled < half)):
         raise ValueError(
             f"level-{N} shell exceeds the grid band; enlarge G or lower N")
-    order = np.lexsort(idx.T[::-1])
-    return idx[order], rad[order], scaled[order]
+    return idx, rad, scaled
 
 
 def random_band_field(n, L, G, radius, seed):
@@ -240,9 +243,7 @@ def random_band_field(n, L, G, radius, seed):
     Coefficients are independent complex gaussians on every on-grid mode
     in the closed ball; no smoothness is imposed.
     """
-    xi = (np.arange(G) - G // 2) * (TAU / L)
-    mesh = np.meshgrid(*([xi] * n), indexing="ij")
-    rad = np.sqrt(sum(m * m for m in mesh))
+    rad = _radial_freq(np.arange(G) - G // 2, n, L)
     inside = rad <= radius
     if not np.any(inside):
         raise ValueError(f"no on-grid modes inside radius {radius:g}")
@@ -267,5 +268,4 @@ def bandlimited_witness(n, L, G, N, seed):
     amp = smooth_step((rad - 0.75) / 0.125) * smooth_step((1.0 - rad) / 0.125)
     spec = np.zeros((G,) * n, dtype=np.complex128)
     spec[tuple((scaled + G // 2).T)] = amp * phases
-    f = SampledField(n, float(L), G, spec, domain="freq")
-    return spectral_transform(f)
+    return spectral_transform(SampledField(n, float(L), G, spec, domain="freq"))

@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import herzlab
 from herzlab import CoeffSeq, save_coeffs
-from herzlab.cli import ConfigError, ExperimentConfig, main, render_report
+from herzlab.cli import (ConfigError, ExperimentConfig, _grid_meta, main,
+                         render_report, run_config)
 
 NORM_CFG = """
 [grid]
@@ -155,6 +157,45 @@ def test_grid_beyond_physical_memory_names_its_key(tmp_path, capsys, command,
     line = _one_error_line(capsys, [command, "--config", cfg], key,
                            "physical memory")
     assert "Unable to allocate" not in line
+
+
+def _vector_exponents(text):
+    return (text.replace("p = 2\n", "p = 2,2\n")
+            .replace("alpha = 0.25\n", "alpha = 0.25,0.25\n")
+            .replace("q = 2\n", "q = 2,2\n"))
+
+
+def test_scalar_exponents_broadcast_to_the_grid(tmp_path):
+    # [grid] n = 2 with one-entry p, alpha, q runs as the per-axis lists do
+    scalar = MAXIMAL_CFG.replace("g_list = 64,1048576", "g_list = 32,64")
+    vector = _vector_exponents(scalar)
+    assert vector != scalar
+    reports = [run_config(ExperimentConfig.load(
+        _write(tmp_path, name, text), "maximal-check"))
+        for name, text in (("scalar.ini", scalar), ("vector.ini", vector))]
+    assert reports[0]["records"] == reports[1]["records"]
+    assert reports[0]["meta"]["fit.log_slope"] == \
+        reports[1]["meta"]["fit.log_slope"]
+
+
+def test_exponent_list_of_another_length_names_its_section(tmp_path, capsys):
+    bad = MAXIMAL_CFG.replace("g_list = 64,1048576", "g_list = 32,64") \
+        .replace("p = 2\n", "p = 2,2,2\n")
+    cfg = _write(tmp_path, "bad.ini", bad)
+    _one_error_line(capsys, ["maximal-check", "--config", cfg], "[space] p",
+                    "3 entries", "n = 2")
+
+
+def test_grid_meta_allocates_no_field():
+    # it reads only L and G; a 2048^2 zero field would trace at 67 MB
+    tracemalloc.start()
+    try:
+        meta = _grid_meta(16.0, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert meta == {"grid.k_min": -7, "grid.k_max": 3, "grid.v_max": 7}
 
 
 def test_non_integer_draws_names_its_key(tmp_path, capsys):

@@ -27,8 +27,8 @@ def reference_analyze(field, system):
     W = _dft_matrix(field.L, field.G)
     spec = W @ field.values
     entries = {}
-    for k, mult in enumerate(system.multipliers):
-        u = W.conj().T @ (np.conj(mult) * spec)
+    for k in range(system.K + 1):
+        u = W.conj().T @ (np.conj(system.multiplier(k)) * spec)
         stride = field.G // int(2.0 ** k * field.L)
         span = int(2.0 ** k * field.L / 2.0)
         for m in range(-span, span):
@@ -48,7 +48,7 @@ def reference_synthesize(coeffs, system):
         for (kk, m), val in coeffs.entries.items():
             if kk == k:
                 comb[m[0] * stride + G // 2] = val
-        total += 2.0 ** (-k / 2.0) / h * (W.conj().T @ (system.multipliers[k] * (W @ comb)))
+        total += 2.0 ** (-k / 2.0) / h * (W.conj().T @ (system.multiplier(k) * (W @ comb)))
     return make_field(1, L, G).with_values(total)
 
 
@@ -155,7 +155,7 @@ def former_analyze(field, system):
         stride = _former_stride(G, field.L, k)
         half = lattice_span(field.L, k)
         u = spectral_transform(
-            spec.with_values(spec.values * system.multipliers[k]))
+            spec.with_values(spec.values * system.multiplier(k)))
         scale = 2.0 ** (-k * n / 2.0)
         offsets = [(np.arange(-half, half) * stride + G // 2) for _ in range(n)]
         mesh = np.meshgrid(*offsets, indexing="ij")
@@ -180,7 +180,7 @@ def former_synthesize(coeffs, system):
         for m, val in level.items():
             comb[tuple(c * stride + G // 2 for c in m)] += val
         spec = spectral_transform(SampledField(n, L, G, comb, domain="space"))
-        cut = spec.with_values(spec.values * system.multipliers[k])
+        cut = spec.with_values(spec.values * system.multiplier(k))
         acc = acc + spectral_transform(cut).values * (2.0 ** (-k * n / 2.0) / h ** n)
     return SampledField(n, L, G, acc, domain="space")
 
@@ -220,10 +220,12 @@ def test_transforms_match_former_per_entry_route(n, L, G, K):
 @pytest.mark.parametrize("n, L, G, K", [(1, 16.0, 256, 3), (2, 4.0, 32, 2)])
 def test_transforms_exact_for_arbitrary_multipliers(n, L, G, K):
     # folding and tiling are exact DFT identities, not band-limited ones:
-    # random multipliers over the whole grid and a white-noise field
+    # random multipliers over the whole grid and a white-noise field; the
+    # crops are the centered arrays in native order
     rng = np.random.default_rng(70 + n)
-    mults = tuple(rng.uniform(0.1, 1.0, (G,) * n) for _ in range(K + 1))
-    system = SpectralSystem("fj", n, L, G, K, mults, (math.nan, math.nan))
+    crops = tuple(np.fft.ifftshift(rng.uniform(0.1, 1.0, (G,) * n))
+                  for _ in range(K + 1))
+    system = SpectralSystem("fj", n, L, G, K, crops, (math.nan, math.nan))
     noise = rng.standard_normal((G,) * n) + 1j * rng.standard_normal((G,) * n)
     field = SampledField(n, L, G, noise)
     lam = analyze(field, system)

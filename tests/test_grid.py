@@ -63,14 +63,14 @@ def test_constant_field_transforms_to_single_bin():
 
 def test_dyadic_geometry_of_grid():
     f = make_field(1, 16.0, 2048)
-    geo = DyadicGeometry.of(f)
+    geo = DyadicGeometry.of(f.L, f.G)
     assert geo.v_max == 7  # h = 16/2048 = 2^-7
     assert 2.0 ** -geo.v_max == f.h
 
 
 def test_annulus_masks_partition_axis():
     f = make_field(1, 8.0, 256)
-    geo = DyadicGeometry.of(f)
+    geo = DyadicGeometry.of(f.L, f.G)
     total = np.zeros(256, dtype=int)
     for k in range(geo.k_min, geo.k_max + 1):
         total += annulus_mask_axis(f, 0, k).astype(int)

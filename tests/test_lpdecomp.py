@@ -178,10 +178,11 @@ def test_level_blocks_equal_lp_block_and_validate_when_called():
 
 
 def _full_grid_system():
-    # a multiplier nonzero everywhere gets the whole grid; a zero one r = 0
+    # a multiplier nonzero everywhere keeps the whole grid; a zero one w = 1
     rng = np.random.default_rng(8)
-    mults = (rng.uniform(0.1, 1.0, (32, 32)), np.zeros((32, 32)))
-    return SpectralSystem("fj", 2, 4.0, 32, 1, mults, (math.nan, math.nan))
+    crops = (np.fft.ifftshift(rng.uniform(0.1, 1.0, (32, 32))),
+             np.zeros((32, 32)))
+    return SpectralSystem("fj", 2, 4.0, 32, 1, crops, (math.nan, math.nan))
 
 
 SYSTEMS = {"fj1d": lambda: build_fj_pair(1, 16.0, 4096, 6),
@@ -200,13 +201,16 @@ def test_bands_are_minimal_boxes(name):
         shape = [1] * n
         shape[axis] = G
         dist = np.maximum(dist, np.abs(np.arange(G) - G // 2).reshape(shape))
-    for m, r, crop in zip(system.multipliers, system.radii, system.crops):
+    for k, crop in enumerate(system.crops):
+        m = system.multiplier(k)
+        width = crop.shape[0]
+        r = width // 2  # a whole-grid band (width G) reaches -G/2
+        assert width == min(2 * r + 1, G)
         assert np.all(m[dist > r] == 0.0)
         if np.any(m):
             assert np.any(m[dist == r] != 0.0)  # nonzero on the box's edge
         else:
-            assert r == 0
-        width = min(2 * r + 1, G)
+            assert width == 1
         assert crop.shape == (width,) * n
         box = np.ix_(*[band_freqs(width) + G // 2] * n)
         assert np.array_equal(crop, m[box])
@@ -214,10 +218,99 @@ def test_bands_are_minimal_boxes(name):
 
 
 def test_fj_bands_far_inside_the_grid():
-    # r_k < 2^(k+1) L / (2 pi): the outer ramp underflows to 0 before it
-    assert build_fj_pair(2, 16.0, 512, 3).radii == (5, 10, 20, 40)
-    assert build_fj_pair(1, 16.0, 4096, 6).radii == (
-        5, 10, 20, 40, 80, 160, 321)
+    # widths 2 r_k + 1 with r_k < 2^(k+1) L / (2 pi): the outer ramp
+    # underflows to 0 before it
+    widths = lambda system: tuple(c.shape[0] for c in system.crops)
+    assert widths(build_fj_pair(2, 16.0, 512, 3)) == (11, 21, 41, 81)
+    assert widths(build_fj_pair(1, 16.0, 4096, 6)) == (
+        11, 21, 41, 81, 161, 321, 643)
+
+
+# -- the former full-grid builders -------------------------------------------
+
+
+def _former_radial_freq(n, L, G):
+    xi = (np.arange(G) - G // 2) * (2.0 * np.pi / L)
+    mesh = np.meshgrid(*([xi] * n), indexing="ij")
+    return np.sqrt(sum(m * m for m in mesh))
+
+
+def _former_lows(r, mults, bands):
+    lows = []
+    for k, band in enumerate(bands):
+        sel = (r >= band[0]) & (r <= band[1])
+        lows.append(float(mults[k][sel].min()) if np.any(sel) else math.nan)
+    return tuple(lows)
+
+
+def former_resolution(n, L, G, K):
+    """Full centered multipliers and floors of build_resolution."""
+    r = _former_radial_freq(n, L, G)
+    mults = [theta_profile(r)]
+    for k in range(1, K + 1):
+        mults.append(theta_profile(r / 2.0 ** k)
+                     - theta_profile(r / 2.0 ** (k - 1)))
+    return mults, _former_lows(r, mults, ((0.0, 1.0), (6.0 / 5.0, 5.0 / 3.0)))
+
+
+def former_fj_pair(n, L, G, K):
+    """Full centered multipliers and floors of build_fj_pair."""
+    r = _former_radial_freq(n, L, G)
+    mults = [np.sqrt(rho_profile(r / 2.0))]
+    for k in range(1, K + 1):
+        diff = rho_profile(r / 2.0 ** (k + 1)) - rho_profile(r / 2.0 ** k)
+        mults.append(np.sqrt(np.maximum(diff, 0.0)))
+    return mults, _former_lows(r, mults,
+                               ((0.0, 5.0 / 3.0), (6.0 / 5.0, 10.0 / 3.0)))
+
+
+def former_crop(m):
+    """M_k on the least centered box holding its nonzeros, native order."""
+    G, n = m.shape[0], m.ndim
+    r = max((int(np.abs(i - G // 2).max()) for i in np.nonzero(m) if i.size),
+            default=0)
+    return m[np.ix_(*[band_freqs(min(2 * r + 1, G)) + G // 2] * n)]
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+GRIDS = [(1, 16.0, 1024), (1, 16.0, 4096), (1, 2.0, 64), (2, 16.0, 128),
+         (2, 4.0, 32), (3, 4.0, 32)]
+CASES = [(builder, former, grid, K)
+         for builder, former, reach in ((build_resolution, former_resolution,
+                                         1.5),
+                                        (build_fj_pair, former_fj_pair, 2.0))
+         for grid in GRIDS
+         for K in range(1, 12)
+         if reach * 2.0 ** K <= math.pi * grid[2] / grid[1]]
+
+
+@pytest.mark.parametrize(
+    "builder, former, grid, K", CASES,
+    ids=[f"{b.__name__}-{g[0]}-{g[1]:g}-{g[2]}-{K}" for b, _, g, K in CASES])
+def test_builders_equal_former_full_grid_builders(builder, former, grid, K):
+    system = builder(*grid, K)
+    mults, lows = former(*grid, K)
+    assert len(system.crops) == len(mults) == K + 1
+    for k, m in enumerate(mults):
+        assert _bits(system.crops[k]) == _bits(former_crop(m))
+        assert _bits(system.multiplier(k)) == _bits(m)
+    assert np.array_equal(system.lower_bounds, lows, equal_nan=True)
+    acc = np.zeros(m.shape)
+    for m in mults:
+        acc = acc + (m * m if system.kind == "fj" else m)
+    assert _bits(partition_sum(system)) == _bits(acc)
+
+
+@pytest.mark.parametrize("shape", [(9, 8), (8, 8), (33, 33), (0, 0), (9,),
+                                   (9, 9, 9), ()])
+def test_malformed_crop_rejected_naming_its_level(shape):
+    good = build_fj_pair(2, 4.0, 32, 1).crops[0]
+    with pytest.raises(ValueError, match=r"level 1 crop has shape"):
+        SpectralSystem("fj", 2, 4.0, 32, 1, (good, np.ones(shape)),
+                       (math.nan, math.nan))
 
 
 def _former_witness(n, L, G, N, seed):

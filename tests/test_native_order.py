@@ -28,8 +28,9 @@ from herzlab.frames import CoeffSeq, _lattice
 
 def centered_level_blocks(field, system):
     spec = spectral_transform(field)
-    return [spectral_transform(spec.with_values(spec.values * m))
-            for m in system.multipliers]
+    return [spectral_transform(spec.with_values(spec.values
+                                                * system.multiplier(k)))
+            for k in range(system.K + 1)]
 
 
 def _centered_fold(spec, size):
@@ -43,7 +44,8 @@ def centered_analyze(field, system):
     n, G, L = field.n, field.G, field.L
     spec = spectral_transform(field)
     levels = []
-    for k, m in enumerate(system.multipliers):
+    for k in range(system.K + 1):
+        m = system.multiplier(k)
         N, size = _lattice(G, L, k)
         stride = size // N
         small = spectral_transform(SampledField(
@@ -70,7 +72,7 @@ def centered_synthesize(coeffs, system):
                         (G // 2 - size // 2) % size, axis=axes)
         shape = (G // size, size) * n
         tiled = acc.reshape(shape)
-        tiled += (system.multipliers[k].reshape(shape)
+        tiled += (system.multiplier(k).reshape(shape)
                   * small.reshape((1, size) * n))
     return spectral_transform(SampledField(n, L, G, acc, domain="freq"))
 
