@@ -20,8 +20,9 @@ from .grid import (DyadicGeometry, SampledField, annulus_mask_axis,
 from .herz import (HerzParams, HypothesisError, lq_combine, lq_envelope,
                    mixed_herz_norm, mixed_lebesgue_norm)
 from .lpdecomp import (SpectralSystem, bandlimited_witness, build_fj_pair,
-                       build_resolution, level_blocks, level_spectra,
-                       lp_block, partition_sum, random_band_field)
+                       build_resolution, level_blocks, level_magnitudes,
+                       level_spectra, lp_block, partition_sum,
+                       random_band_field)
 from .maximal import (EtaKernel, axis_maximal, fs_vector_check,
                       iterated_maximal, rtrick_check)
 from .seqspace import (RearrangedProfile, SeqSpaceParams, b_norm, f_norm,

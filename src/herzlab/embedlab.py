@@ -20,10 +20,19 @@ selectivity, which that shortcut replaces, is exercised separately on
 band-limited witnesses (see lpdecomp).  On a periodic window a genuinely
 band-limited family cannot satisfy the dilation law (its periodisation
 has full support), which is why the spatial family is the scaling probe.
+
+Hypotheses are checked in exact arithmetic: each exponent is read as the
+nearest fraction with denominator at most EXACT_DENOMINATOR (inf stays
+inf), and sums such as the smoothness balance are taken on those
+fractions.  So a float built from small-denominator rationals, such as
+0.1 + 1/3, counts as the rational it stands for, and a balance that holds
+for the rationals holds here.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +45,38 @@ from .spaces import SpaceParams
 
 THEOREMS = ("sobolev", "jawerth-strict", "jawerth-equal",
             "franke-strict", "franke-equal", "besov-function")
+
+
+# An exponent x is compared as Fraction(x).limit_denominator(D), D below.
+# Every decimal with at most six digits after the point is then exact, and a
+# float within 5e-10 of a fraction with denominator <= 1000 (any such
+# fraction computed in a few float steps) is that fraction, since distinct
+# fractions with denominators b, d <= D lie at least 1/(b d) apart.  The
+# price: a float closer than 1/(1000 D) = 1e-9 to such a fraction is read as
+# it, so exponents meant to differ must differ by more than that.
+EXACT_DENOMINATOR = 10 ** 6
+
+
+def _rational(x):
+    """x as the nearest fraction with denominator <= EXACT_DENOMINATOR."""
+    if math.isinf(x):
+        return x
+    return Fraction(x).limit_denominator(EXACT_DENOMINATOR)
+
+
+class _ExactSide:
+    """One side's exponents as exact rationals, and its balance side."""
+
+    def __init__(self, params):
+        herz = params.herz
+        self.s = _rational(params.s)
+        self.beta = _rational(params.beta)
+        self.p = tuple(map(_rational, herz.p))
+        self.alpha = tuple(map(_rational, herz.alpha))
+        self.q = tuple(map(_rational, herz.q))
+        # s - bold 1/p - bold alpha, with 1/inf = 0
+        self.balance = (self.s - sum(0 if math.isinf(p) else 1 / p
+                                     for p in self.p) - sum(self.alpha))
 
 
 def _bold_inv(vec):
@@ -67,6 +108,11 @@ class EmbeddingSpec:
 
     # -- derived exponents ------------------------------------------------
 
+    @functools.cached_property
+    def _exact(self):
+        """(target, source) exponents as exact rationals, made once."""
+        return _ExactSide(self.target), _ExactSide(self.source)
+
     def balance_sides(self):
         """(target side, source side) of s - bold 1/p - bold alpha."""
         t, s = self.target, self.source
@@ -74,10 +120,11 @@ class EmbeddingSpec:
                 s.s - _bold_inv(s.herz.p) - sum(s.herz.alpha))
 
     def balance_class(self):
-        ts, ss = self.balance_sides()
-        if ts == ss:
+        """'=', '<' or '>': the exact target side against the source side."""
+        t, s = self._exact
+        if t.balance == s.balance:
             return "="
-        return "<" if ts < ss else ">"
+        return "<" if t.balance < s.balance else ">"
 
     def defect(self):
         """Target side minus source side; > 0 breaks the embedding."""
@@ -97,15 +144,17 @@ class EmbeddingSpec:
     # -- hypothesis checking ----------------------------------------------
 
     def hypothesis_errors(self, ignore_balance=False):
+        """Every broken hypothesis, compared exactly (see _rational)."""
         t, s = self.target, self.source
+        xt, xs = self._exact
         errs = []
         strict_integrability = self.theorem != "besov-function"
         for i, (qi, pi) in enumerate(zip(s.herz.p, t.herz.p)):
             if strict_integrability:
-                if not (qi < pi and math.isfinite(pi)):
+                if not (xs.p[i] < xt.p[i] and math.isfinite(pi)):
                     errs.append(f"need q[{i}] < p[{i}] < inf, got "
                                 f"{qi} vs {pi}")
-            elif not qi <= pi:
+            elif not xs.p[i] <= xt.p[i]:
                 errs.append(f"need q[{i}] <= p[{i}], got {qi} vs {pi}")
         alpha_mode = {
             "sobolev": "ge", "besov-function": "ge",
@@ -113,23 +162,24 @@ class EmbeddingSpec:
             "jawerth-equal": "eq", "franke-equal": "eq",
         }[self.theorem]
         for i, (a2, a1) in enumerate(zip(s.herz.alpha, t.herz.alpha)):
-            if alpha_mode == "gt" and not a2 > a1:
+            x2, x1 = xs.alpha[i], xt.alpha[i]
+            if alpha_mode == "gt" and not x2 > x1:
                 errs.append(f"need alpha2[{i}] > alpha1[{i}], got {a2} vs {a1}")
-            elif alpha_mode == "ge" and not a2 >= a1:
+            elif alpha_mode == "ge" and not x2 >= x1:
                 errs.append(f"need alpha2[{i}] >= alpha1[{i}], got {a2} vs {a1}")
-            elif alpha_mode == "eq" and a2 != a1:
+            elif alpha_mode == "eq" and x2 != x1:
                 errs.append(f"need alpha2[{i}] = alpha1[{i}], got {a2} vs {a1}")
         # annulus exponents: matched wherever the weights coincide
         if self.theorem == "jawerth-strict":
             pass  # both annulus vectors free
         elif self.theorem in ("sobolev", "jawerth-equal",
                               "franke-strict", "franke-equal"):
-            if s.herz.q != t.herz.q:
+            if xs.q != xt.q:
                 errs.append(f"annulus exponents must match, got {s.herz.q} "
                             f"vs {t.herz.q}")
         else:  # besov-function: componentwise dichotomy
-            for i, (a2, a1) in enumerate(zip(s.herz.alpha, t.herz.alpha)):
-                if a2 == a1 and s.herz.q[i] != t.herz.q[i]:
+            for i in range(self.n):
+                if xs.alpha[i] == xt.alpha[i] and xs.q[i] != xt.q[i]:
                     errs.append(
                         f"annulus exponent theta[{i}] must equal r[{i}] "
                         f"where the alphas coincide")
@@ -141,19 +191,21 @@ class EmbeddingSpec:
         if s.family != sf or t.family != tf:
             errs.append(f"families must be {sf} to {tf}, got {s.family} "
                         f"to {t.family}")
+        # _rational is monotone, so it commutes with the max and min that
+        # jawerth_outer and franke_delta take
         if self.theorem in ("jawerth-strict", "jawerth-equal"):
-            if t.beta != self.jawerth_outer():
+            if xt.beta != _rational(self.jawerth_outer()):
                 errs.append(f"target level exponent must be "
                             f"{self.jawerth_outer()}, got {t.beta}")
         if self.theorem == "franke-strict":
-            if s.beta != s.herz.q[-1]:
+            if xs.beta != xs.q[-1]:
                 errs.append(f"source level exponent must be {s.herz.q[-1]}, "
                             f"got {s.beta}")
         if self.theorem == "franke-equal":
-            if s.beta != self.franke_delta():
+            if xs.beta != _rational(self.franke_delta()):
                 errs.append(f"source level exponent must be "
                             f"{self.franke_delta()}, got {s.beta}")
-        if self.theorem == "besov-function" and s.beta != t.beta:
+        if self.theorem == "besov-function" and xs.beta != xt.beta:
             errs.append(f"level exponents must match, got {s.beta} vs {t.beta}")
         if not ignore_balance:
             cls = self.balance_class()
@@ -296,13 +348,14 @@ def ppn_check(source, target, n, L, G, N_max, seed, boxes=4):
     if source.n != n or target.n != n:
         raise ValueError("dimension mismatch")
     for i, (pi, si) in enumerate(zip(source.p, target.p)):
-        if not pi <= si:
+        if not _rational(pi) <= _rational(si):
             raise HypothesisError(f"need p[{i}] <= s[{i}], got {pi} vs {si}")
     for i, (a2, a1) in enumerate(zip(source.alpha, target.alpha)):
-        if not a2 >= a1:
+        x2, x1 = _rational(a2), _rational(a1)
+        if not x2 >= x1:
             raise HypothesisError(
                 f"need alpha2[{i}] >= alpha1[{i}], got {a2} vs {a1}")
-        if a2 == a1 and source.q[i] != target.q[i]:
+        if x2 == x1 and _rational(source.q[i]) != _rational(target.q[i]):
             raise HypothesisError(
                 f"annulus exponent theta[{i}] must equal r[{i}] where the "
                 f"alphas coincide")

@@ -40,7 +40,14 @@ def _log2_exact(x):
 
 @dataclass(frozen=True)
 class SampledField:
-    """Complex samples on the torus, in space or frequency domain."""
+    """Complex samples on the torus, in space or frequency domain.
+
+    ``values`` is stored as a read-only complex128 view, so that what is
+    derived from a field and kept on it (``lpdecomp.level_magnitudes``)
+    cannot go stale through ``field.values``.  The array given to the
+    constructor stays writable: it is the caller's, and changing it changes
+    the field.
+    """
 
     n: int
     L: float
@@ -59,6 +66,8 @@ class SampledField:
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape != (self.G,) * self.n:
             raise ValueError(f"values shape {v.shape} != {(self.G,) * self.n}")
+        v = v.view()
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property

@@ -217,17 +217,25 @@ def _cells_mixed_herz(arr, los, v, herz):
         cells, los[i], v, herz.p[i], herz.alpha[i], herz.q[i]), len(los))
 
 
+def magnitude_herz_norm(mag, L, params):
+    """mixed_herz_norm of a field of period L whose magnitudes are ``mag``.
+
+    mag : the (G,)^n nonnegative float64 array |f| of a sampled field.
+    """
+    n, G = mag.ndim, mag.shape[0]
+    if params.n != n:
+        raise ValueError(f"params for n = {params.n}, field has n = {n}")
+    v = _log2_exact(G) - _log2_exact(L)
+    return float(_cells_mixed_herz(mag, (-G // 2,) * n, v, params))
+
+
 def mixed_herz_norm(field, params):
     """Iterated per-axis Herz norm, axis 1 innermost.
 
     params : HerzParams with params.n == field.n.  Grid cells have side h
     and indices m in [-G/2, G/2) on every axis.
     """
-    if params.n != field.n:
-        raise ValueError(f"params for n = {params.n}, field has n = {field.n}")
-    v = _log2_exact(field.G) - _log2_exact(field.L)
-    return float(_cells_mixed_herz(np.abs(field.values),
-                                   (-field.G // 2,) * field.n, v, params))
+    return magnitude_herz_norm(np.abs(field.values), field.L, params)
 
 
 def mixed_lebesgue_norm(field, p):

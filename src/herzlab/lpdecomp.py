@@ -25,6 +25,12 @@ block is F^-1[M_k F f] = band_ifft(band_fft(f) * crop_k): one forward
 transform pruned to the widest band, one inverse per level pruned to its
 own.  On an fj pair r_k ~ 2^(k+1) L / (2 pi), far inside the grid.  The
 centered full-grid M_k is built only on demand (``multiplier``).
+
+A field is decomposed once per system: the forward band spectrum, and the
+level magnitudes |F^-1[M_k F f]| once asked for, are kept on the field
+(``level_magnitudes``) for the system it was last decomposed with, so
+``frames.analyze`` and the B and F norms of one field share one forward
+transform and K+1 inverses.
 """
 
 from dataclasses import dataclass
@@ -56,7 +62,7 @@ def rho_profile(xi):
     return 1.0 - smooth_step(2.0 * np.abs(xi) - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSystem:
     """K+1 radial level multipliers bound to a grid signature.
 
@@ -64,8 +70,10 @@ class SpectralSystem:
     kind 'fj': squared multipliers sum to 1 there (analysis = synthesis).
     ``crops[k]`` is M_k in native order on a box of (w,)^n, w odd <= G or
     w = G, trimmed here (the one place that decides a band) to the least
-    such box holding its nonzeros.  ``lower_bounds`` records the positivity floor of levels 0 and 1 over
-    their nominal annuli.
+    such box holding its nonzeros.  ``lower_bounds`` records the positivity
+    floor of levels 0 and 1 over their nominal annuli.  A system equals only
+    itself and hashes by identity, as the level memo on a field
+    (``level_magnitudes``) keys it.
     """
 
     kind: str
@@ -179,6 +187,47 @@ def lp_block(field, system, k):
     return field.with_values(field.values * system.multiplier(k))
 
 
+class _Decomposition:
+    """What a field keeps of its decomposition by ``system``."""
+
+    __slots__ = ("system", "spectrum", "magnitudes")
+
+    def __init__(self, system, spectrum):
+        self.system = system
+        self.spectrum = spectrum      # band_fft at system.width, read-only
+        self.magnitudes = None        # level_magnitudes, once asked for
+
+
+# the key of a field's _Decomposition in its __dict__
+_MEMO = "_lp_decomposition"
+
+
+def _decomposition(field, system):
+    """The field's decomposition record for ``system``, made on a miss.
+
+    Domain and grid are checked on every call, hit or miss.  A field holds
+    one record, in its instance __dict__ (not a dataclass field), keyed by
+    the system's identity: decomposing by another system replaces it, and
+    it is freed with the field.  A field's values are read-only (see
+    ``grid.SampledField``), so the record cannot go stale through them.
+    """
+    if field.domain != "space":
+        raise ValueError("expected a space-domain field")
+    system.check_grid(field)
+    memo = field.__dict__.get(_MEMO)
+    if memo is None or memo.system is not system:
+        spectrum = band_fft(field.values, system.width)
+        spectrum.flags.writeable = False
+        memo = field.__dict__[_MEMO] = _Decomposition(system, spectrum)
+    return memo
+
+
+def _spectra(spectrum, system):
+    """The level crops M_k F f cut from the band spectrum, one at a time."""
+    return (spectrum[band_box(c.shape[0], spectrum.shape[0], system.n)] * c
+            for c in system.crops)
+
+
 def level_spectra(field, system):
     """The level spectra M_k F f on their bands, k = 0..K, one at a time.
 
@@ -186,15 +235,30 @@ def level_spectra(field, system):
     unnormalised DFT of the stored values (see ``grid``): the entry at
     frequency m is (-1)^(m_1 + ... + m_n) G^(n/2) times the matching entry
     of the centered spectrum lp_block(spectral_transform(field), system, k).
-    The domain and grid are checked, and the forward transform taken, when
-    this is called, not when the first spectrum is drawn.
+    The domain and grid are checked, and the forward transform taken (or
+    found on the field), when this is called, not when the first spectrum
+    is drawn.
     """
-    if field.domain != "space":
-        raise ValueError("expected a space-domain field")
-    system.check_grid(field)
-    spec = band_fft(field.values, system.width)
-    return (spec[band_box(c.shape[0], spec.shape[0], field.n)] * c
-            for c in system.crops)
+    return _spectra(_decomposition(field, system).spectrum, system)
+
+
+def level_magnitudes(field, system):
+    """The read-only level magnitudes |F^-1[M_k F f]|, k = 0..K, as a tuple.
+
+    Each is the (G,)^n float64 array np.abs(b.values) of the k-th of
+    level_blocks(field, system), bit for bit.  They are computed once per
+    field and system and kept on the field with its forward band spectrum
+    (see ``_decomposition``): (K+1)/2 field sizes of memory for as long as
+    the field lives and is not decomposed by another system.
+    """
+    memo = _decomposition(field, system)
+    if memo.magnitudes is None:
+        mags = tuple(np.abs(band_ifft(s, field.G))
+                     for s in _spectra(memo.spectrum, system))
+        for m in mags:
+            m.flags.writeable = False
+        memo.magnitudes = mags
+    return memo.magnitudes
 
 
 def level_blocks(field, system):

@@ -8,6 +8,10 @@ Two assembly orders over the block decomposition f = sum_k f_k:
   first, then the Herz norm of the resulting function.  This order
   requires all integrability exponents finite.
 
+Both read the level magnitudes |f_k| that lpdecomp.level_magnitudes keeps
+on the field, so the two norms (and block_norms) of one field under one
+system share one decomposition.
+
 Both depend on the chosen multiplier system only up to uniformly bounded
 ratios; norm_equivalence_report measures those ratios on random
 band-limited witnesses.
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .herz import HerzParams, lq_combine, lq_envelope, mixed_herz_norm
+from .herz import HerzParams, lq_combine, lq_envelope, magnitude_herz_norm
 from .lpdecomp import (bandlimited_witness, build_fj_pair, build_resolution,
-                       level_blocks)
+                       level_magnitudes)
 
 
 @dataclass(frozen=True)
@@ -50,14 +54,14 @@ class SpaceParams:
 
 def block_norms(field, herz_params, system):
     """Mixed Herz norm of every level block, unweighted."""
-    return [mixed_herz_norm(b, herz_params)
-            for b in level_blocks(field, system)]
+    return [magnitude_herz_norm(m, field.L, herz_params)
+            for m in level_magnitudes(field, system)]
 
 
 def besov_norm(field, params, system):
     """Levelwise Herz norms combined in weighted l^beta."""
-    terms = [2.0 ** (k * params.s) * mixed_herz_norm(b, params.herz)
-             for k, b in enumerate(level_blocks(field, system))]
+    terms = [2.0 ** (k * params.s) * b
+             for k, b in enumerate(block_norms(field, params.herz, system))]
     return lq_combine(np.array(terms), params.beta)
 
 
@@ -65,11 +69,10 @@ def triebel_norm(field, params, system):
     """Pointwise weighted l^beta over levels, then the Herz norm."""
     if params.family != "F":
         raise ValueError("triebel_norm needs family 'F' parameters")
-    env = lq_envelope((2.0 ** (k * params.s) * np.abs(b.values)
-                       for k, b in enumerate(level_blocks(field, system))),
+    env = lq_envelope((2.0 ** (k * params.s) * m
+                       for k, m in enumerate(level_magnitudes(field, system))),
                       params.beta)
-    carrier = field.with_values(env.astype(np.complex128))
-    return mixed_herz_norm(carrier, params.herz)
+    return magnitude_herz_norm(env, field.L, params.herz)
 
 
 def space_norm(field, params, system):

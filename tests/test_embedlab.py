@@ -406,3 +406,62 @@ def test_hardy_spike_nearly_attains_bound():
     assert rep["bound"] == 2.0
     assert rep["worst_ratio"] > 2.0 - 1e-2
     assert rep["worst_ratio"] < 2.0
+
+
+# -- exact hypothesis arithmetic ---------------------------------------------
+
+def _roadmap_sobolev(s_shift=0.0):
+    """f-family Sobolev spec whose float balance sides differ by 2.8e-17."""
+    return EmbeddingSpec("sobolev",
+                         _seq("f", 1.5, 0.0, 2.0, 0.1 + 1.0 / 3.0 + s_shift,
+                              2.0),
+                         _seq("f", 3.0, 0.0, 2.0, 0.1, 2.0))
+
+
+def test_float_built_sobolev_spec_accepted_exactly():
+    spec = _roadmap_sobolev()
+    ts, ss = spec.balance_sides()
+    assert ts != ss  # the float sums disagree, the rationals do not
+    assert spec.defect() == ts - ss == -2.7755575615628914e-17
+    assert spec.balance_class() == "="
+    assert spec.hypothesis_errors() == []
+    spec.validate()
+    rep = seq_embedding_check(spec, K=3, draws=5, seed=1)
+    assert rep["draws"] + rep["skipped"] == 5
+
+
+def test_exact_balance_at_the_denominator_edge():
+    # a larger source s raises the source side; a shift of 1e-6 is seen
+    assert _roadmap_sobolev(1e-6).balance_class() == "<"
+    assert _roadmap_sobolev(-1e-6).balance_class() == ">"
+    assert any("balance" in e
+               for e in _roadmap_sobolev(1e-6).hypothesis_errors())
+    # a shift below 1e-9 of 0.1 + 1/3 = 13/30 is read as 13/30 itself
+    assert _roadmap_sobolev(1e-12).balance_class() == "="
+    assert _roadmap_sobolev(1e-12).hypothesis_errors() == []
+
+
+def test_exact_weight_and_annulus_comparisons():
+    third = 0.1 + 0.2           # 0.30000000000000004, rationally 3/10
+    eq = EmbeddingSpec("jawerth-equal",
+                       _seq("f", 1.0, third, 2.0, 1.75, 2.7),
+                       _seq("b", 2.0, 0.3, 2.0, 1.25, 2.0))
+    assert eq.hypothesis_errors() == []
+    strict = EmbeddingSpec("jawerth-strict",
+                           _seq("f", 1.0, third, 2.0, 1.75, 3.0),
+                           _seq("b", 2.0, 0.3, 1.5, 1.0, 2.0))
+    assert any("alpha2[0] > alpha1[0]" in e for e in strict.hypothesis_errors())
+    annulus = EmbeddingSpec("sobolev",
+                            _seq("f", 1.0, 0.25, third * 10.0, 1.75, 2.0),
+                            _seq("f", 2.0, 0.0, 3.0, 1.0, 2.0))
+    assert annulus.hypothesis_errors() == []
+    # besov-function: the alphas coincide exactly, so the q must match
+    fun = EmbeddingSpec("besov-function", _fun(1.0, third, 2.0, 1.75, 2.0),
+                        _fun(2.0, 0.3, 1.5, 1.0, 2.0))
+    assert any("theta[0] must equal r[0]" in e
+               for e in fun.hypothesis_errors())
+    with pytest.raises(HypothesisError, match="theta"):
+        necessity_fit(fun, 1, 8.0, 256, 3, seed=1)
+    with pytest.raises(HypothesisError, match="theta"):
+        ppn_check(HerzParams(1.0, third, 2.0), HerzParams(2.0, 0.3, 1.5),
+                  1, 8.0, 256, 3, seed=1)

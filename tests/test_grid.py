@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from herzlab import (DyadicGeometry, annulus_mask_axis, cube_indicator,
-                     load_field, make_field, save_field, spectral_transform)
+from herzlab import (DyadicGeometry, SampledField, annulus_mask_axis,
+                     cube_indicator, load_field, make_field, save_field,
+                     spectral_transform)
 from herzlab.grid import band_fft, band_freqs, band_ifft, check_grid_memory
 
 TIB16 = 1 << 20  # G = 2^20 in n = 2: 16 TiB per field, more than any machine
@@ -16,6 +17,19 @@ def test_make_field_defaults_to_zeros():
     assert f.values.dtype == np.complex128
     assert np.all(f.values == 0)
     assert f.domain == "space"
+
+
+def test_field_values_are_a_read_only_view():
+    given = np.arange(16, dtype=np.complex128)
+    f = SampledField(1, 8.0, 16, given)
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        f.with_values(f.values).values[...] = 0.0
+    # the caller's array stays writable, and the field is a view of it
+    assert given.flags.writeable
+    given[0] = 5.0
+    assert f.values[0] == 5.0
 
 
 def test_grid_validation():

@@ -5,8 +5,9 @@ import pytest
 
 from herzlab import (SampledField, SpectralSystem, bandlimited_witness,
                      build_fj_pair, build_resolution, level_blocks,
-                     level_spectra, lp_block, make_field, mixed_lebesgue_norm,
-                     partition_sum, random_band_field, spectral_transform)
+                     level_magnitudes, level_spectra, lp_block, make_field,
+                     mixed_lebesgue_norm, partition_sum, random_band_field,
+                     spectral_transform)
 from herzlab.grid import band_freqs
 from herzlab.lpdecomp import (rho_profile, smooth_step, theta_profile,
                               witness_modes)
@@ -335,3 +336,26 @@ def test_witness_equals_former_per_mode_loop(n, L, G, N):
     want = _former_witness(n, L, G, N, seed=N + 11)
     assert np.array_equal(got.values.view(np.float64),
                           want.values.view(np.float64))
+
+
+def test_system_equals_only_itself_and_hashes():
+    s = build_fj_pair(1, 16.0, 256, 3)
+    t = build_fj_pair(1, 16.0, 256, 3)
+    assert s == s
+    assert s != t and not s == t
+    assert hash(s) == hash(s)
+    assert {s: 1, t: 2}[s] == 1
+
+
+@pytest.mark.parametrize("n, L, G, K", [(1, 16.0, 2048, 5), (2, 16.0, 128, 3)])
+def test_level_magnitudes_are_the_block_magnitudes(n, L, G, K):
+    system = build_fj_pair(n, L, G, K)
+    f = random_band_field(n, L, G, 2.0 ** K, seed=4)
+    mags = level_magnitudes(f, system)
+    assert isinstance(mags, tuple) and len(mags) == K + 1
+    for m, b in zip(mags, level_blocks(f.with_values(f.values), system)):
+        assert m.dtype == np.float64
+        assert np.array_equal(m, np.abs(b.values))
+        with pytest.raises(ValueError, match="read-only"):
+            m[...] = 0.0
+    assert level_magnitudes(f, system) is mags

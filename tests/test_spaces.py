@@ -1,13 +1,17 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from herzlab import (HerzParams, SpaceParams, bandlimited_witness, besov_norm,
-                     block_norms, build_fj_pair, build_resolution, lp_block,
+from herzlab import (HerzParams, SampledField, SpaceParams,
+                     bandlimited_witness, besov_norm, block_norms,
+                     build_fj_pair, build_resolution, level_blocks,
+                     level_magnitudes, level_spectra, lp_block,
                      mixed_herz_norm, norm_equivalence_report,
-                     random_band_field, space_norm, spectral_transform,
-                     triebel_norm)
+                     random_band_field, roundtrip_error, space_norm,
+                     spectral_transform, triebel_norm)
+from herzlab import lpdecomp
 
 HERZ = HerzParams(2.0, 0.25, 1.0)
 
@@ -154,3 +158,117 @@ def test_norms_validate_field_when_called():
             norm(spectral_transform(f), params, system)
         with pytest.raises(ValueError, match="grid"):
             norm(f, params, other)
+
+
+# -- one decomposition per field and system ------------------------------------
+
+def _count_band_transforms(monkeypatch):
+    """Wrap band_fft/band_ifft as lpdecomp calls them; returns the log."""
+    calls = []
+    fft, ifft = lpdecomp.band_fft, lpdecomp.band_ifft
+
+    def band_fft(values, width):
+        calls.append(("fft", width))
+        return fft(values, width)
+
+    def band_ifft(crop, size):
+        calls.append(("ifft", size))
+        return ifft(crop, size)
+
+    monkeypatch.setattr(lpdecomp, "band_fft", band_fft)
+    monkeypatch.setattr(lpdecomp, "band_ifft", band_ifft)
+    return calls
+
+
+SPECTRAL_CASES = {"1d": (1, 16.0, 2048, 5), "2d": (2, 16.0, 128, 3)}
+
+
+def _case(name):
+    n, L, G, K = SPECTRAL_CASES[name]
+    herz = HerzParams((2.0,) * n, (0.25,) * n, (1.5,) * n)
+    return (random_band_field(n, L, G, 2.0 ** K, seed=21),
+            build_fj_pair(n, L, G, K),
+            SpaceParams(herz, s=0.5, beta=2.0, family="B"),
+            SpaceParams(herz, s=0.5, beta=2.0, family="F"))
+
+
+@pytest.mark.parametrize("name", SPECTRAL_CASES)
+def test_norms_of_one_field_share_one_decomposition(monkeypatch, name):
+    f, system, bp, fp = _case(name)
+    calls = _count_band_transforms(monkeypatch)
+    besov_norm(f, bp, system)
+    triebel_norm(f, fp, system)
+    block_norms(f, bp.herz, system)
+    space_norm(f, fp, system)
+    assert calls.count(("ifft", f.G)) == system.K + 1
+    assert calls.count(("fft", system.width)) == 1
+    # the spectral workload's item: the round trip, then both norms
+    g = f.with_values(f.values)
+    del calls[:]
+    roundtrip_error(g, system)
+    besov_norm(g, bp, system)
+    triebel_norm(g, fp, system)
+    assert [c for c in calls if c[0] == "fft"] == [("fft", system.width)]
+    assert calls.count(("ifft", g.G)) == system.K + 1
+
+
+def test_another_system_decomposes_again(monkeypatch):
+    f, system, bp, _ = _case("1d")
+    other = build_resolution(f.n, f.L, f.G, system.K)
+    calls = _count_band_transforms(monkeypatch)
+    ffts = []
+    for sys_ in (system, system, other, other, system):
+        besov_norm(f, bp, sys_)
+        ffts.append(sum(c[0] == "fft" for c in calls))
+    assert ffts == [1, 1, 2, 2, 3]
+    assert besov_norm(f, bp, other) == besov_norm(f.with_values(f.values),
+                                                  bp, other)
+
+
+@pytest.mark.parametrize("name", SPECTRAL_CASES)
+def test_memo_hit_still_checks_domain_and_grid(name):
+    f, system, bp, fp = _case(name)
+    level_magnitudes(f, system)
+    memo = vars(f)[lpdecomp._MEMO]
+    assert memo.system is system
+    freq = f.with_values(f.values, domain="freq")
+    coarse = SampledField(f.n, 2.0 * f.L, f.G, f.values)
+    for g, match in ((freq, "space-domain"), (coarse, "grid")):
+        vars(g)[lpdecomp._MEMO] = memo  # a planted hit
+        for call in (lambda: level_magnitudes(g, system),
+                     lambda: level_spectra(g, system),
+                     lambda: level_blocks(g, system),
+                     lambda: besov_norm(g, bp, system),
+                     lambda: triebel_norm(g, fp, system),
+                     lambda: block_norms(g, bp.herz, system)):
+            with pytest.raises(ValueError, match=match):
+                call()
+
+
+@pytest.mark.parametrize("name", SPECTRAL_CASES)
+@pytest.mark.parametrize("beta", [2.0, math.inf])
+def test_memo_norms_bitwise_equal_memo_free_copies(name, beta):
+    f, system, bp, fp = _case(name)
+    bp = SpaceParams(bp.herz, bp.s, beta, "B")
+    fp = SpaceParams(fp.herz, fp.s, beta, "F")
+    first = (besov_norm(f, bp, system), triebel_norm(f, fp, system),
+             block_norms(f, bp.herz, system))
+    again = (besov_norm(f, bp, system), triebel_norm(f, fp, system),
+             block_norms(f, bp.herz, system))
+    fresh = (besov_norm(f.with_values(f.values), bp, system),
+             triebel_norm(f.with_values(f.values), fp, system),
+             block_norms(f.with_values(f.values), bp.herz, system))
+    assert first == again == fresh
+    assert fresh[2] == [mixed_herz_norm(b, bp.herz)
+                        for b in level_blocks(f, system)]
+
+
+def test_memo_is_freed_with_its_field():
+    f, system, bp, fp = _case("2d")
+    besov_norm(f, bp, system)
+    triebel_norm(f, fp, system)
+    field = weakref.ref(f)
+    magnitudes = weakref.ref(level_magnitudes(f, system)[0])
+    del f
+    assert field() is None
+    assert magnitudes() is None
