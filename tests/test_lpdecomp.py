@@ -5,7 +5,7 @@ import pytest
 
 from herzlab import (SampledField, SpectralSystem, bandlimited_witness,
                      build_fj_pair, build_resolution, level_blocks,
-                     level_magnitudes, level_spectra, lp_block, make_field,
+                     level_magnitudes, level_spectra, lp_block,
                      mixed_lebesgue_norm, partition_sum, random_band_field,
                      spectral_transform)
 from herzlab.grid import band_freqs
