@@ -27,10 +27,10 @@ from . import __version__
 from .embedlab import (EmbeddingSpec, hardy_check, necessity_fit, ppn_check,
                        seq_embedding_check)
 from .frames import load_coeffs, roundtrip_error
-from .grid import DyadicGeometry, check_grid_memory, make_field
+from .grid import DyadicGeometry, check_grid_memory, make_field, sealed
 from .herz import HerzParams, HypothesisError, mixed_herz_norm
 from .lpdecomp import (bandlimited_witness, build_fj_pair, build_resolution,
-                       random_band_field, smooth_step)
+                       decomposition_fields, random_band_field, smooth_step)
 from .maximal import fs_vector_check
 from .seqspace import SeqSpaceParams, seq_norm
 from .spaces import SpaceParams, block_norms
@@ -159,10 +159,10 @@ def _grid_from(cfg):
     return n, L, G
 
 
-def _check_grid(n, G, key):
+def _check_grid(n, G, key, fields=1):
     """check_grid_memory as a ConfigError naming the key that gave G."""
     try:
-        check_grid_memory(n, G)
+        check_grid_memory(n, G, fields)
     except ValueError as exc:
         raise ConfigError(f"{key} = {G}: {exc}") from None
 
@@ -181,7 +181,8 @@ def _build_field(cfg, n, L, G):
         return make_field(n, L, G)
     if kind == "constant":
         value = cfg.parsed("field", "value", complex, "a complex number", "1")
-        return make_field(n, L, G, np.full((G,) * n, value, dtype=np.complex128))
+        return make_field(n, L, G, sealed(np.full((G,) * n, value,
+                                                  dtype=np.complex128)))
     if kind == "witness":
         return bandlimited_witness(n, L, G, cfg.get_int("field", "level", "0"),
                                    cfg.get_int("field", "seed"))
@@ -214,8 +215,10 @@ def _cmd_norm(cfg):
 def _cmd_decompose(cfg):
     n, L, G = _grid_from(cfg)
     herz = _herz_from(cfg, "space", n)
-    f = _build_field(cfg, n, L, G)
     system = _system_from(cfg, n, L, G, default_k=3)
+    # block_norms keeps the field's level magnitudes on it: check them too
+    _check_grid(n, G, "[grid] g", 1 + decomposition_fields(system))
+    f = _build_field(cfg, n, L, G)
     meta = _grid_meta(L, G, {"system.kind": system.kind,
                              "system.k": system.K})
     norms = block_norms(f, herz, system)
@@ -347,7 +350,7 @@ def bump_family(n, L, G, count, seed):
             vals = vals * prof.reshape(shape)
         amp = complex(rng.standard_normal(), rng.standard_normal())
         fields.append(make_field(n, L, G).with_values(
-            (amp * vals).astype(np.complex128)))
+            sealed((amp * vals).astype(np.complex128))))
     return fields
 
 

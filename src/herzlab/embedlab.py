@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .frames import CoeffSeq
-from .grid import SampledField
+from .grid import SampledField, sealed
 from .herz import (HerzParams, HypothesisError, _inv, lq_combine,
                    mixed_herz_norm)
 from .seqspace import SeqSpaceParams, seq_norms
@@ -266,7 +266,8 @@ def dilation_family(n, L, G, N_max, seed, boxes=4, max_len=4):
                 shape[axis] = G
                 mask = mask & sel.reshape(shape)
             vals[mask] += coef
-        fields.append(SampledField(n, float(L), G, vals, domain="space"))
+        fields.append(SampledField(n, float(L), G, sealed(vals),
+                                   domain="space"))
     return fields
 
 

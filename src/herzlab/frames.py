@@ -56,7 +56,7 @@ from operator import itemgetter
 import numpy as np
 
 from .grid import (SampledField, band_box, band_fft, band_freqs, band_ifft,
-                   parse_header)
+                   parse_header, sealed)
 from .lpdecomp import level_spectra
 
 
@@ -255,7 +255,7 @@ def synthesize(coeffs, system):
         crop = system.crops[k]
         acc[band_box(crop.shape[0], width, n)] += (
             crop * small[band_box(crop.shape[0], size, n)])
-    return SampledField(n, L, G, band_ifft(acc, G))
+    return SampledField(n, L, G, sealed(band_ifft(acc, G)))
 
 
 def roundtrip_error(field, system):

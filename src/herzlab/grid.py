@@ -38,15 +38,36 @@ def _log2_exact(x):
     return e
 
 
+def _frozen(a):
+    """Whether nothing can write to array a: no array it views is writable."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
+def sealed(values):
+    """Mark ``values``, a new array nothing else refers to, read-only.
+
+    A SampledField stores such an array as it is; code that builds a field
+    from an array it has just made seals it first and so saves the copy.
+    """
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class SampledField:
     """Complex samples on the torus, in space or frequency domain.
 
-    ``values`` is stored as a read-only complex128 view, so that what is
-    derived from a field and kept on it (``lpdecomp.level_magnitudes``)
-    cannot go stale through ``field.values``.  The array given to the
-    constructor stays writable: it is the caller's, and changing it changes
-    the field.
+    A field owns its ``values``, stored read-only as complex128, so that
+    what is derived from a field and kept on it
+    (``lpdecomp.level_magnitudes``) cannot go stale.  An array that can
+    still be written to (the caller's, or a view of it) is copied; it stays
+    writable, and changing it later does not change the field.  An array
+    nothing can write to (``sealed``, or another field's values) is stored
+    without a copy.
     """
 
     n: int
@@ -66,8 +87,10 @@ class SampledField:
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape != (self.G,) * self.n:
             raise ValueError(f"values shape {v.shape} != {(self.G,) * self.n}")
-        v = v.view()
-        v.flags.writeable = False
+        if not _frozen(v):
+            if v is self.values or v.base is not None:
+                v = v.copy()
+            v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property
@@ -107,40 +130,43 @@ class DyadicGeometry:
         return cls(k_min=k_min, k_max=k_max, v_max=-k_min)
 
 
-def check_grid_memory(n, G):
-    """Reject a grid whose one complex field outgrows physical memory.
+def check_grid_memory(n, G, fields=1):
+    """Reject a grid where ``fields`` complex fields outgrow physical memory.
 
-    G^n samples of 16 bytes are compared with the machine's physical memory
-    (os.sysconf), before anything is allocated; where sysconf cannot tell,
-    nothing is rejected.
+    fields * G^n samples of 16 bytes are compared with the machine's
+    physical memory (os.sysconf), before anything is allocated; where
+    sysconf cannot tell, nothing is rejected.  A decomposition kept on a
+    field holds more than the field (``lpdecomp.decomposition_fields``).
     """
-    need = G ** n * 16
+    need = int(fields * G ** n * 16)
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return
     if need > have:
+        what = "a field" if fields == 1 else f"{fields:g} field sizes"
         raise ValueError(
-            f"a field of G^n = {G}^{n} samples needs {need} bytes, more than "
+            f"{what} of G^n = {G}^{n} samples needs {need} bytes, more than "
             f"the {have} bytes of physical memory")
 
 
 def make_field(n, L, G, generator=None, domain="space"):
     """Build a SampledField, evaluating ``generator`` at the sample points.
 
-    generator may be None (zero field), an ndarray of matching shape, or a
-    callable taking n coordinate arrays (broadcast meshgrid) and returning
-    values.  The grid's size is checked (check_grid_memory) first.
+    generator may be None (zero field), an ndarray of matching shape (copied
+    as SampledField copies it), or a callable taking n coordinate arrays
+    (broadcast meshgrid) and returning values.  The grid's size is checked
+    (check_grid_memory) first.
     """
     check_grid_memory(n, G)
     shape = (G,) * n
     if generator is None:
-        vals = np.zeros(shape, dtype=np.complex128)
+        vals = sealed(np.zeros(shape, dtype=np.complex128))
     elif callable(generator):
         axis = (np.arange(G) - G // 2) * (L / G)
         mesh = np.meshgrid(*([axis] * n), indexing="ij")
         vals = np.asarray(generator(*mesh), dtype=np.complex128)
-        vals = np.broadcast_to(vals, shape).copy()
+        vals = sealed(np.broadcast_to(vals, shape).copy())
     else:
         vals = np.asarray(generator, dtype=np.complex128).reshape(shape)
     return SampledField(n=n, L=L, G=G, values=vals, domain=domain)
@@ -156,9 +182,9 @@ def spectral_transform(field):
     scale = float(field.G) ** (field.n / 2.0)
     if field.domain == "space":
         out = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(field.values))) / scale
-        return field.with_values(out, domain="freq")
+        return field.with_values(sealed(out), domain="freq")
     out = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(field.values))) * scale
-    return field.with_values(out, domain="space")
+    return field.with_values(sealed(out), domain="space")
 
 
 def band_freqs(width):
@@ -247,7 +273,7 @@ def cube_indicator(field, v, m):
     for axis, mi in enumerate(m):
         hit = (x >= side * mi) & (x < side * (mi + 1))
         vals = vals * broadcast_axis(hit.astype(np.complex128), field.n, axis)
-    return field.with_values(vals)
+    return field.with_values(sealed(vals))
 
 
 SNAPSHOT_MAGIC = "herzfield 1"
@@ -313,5 +339,5 @@ def load_field(path):
             except ValueError:
                 raise ValueError(f"line {i + 3}: malformed sample "
                                  f"{' '.join(parts)!r}") from None
-    return SampledField(n=n, L=L, G=G, values=vals.reshape((G,) * n),
+    return SampledField(n=n, L=L, G=G, values=sealed(vals).reshape((G,) * n),
                         domain=header["domain"])

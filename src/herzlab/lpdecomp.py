@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (SampledField, TAU, band_box, band_fft, band_freqs,
-                   band_ifft, spectral_transform)
+                   band_ifft, sealed, spectral_transform)
 
 
 def smooth_step(t):
@@ -183,8 +183,8 @@ def lp_block(field, system, k):
     if field.domain == "space":
         crop = system.crops[k]
         spec = band_fft(field.values, crop.shape[0])
-        return field.with_values(band_ifft(spec * crop, field.G))
-    return field.with_values(field.values * system.multiplier(k))
+        return field.with_values(sealed(band_ifft(spec * crop, field.G)))
+    return field.with_values(sealed(field.values * system.multiplier(k)))
 
 
 class _Decomposition:
@@ -208,8 +208,8 @@ def _decomposition(field, system):
     Domain and grid are checked on every call, hit or miss.  A field holds
     one record, in its instance __dict__ (not a dataclass field), keyed by
     the system's identity: decomposing by another system replaces it, and
-    it is freed with the field.  A field's values are read-only (see
-    ``grid.SampledField``), so the record cannot go stale through them.
+    it is freed with the field.  A field owns its values, which nothing can
+    write to (see ``grid.SampledField``), so the record cannot go stale.
     """
     if field.domain != "space":
         raise ValueError("expected a space-domain field")
@@ -261,12 +261,23 @@ def level_magnitudes(field, system):
     return memo.magnitudes
 
 
+def decomposition_fields(system):
+    """Peak memory of level_magnitudes beyond the field, in field sizes.
+
+    A field size is G^n complex128 samples.  Kept on the field: the band
+    spectrum, (width/G)^n, and K+1 float64 magnitudes, (K+1)/2; while the
+    last level is taken, its inverse transform and the zero-padded array it
+    starts from, 2 more.
+    """
+    return (system.width / system.G) ** system.n + (system.K + 1) / 2 + 2
+
+
 def level_blocks(field, system):
     """The space-domain blocks F^-1[M_k F f], k = 0..K, one at a time.
 
     Checked and forward-transformed when called, as in level_spectra.
     """
-    return (field.with_values(band_ifft(s, field.G))
+    return (field.with_values(sealed(band_ifft(s, field.G)))
             for s in level_spectra(field, system))
 
 
@@ -315,7 +326,8 @@ def random_band_field(n, L, G, radius, seed):
     spec = np.zeros((G,) * n, dtype=np.complex128)
     count = int(inside.sum())
     spec[inside] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return spectral_transform(SampledField(n, float(L), G, spec, domain="freq"))
+    return spectral_transform(
+        SampledField(n, float(L), G, sealed(spec), domain="freq"))
 
 
 def bandlimited_witness(n, L, G, N, seed):
@@ -332,4 +344,5 @@ def bandlimited_witness(n, L, G, N, seed):
     amp = smooth_step((rad - 0.75) / 0.125) * smooth_step((1.0 - rad) / 0.125)
     spec = np.zeros((G,) * n, dtype=np.complex128)
     spec[tuple((scaled + G // 2).T)] = amp * phases
-    return spectral_transform(SampledField(n, float(L), G, spec, domain="freq"))
+    return spectral_transform(
+        SampledField(n, float(L), G, sealed(spec), domain="freq"))

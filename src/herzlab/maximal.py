@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .grid import spectral_transform
+from .grid import sealed, spectral_transform
 from .herz import HypothesisError, _inv, lq_envelope, mixed_herz_norm
 
 
@@ -55,7 +55,7 @@ def _iterated_rows(mags, n, t, widths):
 def axis_maximal(field, axis, widths=None):
     """Centered maximal average along one axis; all half-widths by default."""
     out = _maximal_along(np.abs(field.values), axis, widths)
-    return field.with_values(out.astype(np.complex128))
+    return field.with_values(sealed(out.astype(np.complex128)))
 
 
 def iterated_maximal(field, t, widths=None):
@@ -63,7 +63,7 @@ def iterated_maximal(field, t, widths=None):
     if not t > 0.0:
         raise ValueError("t must be positive")
     out = _iterated_rows(np.abs(field.values), field.n, t, widths)
-    return field.with_values(out.astype(np.complex128))
+    return field.with_values(sealed(out.astype(np.complex128)))
 
 
 def _support_guard(field):
@@ -87,7 +87,7 @@ def envelope(fields, beta):
     if not fields:
         raise ValueError("need at least one field")
     acc = lq_envelope((np.abs(f.values) for f in fields), beta)
-    return fields[0].with_values(acc.astype(np.complex128))
+    return fields[0].with_values(sealed(acc.astype(np.complex128)))
 
 
 def fs_vector_check(fields, herz, beta, t, widths=None):
@@ -110,7 +110,7 @@ def fs_vector_check(fields, herz, beta, t, widths=None):
         _support_guard(f)
     stack = _iterated_rows(np.stack([np.abs(f.values) for f in fields]),
                            fields[0].n, t, widths)
-    maxed = [f.with_values(m.astype(np.complex128))
+    maxed = [f.with_values(sealed(m.astype(np.complex128)))
              for f, m in zip(fields, stack)]
     num = mixed_herz_norm(envelope(maxed, beta), herz)
     den = mixed_herz_norm(envelope(fields, beta), herz)
@@ -137,15 +137,16 @@ class EtaKernel:
             shape = [1] * field.n
             shape[axis] = field.G
             vals = vals * (self.R * (1.0 + self.R * x) ** (-per)).reshape(shape)
-        return field.with_values(vals.astype(np.complex128))
+        return field.with_values(sealed(vals.astype(np.complex128)))
 
 
 def convolve(field, kernel_field):
     """Cyclic grid convolution sum_y k(x - y) f(y) h^n via the transform."""
     fs = spectral_transform(field)
     ks = spectral_transform(kernel_field)
-    prod = fs.with_values(fs.values * ks.values *
-                          field.G ** (field.n / 2.0) * field.h ** field.n)
+    prod = fs.with_values(sealed(fs.values * ks.values
+                                 * field.G ** (field.n / 2.0)
+                                 * field.h ** field.n))
     return spectral_transform(prod)
 
 
@@ -163,7 +164,8 @@ def rtrick_check(field, level, m_exp, r):
         raise ValueError("r must be positive")
     eta = EtaKernel(2.0 ** level, float(m_exp)).sample(field)
     mag = np.abs(field.values)
-    conv = convolve(field.with_values((mag ** r).astype(np.complex128)), eta)
+    powered = sealed((mag ** r).astype(np.complex128))
+    conv = convolve(field.with_values(powered), eta)
     smooth = np.maximum(conv.values.real, 0.0) ** (1.0 / r)
     peak = mag.max()
     if peak == 0.0:

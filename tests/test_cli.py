@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -157,6 +158,23 @@ def test_grid_beyond_physical_memory_names_its_key(tmp_path, capsys, command,
     line = _one_error_line(capsys, [command, "--config", cfg], key,
                            "physical memory")
     assert "Unable to allocate" not in line
+
+
+def test_decompose_preflight_counts_the_kept_magnitudes(tmp_path, capsys,
+                                                        monkeypatch):
+    # three pages of 4 KiB hold the n = 1, G = 256 field (4 KiB) but not its
+    # K = 4 decomposition: band spectrum, 5/2 of magnitudes, 2 in flight
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 3}
+    monkeypatch.setattr(herzlab.grid, "os", SimpleNamespace(sysconf=pages.get))
+    cfg = _write(tmp_path, "norm.ini", NORM_CFG)
+    assert main(["norm", "--config", cfg, "--out",
+                 str(tmp_path / "norm.csv")]) == 0
+    line = _one_error_line(capsys, ["decompose", "--config", cfg],
+                           "[grid] g = 256", "field sizes", "physical memory")
+    assert "5.8" in line
+    pages["SC_PHYS_PAGES"] = 6
+    assert main(["decompose", "--config", cfg, "--out",
+                 str(tmp_path / "decompose.csv")]) == 0
 
 
 def _vector_exponents(text):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from herzlab import (DyadicGeometry, SampledField, annulus_mask_axis,
                      cube_indicator, load_field, make_field, save_field,
                      spectral_transform)
+from herzlab import grid
 from herzlab.grid import band_fft, band_freqs, band_ifft, check_grid_memory
 
 TIB16 = 1 << 20  # G = 2^20 in n = 2: 16 TiB per field, more than any machine
@@ -19,17 +21,32 @@ def test_make_field_defaults_to_zeros():
     assert f.domain == "space"
 
 
-def test_field_values_are_a_read_only_view():
+def test_field_values_are_read_only_and_its_own():
     given = np.arange(16, dtype=np.complex128)
-    f = SampledField(1, 8.0, 16, given)
-    with pytest.raises(ValueError, match="read-only"):
-        f.values[0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        f.with_values(f.values).values[...] = 0.0
-    # the caller's array stays writable, and the field is a view of it
-    assert given.flags.writeable
+    for f in (SampledField(1, 8.0, 16, given), make_field(1, 8.0, 16, given),
+              make_field(1, 8.0, 16).with_values(given),
+              SampledField(1, 8.0, 16, given[None, :][0])):
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            f.with_values(f.values).values[...] = 0.0
+        # the caller's array stays writable, and the field keeps a copy
+        assert given.flags.writeable
+        assert not np.shares_memory(f.values, given)
     given[0] = 5.0
-    assert f.values[0] == 5.0
+    assert f.values[0] == 0.0
+
+
+def test_arrays_nothing_can_write_to_are_not_copied():
+    f = make_field(1, 8.0, 16, lambda x: x)
+    assert f.with_values(f.values).values is f.values
+    sealed = grid.sealed(np.arange(16, dtype=np.complex128))
+    assert SampledField(1, 8.0, 16, sealed).values is sealed
+    # a read-only view of a writable array is still copied
+    given = np.arange(16, dtype=np.complex128)
+    view = given.view()
+    view.flags.writeable = False
+    assert not np.shares_memory(SampledField(1, 8.0, 16, view).values, given)
 
 
 def test_grid_validation():
@@ -164,3 +181,14 @@ def test_grid_memory_preflight_rejects_before_allocating():
         check_grid_memory(2, TIB16)
     with pytest.raises(ValueError, match="physical memory"):
         make_field(2, 8.0, TIB16)
+
+
+def test_grid_memory_preflight_counts_field_sizes(monkeypatch):
+    # 10 pages of 4 KiB hold 10 fields of 16^2 complex samples
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 10}
+    monkeypatch.setattr(grid, "os", SimpleNamespace(sysconf=pages.get))
+    check_grid_memory(2, 16)
+    check_grid_memory(2, 16, fields=10)
+    with pytest.raises(ValueError, match="10.5 field sizes of G.n = 16.2 "
+                                         "samples needs 43008 bytes"):
+        check_grid_memory(2, 16, fields=10.5)

@@ -272,3 +272,17 @@ def test_memo_is_freed_with_its_field():
     del f
     assert field() is None
     assert magnitudes() is None
+
+
+def test_writing_the_callers_array_changes_neither_field_nor_memo():
+    f, system, bp, fp = _case("1d")
+    given = np.array(f.values)
+    g = SampledField(f.n, f.L, f.G, given)
+    before = (besov_norm(g, bp, system), triebel_norm(g, fp, system))
+    given *= 2.0
+    assert np.array_equal(g.values, f.values)
+    assert (besov_norm(g, bp, system), triebel_norm(g, fp, system)) == before
+    assert before == (besov_norm(f, bp, system), triebel_norm(f, fp, system))
+    doubled = SampledField(f.n, f.L, f.G, given)
+    assert besov_norm(doubled, bp, system) == pytest.approx(2.0 * before[0],
+                                                            rel=1e-12)

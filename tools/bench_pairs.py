@@ -4,16 +4,16 @@ Run from the root of a source checkout, for example:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --workloads spectral ensemble kernels --first-seed 1001 \\
-        --pairs 10 --out BENCH_8.json --description "..." --note "..."
+        --out BENCH_8.json --description "..." --note "..."
 
 Each side is the tree of its git revision, unpacked with ``git archive``
-into the work directory (nothing is registered in the repository's .git),
-and runs the benchmark with its own ``perfbench/``.  Workload i of the list
-gets the seeds first_seed + i * pairs onwards, one per pair; within a pair
+into a temporary directory (nothing is registered in the repository's
+.git), and runs the benchmark with its own ``perfbench/`` for the
+run_seconds of BENCHMARK.json.  Every workload runs PAIRS = 10 pairs, the
+fewest that can back a claimed gain (nine wins of ten).  Workload i of the
+list gets the seeds first_seed + 10 i onwards, one per pair; within a pair
 both sides run the same seed, the parent first on even pair indices and the
-change first on odd ones.  Every finished run is appended to runs.jsonl in
-the work directory, and a rerun with the same --workdir reuses the runs
-recorded there, so an interrupted series can be resumed.
+change first on odd ones.
 
 The output has the layout of the earlier BENCH_*.json files: per workload
 the seeds, the digests that matched, the failed items and, per end-to-end
@@ -34,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 ORDER = "pairs alternate which side runs first (parent first on even pair index)"
 SIDES = ("parent", "change")
 
@@ -117,15 +118,11 @@ def _git(*args):
 
 
 def unpack(rev, workdir):
-    """The tree of ``rev`` under workdir/<commit>, unpacked once."""
+    """The commit of ``rev`` and its tree, unpacked under workdir/<commit>."""
     commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
     tree = workdir / commit
-    if not tree.is_dir():
-        archive = io.BytesIO(_git("archive", "--format=tar", commit))
-        partial = workdir / f"{commit}.partial"
-        with tarfile.open(fileobj=archive) as tar:
-            tar.extractall(partial, filter="data")
-        partial.rename(tree)
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", commit))) as tar:
+        tar.extractall(tree, filter="data")
     return commit, tree
 
 
@@ -146,60 +143,40 @@ def main(argv=None):
     ap.add_argument("--change", required=True, help="git revision")
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     ap.add_argument("--description", required=True)
     ap.add_argument("--note", required=True)
-    ap.add_argument("--workdir", help="trees and runs.jsonl (default: new)")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     unknown = set(args.workloads) - {w["name"] for w in bench["workloads"]}
     if unknown:
         ap.error(f"unknown workloads {sorted(unknown)}")
+    seconds = bench["run_seconds"]
 
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench_pairs-"))
-    workdir.mkdir(parents=True, exist_ok=True)
-    trees = dict(zip(SIDES, (unpack(args.parent, workdir),
-                             unpack(args.change, workdir))))
-    log = workdir / "runs.jsonl"
-    done = {}
-    if log.is_file():
-        for line in log.read_text().splitlines():
-            rec = json.loads(line)
-            done[rec["side"], rec["commit"], rec["workload"], rec["seed"],
-                 rec["seconds"]] = rec["result"]
-
-    report = {"description": args.description,
-              "parent": trees["parent"][0],
-              "command": (f"python3 perfbench/run.py --workload W --seed S "
-                          f"--seconds {args.seconds:g} --trace 0"),
-              "order": ORDER, "host": None, "workloads": {}}
-    for w, workload in enumerate(args.workloads):
-        pairs = []
-        for i in range(args.pairs):
-            seed = args.first_seed + w * args.pairs + i
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            result = {}
-            for side in order:
-                commit, tree = trees[side]
-                key = (side, commit, workload, seed, args.seconds)
-                if key not in done:
-                    done[key] = run_side(tree, workload, seed, args.seconds)
-                    with open(log, "a", encoding="ascii") as fh:
-                        fh.write(json.dumps(dict(
-                            zip(("side", "commit", "workload", "seed",
-                                 "seconds"), key), result=done[key])) + "\n")
-                result[side] = done[key]
-                print(f"{workload} pair {i} seed {seed} {side}: "
-                      f"{result[side]['metrics']['items_per_s']['value']:.4g}"
-                      f" items/s", file=sys.stderr)
-            pairs.append((seed, result["parent"], result["change"]))
-        report["workloads"][workload] = summarize_workload(
-            pairs, bench["end_to_end"], args.seconds)
-        meta = pairs[0][2]["meta"]
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        trees = {side: unpack(rev, Path(tmp))
+                 for side, rev in zip(SIDES, (args.parent, args.change))}
+        report = {"description": args.description,
+                  "parent": trees["parent"][0],
+                  "command": (f"python3 perfbench/run.py --workload W "
+                              f"--seed S --seconds {seconds:g} --trace 0"),
+                  "order": ORDER, "host": None, "workloads": {}}
+        for w, workload in enumerate(args.workloads):
+            pairs = []
+            for i in range(PAIRS):
+                seed = args.first_seed + w * PAIRS + i
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                result = {}
+                for side in order:
+                    result[side] = run_side(trees[side][1], workload, seed,
+                                            seconds)
+                    ips = result[side]["metrics"]["items_per_s"]["value"]
+                    print(f"{workload} pair {i} seed {seed} {side}: "
+                          f"{ips:.4g} items/s", file=sys.stderr)
+                pairs.append((seed, result["parent"], result["change"]))
+            report["workloads"][workload] = summarize_workload(
+                pairs, bench["end_to_end"], seconds)
+    meta = pairs[0][2]["meta"]
     report["host"] = {key: meta[key]
                       for key in ("python", "numpy", "nproc", "numeric_path")}
     report["note"] = args.note
