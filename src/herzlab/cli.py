@@ -28,12 +28,12 @@ from .embedlab import (EmbeddingSpec, hardy_check, necessity_fit, ppn_check,
                        seq_embedding_check)
 from .frames import load_coeffs, roundtrip_error
 from .grid import DyadicGeometry, check_grid_memory, make_field, sealed
-from .herz import HerzParams, HypothesisError, mixed_herz_norm
+from .herz import HerzParams, HypothesisError, SpaceParams, mixed_herz_norm
 from .lpdecomp import (bandlimited_witness, build_fj_pair, build_resolution,
                        decomposition_fields, random_band_field, smooth_step)
 from .maximal import fs_vector_check
-from .seqspace import SeqSpaceParams, seq_norm
-from .spaces import SpaceParams, block_norms
+from .seqspace import seq_norm
+from .spaces import block_norms
 
 COMMANDS = ("norm", "decompose", "phitransform", "seqnorm", "embed-sweep",
             "necessity", "maximal-check", "ppn-check", "hardy-check")
@@ -141,12 +141,18 @@ def _herz_from(cfg, name, n=None):
         raise ConfigError(f"[{name}]: {exc}") from exc
 
 
-def _params_from(cfg, name, cls, family, n=None):
-    """SeqSpaceParams or SpaceParams (cls) of section [name]."""
+def _params_from(cfg, name, family, n=None):
+    """SpaceParams of section [name]; ``family`` is the default, and its
+    case (B/F for functions, b/f for sequences) the one accepted."""
     herz = _herz_from(cfg, name, n)
     s, beta = cfg.get_float(name, "s"), cfg.get_float(name, "beta")
+    accepted = ("B", "F") if family.isupper() else ("b", "f")
+    got = cfg.get(name, "family", family)
+    if got not in accepted:
+        raise ConfigError(f"[{name}]: family must be {accepted[0]!r} or "
+                          f"{accepted[1]!r}")
     try:
-        return cls(herz, s, beta, cfg.get(name, "family", family))
+        return SpaceParams(herz, s, beta, got)
     except ValueError as exc:
         raise ConfigError(f"[{name}]: {exc}") from exc
 
@@ -240,7 +246,7 @@ def _cmd_phitransform(cfg):
 
 
 def _cmd_seqnorm(cfg):
-    params = _params_from(cfg, "space", SeqSpaceParams, "b")
+    params = _params_from(cfg, "space", "b")
     lam = load_coeffs(cfg.get("coeffs", "path"))
     meta = {"coeffs.count": len(lam.entries), "coeffs.k": lam.K}
     return meta, [{"family": params.family, "norm": seq_norm(lam, params)}]
@@ -248,8 +254,8 @@ def _cmd_seqnorm(cfg):
 
 def _cmd_embed_sweep(cfg):
     spec = EmbeddingSpec(cfg.get("run", "theorem"),
-                         _params_from(cfg, "source", SeqSpaceParams, "b"),
-                         _params_from(cfg, "target", SeqSpaceParams, "b"))
+                         _params_from(cfg, "source", "b"),
+                         _params_from(cfg, "target", "b"))
     draws = cfg.get_int("ensemble", "draws", "100")
     seed = cfg.seed()
     control = cfg.get("ensemble", "control", "no") in ("yes", "true", "1")
@@ -270,8 +276,8 @@ def _cmd_embed_sweep(cfg):
 def _cmd_necessity(cfg):
     n, L, G = _grid_from(cfg)
     spec = EmbeddingSpec("besov-function",
-                         _params_from(cfg, "source", SpaceParams, "B", n),
-                         _params_from(cfg, "target", SpaceParams, "B", n))
+                         _params_from(cfg, "source", "B", n),
+                         _params_from(cfg, "target", "B", n))
     n_max = cfg.get_int("ensemble", "n_max", "4")
     rep = necessity_fit(spec, n, L, G, n_max, cfg.seed())
     meta = _grid_meta(L, G, {"fit.c_fit": f"{rep['c_fit']:.17g}",

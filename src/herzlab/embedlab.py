@@ -31,6 +31,7 @@ for the rationals holds here.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,10 +39,9 @@ import numpy as np
 
 from .frames import CoeffSeq
 from .grid import SampledField, sealed
-from .herz import (HerzParams, HypothesisError, _inv, lq_combine,
-                   mixed_herz_norm)
-from .seqspace import SeqSpaceParams, seq_norms
-from .spaces import SpaceParams
+from .herz import (HerzParams, HypothesisError, SpaceParams, _inv,
+                   lq_combine, mixed_herz_norm)
+from .seqspace import seq_norms
 
 THEOREMS = ("sobolev", "jawerth-strict", "jawerth-equal",
             "franke-strict", "franke-equal", "besov-function")
@@ -64,23 +64,47 @@ def _rational(x):
     return Fraction(x).limit_denominator(EXACT_DENOMINATOR)
 
 
-class _ExactSide:
-    """One side's exponents as exact rationals, and its balance side."""
+class _ExactHerz:
+    """A HerzParams' exponents as exact rationals; ``herz`` keeps the floats."""
 
-    def __init__(self, params):
-        herz = params.herz
-        self.s = _rational(params.s)
-        self.beta = _rational(params.beta)
+    def __init__(self, herz):
+        self.herz = herz
         self.p = tuple(map(_rational, herz.p))
         self.alpha = tuple(map(_rational, herz.alpha))
         self.q = tuple(map(_rational, herz.q))
+
+
+class _ExactSide(_ExactHerz):
+    """One side's exponents as exact rationals, and its balance side."""
+
+    def __init__(self, params):
+        super().__init__(params.herz)
+        self.s = _rational(params.s)
+        self.beta = _rational(params.beta)
         # s - bold 1/p - bold alpha, with 1/inf = 0
         self.balance = (self.s - sum(0 if math.isinf(p) else 1 / p
                                      for p in self.p) - sum(self.alpha))
 
 
-def _bold_inv(vec):
-    return sum(_inv(p) for p in vec)
+def _herz_order_errors(xs, xt):
+    """Broken orderings of a source/target pair of exact Herz exponents.
+
+    p_i must not decrease from source to target, alpha_i must not increase,
+    and where the alphas coincide the annulus exponents must match: the
+    Herz part of the besov-function pattern, and ppn_check's hypotheses.
+    Messages name the source (q, alpha2, theta) and the target (p, alpha1,
+    r) as the theorems do.
+    """
+    src, tgt = xs.herz, xt.herz
+    errs = [f"need q[{i}] <= p[{i}], got {src.p[i]} vs {tgt.p[i]}"
+            for i in range(src.n) if not xs.p[i] <= xt.p[i]]
+    errs += [f"need alpha2[{i}] >= alpha1[{i}], got {src.alpha[i]} vs "
+             f"{tgt.alpha[i]}" for i in range(src.n)
+             if not xs.alpha[i] >= xt.alpha[i]]
+    errs += [f"annulus exponent theta[{i}] must equal r[{i}] where the "
+             f"alphas coincide" for i in range(src.n)
+             if xs.alpha[i] == xt.alpha[i] and xs.q[i] != xt.q[i]]
+    return errs
 
 
 @dataclass(frozen=True)
@@ -94,11 +118,12 @@ class EmbeddingSpec:
     def __post_init__(self):
         if self.theorem not in THEOREMS:
             raise ValueError(f"unknown theorem {self.theorem!r}")
-        want = SpaceParams if self.theorem == "besov-function" else SeqSpaceParams
+        # function spaces have families B/F, sequence spaces b/f
+        want = ("B", "F") if self.theorem == "besov-function" else ("b", "f")
         for side, params in (("source", self.source), ("target", self.target)):
-            if not isinstance(params, want):
-                raise TypeError(f"{side} must be {want.__name__} for "
-                                f"{self.theorem}")
+            if not (isinstance(params, SpaceParams) and params.family in want):
+                raise TypeError(f"{side} must be SpaceParams of family "
+                                f"{want[0]} or {want[1]} for {self.theorem}")
         if self.source.herz.n != self.target.herz.n:
             raise ValueError("source and target dimensions differ")
 
@@ -116,8 +141,8 @@ class EmbeddingSpec:
     def balance_sides(self):
         """(target side, source side) of s - bold 1/p - bold alpha."""
         t, s = self.target, self.source
-        return (t.s - _bold_inv(t.herz.p) - sum(t.herz.alpha),
-                s.s - _bold_inv(s.herz.p) - sum(s.herz.alpha))
+        return (t.s - t.herz.bold_inv_p() - t.herz.bold_alpha(),
+                s.s - s.herz.bold_inv_p() - s.herz.bold_alpha())
 
     def balance_class(self):
         """'=', '<' or '>': the exact target side against the source side."""
@@ -147,42 +172,27 @@ class EmbeddingSpec:
         """Every broken hypothesis, compared exactly (see _rational)."""
         t, s = self.target, self.source
         xt, xs = self._exact
-        errs = []
-        strict_integrability = self.theorem != "besov-function"
-        for i, (qi, pi) in enumerate(zip(s.herz.p, t.herz.p)):
-            if strict_integrability:
-                if not (xs.p[i] < xt.p[i] and math.isfinite(pi)):
-                    errs.append(f"need q[{i}] < p[{i}] < inf, got "
-                                f"{qi} vs {pi}")
-            elif not xs.p[i] <= xt.p[i]:
-                errs.append(f"need q[{i}] <= p[{i}], got {qi} vs {pi}")
-        alpha_mode = {
-            "sobolev": "ge", "besov-function": "ge",
-            "jawerth-strict": "gt", "franke-strict": "gt",
-            "jawerth-equal": "eq", "franke-equal": "eq",
-        }[self.theorem]
-        for i, (a2, a1) in enumerate(zip(s.herz.alpha, t.herz.alpha)):
-            x2, x1 = xs.alpha[i], xt.alpha[i]
-            if alpha_mode == "gt" and not x2 > x1:
-                errs.append(f"need alpha2[{i}] > alpha1[{i}], got {a2} vs {a1}")
-            elif alpha_mode == "ge" and not x2 >= x1:
-                errs.append(f"need alpha2[{i}] >= alpha1[{i}], got {a2} vs {a1}")
-            elif alpha_mode == "eq" and x2 != x1:
-                errs.append(f"need alpha2[{i}] = alpha1[{i}], got {a2} vs {a1}")
-        # annulus exponents: matched wherever the weights coincide
-        if self.theorem == "jawerth-strict":
-            pass  # both annulus vectors free
-        elif self.theorem in ("sobolev", "jawerth-equal",
-                              "franke-strict", "franke-equal"):
-            if xs.q != xt.q:
-                errs.append(f"annulus exponents must match, got {s.herz.q} "
-                            f"vs {t.herz.q}")
-        else:  # besov-function: componentwise dichotomy
-            for i in range(self.n):
-                if xs.alpha[i] == xt.alpha[i] and xs.q[i] != xt.q[i]:
-                    errs.append(
-                        f"annulus exponent theta[{i}] must equal r[{i}] "
-                        f"where the alphas coincide")
+        if self.theorem == "besov-function":
+            errs = _herz_order_errors(xs, xt)
+        else:
+            errs = [f"need q[{i}] < p[{i}] < inf, got {qi} vs {pi}"
+                    for i, (qi, pi) in enumerate(zip(s.herz.p, t.herz.p))
+                    if not (xs.p[i] < xt.p[i] and math.isfinite(pi))]
+            holds, sign = {
+                "sobolev": (operator.ge, ">="),
+                "jawerth-strict": (operator.gt, ">"),
+                "franke-strict": (operator.gt, ">"),
+                "jawerth-equal": (operator.eq, "="),
+                "franke-equal": (operator.eq, "="),
+            }[self.theorem]
+            errs += [f"need alpha2[{i}] {sign} alpha1[{i}], got {a2} vs {a1}"
+                     for i, (a2, a1) in enumerate(zip(s.herz.alpha,
+                                                      t.herz.alpha))
+                     if not holds(xs.alpha[i], xt.alpha[i])]
+            # annulus exponents match, except for jawerth-strict (both free)
+            if self.theorem != "jawerth-strict" and xs.q != xt.q:
+                errs.append(f"annulus exponents must match, got "
+                            f"{s.herz.q} vs {t.herz.q}")
         # family shapes and forced outer exponents
         fam = {"sobolev": ("f", "f"), "jawerth-strict": ("f", "b"),
                "jawerth-equal": ("f", "b"), "franke-strict": ("b", "f"),
@@ -328,8 +338,8 @@ def necessity_fit(spec, n, L, G, N_max, seed, boxes=4):
     records, c_fit, resid = _ratio_fit(fields, (tgt.herz, tgt.s),
                                        (src.herz, src.s), 0.0)
     c_expected = (tgt.s - src.s
-                  - sum(tgt.herz.alpha) + sum(src.herz.alpha)
-                  - _bold_inv(tgt.herz.p) + _bold_inv(src.herz.p))
+                  - tgt.herz.bold_alpha() + src.herz.bold_alpha()
+                  - tgt.herz.bold_inv_p() + src.herz.bold_inv_p())
     return {"records": records, "c_fit": c_fit, "c_expected": c_expected,
             "residual": resid, "balance_class": spec.balance_class()}
 
@@ -337,29 +347,21 @@ def necessity_fit(spec, n, L, G, N_max, seed, boxes=4):
 def ppn_check(source, target, n, L, G, N_max, seed, boxes=4):
     """Sharpness of the band-to-band norm transfer exponent.
 
-    source, target : HerzParams.  Hypotheses: p_i <= s_i componentwise and
-    alpha2_i >= alpha1_i, with the annulus exponents matched where the
-    alphas coincide.  The transfer weight is gamma = bold 1/p - bold 1/s +
-    bold alpha2 - bold alpha1; on the exact dilation family the fitted
-    slope of log2(target / (2^{gamma N} source)) is zero when the exponent
-    is sharp.
+    source, target : HerzParams, with exponents (q, alpha2, theta) and
+    (p, alpha1, r).  Hypotheses, those of the besov-function pattern's Herz
+    part: q_i <= p_i componentwise and alpha2_i >= alpha1_i, with theta_i =
+    r_i where the alphas coincide.  The transfer weight is gamma = bold 1/q
+    - bold 1/p + bold alpha2 - bold alpha1; on the exact dilation family the
+    fitted slope of log2(target / (2^{gamma N} source)) is zero when the
+    exponent is sharp.
     """
     if not isinstance(source, HerzParams) or not isinstance(target, HerzParams):
         raise TypeError("source and target must be HerzParams")
     if source.n != n or target.n != n:
         raise ValueError("dimension mismatch")
-    for i, (pi, si) in enumerate(zip(source.p, target.p)):
-        if not _rational(pi) <= _rational(si):
-            raise HypothesisError(f"need p[{i}] <= s[{i}], got {pi} vs {si}")
-    for i, (a2, a1) in enumerate(zip(source.alpha, target.alpha)):
-        x2, x1 = _rational(a2), _rational(a1)
-        if not x2 >= x1:
-            raise HypothesisError(
-                f"need alpha2[{i}] >= alpha1[{i}], got {a2} vs {a1}")
-        if x2 == x1 and _rational(source.q[i]) != _rational(target.q[i]):
-            raise HypothesisError(
-                f"annulus exponent theta[{i}] must equal r[{i}] where the "
-                f"alphas coincide")
+    errs = _herz_order_errors(_ExactHerz(source), _ExactHerz(target))
+    if errs:
+        raise HypothesisError("; ".join(errs))
     gamma = (source.bold_inv_p() - target.bold_inv_p()
              + source.bold_alpha() - target.bold_alpha())
     fields = dilation_family(n, L, G, N_max, seed, boxes)

@@ -87,6 +87,32 @@ class HerzParams:
         return min(self.q)
 
 
+@dataclass(frozen=True)
+class SpaceParams:
+    """Herz layer plus smoothness s and level exponent beta.
+
+    family 'B'/'F' names a space of functions, 'b'/'f' its sequence
+    space: B and b sum level norms, F and f sum pointwise.  F and f
+    additionally require every p_i and q_i finite.
+    """
+
+    herz: HerzParams
+    s: float
+    beta: float
+    family: str
+
+    def __post_init__(self):
+        if self.family not in ("B", "F", "b", "f"):
+            raise ValueError("family must be 'B', 'F', 'b' or 'f'")
+        if not self.beta > 0.0:
+            raise ValueError("beta must be positive")
+        if self.family in ("F", "f"):
+            for name, vec in (("p", self.herz.p), ("q", self.herz.q)):
+                if any(math.isinf(e) for e in vec):
+                    raise ValueError(f"family {self.family!r} requires "
+                                     f"finite {name}, got {vec}")
+
+
 def _axis_reduce_herz(mag, lo, v, p, alpha, q):
     """Exact one-axis Herz reduction of cell magnitudes.
 

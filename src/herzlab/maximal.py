@@ -1,10 +1,10 @@
 """Axiswise maximal averages and the bounds built on them.
 
 The centered maximal function along one axis takes, per 1d line, the
-largest average of 2w+1 consecutive samples over half-widths w; w = 0 is
-the sample itself, so M f >= |f| pointwise.  Windows wrap periodically
-with multiplicity, which only enlarges M, so upper-bound checks run
-conservative.  For continuum comparisons the window of half-width w
+largest average of 2w+1 consecutive samples over half-widths w = 0..G/2;
+w = 0 is the sample itself, so M f >= |f| pointwise.  Windows wrap
+periodically with multiplicity, which only enlarges M, so upper-bound
+checks run conservative.  For continuum comparisons the window of half-width w
 covers the cell interval of radius (w + 1/2) h around the sample's cell.
 
 fs_vector_check measures the vector-valued bound: the Herz norm of the
@@ -25,49 +25,46 @@ import numpy as np
 
 from . import _accel
 from .grid import sealed, spectral_transform
-from .herz import HypothesisError, _inv, lq_envelope, mixed_herz_norm
+from .herz import HypothesisError, _inv, lq_envelope, magnitude_herz_norm
 
 
-def _maximal_along(mag, axis, widths):
-    """Centered maximal average of a float array along one of its axes."""
+def _maximal_along(mag, axis):
+    """Centered maximal average of a float array along one of its axes,
+    over the half-widths 0..G/2."""
     G = mag.shape[axis]
-    if widths is None:
-        widths = np.arange(0, G // 2 + 1, dtype=np.int64)
-    else:
-        widths = np.asarray(widths, dtype=np.int64)
     moved = np.moveaxis(mag, axis, -1)
     rows = np.ascontiguousarray(moved).reshape(-1, G)
-    out = _accel.maximal_rows(rows, widths)
+    out = _accel.maximal_rows(rows, np.arange(0, G // 2 + 1, dtype=np.int64))
     return np.moveaxis(out.reshape(moved.shape), -1, axis)
 
 
-def _iterated_rows(mags, n, t, widths):
+def _iterated_rows(mags, n, t):
     """(M_n ... M_1 mags^t)^(1/t) over the last n axes of a stack of fields.
 
     Each axis takes one maximal_rows call over the rows of every field.
     """
     g = mags ** t
     for axis in range(mags.ndim - n, mags.ndim):
-        g = _maximal_along(g, axis, widths)
+        g = _maximal_along(g, axis)
     return g ** (1.0 / t)
 
 
-def axis_maximal(field, axis, widths=None):
-    """Centered maximal average along one axis; all half-widths by default."""
-    out = _maximal_along(np.abs(field.values), axis, widths)
+def axis_maximal(field, axis):
+    """Centered maximal average along one axis."""
+    out = _maximal_along(np.abs(field.values), axis)
     return field.with_values(sealed(out.astype(np.complex128)))
 
 
-def iterated_maximal(field, t, widths=None):
+def iterated_maximal(field, t):
     """(M_n ... M_1 |f|^t)^(1/t), the per-axis composition."""
     if not t > 0.0:
         raise ValueError("t must be positive")
-    out = _iterated_rows(np.abs(field.values), field.n, t, widths)
+    out = _iterated_rows(np.abs(field.values), field.n, t)
     return field.with_values(sealed(out.astype(np.complex128)))
 
 
-def _support_guard(field):
-    mags = np.abs(field.values)
+def _support_guard(field, mags):
+    """Reject a field (magnitudes mags) reaching beyond a quarter period."""
     peak = mags.max()
     if peak == 0.0:
         return
@@ -90,7 +87,7 @@ def envelope(fields, beta):
     return fields[0].with_values(sealed(acc.astype(np.complex128)))
 
 
-def fs_vector_check(fields, herz, beta, t, widths=None):
+def fs_vector_check(fields, herz, beta, t):
     """Ratio of Herz norms: maximal envelope over input envelope.
 
     Raises HypothesisError outside the vector maximal bound's range.
@@ -106,14 +103,13 @@ def fs_vector_check(fields, herz, beta, t, widths=None):
             f"t = {t} outside (0, min(p, q, beta)) = (0, {cap})")
     if not fields:
         raise ValueError("need at least one field")
-    for f in fields:
-        _support_guard(f)
-    stack = _iterated_rows(np.stack([np.abs(f.values) for f in fields]),
-                           fields[0].n, t, widths)
-    maxed = [f.with_values(sealed(m.astype(np.complex128)))
-             for f, m in zip(fields, stack)]
-    num = mixed_herz_norm(envelope(maxed, beta), herz)
-    den = mixed_herz_norm(envelope(fields, beta), herz)
+    mags = np.stack([np.abs(f.values) for f in fields])
+    for f, m in zip(fields, mags):
+        _support_guard(f, m)
+    L = fields[0].L
+    num = magnitude_herz_norm(
+        lq_envelope(_iterated_rows(mags, fields[0].n, t), beta), L, herz)
+    den = magnitude_herz_norm(lq_envelope(mags, beta), L, herz)
     if den == 0.0:
         raise ValueError("zero input family")
     return {"numerator": num, "denominator": den, "ratio": num / den,

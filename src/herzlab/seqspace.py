@@ -12,7 +12,8 @@ no sampling step:
 
 The norms take a list of sets (b_norms, f_norms, seq_norms) and stack the
 sets' cell arrays as columns of one array per reduction; the single-set
-norms are the batch of one.
+norms are the batch of one.  Their parameters are herz.SpaceParams with
+family 'b' or 'f'; SeqSpaceParams is a second name for that class.
 
 lambda_star is the discretised peak majorant
 (sum_h |lam[k, h]|^r (1 + |h - m|)^-d)^(1/r) per level, evaluated on the
@@ -28,28 +29,9 @@ import numpy as np
 
 from . import _accel
 from .frames import CoeffSeq
-from .herz import HerzParams, _cells_mixed_herz, lq_combine
+from .herz import SpaceParams, _cells_mixed_herz, lq_combine
 
-
-@dataclass(frozen=True)
-class SeqSpaceParams:
-    """Herz layer plus smoothness s and level exponent beta for sequences."""
-
-    herz: HerzParams
-    s: float
-    beta: float
-    family: str
-
-    def __post_init__(self):
-        if self.family not in ("b", "f"):
-            raise ValueError("family must be 'b' or 'f'")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
-        if self.family == "f":
-            for name, vec in (("p", self.herz.p), ("q", self.herz.q)):
-                if any(math.isinf(e) for e in vec):
-                    raise ValueError(
-                        f"family 'f' requires finite {name}, got {vec}")
+SeqSpaceParams = SpaceParams
 
 
 # Cells of one stacked array of a batch.  A set whose own box holds more

@@ -15,41 +15,16 @@ system share one decomposition.
 Both depend on the chosen multiplier system only up to uniformly bounded
 ratios; norm_equivalence_report measures those ratios on random
 band-limited witnesses.
-"""
 
-import math
-from dataclasses import dataclass
+The parameters are herz.SpaceParams (re-exported here) with family 'B' or
+'F'; the sequence spaces of seqspace take the same class with 'b' or 'f'.
+"""
 
 import numpy as np
 
-from .herz import HerzParams, lq_combine, lq_envelope, magnitude_herz_norm
+from .herz import SpaceParams, lq_combine, lq_envelope, magnitude_herz_norm
 from .lpdecomp import (bandlimited_witness, build_fj_pair, build_resolution,
                        level_magnitudes)
-
-
-@dataclass(frozen=True)
-class SpaceParams:
-    """Herz layer plus smoothness s and level exponent beta.
-
-    family 'B' sums level norms, family 'F' sums pointwise.  The F family
-    additionally requires every p_i and q_i finite.
-    """
-
-    herz: HerzParams
-    s: float
-    beta: float
-    family: str
-
-    def __post_init__(self):
-        if self.family not in ("B", "F"):
-            raise ValueError("family must be 'B' or 'F'")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
-        if self.family == "F":
-            for name, vec in (("p", self.herz.p), ("q", self.herz.q)):
-                if any(math.isinf(e) for e in vec):
-                    raise ValueError(
-                        f"family 'F' requires finite {name}, got {vec}")
 
 
 def block_norms(field, herz_params, system):

@@ -374,3 +374,49 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "0.066126878826180971" in proc.stdout
+
+
+NECESSITY_CFG = """
+[grid]
+n = 1
+l = 8
+g = 256
+
+[source]
+family = B
+s = 1.75
+beta = 2
+p = 1
+alpha = 0.25
+q = 2
+
+[target]
+family = B
+s = 1.0
+beta = 2
+p = 2
+alpha = 0.25
+q = 2
+
+[ensemble]
+seed = 7
+n_max = 3
+"""
+
+
+@pytest.mark.parametrize("command", ["embed-sweep", "necessity"])
+def test_family_of_the_other_kind_names_its_section(tmp_path, capsys,
+                                                    command):
+    # sequence theorems take b/f, the function-space necessity fit B/F
+    text, good, bad = {
+        "embed-sweep": (SWEEP_CFG, "family = f", "family = B"),
+        "necessity": (NECESSITY_CFG, "family = B", "family = b"),
+    }[command]
+    cfg = _write(tmp_path, "good.ini", text)
+    assert main([command, "--config", cfg, "--out",
+                 str(tmp_path / "good.csv")]) == 0
+    # [source] comes first in both configs
+    cfg = _write(tmp_path, "bad.ini", text.replace(good, bad, 1))
+    line = _one_error_line(capsys, [command, "--config", cfg], "[source]",
+                           "family")
+    assert "[target]" not in line

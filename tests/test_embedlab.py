@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herzlab import (CoeffSeq, EmbeddingSpec, HerzParams, HypothesisError,
                      SeqSpaceParams, SpaceParams, dilation_family,
@@ -9,7 +12,7 @@ from herzlab import (CoeffSeq, EmbeddingSpec, HerzParams, HypothesisError,
                      necessity_fit, ppn_check, seq_embedding_check, seq_norm,
                      single_spike_ratio)
 from herzlab import seqspace
-from herzlab.embedlab import _random_coeffs, probe_coeffs
+from herzlab.embedlab import _random_coeffs, _rational, probe_coeffs
 
 
 def _seq(family, p, alpha, r, s, beta):
@@ -71,6 +74,19 @@ def test_sequence_theorems_demand_sequence_params():
     with pytest.raises(TypeError):
         EmbeddingSpec("besov-function", _seq("f", 1.0, 0.25, 2.0, 1.75, 2.0),
                       _seq("f", 2.0, 0.0, 2.0, 1.0, 2.0))
+
+
+def test_one_parameter_class_whose_family_case_picks_the_theorems():
+    assert SeqSpaceParams is SpaceParams  # both as exported by herzlab
+    herz = HerzParams(2.0, 0.25, 2.0)
+    with pytest.raises(TypeError, match="family b or f for sobolev"):
+        EmbeddingSpec("sobolev", SpaceParams(herz, 1.0, 2.0, "F"),
+                      _seq("f", 2.0, 0.0, 2.0, 1.0, 2.0))
+    with pytest.raises(TypeError, match="family B or F for besov-function"):
+        EmbeddingSpec("besov-function", _fun(2.0, 0.25, 2.0, 1.0, 2.0),
+                      SpaceParams(herz, 1.0, 2.0, "b"))
+    with pytest.raises(TypeError):
+        EmbeddingSpec("sobolev", herz, _seq("f", 2.0, 0.0, 2.0, 1.0, 2.0))
 
 
 def test_integrability_must_increase_strictly():
@@ -465,3 +481,114 @@ def test_exact_weight_and_annulus_comparisons():
     with pytest.raises(HypothesisError, match="theta"):
         ppn_check(HerzParams(1.0, third, 2.0), HerzParams(2.0, 0.3, 1.5),
                   1, 8.0, 256, 3, seed=1)
+
+
+# -- property tests of the exact hypothesis checks ---------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None,
+                    database=None)
+SEQUENCE_THEOREMS = ALL_THEOREMS[:-1]
+
+
+def _small(lo, hi, denominator):
+    """Rationals in [lo, hi] whose denominators are at most denominator."""
+    return st.fractions(min_value=lo, max_value=hi,
+                        max_denominator=denominator)
+
+
+@st.composite
+def _balanced_sides(draw, theorem):
+    """Exact (source, target) exponents of a conforming spec of a sequence
+    theorem; the target s closes the balance exactly."""
+    n = draw(st.integers(1, 2))
+
+    def vec(strategy):
+        return tuple(draw(strategy) for _ in range(n))
+
+    half = Fraction(1, 2)
+    p_src = vec(_small(half, 3, 2))
+    p_tgt = tuple(p + d for p, d in zip(p_src, vec(_small(half, 3, 2))))
+    a_tgt = vec(_small(0, 1, 4))
+    # alpha2 - alpha1: >= 0 (sobolev), > 0 (strict), = 0 (equal)
+    least, most = {"sobolev": (0, 1), "jawerth-strict": (Fraction(1, 4), 1),
+                   "franke-strict": (Fraction(1, 4), 1)}.get(theorem, (0, 0))
+    a_src = tuple(a + d for a, d in zip(a_tgt, vec(_small(least, most, 4))))
+    q_src = vec(_small(half, 4, 2))
+    q_tgt = vec(_small(half, 4, 2)) if theorem == "jawerth-strict" else q_src
+    beta_src, beta_tgt = draw(_small(half, 4, 2)), draw(_small(half, 4, 2))
+    if theorem == "jawerth-strict":
+        beta_tgt = q_src[-1]
+    elif theorem == "jawerth-equal":
+        beta_tgt = max(q_src[-1], p_src[-1])
+    elif theorem == "franke-strict":
+        beta_src = q_src[-1]
+    elif theorem == "franke-equal":
+        beta_src = min(q_src[-1], p_tgt[-1])
+    s_src = draw(_small(-2, 2, 4))
+    s_tgt = (s_src - sum(1 / p for p in p_src) - sum(a_src)
+             + sum(1 / p for p in p_tgt) + sum(a_tgt))
+    fam_src, fam_tgt = {"sobolev": "ff", "jawerth-strict": "fb",
+                        "jawerth-equal": "fb", "franke-strict": "bf",
+                        "franke-equal": "bf"}[theorem]
+    return ((p_src, a_src, q_src, s_src, beta_src, fam_src),
+            (p_tgt, a_tgt, q_tgt, s_tgt, beta_tgt, fam_tgt))
+
+
+def _side_params(side, s_shift=0):
+    p, alpha, q, s, beta, family = side
+    # every exponent reads back as the rational it was drawn as
+    for x in (*p, *alpha, *q, s, beta):
+        assert _rational(float(x)) == x
+    return SpaceParams(HerzParams(*(tuple(map(float, v)) for v in (p, alpha, q))),
+                       float(s + s_shift), float(beta), family)
+
+
+@pytest.mark.parametrize("theorem", SEQUENCE_THEOREMS)
+@PROPERTY
+@given(data=st.data())
+def test_balanced_rational_specs_are_accepted(theorem, data):
+    src, tgt = data.draw(_balanced_sides(theorem))
+    spec = EmbeddingSpec(theorem, _side_params(src), _side_params(tgt))
+    assert spec.hypothesis_errors() == []
+    assert spec.balance_class() == "="
+    spec.validate()
+
+
+@pytest.mark.parametrize("theorem", SEQUENCE_THEOREMS)
+@PROPERTY
+@given(data=st.data())
+def test_moving_one_s_by_a_rational_breaks_the_balance(theorem, data):
+    src, tgt = data.draw(_balanced_sides(theorem))
+    shift = data.draw(_small(Fraction(1, 10 ** 6), 2, 10 ** 6))
+    shift *= data.draw(st.sampled_from((1, -1)))
+    on_source = data.draw(st.booleans())
+    spec = EmbeddingSpec(theorem, _side_params(src, shift if on_source else 0),
+                         _side_params(tgt, 0 if on_source else shift))
+    assert spec.hypothesis_errors(ignore_balance=True) == []
+    assert spec.balance_class() == ("<" if (shift > 0) == on_source else ">")
+    with pytest.raises(HypothesisError, match="balance"):
+        spec.validate()
+
+
+@PROPERTY
+@given(data=st.data())
+def test_ppn_check_and_besov_function_reject_the_same_orderings(data):
+    # alpha > 0 keeps p = inf admissible; small pools make ties frequent
+    n = data.draw(st.integers(1, 2))
+    pools = ((1.0, 1.5, 2.0, 3.0, math.inf), (0.25, 1.0 / 3.0, 0.5),
+             (1.0, 2.0, math.inf))
+
+    def herz():
+        return HerzParams(*(tuple(data.draw(st.sampled_from(pool))
+                                  for _ in range(n)) for pool in pools))
+
+    source, target = herz(), herz()
+    spec = EmbeddingSpec("besov-function", SpaceParams(source, 0.5, 2.0, "B"),
+                         SpaceParams(target, 0.5, 2.0, "B"))
+    errs = spec.hypothesis_errors(ignore_balance=True)
+    try:
+        ppn_check(source, target, n, 8.0, 64, 2, seed=1)
+    except HypothesisError as exc:
+        assert str(exc) == "; ".join(errs)
+    else:
+        assert errs == []

@@ -1,0 +1,50 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "tracing", ROOT / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+
+def _owner(module, path):
+    """The object holding a LAYERS entry's attribute, and that attribute."""
+    owner = importlib.import_module(f"herzlab.{module}")
+    *outer, attr = path.split(".")
+    for name in outer:
+        owner = getattr(owner, name)
+    return owner, attr
+
+
+def _namespaces():
+    """Every namespace the tracer may patch: the modules and the classes
+    that own traced methods."""
+    spaces = [importlib.import_module(m) for m in tracing.MODULES]
+    for _, module, path, _ in tracing.LAYERS:
+        owner, _ = _owner(module, path)
+        if owner not in spaces:
+            spaces.append(owner)
+    return spaces
+
+
+def test_tracer_resolves_every_layer_and_uninstall_restores_it():
+    # a library name the tracer patches that was deleted or renamed would
+    # otherwise show only when a traced benchmark run crashes
+    spaces = _namespaces()
+    before = [dict(vars(ns)) for ns in spaces]
+    originals = {layer: getattr(*_owner(module, path))
+                 for layer, module, path, _ in tracing.LAYERS}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for layer, module, path, _ in tracing.LAYERS:
+            patched = getattr(*_owner(module, path))
+            assert patched is not originals[layer], layer
+            assert patched.__wrapped__ is originals[layer], layer
+    finally:
+        tracer.uninstall()
+    for ns, names in zip(spaces, before):
+        now = vars(ns)
+        assert all(now[name] is value for name, value in names.items()), ns
