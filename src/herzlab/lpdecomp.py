@@ -94,8 +94,10 @@ class SpectralSystem:
                     f"level {k} crop has shape {crop.shape}, expected "
                     f"(w,)^{self.n} with w odd <= G = {self.G} or w = G")
             freqs = np.abs(band_freqs(w))
-            r = max((freqs[i].max() for i in np.nonzero(crop) if i.size),
-                    default=0)
+            # per axis, the positions whose hyperplane holds a nonzero
+            hits = (crop.any(axis=tuple(b for b in range(self.n) if b != a))
+                    for a in range(self.n))
+            r = max((freqs[h].max() for h in hits if h.any()), default=0)
             trimmed.append(crop[band_box(min(2 * r + 1, self.G), w, self.n)])
         object.__setattr__(self, "crops", tuple(trimmed))
 
@@ -119,11 +121,20 @@ class SpectralSystem:
             raise ValueError("field grid does not match the system's grid")
 
 
-def _radial_freq(freqs, n, L):
-    """|xi| on the (len(freqs),)^n grid of integer frequencies ``freqs``."""
+def _radial_freq(freqs, n, L, rows=slice(None)):
+    """|xi| on the (len(freqs),)^n grid of integer frequencies ``freqs``,
+    or on the slab ``rows`` of its first axis."""
     xi = freqs * (TAU / L)
-    return np.sqrt(sum((xi * xi).reshape((-1,) + (1,) * (n - 1 - axis))
+    sq = xi * xi
+    return np.sqrt(sum((sq[rows] if axis == 0 else sq)
+                       .reshape((-1,) + (1,) * (n - 1 - axis))
                        for axis in range(n)))
+
+
+# Elements of one slab of a level box evaluated at a time.  The multiplier
+# takes about a dozen temporaries of its box; slabs bound them, so a level
+# of 2607^2 samples peaks at its own size, not a dozen times it.
+SLAB = 1 << 18
 
 
 def _build_levels(kind, n, L, G, K, window, reach, support, floors):
@@ -144,15 +155,25 @@ def _build_levels(kind, n, L, G, K, window, reach, support, floors):
     crops, lows = [], []
     for k in range(K + 1):
         half = int(reach * 2.0 ** k * L / TAU)
-        r = _radial_freq(band_freqs(min(2 * half + 1, G)), n, L)
-        m = window(r / 2.0 ** k)
-        if k > 0:
-            m = m - window(r / 2.0 ** (k - 1))
-        if kind == "fj":
-            m = np.sqrt(np.maximum(m, 0.0))
+        freqs = band_freqs(min(2 * half + 1, G))
+        w = freqs.size
+        m = np.empty((w,) * n)
+        low = []
+        step = max(1, SLAB // w ** (n - 1))
+        for i in range(0, w, step):
+            r = _radial_freq(freqs, n, L, slice(i, i + step))
+            slab = window(r / 2.0 ** k)
+            if k > 0:
+                slab = slab - window(r / 2.0 ** (k - 1))
+            if kind == "fj":
+                slab = np.sqrt(np.maximum(slab, 0.0))
+            if k < len(floors):
+                sel = (r >= floors[k][0]) & (r <= floors[k][1])
+                if np.any(sel):
+                    low.append(slab[sel].min())
+            m[i:i + step] = slab
         if k < len(floors):
-            sel = (r >= floors[k][0]) & (r <= floors[k][1])
-            lows.append(float(m[sel].min()) if np.any(sel) else float("nan"))
+            lows.append(float(min(low)) if low else float("nan"))
         crops.append(m)
     return SpectralSystem(kind, n, float(L), G, K, tuple(crops), tuple(lows))
 

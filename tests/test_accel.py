@@ -60,6 +60,98 @@ def test_kernels_match_reference_bitwise():
             reference_window(mag, pos, targets, 3.0, np.max))
 
 
+def _assert_scan_matches(g, widths):
+    out = _accel.maximal_rows(g, widths)
+    assert np.array_equal(out, reference_maximal_rows(g, widths))
+    return out
+
+
+def test_pruned_scan_matches_reference_on_sparse_rows():
+    # the scan skips zero rows and windows whose two new edge samples are
+    # zero; every case here must still give the full scan's bits
+    rng = np.random.default_rng(4)
+    for G in range(1, 41):
+        full = np.arange(0, G + 1, dtype=np.int64)
+        half = np.arange(0, G // 2 + 1, dtype=np.int64)
+        _assert_scan_matches(np.zeros((3, G)), full)
+        for _ in range(6):
+            g = np.zeros((5, G))
+            for r in rng.choice(5, size=int(rng.integers(1, 5)),
+                                replace=False):
+                span = int(rng.integers(1, G + 1))
+                cols = (int(rng.integers(0, G)) + np.arange(span)) % G
+                cols = cols[rng.random(span) < 0.7] if span > 2 else cols
+                g[r, cols] = 10.0 ** rng.uniform(-30.0, 30.0, cols.size)
+            for widths in (full, half):
+                _assert_scan_matches(g, widths)
+        spike = np.zeros((2, G))
+        spike[0, int(rng.integers(0, G))] = 10.0 ** rng.uniform(-30, 30)
+        _assert_scan_matches(spike, full)
+        if G > 2:
+            # support straddling index 0: the last and the first samples
+            edge = np.zeros((1, G))
+            edge[0, [G - 2, G - 1, 0, 1]] = [3.0, 1e-30, 1e30, 0.5]
+            _assert_scan_matches(edge, full)
+
+
+def test_pruned_scan_keeps_arbitrary_width_arrays():
+    # widths out of order, repeated or with gaps prune only after w - 1
+    rng = np.random.default_rng(5)
+    g = np.zeros((3, 32))
+    g[0, 10:14] = rng.random(4)
+    g[2, [30, 31, 0]] = [1e-30, 2.0, 1e30]
+    for widths in ([0, 3, 4, 5, 9, 10, 2, 1, 2, 3, 20, 21, 22],
+                   [5, 4, 5, 6, 6, 7, 31, 32, 33, 1],
+                   [2, 7, 11, 16], [16, 15, 14, 13]):
+        _assert_scan_matches(g, np.array(widths, dtype=np.int64))
+
+
+def test_pruned_scan_keeps_overflowing_sums():
+    # prefix sums past the float range turn into inf, and a window between
+    # two inf prefix sums reads NaN; only here can the width-1 scan or the
+    # sample j = w - 1 (which moves to the second prefix-sum copy) differ
+    # from what the width before gave, so these must match too
+    nans = 0
+    for G in range(2, 25):
+        full = np.arange(0, G + 1, dtype=np.int64)
+        for start in range(G):
+            for run in (1, 2):
+                g = np.zeros((2, G))
+                g[0, (start + np.arange(run)) % G] = 1.7e308
+                g[1, G // 2] = 1.0
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = _accel.maximal_rows(g, full)
+                    ref = reference_maximal_rows(g, full)
+                assert np.array_equal(out, ref, equal_nan=True)
+                nans += int(np.isnan(ref).sum())
+    assert nans > 0
+
+
+def test_each_row_scans_as_it_would_alone():
+    # live columns are taken over the whole batch; a row's result must not
+    # depend on which other rows share its call
+    rng = np.random.default_rng(6)
+    G = 64
+    g = np.zeros((6, G))
+    g[1, 5:9] = rng.random(4)
+    g[3, 40] = 7.0
+    g[4] = rng.random(G) * (rng.random(G) < 0.2)
+    widths = np.arange(0, G // 2 + 1, dtype=np.int64)
+    batch = _assert_scan_matches(g, widths)
+    for r in range(g.shape[0]):
+        alone = _accel.maximal_rows(g[r:r + 1], widths)
+        assert np.array_equal(alone[0], batch[r])
+
+
+def test_scan_rejects_negative_input():
+    g = np.ones((2, 8))
+    widths = np.arange(0, 5, dtype=np.int64)
+    for bad in (-1e-300, -0.0, -2.0):
+        g[1, 3] = bad
+        with pytest.raises(ValueError, match="nonnegative"):
+            _accel.maximal_rows(g, widths)
+
+
 def test_window_chunks_tile_and_bound_workspace():
     # chunks must tile [0, M) exactly and keep chunk * H at or below the
     # workspace budget once H exceeds it

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from herzlab import (SampledField, SpectralSystem, bandlimited_witness,
                      level_magnitudes, level_spectra, lp_block,
                      mixed_lebesgue_norm, partition_sum, random_band_field,
                      spectral_transform)
+from herzlab import lpdecomp
 from herzlab.grid import band_freqs
 from herzlab.lpdecomp import (rho_profile, smooth_step, theta_profile,
                               witness_modes)
@@ -291,7 +293,8 @@ CASES = [(builder, former, grid, K)
 @pytest.mark.parametrize(
     "builder, former, grid, K", CASES,
     ids=[f"{b.__name__}-{g[0]}-{g[1]:g}-{g[2]}-{K}" for b, _, g, K in CASES])
-def test_builders_equal_former_full_grid_builders(builder, former, grid, K):
+def test_builders_equal_former_full_grid_builders(builder, former, grid, K,
+                                                  monkeypatch):
     system = builder(*grid, K)
     mults, lows = former(*grid, K)
     assert len(system.crops) == len(mults) == K + 1
@@ -299,10 +302,30 @@ def test_builders_equal_former_full_grid_builders(builder, former, grid, K):
         assert _bits(system.crops[k]) == _bits(former_crop(m))
         assert _bits(system.multiplier(k)) == _bits(m)
     assert np.array_equal(system.lower_bounds, lows, equal_nan=True)
+    # a level evaluated slab by slab (here a few rows each) keeps its bits
+    monkeypatch.setattr(lpdecomp, "SLAB", 7)
+    slabbed = builder(*grid, K)
+    assert [_bits(c) for c in slabbed.crops] == \
+        [_bits(c) for c in system.crops]
+    assert np.array_equal(slabbed.lower_bounds, lows, equal_nan=True)
     acc = np.zeros(m.shape)
     for m in mults:
         acc = acc + (m * m if system.kind == "fj" else m)
     assert _bits(partition_sum(system)) == _bits(acc)
+
+
+def test_build_memory_stays_near_the_kept_crops():
+    # the levels' temporaries live one slab at a time: the peak is the
+    # crops before and after trimming plus a slab's worth, where a whole-box
+    # evaluation peaked near eight times the kept crops
+    tracemalloc.start()
+    try:
+        system = build_fj_pair(2, 1.0, 8192, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(c.nbytes for c in system.crops)
+    assert peak < 4 * kept
 
 
 @pytest.mark.parametrize("shape", [(9, 8), (8, 8), (33, 33), (0, 0), (9,),
