@@ -37,20 +37,11 @@ def _scan_runs(a, m, w, G):
     A sample j needs its window only when a column entering it,
     (j - w) mod G or (j + w) mod G, can be nonzero (the cyclic runs
     [a - w, a - w + m) and [a + w, a + w + m)), or when j = w - 1, the one
-    sample whose window sum moves to the other prefix-sum copy.
+    sample whose window sum moves to the other prefix-sum copy.  Runs that
+    cover the period come back as the one run (0, G).
     """
-    d = 2 * w % G
-    if d <= m and G - d <= m:
-        return ((0, G),)
-    if d <= m:
-        cyclic = [(a - w, d + m)]
-    elif G - d <= m:
-        cyclic = [(a + w, G - d + m)]
-    else:
-        cyclic = [(a - w, m), (a + w, m)]
-    cyclic.append((w - 1, 1))
     runs = []
-    for s, n in cyclic:
+    for s, n in ((a - w, m), (a + w, m), (w - 1, 1)):
         s %= G
         if s + n > G:
             runs.append((0, s + n - G))

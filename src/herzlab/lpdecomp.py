@@ -131,9 +131,10 @@ def _radial_freq(freqs, n, L, rows=slice(None)):
                        for axis in range(n)))
 
 
-# Elements of one slab of a level box evaluated at a time.  The multiplier
-# takes about a dozen temporaries of its box; slabs bound them, so a level
-# of 2607^2 samples peaks at its own size, not a dozen times it.
+# Elements of one slab of a level box evaluated at a time.  A multiplier's
+# evaluation takes about a dozen temporaries of the samples it covers; by
+# slabs, the 2607^2 top level of a 2d fj system with L = 1, K = 12 is built
+# in about its own size instead of a dozen times it.
 SLAB = 1 << 18
 
 
@@ -144,6 +145,7 @@ def _build_levels(kind, n, L, G, K, window, reach, support, floors):
     ``support`` at k = K) and is evaluated only on the native box of
     half-width floor(reach 2^k L / 2 pi), capped at the grid.  lower_bounds
     takes M_k's minimum on the annulus floors[k], inside that support.
+    Each box is evaluated in slabs of its first axis of about SLAB samples.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
