@@ -14,20 +14,17 @@ from .embedlab import (EmbeddingSpec, dilation_family, dilation_scan,
                        seq_embedding_check, single_spike_ratio)
 from .frames import (CoeffSeq, analyze, load_coeffs, roundtrip_error,
                      save_coeffs, synthesize)
-from .grid import (DyadicGeometry, SampledField, annulus_mask_axis,
-                   cube_indicator, load_field, make_field, save_field,
-                   spectral_transform)
+from .grid import (DyadicGeometry, SampledField, load_field, make_field,
+                   save_field, spectral_transform)
 from .herz import (HerzParams, HypothesisError, lq_combine, lq_envelope,
                    mixed_herz_norm, mixed_lebesgue_norm)
 from .lpdecomp import (SpectralSystem, bandlimited_witness, build_fj_pair,
                        build_resolution, level_blocks, level_magnitudes,
                        level_spectra, lp_block, partition_sum,
                        random_band_field)
-from .maximal import (EtaKernel, axis_maximal, fs_vector_check,
-                      iterated_maximal, rtrick_check)
-from .seqspace import (RearrangedProfile, SeqSpaceParams, b_norm, f_norm,
-                       lambda_star, seq_norm)
-from .spaces import (SpaceParams, besov_norm, block_norms,
-                     norm_equivalence_report, space_norm, triebel_norm)
+from .maximal import fs_vector_check, iterated_maximal
+from .seqspace import SeqSpaceParams, b_norm, f_norm, lambda_star, seq_norm
+from .spaces import (SpaceParams, besov_norm, block_norms, space_norm,
+                     triebel_norm)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,7 +27,8 @@ from . import __version__
 from .embedlab import (EmbeddingSpec, hardy_check, necessity_fit, ppn_check,
                        seq_embedding_check)
 from .frames import load_coeffs, roundtrip_error
-from .grid import DyadicGeometry, check_grid_memory, make_field, sealed
+from .grid import (DyadicGeometry, _log2_exact, check_grid_memory,
+                   make_field, sealed)
 from .herz import HerzParams, HypothesisError, SpaceParams, mixed_herz_norm
 from .lpdecomp import (bandlimited_witness, build_fj_pair, build_resolution,
                        decomposition_fields, random_band_field, smooth_step)
@@ -86,8 +87,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"[{section}] {key} = {text!r} is not {what}") from None
 
-    def get_int(self, section, key, default=None):
-        return self.parsed(section, key, int, "an integer", default)
+    def get_int(self, section, key, default=None, low=None):
+        """An integer, at least ``low`` if given."""
+        what = "an integer" if low is None else f"an integer >= {low}"
+        return self.parsed(section, key, _int_at_least(low), what, default)
 
     def get_float(self, section, key, default=None):
         return self.parsed(section, key, _exponent, "a number", default)
@@ -96,13 +99,16 @@ class ExperimentConfig:
         return self.parsed(section, key, _vector,
                            "a comma-separated list of numbers", default)
 
-    def get_ints(self, section, key, default=None):
-        return self.parsed(section, key,
-                           lambda text: [int(t) for t in str(text).split(",")],
-                           "a comma-separated list of integers", default)
+    def get_ints(self, section, key, default=None, low=None):
+        """A comma-separated list of integers, each at least ``low`` if given."""
+        what = "a comma-separated list of integers"
+        if low is not None:
+            what += f" >= {low}"
+        return self.parsed(section, key, _each(_int_at_least(low)), what,
+                           default)
 
     def seed(self):
-        return self.get_int("ensemble", "seed")
+        return self.get_int("ensemble", "seed", low=0)
 
     def echo(self):
         flat = {}
@@ -122,6 +128,21 @@ def _exponent(text):
 
 def _vector(text):
     return tuple(_exponent(part) for part in str(text).split(","))
+
+
+def _each(parse):
+    """parse applied to each entry of a comma-separated list."""
+    return lambda text: [parse(t) for t in str(text).split(",")]
+
+
+def _int_at_least(low):
+    """int, with a ValueError below low (None: no bound)."""
+    def parse(text):
+        value = int(text)
+        if low is not None and value < low:
+            raise ValueError
+        return value
+    return parse
 
 
 def _herz_from(cfg, name, n=None):
@@ -157,12 +178,45 @@ def _params_from(cfg, name, family, n=None):
         raise ConfigError(f"[{name}]: {exc}") from exc
 
 
-def _grid_from(cfg):
-    n = cfg.get_int("grid", "n")
-    L = cfg.get_float("grid", "l")
-    G = cfg.get_int("grid", "g")
-    _check_grid(n, G, "[grid] g")
-    return n, L, G
+def _grid_from(cfg, sizes=None):
+    """n, L and G of [grid]; with ``sizes`` = (section, key, default), the
+    list of G in that key instead of [grid] g.
+
+    n must be 1, 2 or 3, L a power of two and each G a power of two >= 4
+    whose field fits in memory; a ConfigError names the key.
+    """
+    n = cfg.parsed("grid", "n", _dimension, "1, 2 or 3")
+    L = cfg.parsed("grid", "l", _power_of_two, "a power of two")
+    if sizes is None:
+        G = cfg.parsed("grid", "g", _grid_size, "a power of two >= 4")
+        _check_grid(n, G, "[grid] g")
+        return n, L, G
+    section, key, default = sizes
+    grids = cfg.parsed(section, key, _each(_grid_size),
+                       "a comma-separated list of powers of two >= 4", default)
+    for G in grids:
+        _check_grid(n, G, f"[{section}] {key}")
+    return n, L, grids
+
+
+def _dimension(text):
+    n = int(text)
+    if not 1 <= n <= 3:
+        raise ValueError
+    return n
+
+
+def _power_of_two(text):
+    L = _exponent(text)
+    _log2_exact(L)
+    return L
+
+
+def _grid_size(text):
+    G = int(text)
+    if G < 4 or G & (G - 1):
+        raise ValueError
+    return G
 
 
 def _check_grid(n, G, key, fields=1):
@@ -190,17 +244,18 @@ def _build_field(cfg, n, L, G):
         return make_field(n, L, G, sealed(np.full((G,) * n, value,
                                                   dtype=np.complex128)))
     if kind == "witness":
-        return bandlimited_witness(n, L, G, cfg.get_int("field", "level", "0"),
-                                   cfg.get_int("field", "seed"))
+        return bandlimited_witness(n, L, G,
+                                   cfg.get_int("field", "level", "0", low=0),
+                                   cfg.get_int("field", "seed", low=0))
     if kind == "band":
         return random_band_field(n, L, G, cfg.get_float("field", "radius", "8"),
-                                 cfg.get_int("field", "seed"))
+                                 cfg.get_int("field", "seed", low=0))
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
 def _system_from(cfg, n, L, G, default_k):
     kind = cfg.sections.get("system", {}).get("kind", "fj")
-    K = cfg.get_int("system", "k", default_k)
+    K = cfg.get_int("system", "k", default_k, low=1)
     if kind == "resolution":
         return build_resolution(n, L, G, K)
     if kind == "fj":
@@ -234,7 +289,7 @@ def _cmd_decompose(cfg):
 def _cmd_phitransform(cfg):
     n, L, G = _grid_from(cfg)
     system = _system_from(cfg, n, L, G, default_k=3)
-    count = cfg.get_int("ensemble", "count", "8")
+    count = cfg.get_int("ensemble", "count", "8", low=1)
     seed = cfg.seed()
     records = []
     for t in range(count):
@@ -259,7 +314,7 @@ def _cmd_embed_sweep(cfg):
     draws = cfg.get_int("ensemble", "draws", "100")
     seed = cfg.seed()
     control = cfg.get("ensemble", "control", "no") in ("yes", "true", "1")
-    levels = cfg.get_ints("ensemble", "k_list", "4,6,8")
+    levels = cfg.get_ints("ensemble", "k_list", "4,6,8", low=1)
     records = []
     for K in levels:
         rep = seq_embedding_check(spec, K, draws, seed, control=control)
@@ -278,7 +333,7 @@ def _cmd_necessity(cfg):
     spec = EmbeddingSpec("besov-function",
                          _params_from(cfg, "source", "B", n),
                          _params_from(cfg, "target", "B", n))
-    n_max = cfg.get_int("ensemble", "n_max", "4")
+    n_max = cfg.get_int("ensemble", "n_max", "4", low=1)
     rep = necessity_fit(spec, n, L, G, n_max, cfg.seed())
     meta = _grid_meta(L, G, {"fit.c_fit": f"{rep['c_fit']:.17g}",
                              "fit.c_expected": f"{rep['c_expected']:.17g}",
@@ -288,16 +343,15 @@ def _cmd_necessity(cfg):
 
 
 def _cmd_maximal_check(cfg):
-    n = cfg.get_int("grid", "n")
-    L = cfg.get_float("grid", "l")
+    n, L, grids = _grid_from(cfg, ("maximal", "g_list", "256,512"))
+    if len(set(grids)) < 2:
+        raise ConfigError(f"[maximal] g_list = {cfg.get('maximal', 'g_list')!r}"
+                          " needs at least two distinct sizes for the fit")
     herz = _herz_from(cfg, "space", n)
     beta = cfg.get_float("maximal", "beta")
     t = cfg.get_float("maximal", "t")
-    count = cfg.get_int("ensemble", "count", "16")
+    count = cfg.get_int("ensemble", "count", "16", low=1)
     seed = cfg.seed()
-    grids = cfg.get_ints("maximal", "g_list", "256,512")
-    for G in grids:
-        _check_grid(n, G, "[maximal] g_list")
     records = []
     for G in grids:
         fields = bump_family(n, L, G, count, seed)
@@ -314,7 +368,7 @@ def _cmd_ppn_check(cfg):
     n, L, G = _grid_from(cfg)
     source = _herz_from(cfg, "source", n)
     target = _herz_from(cfg, "target", n)
-    n_max = cfg.get_int("ensemble", "n_max", "4")
+    n_max = cfg.get_int("ensemble", "n_max", "4", low=1)
     rep = ppn_check(source, target, n, L, G, n_max, cfg.seed())
     meta = _grid_meta(L, G, {"fit.gamma": f"{rep['gamma']:.17g}",
                              "fit.slope": f"{rep['slope']:.17g}",

@@ -238,12 +238,14 @@ class EmbeddingSpec:
 
 
 def dilation_family(n, L, G, N_max, seed, boxes=4, max_len=4):
-    """Fields f_N, N = 0..N_max, each the exact 2^-N dilate of f_0.
+    """Fields f_N, N = 0..N_max >= 1, each the exact 2^-N dilate of f_0.
 
     f_0 is a sum of complex multiples of product-interval indicators whose
     endpoints are multiples of sigma = 2^N_max h, all separated from the
     coordinate hyperplanes.  Every f_N then lands exactly on grid cells.
     """
+    if N_max < 1:
+        raise ValueError(f"N_max = {N_max} must be >= 1")
     h = L / G
     units = G >> (N_max + 1)
     if units < max_len + 1:

@@ -32,6 +32,8 @@ TAU = 2.0 * np.pi
 
 def _log2_exact(x):
     """log2 of x, required to be an exact power of two."""
+    if not 0.0 < x < np.inf:
+        raise ValueError(f"{x} is not a power of two")
     e = int(round(np.log2(x)))
     if 2.0 ** e != x:
         raise ValueError(f"{x} is not a power of two")
@@ -236,44 +238,6 @@ def band_ifft(crop, size):
             out = full
         out = np.fft.ifft(out, axis=axis)
     return out
-
-
-def annulus_mask_axis(field, axis, k):
-    """Boolean mask over one axis: samples with 2^(k-1) <= |x_i| < 2^k.
-
-    Membership is by the sample coordinate (cell left edge), half-open as in
-    the annulus definition, so masks for different k are disjoint and cover
-    every sample with h <= |x_i| < L/2.  Returns a 1d (G,) array; reshape
-    with :func:`broadcast_axis` to apply along ``axis``.
-    """
-    del axis  # every axis shares the same coordinate layout
-    x = np.abs(field.axis_coords())
-    return (2.0 ** (k - 1) <= x) & (x < 2.0 ** k)
-
-
-def broadcast_axis(mask, n, axis):
-    """View a per-axis 1d mask as an n-d broadcastable array."""
-    shape = [1] * n
-    shape[axis] = mask.shape[0]
-    return mask.reshape(shape)
-
-
-def cube_indicator(field, v, m):
-    """Indicator field of the dyadic cube 2^-v * ([0,1)^n + m).
-
-    m is an n-tuple of integers.  Exact (cells nest in the cube) whenever
-    v <= v_max; coarser queries still use left-edge membership.
-    """
-    m = tuple(int(t) for t in m)
-    if len(m) != field.n:
-        raise ValueError(f"cube index {m} has wrong dimension for n = {field.n}")
-    side = 2.0 ** (-v)
-    x = field.axis_coords()
-    vals = np.ones((field.G,) * field.n, dtype=np.complex128)
-    for axis, mi in enumerate(m):
-        hit = (x >= side * mi) & (x < side * (mi + 1))
-        vals = vals * broadcast_axis(hit.astype(np.complex128), field.n, axis)
-    return field.with_values(sealed(vals))
 
 
 SNAPSHOT_MAGIC = "herzfield 1"

@@ -45,8 +45,8 @@ def _as_exponent_tuple(t, n, name):
 class HerzParams:
     """Per-axis exponents (p_i, alpha_i, q_i) of a mixed Herz norm.
 
-    0 < p_i, q_i <= inf and alpha_i > -1/p_i (admissibility; the inner
-    annulus tail diverges otherwise).
+    0 < p_i, q_i <= inf and finite alpha_i > -1/p_i (admissibility; the
+    inner annulus tail diverges otherwise).
     """
 
     p: tuple
@@ -63,6 +63,8 @@ class HerzParams:
                 raise ValueError(f"p[{i}] = {p} must be positive")
             if not q > 0:
                 raise ValueError(f"q[{i}] = {q} must be positive")
+            if math.isinf(a):
+                raise ValueError(f"alpha[{i}] = {a} must be finite")
             if not a > -_inv(p):
                 # alpha_i > -1/p_i, with 1/inf = 0
                 raise ValueError(
@@ -89,7 +91,7 @@ class HerzParams:
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Herz layer plus smoothness s and level exponent beta.
+    """Herz layer plus finite smoothness s and level exponent beta.
 
     family 'B'/'F' names a space of functions, 'b'/'f' its sequence
     space: B and b sum level norms, F and f sum pointwise.  F and f
@@ -104,6 +106,8 @@ class SpaceParams:
     def __post_init__(self):
         if self.family not in ("B", "F", "b", "f"):
             raise ValueError("family must be 'B', 'F', 'b' or 'f'")
+        if not math.isfinite(self.s):
+            raise ValueError(f"s = {self.s} must be finite")
         if not self.beta > 0.0:
             raise ValueError("beta must be positive")
         if self.family in ("F", "f"):

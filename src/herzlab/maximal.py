@@ -18,18 +18,12 @@ Its hypotheses (-1/p_i < alpha_i < 1 - 1/p_i per axis and
 0 < t < min(beta, p_i, q_i)) are enforced, not assumed.  Inputs must be
 supported in a quarter period per axis so annulus geometry is not
 distorted by wrap-around.
-
-rtrick_check measures the pointwise domination of a band-limited field by
-the smoothed average (eta_R,N * |g|^r)^(1/r) with the product kernel
-eta_R,N(x) = R^n prod_i (1 + R |x_i|)^(-N/n).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _accel
-from .grid import sealed, spectral_transform
+from .grid import sealed
 from .herz import HypothesisError, _inv, lq_envelope, magnitude_herz_norm
 
 
@@ -52,12 +46,6 @@ def _iterated_rows(mags, n, t):
     for axis in range(mags.ndim - n, mags.ndim):
         g = _maximal_along(g, axis)
     return g ** (1.0 / t)
-
-
-def axis_maximal(field, axis):
-    """Centered maximal average along one axis."""
-    out = _maximal_along(np.abs(field.values), axis)
-    return field.with_values(sealed(out.astype(np.complex128)))
 
 
 def iterated_maximal(field, t):
@@ -102,6 +90,8 @@ def fs_vector_check(fields, herz, beta, t):
             raise HypothesisError(
                 f"alpha[{i}] = {a} outside (-1/p, 1 - 1/p) = "
                 f"({-_inv(p)}, {1.0 - _inv(p)})")
+    if not beta > 0.0:
+        raise HypothesisError(f"beta = {beta} must be positive")
     cap = min(herz.p_minus(), herz.q_minus(), beta)
     if not 0.0 < t < cap:
         raise HypothesisError(
@@ -119,59 +109,3 @@ def fs_vector_check(fields, herz, beta, t):
         raise ValueError("zero input family")
     return {"numerator": num, "denominator": den, "ratio": num / den,
             "t": t, "beta": beta, "count": len(fields)}
-
-
-@dataclass(frozen=True)
-class EtaKernel:
-    """Product kernel R^n prod_i (1 + R |x_i|)^(-N/n) sampled on a grid."""
-
-    R: float
-    N: float
-
-    def sample(self, field):
-        if not self.R > 0.0 or not self.N > 0.0:
-            raise ValueError("R and N must be positive")
-        per = self.N / field.n
-        vals = np.ones((field.G,) * field.n)
-        x = np.abs(field.axis_coords())
-        for axis in range(field.n):
-            shape = [1] * field.n
-            shape[axis] = field.G
-            vals = vals * (self.R * (1.0 + self.R * x) ** (-per)).reshape(shape)
-        return field.with_values(sealed(vals.astype(np.complex128)))
-
-
-def convolve(field, kernel_field):
-    """Cyclic grid convolution sum_y k(x - y) f(y) h^n via the transform."""
-    fs = spectral_transform(field)
-    ks = spectral_transform(kernel_field)
-    prod = fs.with_values(sealed(fs.values * ks.values
-                                 * field.G ** (field.n / 2.0)
-                                 * field.h ** field.n))
-    return spectral_transform(prod)
-
-
-def rtrick_check(field, level, m_exp, r):
-    """Smallest ratio (eta * |g|^r)^(1/r) / |g| over significant samples.
-
-    eta has scale R = 2^level and total decay m_exp (per-axis m_exp / n);
-    m_exp > n is required for integrability.  The reported margin should
-    stay of order one as the level moves with the field's spectral level.
-    """
-    if m_exp <= field.n:
-        raise HypothesisError(
-            f"decay m = {m_exp} must exceed the dimension n = {field.n}")
-    if not r > 0.0:
-        raise ValueError("r must be positive")
-    eta = EtaKernel(2.0 ** level, float(m_exp)).sample(field)
-    mag = np.abs(field.values)
-    powered = sealed((mag ** r).astype(np.complex128))
-    conv = convolve(field.with_values(powered), eta)
-    smooth = np.maximum(conv.values.real, 0.0) ** (1.0 / r)
-    peak = mag.max()
-    if peak == 0.0:
-        raise ValueError("zero field")
-    sel = mag >= 1e-6 * peak
-    margin = float((smooth[sel] / mag[sel]).min())
-    return {"margin": margin, "level": level, "m": m_exp, "r": r,
-            "significant": int(sel.sum())}

@@ -22,7 +22,6 @@ form.  The window is a truncation, so callers gauge it by doubling.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -283,66 +282,3 @@ def lambda_star(coeffs, r, d, window):
                 ** (1.0 / r)
         levels.append((k, targets, out))
     return CoeffSeq.from_levels(coeffs.n, coeffs.K, coeffs.L, levels)
-
-
-@dataclass(frozen=True)
-class RearrangedProfile:
-    """Decreasing rearrangement as a step profile: values with widths."""
-
-    values: np.ndarray
-    widths: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        w = np.asarray(self.widths, dtype=np.float64)
-        if v.shape != w.shape or v.ndim != 1 or v.size == 0:
-            raise ValueError("values and widths must be matching 1d arrays")
-        if np.any(v < 0.0) or np.any(w <= 0.0):
-            raise ValueError("values must be >= 0 and widths > 0")
-        order = np.argsort(-v, kind="stable")
-        object.__setattr__(self, "values", v[order])
-        object.__setattr__(self, "widths", w[order])
-
-    @classmethod
-    def from_field(cls, field):
-        mags = np.abs(field.values).ravel()
-        return cls(mags, np.full(mags.shape, field.h ** field.n))
-
-    def total_width(self):
-        return float(self.widths.sum())
-
-    def value_at(self, t):
-        """f*(t): the value on the step containing measure t."""
-        if t < 0.0:
-            raise ValueError("t must be >= 0")
-        cum = np.cumsum(self.widths)
-        i = int(np.searchsorted(cum, t, side="right"))
-        return float(self.values[i]) if i < self.values.size else 0.0
-
-    def lp_norm(self, p):
-        if math.isinf(p):
-            return float(self.values[0])
-        return float(np.sum(self.values ** p * self.widths)) ** (1.0 / p)
-
-    def dyadic_sum(self, p):
-        """(sum_j 2^j f*(2^j)^p)^(1/p) over all integers j, exactly.
-
-        For 2^j below the first step width f* is constant, so that tail is
-        the closed form 2^(j0+1) f*(0)^p; the rest is a finite sum.
-        """
-        if math.isinf(p):
-            return float(self.values[0])
-        v0 = float(self.values[0])
-        if v0 == 0.0:
-            return 0.0
-        w0 = float(self.widths[0])
-        j0 = math.floor(math.log2(w0))
-        if 2.0 ** j0 >= w0:
-            j0 -= 1
-        total = self.total_width()
-        acc = 2.0 ** (j0 + 1) * v0 ** p
-        j = j0 + 1
-        while 2.0 ** j < total:
-            acc += 2.0 ** j * self.value_at(2.0 ** j) ** p
-            j += 1
-        return acc ** (1.0 / p)

@@ -12,10 +12,6 @@ Both read the level magnitudes |f_k| that lpdecomp.level_magnitudes keeps
 on the field, so the two norms (and block_norms) of one field under one
 system share one decomposition.
 
-Both depend on the chosen multiplier system only up to uniformly bounded
-ratios; norm_equivalence_report measures those ratios on random
-band-limited witnesses.
-
 The parameters are herz.SpaceParams (re-exported here) with family 'B' or
 'F'; the sequence spaces of seqspace take the same class with 'b' or 'f'.
 """
@@ -23,8 +19,7 @@ The parameters are herz.SpaceParams (re-exported here) with family 'B' or
 import numpy as np
 
 from .herz import SpaceParams, lq_combine, lq_envelope, magnitude_herz_norm
-from .lpdecomp import (bandlimited_witness, build_fj_pair, build_resolution,
-                       level_magnitudes)
+from .lpdecomp import level_magnitudes
 
 
 def block_norms(field, herz_params, system):
@@ -54,31 +49,3 @@ def space_norm(field, params, system):
     if params.family == "B":
         return besov_norm(field, params, system)
     return triebel_norm(field, params, system)
-
-
-def norm_equivalence_report(params, n, L, G, K, levels, seed, draws=8):
-    """Ratio of norms computed with the two multiplier systems.
-
-    Draws random band-limited witnesses at each level in ``levels`` and
-    returns per-trial records plus the overall ratio spread.  Bounded,
-    level-stable ratios are the empirical face of system independence.
-    """
-    res = build_resolution(n, L, G, K)
-    fj = build_fj_pair(n, L, G, K)
-    records = []
-    for N in levels:
-        for t in range(draws):
-            f = bandlimited_witness(n, L, G, N, seed + 1009 * t + 9176 * N)
-            a = space_norm(f, params, res)
-            b = space_norm(f, params, fj)
-            if b == 0.0:
-                raise ValueError("witness produced a zero norm")
-            records.append({"level": N, "trial": t, "norm_resolution": a,
-                            "norm_fj": b, "ratio": a / b})
-    ratios = np.array([r["ratio"] for r in records])
-    return {
-        "records": records,
-        "ratio_min": float(ratios.min()),
-        "ratio_max": float(ratios.max()),
-        "spread": float(ratios.max() / ratios.min()),
-    }

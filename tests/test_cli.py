@@ -1,3 +1,5 @@
+import configparser
+import io
 import json
 import os
 import subprocess
@@ -10,8 +12,8 @@ import pytest
 
 import herzlab
 from herzlab import CoeffSeq, save_coeffs
-from herzlab.cli import (ConfigError, ExperimentConfig, _grid_meta, main,
-                         render_report, run_config)
+from herzlab.cli import (COMMANDS, ConfigError, ExperimentConfig, _grid_meta,
+                         main, render_report, run_config)
 
 NORM_CFG = """
 [grid]
@@ -420,3 +422,121 @@ def test_family_of_the_other_kind_names_its_section(tmp_path, capsys,
     line = _one_error_line(capsys, [command, "--config", cfg], "[source]",
                            "family")
     assert "[target]" not in line
+
+
+# -- malformed values --------------------------------------------------------
+
+HARDY_CFG = """
+[hardy]
+a = 0.5
+q = 2
+
+[ensemble]
+seed = 5
+draws = 3
+length = 8
+"""
+
+
+def _fuzz_configs(tmp_path):
+    """Each command's smallest working config: small grids, few draws, one K."""
+    lam = CoeffSeq(1, 1, 16.0, {(0, (0,)): 1.0 + 0j, (1, (3,)): 0.5 + 0j})
+    save_coeffs(lam, tmp_path / "lam.coeffs")
+    sweep = (SWEEP_CFG.replace("draws = 20", "draws = 3")
+             .replace("k_list = 4,6", "k_list = 2"))
+    return {
+        "norm": NORM_CFG,
+        "decompose": NORM_CFG,
+        "phitransform": NORM_CFG + "\n[ensemble]\nseed = 1\ncount = 1\n",
+        "seqnorm": "[space]\nfamily = b\ns = 0.5\nbeta = 2\np = 2\n"
+                   "alpha = 0.25\nq = 1\n\n[coeffs]\npath = "
+                   f"{tmp_path / 'lam.coeffs'}\n",
+        "embed-sweep": sweep,
+        "necessity": NECESSITY_CFG,
+        "maximal-check": MAXIMAL_CFG.replace("g_list = 64,1048576",
+                                             "g_list = 32,64"),
+        "ppn-check": NECESSITY_CFG,
+        "hardy-check": HARDY_CFG,
+    }
+
+
+def _run_quietly(capsys, tmp_path, command, text):
+    """main's exit code and stderr lines on config text; fails the test,
+    naming the config, on anything that escapes main (pytest's
+    filterwarnings = error makes a leaked numpy warning one of those)."""
+    path = tmp_path / "fuzz.ini"
+    path.write_text(text)
+    try:
+        code = main([command, "--config", str(path),
+                     "--out", str(tmp_path / "report.txt")])
+    except BaseException as exc:  # noqa: BLE001 - SystemExit included
+        pytest.fail(f"{command} raised {type(exc).__name__}: {exc}\n{text}")
+    return code, capsys.readouterr().err.splitlines()
+
+
+FUZZ_VALUES = ("", "abc", "0", "-1", "nan", "inf", "0.5")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_malformed_value_exits_cleanly(tmp_path, capsys, command):
+    # set each key of a working config in turn to each value: main returns
+    # 0, or 2 with exactly one error line, and nothing escapes it
+    base = _fuzz_configs(tmp_path)[command]
+    assert _run_quietly(capsys, tmp_path, command, base) == (0, [])
+    parser = configparser.ConfigParser()
+    parser.read_string(base)
+    for section in parser.sections():
+        for key in parser[section]:
+            for value in FUZZ_VALUES:
+                cp = configparser.ConfigParser()
+                cp.read_string(base)
+                cp[section][key] = value
+                text = io.StringIO()
+                cp.write(text)
+                code, err = _run_quietly(capsys, tmp_path, command,
+                                         text.getvalue())
+                case = f"{command} [{section}] {key} = {value!r}: {err}"
+                assert code in (0, 2), case
+                if code == 2:
+                    assert len(err) == 1 and err[0].startswith("error:"), case
+
+
+@pytest.mark.parametrize("command, old, new, name", [
+    ("norm", "l = 8", "l = 0", "[grid] l"),
+    ("norm", "l = 8", "l = inf", "[grid] l"),
+    ("norm", "l = 8", "l = 3", "[grid] l"),
+    ("norm", "l = 8", "l = -1", "[grid] l"),
+    ("norm", "g = 256", "g = 100", "[grid] g"),
+    ("norm", "n = 1", "n = 4", "[grid] n"),
+    ("norm", "seed = 3", "seed = -1", "[field] seed"),
+    ("norm", "level = 0", "level = -1", "[field] level"),
+    ("maximal-check", "g_list = 32,64", "g_list = 0,64", "[maximal] g_list"),
+    ("maximal-check", "g_list = 32,64", "g_list = 64", "[maximal] g_list"),
+    ("maximal-check", "g_list = 32,64", "g_list = 64,64", "[maximal] g_list"),
+    ("maximal-check", "l = 16", "l = nan", "[grid] l"),
+    ("maximal-check", "count = 2", "count = 0", "[ensemble] count"),
+    ("maximal-check", "beta = 2", "beta = nan", "beta"),
+    ("phitransform", "count = 1", "count = 0", "[ensemble] count"),
+    ("decompose", "k = 4", "k = 0", "[system] k"),
+    ("necessity", "n_max = 3", "n_max = 0", "[ensemble] n_max"),
+    ("necessity", "n_max = 3", "n_max = -1", "[ensemble] n_max"),
+    ("necessity", "s = 1.75", "s = inf", "[source]"),
+    ("necessity", "alpha = 0.25", "alpha = inf", "[source]"),
+    ("ppn-check", "n_max = 3", "n_max = 0", "[ensemble] n_max"),
+    ("ppn-check", "n_max = 3", "n_max = -1", "[ensemble] n_max"),
+    ("ppn-check", "alpha = 0.25", "alpha = inf", "[source]"),
+    ("embed-sweep", "k_list = 2", "k_list = 0", "[ensemble] k_list"),
+    ("embed-sweep", "k_list = 2", "k_list = 2,-1", "[ensemble] k_list"),
+    ("embed-sweep", "s = 1.75", "s = nan", "[source]"),
+    ("embed-sweep", "seed = 31", "seed = -1", "[ensemble] seed"),
+    ("hardy-check", "seed = 5", "seed = -1", "[ensemble] seed"),
+])
+def test_malformed_value_names_its_key(tmp_path, capsys, command, old, new,
+                                       name):
+    # the first occurrence of old is replaced: [source] before [target]
+    base = _fuzz_configs(tmp_path)[command]
+    assert old in base
+    code, err = _run_quietly(capsys, tmp_path, command,
+                             base.replace(old, new, 1))
+    assert code == 2 and len(err) == 1 and err[0].startswith("error:"), err
+    assert name in err[0], err

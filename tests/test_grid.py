@@ -4,9 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from herzlab import (DyadicGeometry, SampledField, annulus_mask_axis,
-                     cube_indicator, load_field, make_field, save_field,
-                     spectral_transform)
+from herzlab import (DyadicGeometry, SampledField, load_field, make_field,
+                     save_field, spectral_transform)
 from herzlab import grid
 from herzlab.grid import band_fft, band_freqs, band_ifft, check_grid_memory
 
@@ -97,26 +96,6 @@ def test_dyadic_geometry_of_grid():
     geo = DyadicGeometry.of(f.L, f.G)
     assert geo.v_max == 7  # h = 16/2048 = 2^-7
     assert 2.0 ** -geo.v_max == f.h
-
-
-def test_annulus_masks_partition_axis():
-    f = make_field(1, 8.0, 256)
-    geo = DyadicGeometry.of(f.L, f.G)
-    total = np.zeros(256, dtype=int)
-    for k in range(geo.k_min, geo.k_max + 1):
-        total += annulus_mask_axis(f, 0, k).astype(int)
-    x = f.axis_coords()
-    uncovered = (x == 0.0) | (x == -f.L / 2)  # |x| below h or at the rim
-    assert np.all(total[uncovered] == 0)
-    assert np.all(total[~uncovered] == 1)
-
-
-def test_cube_indicator_measures():
-    f = make_field(1, 8.0, 256)
-    ind = cube_indicator(f, 0, (0,))  # unit cell [0, 1)
-    assert ind.values.real.sum() * f.h == 1.0
-    ind2 = cube_indicator(f, 2, (-1,))  # cell [-1/4, 0)
-    assert ind2.values.real.sum() * f.h == 0.25
 
 
 def test_field_file_roundtrip(tmp_path):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from herzlab import (EtaKernel, HerzParams, HypothesisError, axis_maximal,
-                     bandlimited_witness, fs_vector_check, iterated_maximal,
-                     make_field, rtrick_check)
-from herzlab.maximal import convolve, envelope
+from herzlab import (HerzParams, HypothesisError, fs_vector_check,
+                     iterated_maximal, make_field)
+from herzlab.maximal import envelope
 
 
 def brute_force_centered_maximal(values, h, j):
@@ -19,11 +18,11 @@ def brute_force_centered_maximal(values, h, j):
     return best
 
 
-def test_axis_maximal_matches_brute_force():
+def test_maximal_matches_brute_force():
     rng = np.random.default_rng(1)
     f = make_field(1, 8.0, 128).with_values(
         rng.standard_normal(128) + 1j * rng.standard_normal(128))
-    got = axis_maximal(f, 0).values.real
+    got = iterated_maximal(f, 1.0).values.real
     for j in (0, 3, 64, 100, 127):
         want = brute_force_centered_maximal(f.values, f.h, j)
         assert math.isclose(got[j], want, rel_tol=1e-13)
@@ -34,7 +33,7 @@ def test_maximal_of_unit_interval_quarter_at_distance_two():
     # (w - 1), so the average peaks at w = 2 with value 1/4
     G = 4096
     f = make_field(1, 16.0, G, lambda x: (x >= 0) & (x < 1.0))
-    m = axis_maximal(f, 0).values.real
+    m = iterated_maximal(f, 1.0).values.real
     j = int(round(2.0 / f.h)) + G // 2
     assert abs(m[j] - 0.25) < 2.0 / (G / 16.0)  # off by O(h) discretization
 
@@ -43,14 +42,14 @@ def test_maximal_dominates_field():
     rng = np.random.default_rng(2)
     f = make_field(1, 8.0, 256).with_values(
         rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    m = axis_maximal(f, 0).values.real
+    m = iterated_maximal(f, 1.0).values.real
     assert np.all(m >= np.abs(f.values) - 1e-14)
 
 
 def test_iterated_maximal_2d_separable():
     # for a separable nonnegative field the iterated maximal factorizes
     f1 = make_field(1, 8.0, 64, lambda x: (x >= 0) & (x < 1.0))
-    m1 = axis_maximal(f1, 0).values.real
+    m1 = iterated_maximal(f1, 1.0).values.real
     f2 = make_field(2, 8.0, 64,
                     lambda x, y: ((x >= 0) & (x < 1.0)) * ((y >= 0) & (y < 1.0)))
     m2 = iterated_maximal(f2, 1.0).values.real
@@ -108,44 +107,3 @@ def test_support_guard_rejects_wide_fields():
     with pytest.raises(ValueError):
         fs_vector_check([wide], HerzParams(2.0, 0.25, 2.0), beta=2.0, t=0.5)
 
-
-def test_eta_kernel_shape_and_guards():
-    f = make_field(1, 8.0, 128)
-    ker = EtaKernel(4.0, 2.0).sample(f)
-    x = np.abs(f.axis_coords())
-    want = 4.0 * (1.0 + 4.0 * x) ** -2.0
-    assert np.allclose(ker.values.real, want)
-    with pytest.raises(ValueError):
-        EtaKernel(-1.0, 2.0).sample(f)
-
-
-def test_convolve_against_direct_sum():
-    rng = np.random.default_rng(8)
-    f = make_field(1, 8.0, 64).with_values(
-        rng.standard_normal(64) + 0j)
-    k = make_field(1, 8.0, 64).with_values(rng.standard_normal(64) + 0j)
-    out = convolve(f, k).values
-    direct = np.zeros(64, dtype=complex)
-    for i in range(64):
-        for j in range(64):
-            direct[i] += k.values[(i - j + 32) % 64] * f.values[j] * f.h
-    assert np.max(np.abs(out - direct)) < 1e-12 * np.max(np.abs(direct))
-
-
-def test_rtrick_margin_tracks_spectral_level():
-    margins = []
-    for level in (0, 1, 2):
-        w = bandlimited_witness(1, 32.0, 2048, level, seed=6)
-        rep = rtrick_check(w, level=level, m_exp=2.0, r=0.5)
-        margins.append(rep["margin"])
-        assert rep["margin"] > 0.1
-    # moving the kernel scale with the field keeps the margin steady
-    assert max(margins) / min(margins) < 1.5
-
-
-def test_rtrick_guards():
-    w = bandlimited_witness(1, 32.0, 2048, 0, seed=6)
-    with pytest.raises(HypothesisError):
-        rtrick_check(w, level=0, m_exp=1.0, r=0.5)
-    with pytest.raises(ValueError):
-        rtrick_check(w, level=0, m_exp=2.0, r=-1.0)

@@ -6,8 +6,7 @@ import pytest
 from herzlab import (CoeffSeq, HerzParams, SeqSpaceParams, b_norm, f_norm,
                      lambda_star, lq_combine, make_field, mixed_herz_norm,
                      seq_norm, seqspace)
-from herzlab.seqspace import (RearrangedProfile, _cells_mixed_herz,
-                              _f_envelope)
+from herzlab.seqspace import _cells_mixed_herz, _f_envelope
 
 # ---------------------------------------------------------------------------
 # Reference route: paint each coefficient's dyadic carrier onto a fine grid
@@ -300,28 +299,3 @@ def test_majorant_stabilizes_under_window_doubling():
     ratios = [f_norm(lambda_star(lam, 1.0, 3.0, w), par) / base for w in (4, 8, 16)]
     assert abs(ratios[1] - ratios[0]) <= 0.1 * ratios[0]
     assert abs(ratios[2] - ratios[1]) <= 0.1 * ratios[1]
-
-
-def test_rearranged_profile_basics():
-    f = make_field(1, 16.0, 512,
-                   lambda x: np.where((x >= 0) & (x < 2), 3.0, 0.0)
-                   + np.where((x >= -4) & (x < -3), 7.0, 0.0))
-    prof = RearrangedProfile.from_field(f)
-    assert prof.total_width() == 16.0
-    assert prof.value_at(0.5) == 7.0  # the tallest plateau has width 1
-    assert prof.value_at(1.5) == 3.0
-    assert prof.value_at(3.5) == 0.0
-    # L^p of the profile equals L^p of the field: plateaus 7 on |E|=1, 3 on 2
-    assert math.isclose(prof.lp_norm(2.0), math.sqrt(49.0 + 9.0 * 2.0),
-                        rel_tol=1e-14)
-
-
-def test_rearranged_dyadic_sum_brackets_lp():
-    rng = np.random.default_rng(17)
-    f = make_field(1, 16.0, 512).with_values(
-        rng.standard_normal(512) + 1j * rng.standard_normal(512))
-    prof = RearrangedProfile.from_field(f)
-    for p in (1.0, 2.0, 4.0):
-        lp = prof.lp_norm(p)
-        dy = prof.dyadic_sum(p)
-        assert lp <= dy <= 2.0 ** (1.0 / p) * lp * (1 + 1e-13)

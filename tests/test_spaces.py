@@ -8,9 +8,8 @@ from herzlab import (HerzParams, SampledField, SpaceParams,
                      bandlimited_witness, besov_norm, block_norms,
                      build_fj_pair, build_resolution, level_blocks,
                      level_magnitudes, level_spectra, lp_block,
-                     mixed_herz_norm, norm_equivalence_report,
-                     random_band_field, roundtrip_error, space_norm,
-                     spectral_transform, triebel_norm)
+                     mixed_herz_norm, random_band_field, roundtrip_error,
+                     space_norm, spectral_transform, triebel_norm)
 from herzlab import lpdecomp
 
 HERZ = HerzParams(2.0, 0.25, 1.0)
@@ -105,19 +104,6 @@ def test_single_level_witness_sees_one_block():
     bp = SpaceParams(HERZ, s=0.75, beta=2.0, family="B")
     assert math.isclose(besov_norm(w, bp, system), 2.0 ** (2 * 0.75) * norms[2],
                         rel_tol=1e-12)
-
-
-def test_equivalence_report_between_systems():
-    bp = SpaceParams(HERZ, s=0.5, beta=2.0, family="B")
-    rep = norm_equivalence_report(bp, 1, 16.0, 2048, 5, levels=(0, 1, 2),
-                                  seed=13, draws=4)
-    assert len(rep["records"]) == 12
-    assert 0 < rep["ratio_min"] <= rep["ratio_max"]
-    # the two smooth systems agree within a modest equivalence bracket
-    assert rep["ratio_max"] / rep["ratio_min"] < 4.0
-    again = norm_equivalence_report(bp, 1, 16.0, 2048, 5, levels=(0, 1, 2),
-                                    seed=13, draws=4)
-    assert rep == again
 
 
 def former_triebel_norm(field, params, system):
