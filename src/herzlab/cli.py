@@ -178,24 +178,24 @@ def _params_from(cfg, name, family, n=None):
         raise ConfigError(f"[{name}]: {exc}") from exc
 
 
-def _grid_from(cfg, sizes=None):
-    """n, L and G of [grid]; with ``sizes`` = (section, key, default), the
-    list of G in that key instead of [grid] g.
+def _grid_from(cfg, g_list=False):
+    """n, L and G of [grid], or with ``g_list`` n, L and the list of G in
+    [maximal] g_list.
 
     n must be 1, 2 or 3, L a power of two and each G a power of two >= 4
     whose field fits in memory; a ConfigError names the key.
     """
     n = cfg.parsed("grid", "n", _dimension, "1, 2 or 3")
     L = cfg.parsed("grid", "l", _power_of_two, "a power of two")
-    if sizes is None:
+    if not g_list:
         G = cfg.parsed("grid", "g", _grid_size, "a power of two >= 4")
         _check_grid(n, G, "[grid] g")
         return n, L, G
-    section, key, default = sizes
-    grids = cfg.parsed(section, key, _each(_grid_size),
-                       "a comma-separated list of powers of two >= 4", default)
+    grids = cfg.parsed("maximal", "g_list", _each(_grid_size),
+                       "a comma-separated list of powers of two >= 4",
+                       "256,512")
     for G in grids:
-        _check_grid(n, G, f"[{section}] {key}")
+        _check_grid(n, G, "[maximal] g_list")
     return n, L, grids
 
 
@@ -343,10 +343,10 @@ def _cmd_necessity(cfg):
 
 
 def _cmd_maximal_check(cfg):
-    n, L, grids = _grid_from(cfg, ("maximal", "g_list", "256,512"))
+    n, L, grids = _grid_from(cfg, g_list=True)
     if len(set(grids)) < 2:
-        raise ConfigError(f"[maximal] g_list = {cfg.get('maximal', 'g_list')!r}"
-                          " needs at least two distinct sizes for the fit")
+        raise ConfigError(f"[maximal] g_list = {grids} needs at least two "
+                          "distinct sizes for the fit")
     herz = _herz_from(cfg, "space", n)
     beta = cfg.get_float("maximal", "beta")
     t = cfg.get_float("maximal", "t")

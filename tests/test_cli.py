@@ -469,7 +469,7 @@ def _run_quietly(capsys, tmp_path, command, text):
     try:
         code = main([command, "--config", str(path),
                      "--out", str(tmp_path / "report.txt")])
-    except BaseException as exc:  # noqa: BLE001 - SystemExit included
+    except BaseException as exc:  # SystemExit included
         pytest.fail(f"{command} raised {type(exc).__name__}: {exc}\n{text}")
     return code, capsys.readouterr().err.splitlines()
 
