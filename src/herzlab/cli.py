@@ -17,15 +17,14 @@ json's shortest round-trip repr in JSON.
 import argparse
 import configparser
 import json
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .embedlab import (EmbeddingSpec, hardy_check, necessity_fit, ppn_check,
-                       seq_embedding_check)
+from .embedlab import (THEOREMS, EmbeddingSpec, hardy_check, necessity_fit,
+                       ppn_check, seq_embedding_check)
 from .frames import load_coeffs, roundtrip_error
 from .grid import (DyadicGeometry, _log2_exact, check_grid_memory,
                    make_field, sealed)
@@ -51,7 +50,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path, command=None, seed=None):
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         try:
             if not cp.read(path):
                 raise ConfigError(f"cannot read config file {path}")
@@ -93,7 +92,7 @@ class ExperimentConfig:
         return self.parsed(section, key, _int_at_least(low), what, default)
 
     def get_float(self, section, key, default=None):
-        return self.parsed(section, key, _exponent, "a number", default)
+        return self.parsed(section, key, float, "a number", default)
 
     def get_vector(self, section, key, default=None):
         return self.parsed(section, key, _vector,
@@ -107,6 +106,14 @@ class ExperimentConfig:
         return self.parsed(section, key, _each(_int_at_least(low)), what,
                            default)
 
+    def get_choice(self, section, key, choices, default=None):
+        """A value that must be one of ``choices``."""
+        value = self.get(section, key, default)
+        if value not in choices:
+            raise ConfigError(f"[{section}] {key} = {value!r} is not one of "
+                              f"{', '.join(choices)}")
+        return value
+
     def seed(self):
         return self.get_int("ensemble", "seed", low=0)
 
@@ -119,15 +126,16 @@ class ExperimentConfig:
         return flat
 
 
-def _exponent(text):
-    text = str(text).strip()
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _vector(text):
-    return tuple(_exponent(part) for part in str(text).split(","))
+    return tuple(map(float, str(text).split(",")))
+
+
+def _boolean(text):
+    """configparser's boolean spellings, in any case."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
 
 
 def _each(parse):
@@ -168,10 +176,7 @@ def _params_from(cfg, name, family, n=None):
     herz = _herz_from(cfg, name, n)
     s, beta = cfg.get_float(name, "s"), cfg.get_float(name, "beta")
     accepted = ("B", "F") if family.isupper() else ("b", "f")
-    got = cfg.get(name, "family", family)
-    if got not in accepted:
-        raise ConfigError(f"[{name}]: family must be {accepted[0]!r} or "
-                          f"{accepted[1]!r}")
+    got = cfg.get_choice(name, "family", accepted, family)
     try:
         return SpaceParams(herz, s, beta, got)
     except ValueError as exc:
@@ -207,7 +212,7 @@ def _dimension(text):
 
 
 def _power_of_two(text):
-    L = _exponent(text)
+    L = float(text)
     _log2_exact(L)
     return L
 
@@ -235,8 +240,9 @@ def _grid_meta(L, G, extra=None):
 
 
 def _build_field(cfg, n, L, G):
-    sec = cfg.section("field")
-    kind = sec.get("kind", "zero")
+    cfg.section("field")
+    kind = cfg.get_choice("field", "kind",
+                          ("zero", "constant", "witness", "band"), "zero")
     if kind == "zero":
         return make_field(n, L, G)
     if kind == "constant":
@@ -247,20 +253,14 @@ def _build_field(cfg, n, L, G):
         return bandlimited_witness(n, L, G,
                                    cfg.get_int("field", "level", "0", low=0),
                                    cfg.get_int("field", "seed", low=0))
-    if kind == "band":
-        return random_band_field(n, L, G, cfg.get_float("field", "radius", "8"),
-                                 cfg.get_int("field", "seed", low=0))
-    raise ConfigError(f"unknown field kind {kind!r}")
+    return random_band_field(n, L, G, cfg.get_float("field", "radius", "8"),
+                             cfg.get_int("field", "seed", low=0))
 
 
 def _system_from(cfg, n, L, G, default_k):
-    kind = cfg.sections.get("system", {}).get("kind", "fj")
-    K = cfg.get_int("system", "k", default_k, low=1)
-    if kind == "resolution":
-        return build_resolution(n, L, G, K)
-    if kind == "fj":
-        return build_fj_pair(n, L, G, K)
-    raise ConfigError(f"unknown system kind {kind!r}")
+    builders = {"fj": build_fj_pair, "resolution": build_resolution}
+    kind = cfg.get_choice("system", "kind", tuple(builders), "fj")
+    return builders[kind](n, L, G, cfg.get_int("system", "k", default_k, low=1))
 
 
 # -- command handlers -------------------------------------------------------
@@ -302,18 +302,24 @@ def _cmd_phitransform(cfg):
 
 def _cmd_seqnorm(cfg):
     params = _params_from(cfg, "space", "b")
-    lam = load_coeffs(cfg.get("coeffs", "path"))
+    path = cfg.get("coeffs", "path")
+    try:
+        lam = load_coeffs(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[coeffs] path = {path!r}: {exc}") from None
     meta = {"coeffs.count": len(lam.entries), "coeffs.k": lam.K}
     return meta, [{"family": params.family, "norm": seq_norm(lam, params)}]
 
 
 def _cmd_embed_sweep(cfg):
-    spec = EmbeddingSpec(cfg.get("run", "theorem"),
+    # the sequence theorems: all but besov-function, the last
+    spec = EmbeddingSpec(cfg.get_choice("run", "theorem", THEOREMS[:-1]),
                          _params_from(cfg, "source", "b"),
                          _params_from(cfg, "target", "b"))
-    draws = cfg.get_int("ensemble", "draws", "100")
+    draws = cfg.get_int("ensemble", "draws", "100", low=0)
     seed = cfg.seed()
-    control = cfg.get("ensemble", "control", "no") in ("yes", "true", "1")
+    control = cfg.parsed("ensemble", "control", _boolean,
+                         "yes/no, true/false, on/off or 1/0", "no")
     levels = cfg.get_ints("ensemble", "k_list", "4,6,8", low=1)
     records = []
     for K in levels:
@@ -380,8 +386,8 @@ def _cmd_hardy_check(cfg):
     cfg.section("hardy")
     a_list = cfg.get_vector("hardy", "a", "0.25,0.5,0.75")
     q_list = cfg.get_vector("hardy", "q", "0.5,1,2,inf")
-    draws = cfg.get_int("ensemble", "draws", "100")
-    length = cfg.get_int("ensemble", "length", "64")
+    draws = cfg.get_int("ensemble", "draws", "100", low=0)
+    length = cfg.get_int("ensemble", "length", "64", low=1)
     seed = cfg.seed()
     records = []
     for a in a_list:
@@ -482,9 +488,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config, args.command, args.seed)
-        report = run_config(cfg)
-        fmt = cfg.sections.get("output", {}).get("format", "csv")
-        emit_report(report, fmt, args.out)
+        fmt = cfg.get_choice("output", "format", ("csv", "json"), "csv")
+        emit_report(run_config(cfg), fmt, args.out)
     except (ConfigError, HypothesisError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -237,28 +237,29 @@ class EmbeddingSpec:
 # -- exactly dilatable box fields -----------------------------------------
 
 
-def dilation_family(n, L, G, N_max, seed, boxes=4, max_len=4):
+def dilation_family(n, L, G, N_max, seed):
     """Fields f_N, N = 0..N_max >= 1, each the exact 2^-N dilate of f_0.
 
-    f_0 is a sum of complex multiples of product-interval indicators whose
-    endpoints are multiples of sigma = 2^N_max h, all separated from the
-    coordinate hyperplanes.  Every f_N then lands exactly on grid cells.
+    f_0 is a sum of four complex multiples of product-interval indicators,
+    each 1 to 4 units long per axis, whose endpoints are multiples of sigma
+    = 2^N_max h, all separated from the coordinate hyperplanes.  Every f_N
+    then lands exactly on grid cells.
     """
     if N_max < 1:
         raise ValueError(f"N_max = {N_max} must be >= 1")
     h = L / G
     units = G >> (N_max + 1)
-    if units < max_len + 1:
+    if units < 5:
         raise ValueError(
             f"N_max = {N_max} not resolvable: only {units} box units per "
-            f"half period (need {max_len + 1})")
+            f"half period (need 5)")
     sigma = h * (1 << N_max)
     rng = np.random.default_rng(seed)
     spec = []
-    for _ in range(boxes):
+    for _ in range(4):
         signs = rng.integers(0, 2, size=n) * 2 - 1
-        a = rng.integers(1, units - max_len, size=n)
-        ln = rng.integers(1, max_len + 1, size=n)
+        a = rng.integers(1, units - 4, size=n)
+        ln = rng.integers(1, 5, size=n)
         coef = complex(rng.standard_normal(), rng.standard_normal())
         spec.append((signs, a, ln, coef))
     x = (np.arange(G) - G // 2) * h
@@ -290,9 +291,9 @@ def _fit_line(xs, ys):
     return float(slope), float(intercept), float(resid)
 
 
-def dilation_scan(herz, s, n, L, G, N_max, seed, boxes=4):
+def dilation_scan(herz, s, n, L, G, N_max, seed):
     """Fitted decay exponent of 2^{s N} herz(f_N) on the box family."""
-    fields = dilation_family(n, L, G, N_max, seed, boxes)
+    fields = dilation_family(n, L, G, N_max, seed)
     records = []
     for N, f in enumerate(fields):
         norm = 2.0 ** (s * N) * mixed_herz_norm(f, herz)
@@ -326,7 +327,7 @@ def _ratio_fit(fields, target, source, gamma):
     return records, slope, resid
 
 
-def necessity_fit(spec, n, L, G, N_max, seed, boxes=4):
+def necessity_fit(spec, n, L, G, N_max, seed):
     """Fitted exponent c of the target/source norm ratio on dilates.
 
     c < 0 means the embedding's scaling test passes with room, c = 0 is
@@ -336,7 +337,7 @@ def necessity_fit(spec, n, L, G, N_max, seed, boxes=4):
         raise HypothesisError("necessity_fit needs a besov-function spec")
     spec.validate(ignore_balance=True)
     src, tgt = spec.source, spec.target
-    fields = dilation_family(n, L, G, N_max, seed, boxes)
+    fields = dilation_family(n, L, G, N_max, seed)
     records, c_fit, resid = _ratio_fit(fields, (tgt.herz, tgt.s),
                                        (src.herz, src.s), 0.0)
     c_expected = (tgt.s - src.s
@@ -346,7 +347,7 @@ def necessity_fit(spec, n, L, G, N_max, seed, boxes=4):
             "residual": resid, "balance_class": spec.balance_class()}
 
 
-def ppn_check(source, target, n, L, G, N_max, seed, boxes=4):
+def ppn_check(source, target, n, L, G, N_max, seed):
     """Sharpness of the band-to-band norm transfer exponent.
 
     source, target : HerzParams, with exponents (q, alpha2, theta) and
@@ -366,7 +367,7 @@ def ppn_check(source, target, n, L, G, N_max, seed, boxes=4):
         raise HypothesisError("; ".join(errs))
     gamma = (source.bold_inv_p() - target.bold_inv_p()
              + source.bold_alpha() - target.bold_alpha())
-    fields = dilation_family(n, L, G, N_max, seed, boxes)
+    fields = dilation_family(n, L, G, N_max, seed)
     records, slope, resid = _ratio_fit(fields, (target, 0.0), (source, 0.0),
                                        gamma)
     return {"records": records, "gamma": gamma, "slope": slope,
@@ -376,20 +377,21 @@ def ppn_check(source, target, n, L, G, N_max, seed, boxes=4):
 # -- random coefficient ensembles ------------------------------------------
 
 
-def _random_coeffs(n, K, rng, box_half=2, lattice_period=16.0):
+def _random_coeffs(n, K, rng):
     """Sparse lognormal coefficients on a short random window of levels.
 
     Each draw occupies at most four adjacent levels so that its norm
     ratio reflects one region of the lattice instead of an average over
     all of them.  Shallow windows recur with the same law at every K,
     which keeps the ensemble maximum comparable across K, while windows
-    touching the top level expose any defect that grows with K.
+    touching the top level expose any defect that grows with K.  Level k
+    draws on the box [-2^(k+1), 2^(k+1))^n of the period-16 lattice.
     """
     width = min(int(rng.integers(1, 5)), K + 1)
     k0 = int(rng.integers(0, K - width + 2))
     levels = []
     for k in range(k0, k0 + width):
-        half = box_half << k
+        half = 2 << k
         volume = (2 * half) ** n
         density = 2.0 ** (-n * k / 2.0)
         count = rng.poisson(volume * density)
@@ -399,7 +401,7 @@ def _random_coeffs(n, K, rng, box_half=2, lattice_period=16.0):
         mags = rng.lognormal(0.0, 1.0, size=count)
         phases = np.exp(2j * np.pi * rng.random(count))
         levels.append((k, pos, mags * phases))
-    return CoeffSeq.from_levels(n, K, lattice_period, levels)
+    return CoeffSeq.from_levels(n, K, 16.0, levels)
 
 
 def probe_coeffs(n, K, level):
@@ -422,7 +424,7 @@ def single_spike_ratio(spec, level):
     return 2.0 ** log2r
 
 
-def seq_embedding_check(spec, K, draws, seed, control=False, box_half=2):
+def seq_embedding_check(spec, K, draws, seed, control=False):
     """Max target/source norm ratio over a random coefficient ensemble.
 
     Refuses hypothesis-violating specs unless ``control=True``, which
@@ -445,7 +447,7 @@ def seq_embedding_check(spec, K, draws, seed, control=False, box_half=2):
     else:
         spec.validate()
     rng = np.random.default_rng(seed)
-    lams = [_random_coeffs(spec.n, K, rng, box_half) for _ in range(draws)]
+    lams = [_random_coeffs(spec.n, K, rng) for _ in range(draws)]
     den = seq_norms(lams, spec.source)
     kept = den != 0.0
     ratios = seq_norms([lam for lam, ok in zip(lams, kept) if ok],

@@ -49,9 +49,7 @@ Coefficient sets serialise to a line-oriented text format with %.17g
 fields, which round-trips complex128 bit-exactly.
 """
 
-import itertools
 import math
-from operator import itemgetter
 
 import numpy as np
 
@@ -72,31 +70,25 @@ class CoeffSeq:
 
     def __init__(self, n, K, L, entries=None):
         entries = {} if entries is None else entries
-        count = len(entries)
-        ks = np.fromiter(map(itemgetter(0), entries), np.int64, count)
-        dims = np.fromiter(map(len, map(itemgetter(1), entries)),
-                           np.int64, count)
-        # one group per run of equally long index tuples, in insertion
-        # order, so that from_levels meets the first bad key first
-        cuts = [0, *(np.flatnonzero(np.diff(dims)) + 1).tolist(), count]
-        keys, values = list(entries), list(entries.values())
-        groups = []
-        for a, b in zip(cuts, cuts[1:]) if count else ():
-            pos = np.fromiter(itertools.chain.from_iterable(
-                map(itemgetter(1), keys[a:b])), np.int64, (b - a) * dims[a])
-            groups.append((ks[a:b], pos.reshape(b - a, dims[a]),
-                           values[a:b]))
-        self._build(n, K, L, groups)
+        # one group per (level, index length) in insertion order: a key's
+        # validity depends on those two only, so the first bad group that
+        # _build meets starts with the first bad key
+        groups = {}
+        for (k, m), v in entries.items():
+            pos, vals = groups.setdefault((k, len(m)), ([], []))
+            pos.append(m)
+            vals.append(v)
+        self._build(n, K, L, [(k, pos, vals)
+                              for (k, _), (pos, vals) in groups.items()])
         self._entries = entries
 
     @classmethod
     def from_levels(cls, n, K, L, groups):
         """A set from (k, pos, values) groups; the array constructor.
 
-        k is a level, or an (H,) array of one level per row; pos is (H, n)
-        integer lattice indices and values (H,) the matching lam[k, m].
-        Groups may come in any order and repeat an index: the last value
-        given for an index wins.
+        k is a level, pos (H, n) integer lattice indices and values (H,) the
+        matching lam[k, m].  Groups may come in any order and repeat a level
+        or an index: the last value given for an index wins.
         """
         self = cls.__new__(cls)
         self._build(n, K, L, groups)
@@ -115,18 +107,9 @@ class CoeffSeq:
             if not len(p):
                 continue
             p = np.asarray(p, dtype=np.int64)
-            if np.isscalar(k):
-                if not (0 <= k <= K and p.shape[1] == n):
-                    raise _bad_entry(k, p[0], n, K)
-                k = np.full(len(p), k, dtype=np.int64)
-            else:
-                k = np.asarray(k, dtype=np.int64)
-                bad = (k < 0) | (k > K)
-                bad[:1] |= p.shape[1] != n
-                if bad.any():
-                    i = int(bad.argmax())
-                    raise _bad_entry(int(k[i]), p[i], n, K)
-            ks.append(k)
+            if not (0 <= k <= K and p.shape[1] == n):
+                raise _bad_entry(k, p[0], n, K)
+            ks.append(np.full(len(p), k, dtype=np.int64))
             pos.append(p)
             vals.append(np.asarray(v, dtype=np.complex128))
         if len(ks) == 1:

@@ -152,7 +152,7 @@ def check_grid_memory(n, G, fields=1):
             f"the {have} bytes of physical memory")
 
 
-def make_field(n, L, G, generator=None, domain="space"):
+def make_field(n, L, G, generator=None):
     """Build a SampledField, evaluating ``generator`` at the sample points.
 
     generator may be None (zero field), an ndarray of matching shape (copied
@@ -171,7 +171,7 @@ def make_field(n, L, G, generator=None, domain="space"):
         vals = sealed(np.broadcast_to(vals, shape).copy())
     else:
         vals = np.asarray(generator, dtype=np.complex128).reshape(shape)
-    return SampledField(n=n, L=L, G=G, values=vals, domain=domain)
+    return SampledField(n=n, L=L, G=G, values=vals)
 
 
 def spectral_transform(field):

@@ -38,16 +38,6 @@ SeqSpaceParams = SpaceParams
 BATCH_CELLS = 1 << 16
 
 
-def _level_mags(coeffs):
-    """Per-level (k, pos, |lam|) of a coefficient set, in ascending k.
-
-    Magnitudes are np.hypot of the parts, which equals Python's abs of a
-    complex bit for bit; np.abs of complex128 can differ in the last bit.
-    """
-    return [(k, pos, np.hypot(vals.real, vals.imag))
-            for k, pos, vals in coeffs.levels()]
-
-
 class _Blocks(NamedTuple):
     """Every occupied level of a batch of sets, one block per (set, level).
 
@@ -118,7 +108,10 @@ def _chunks(los, his):
         start = stop
 
 
-def _check_batch(batch, params):
+def _check_batch(batch, params, family):
+    """The checks of the family's norm: its family, and each set's n."""
+    if params.family != family:
+        raise ValueError(f"{family}_norm needs family {family!r} parameters")
     for coeffs in batch:
         if params.herz.n != coeffs.n:
             raise ValueError(f"params for n = {params.herz.n}, coeffs have "
@@ -132,7 +125,7 @@ def b_norms(batch, params):
     by BATCH_CELLS) and reduced in one call.  Every set's levels are
     combined over max(K) + 1 terms of the batch.
     """
-    _check_batch(batch, params)
+    _check_batch(batch, params, "b")
     n = params.herz.n
     blk = _Blocks.of(batch, n)
     terms = np.zeros((len(batch), max((c.K for c in batch), default=0) + 1))
@@ -208,21 +201,13 @@ def _f_envelopes(batch, params):
             yield members, env, lo, top
 
 
-def _f_envelope(coeffs, params):
-    """The envelope of one nonempty set: (env, corner index, vf)."""
-    _, env, lo, top = next(_f_envelopes([coeffs], params))
-    return env[..., 0], lo, top
-
-
 def f_norms(batch, params):
     """f_norm of each coefficient set in a list, as an array.
 
     One reduction per finest-level group (and BATCH_CELLS chunk) of
     stacked envelopes.
     """
-    if params.family != "f":
-        raise ValueError("f_norm needs family 'f' parameters")
-    _check_batch(batch, params)
+    _check_batch(batch, params, "f")
     out = np.zeros(len(batch))
     for members, env, lo, top in _f_envelopes(batch, params):
         out[members] = _cells_mixed_herz(env, lo, top, params.herz)
@@ -231,9 +216,10 @@ def f_norms(batch, params):
 
 def seq_norms(batch, params):
     """The params family's norm of each coefficient set in a list."""
-    if params.family == "b":
-        return b_norms(batch, params)
-    return f_norms(batch, params)
+    norms = {"b": b_norms, "f": f_norms}.get(params.family)
+    if norms is None:
+        raise ValueError("seq_norm needs family 'b' or 'f' parameters")
+    return norms(batch, params)
 
 
 def b_norm(coeffs, params):
@@ -268,7 +254,10 @@ def lambda_star(coeffs, r, d, window):
     if window < 0:
         raise ValueError("window must be >= 0")
     levels = []
-    for k, pos, mag in _level_mags(coeffs):
+    for k, pos, vals in coeffs.levels():
+        # np.hypot of the parts equals Python's abs of a complex bit for bit;
+        # np.abs of complex128 can differ in the last bit
+        mag = np.hypot(vals.real, vals.imag)
         los = pos.min(axis=0)
         his = pos.max(axis=0) + 1
         axes = [np.arange(lo - window, hi + window, dtype=np.int64)

@@ -30,6 +30,8 @@ def block_norms(field, herz_params, system):
 
 def besov_norm(field, params, system):
     """Levelwise Herz norms combined in weighted l^beta."""
+    if params.family != "B":
+        raise ValueError("besov_norm needs family 'B' parameters")
     terms = [2.0 ** (k * params.s) * b
              for k, b in enumerate(block_norms(field, params.herz, system))]
     return lq_combine(np.array(terms), params.beta)
@@ -46,6 +48,7 @@ def triebel_norm(field, params, system):
 
 
 def space_norm(field, params, system):
-    if params.family == "B":
-        return besov_norm(field, params, system)
-    return triebel_norm(field, params, system)
+    norm = {"B": besov_norm, "F": triebel_norm}.get(params.family)
+    if norm is None:
+        raise ValueError("space_norm needs family 'B' or 'F' parameters")
+    return norm(field, params, system)

@@ -253,7 +253,8 @@ q = 1
 [coeffs]
 path = {coeffs}
 """)
-    line = _one_error_line(capsys, ["seqnorm", "--config", cfg], "L16")
+    line = _one_error_line(capsys, ["seqnorm", "--config", cfg],
+                           "[coeffs] path", "L16")
     assert "dictionary update" not in line
 
 
@@ -474,7 +475,7 @@ def _run_quietly(capsys, tmp_path, command, text):
     return code, capsys.readouterr().err.splitlines()
 
 
-FUZZ_VALUES = ("", "abc", "0", "-1", "nan", "inf", "0.5")
+FUZZ_VALUES = ("", "abc", "0", "-1", "nan", "inf", "0.5", "50%")
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -488,7 +489,7 @@ def test_every_malformed_value_exits_cleanly(tmp_path, capsys, command):
     for section in parser.sections():
         for key in parser[section]:
             for value in FUZZ_VALUES:
-                cp = configparser.ConfigParser()
+                cp = configparser.ConfigParser(interpolation=None)
                 cp.read_string(base)
                 cp[section][key] = value
                 text = io.StringIO()
@@ -530,6 +531,19 @@ def test_every_malformed_value_exits_cleanly(tmp_path, capsys, command):
     ("embed-sweep", "s = 1.75", "s = nan", "[source]"),
     ("embed-sweep", "seed = 31", "seed = -1", "[ensemble] seed"),
     ("hardy-check", "seed = 5", "seed = -1", "[ensemble] seed"),
+    ("hardy-check", "draws = 3", "draws = -1", "[ensemble] draws"),
+    ("hardy-check", "length = 8", "length = 0", "[ensemble] length"),
+    ("hardy-check", "a = 0.5", "a = 0.5%", "[hardy] a"),
+    ("embed-sweep", "draws = 3", "draws = -1", "[ensemble] draws"),
+    ("embed-sweep", "seed = 31", "seed = 31\ncontrol = maybe",
+     "[ensemble] control"),
+    ("embed-sweep", "theorem = sobolev", "theorem = hardy", "[run] theorem"),
+    ("embed-sweep", "theorem = sobolev", "theorem = besov-function",
+     "[run] theorem"),
+    ("embed-sweep", "format = csv", "format = xml", "[output] format"),
+    ("norm", "kind = witness", "kind = sphere", "[field] kind"),
+    ("decompose", "kind = fj", "kind = haar", "[system] kind"),
+    ("seqnorm", "lam.coeffs", "nope.coeffs", "[coeffs] path"),
 ])
 def test_malformed_value_names_its_key(tmp_path, capsys, command, old, new,
                                        name):
@@ -540,3 +554,33 @@ def test_malformed_value_names_its_key(tmp_path, capsys, command, old, new,
                              base.replace(old, new, 1))
     assert code == 2 and len(err) == 1 and err[0].startswith("error:"), err
     assert name in err[0], err
+
+
+def test_report_format_is_checked_before_the_command_runs(tmp_path, capsys,
+                                                          monkeypatch):
+    def refuse(cfg):
+        raise AssertionError("the command ran")
+    monkeypatch.setattr(herzlab.cli, "run_config", refuse)
+    cfg = _write(tmp_path, "sweep.ini",
+                 SWEEP_CFG.replace("format = csv", "format = xml"))
+    _one_error_line(capsys, ["embed-sweep", "--config", cfg],
+                    "[output] format", "'xml'")
+
+
+@pytest.mark.parametrize("value, code", [
+    ("True", 0), ("on", 0), ("YES", 0), ("1", 0),
+    ("False", 2), ("off", 2), ("no", 2), ("0", 2),
+])
+def test_control_reads_every_boolean_spelling(tmp_path, capsys, value, code):
+    # source s lowered by 1/4 breaks the balance: only a control sweep runs
+    text = (SWEEP_CFG.replace("s = 1.75", "s = 1.5")
+            .replace("draws = 20", f"draws = 3\ncontrol = {value}")
+            .replace("k_list = 4,6", "k_list = 2"))
+    out = tmp_path / "sweep.csv"
+    assert main(["embed-sweep", "--config", _write(tmp_path, "c.ini", text),
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert "# ensemble.control=true" in out.read_text()
+    else:
+        assert "smoothness balance" in err

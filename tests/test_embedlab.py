@@ -288,12 +288,12 @@ def test_embedding_check_refuses_mislabeled_controls():
 # ---------------------------------------------------------------------------
 
 
-def former_random_coeffs(n, K, rng, box_half=2, lattice_period=16.0):
+def former_random_coeffs(n, K, rng):
     width = min(int(rng.integers(1, 5)), K + 1)
     k0 = int(rng.integers(0, K - width + 2))
     entries = {}
     for k in range(k0, k0 + width):
-        half = box_half << k
+        half = 2 << k
         volume = (2 * half) ** n
         density = 2.0 ** (-n * k / 2.0)
         count = rng.poisson(volume * density)
@@ -304,15 +304,15 @@ def former_random_coeffs(n, K, rng, box_half=2, lattice_period=16.0):
         phases = np.exp(2j * np.pi * rng.random(count))
         for row, m, ph in zip(pos, mags, phases):
             entries[(k, tuple(int(c) for c in row))] = m * ph
-    return CoeffSeq(n, K, lattice_period, entries)
+    return CoeffSeq(n, K, 16.0, entries)
 
 
-def former_seq_embedding_check(spec, K, draws, seed, box_half=2):
+def former_seq_embedding_check(spec, K, draws, seed):
     rng = np.random.default_rng(seed)
     ratios = []
     skipped = 0
     for _ in range(draws):
-        lam = former_random_coeffs(spec.n, K, rng, box_half)
+        lam = former_random_coeffs(spec.n, K, rng)
         den = seq_norm(lam, spec.source)
         if den == 0.0:
             skipped += 1
@@ -364,33 +364,32 @@ def test_random_coeffs_draw_the_former_sets(n):
                                   ref_vals.view(np.float64))
 
 
-@pytest.mark.parametrize("n, theorem, control, K, draws, seed, box_half", [
-    (1, "franke-strict", False, 6, 40, 21, 2),
-    (1, "jawerth-strict", True, 4, 40, 22, 2),
-    (1, "sobolev", True, 8, 30, 23, 2),
-    (2, "franke-strict", True, 3, 20, 24, 2),
-    (2, "jawerth-strict", False, 3, 20, 25, 2),
-    # K = 2 on half-size boxes leaves some draws empty
-    (1, "franke-strict", False, 2, 40, 1, 1),
+@pytest.mark.parametrize("n, theorem, control, K, draws, seed", [
+    (1, "franke-strict", False, 6, 40, 21),
+    (1, "jawerth-strict", True, 4, 40, 22),
+    (1, "sobolev", True, 8, 30, 23),
+    (2, "franke-strict", True, 3, 20, 24),
+    (2, "jawerth-strict", False, 3, 20, 25),
+    # at K = 2 one draw of seed 5 is empty
+    (1, "franke-strict", False, 2, 40, 5),
     # each top-level box holds 128^2 cells: a batch outgrows BATCH_CELLS
-    (2, "jawerth-strict", True, 5, 12, 26, 2),
+    (2, "jawerth-strict", True, 5, 12, 26),
 ])
 def test_batched_sweep_matches_per_draw_route(n, theorem, control, K, draws,
-                                              seed, box_half):
+                                              seed):
     spec = conforming(theorem) if n == 1 else conforming_2d(theorem)
     if control:
         spec = _lowered(spec)
-    got = seq_embedding_check(spec, K, draws, seed, control=control,
-                              box_half=box_half)
-    want = former_seq_embedding_check(spec, K, draws, seed, box_half)
+    got = seq_embedding_check(spec, K, draws, seed, control=control)
+    want = former_seq_embedding_check(spec, K, draws, seed)
     for key in ("draws", "skipped", "probe_ratios"):
         assert got[key] == want[key]
     for key in ("max_ratio", "max_random_ratio"):
         assert math.isclose(got[key], want[key], rel_tol=1e-12)
-    if box_half == 1:
+    if K == 2:
         assert got["skipped"] > 0
     if K == 5:
-        assert draws * (2 * box_half << K) ** n > seqspace.BATCH_CELLS
+        assert draws * (4 << K) ** n > seqspace.BATCH_CELLS
 
 
 def test_negative_draws_rejected_by_name():

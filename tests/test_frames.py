@@ -363,7 +363,8 @@ def test_from_levels_keeps_the_last_repeated_value():
         (1, [[0, 1], [2, 3], [0, 1]], [1.0, 2.0, 3.0]),
         (0, [[5, 5]], [4.0]),
         (1, [[2, 3]], [5.0]),
-        (np.array([0, 1]), [[5, 5], [0, 1]], [6.0, 7.0]),
+        (0, [[5, 5]], [6.0]),
+        (1, [[0, 1]], [7.0]),
     ])
     assert lam.entries == {(0, (5, 5)): 6.0, (1, (0, 1)): 7.0,
                            (1, (2, 3)): 5.0}

@@ -6,7 +6,7 @@ import pytest
 from herzlab import (CoeffSeq, HerzParams, SeqSpaceParams, b_norm, f_norm,
                      lambda_star, lq_combine, make_field, mixed_herz_norm,
                      seq_norm, seqspace)
-from herzlab.seqspace import _cells_mixed_herz, _f_envelope
+from herzlab.seqspace import _cells_mixed_herz, _f_envelopes
 
 # ---------------------------------------------------------------------------
 # Reference route: paint each coefficient's dyadic carrier onto a fine grid
@@ -165,8 +165,8 @@ def test_f_norm_bitwise_equals_per_entry_painting(beta):
     herz = HerzParams((2.0, 1.5), (0.25, 0.0), (1.0, 2.0))
     params = SeqSpaceParams(herz, s=0.5, beta=beta, family="f")
     env, los, vf = per_entry_f_envelope(lam, params)
-    got, got_los, got_vf = _f_envelope(lam, params)
-    assert np.array_equal(got, env)
+    _, got, got_los, got_vf = next(_f_envelopes([lam], params))
+    assert np.array_equal(got[..., 0], env)
     assert np.array_equal(got_los, los) and got_vf == vf
     assert f_norm(lam, params) == _cells_mixed_herz(env, los, vf, herz)
 
@@ -249,6 +249,22 @@ def test_batched_norms_check_every_set():
     with pytest.raises(ValueError, match="family 'f'"):
         seqspace.f_norms([lam], PARAMS_B)
     assert seqspace.seq_norms([], PARAMS_F).shape == (0,)
+
+
+@pytest.mark.parametrize("norm, families", [(b_norm, "b"), (f_norm, "f"),
+                                             (seq_norm, "bf")])
+def test_each_norm_takes_only_its_families(norm, families):
+    # b_norm computed with f, B or F parameters; seq_norm with B blamed f_norm
+    lam = CoeffSeq(1, 2, 16.0, FIXED_ENTRIES)
+    named = " or ".join(f"'{c}'" for c in families)
+    for family in "BFbf":
+        params = SeqSpaceParams(PARAMS_B.herz, s=0.5, beta=2.0, family=family)
+        if family in families:
+            assert norm(lam, params) > 0.0
+            continue
+        with pytest.raises(ValueError, match=f"^{norm.__name__} needs "
+                                             f"family {named} parameters$"):
+            norm(lam, params)
 
 
 def test_seq_norm_dispatch_and_family_guard():

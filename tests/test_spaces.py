@@ -58,6 +58,24 @@ def test_family_validation():
     SpaceParams(HerzParams(math.inf, 0.25, 1.0), s=0.5, beta=2.0, family="B")
 
 
+@pytest.mark.parametrize("norm, families", [(besov_norm, "B"),
+                                             (triebel_norm, "F"),
+                                             (space_norm, "BF")])
+def test_each_norm_takes_only_its_families(norm, families):
+    # besov_norm computed with F, b or f parameters; space_norm with b
+    # blamed triebel_norm
+    f, system = _field(), _system()
+    named = " or ".join(f"'{c}'" for c in families)
+    for family in "BFbf":
+        params = SpaceParams(HERZ, s=0.5, beta=2.0, family=family)
+        if family in families:
+            assert norm(f, params, system) > 0.0
+            continue
+        with pytest.raises(ValueError, match=f"^{norm.__name__} needs "
+                                             f"family {named} parameters$"):
+            norm(f, params, system)
+
+
 def test_triebel_rejects_besov_params():
     f, system = _field(), _system()
     bp = SpaceParams(HERZ, s=0.5, beta=2.0, family="B")

@@ -1,0 +1,93 @@
+"""sha256 of every deterministic CLI report of one or more git revisions.
+
+Run from the root of a source checkout, for example:
+
+    python3 tools/report_digests.py 6f5b14f HEAD
+
+Each revision's tree is unpacked with ``git archive`` into a temporary
+directory, as tools/bench_pairs.py does.  A child process imports that
+tree's herzlab and tests and runs, under its command, every config of
+DETERMINISM_CONFIGS (tests/test_acceptance.py, acceptance criterion 14)
+and every base config of tests/test_cli.py (``_fuzz_configs``), each
+rendered in csv and json.  It prints one line per report: its sha256, the
+revision's commit and the report's label.  With several revisions it ends
+with a line saying whether every report has the same digest in all of
+them, and exits 1 if not.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import unpack
+
+
+def render_all(tree):
+    """(label, text) of every report, rendered by the tree's own herzlab.
+
+    Config files, and the coefficient file of the seqnorm config, are
+    written to the current directory under fixed relative names, so the
+    config echo in each report does not depend on where it runs.
+    """
+    sys.path[:0] = [str(tree / "src"), str(tree / "tests")]
+    from herzlab.cli import ExperimentConfig, render_report, run_config
+    from test_acceptance import DETERMINISM_CONFIGS
+    from test_cli import _fuzz_configs
+    configs = [("criterion-14", command, text)
+               for command, text in DETERMINISM_CONFIGS.items()]
+    configs += [("test_cli", command, text)
+                for command, text in _fuzz_configs(Path(".")).items()]
+    for source, command, text in configs:
+        path = Path(f"{source}-{command}.ini")
+        path.write_text(text)
+        report = run_config(ExperimentConfig.load(str(path), command))
+        for fmt in ("csv", "json"):
+            yield f"{source} {command} {fmt}", render_report(report, fmt)
+
+
+def digests(tree, workdir):
+    """{label: sha256} of the reports of the tree, rendered in a child."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--render", str(tree)],
+        cwd=str(workdir), env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"rendering {tree.name[:12]} exited "
+                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return dict(line.split(" ", 1)[::-1] for line in proc.stdout.splitlines())
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("revs", nargs="*", help="git revisions")
+    ap.add_argument("--render", metavar="TREE", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.render:
+        for label, text in render_all(Path(args.render)):
+            print(hashlib.sha256(text.encode("ascii")).hexdigest(), label)
+        return 0
+    if not args.revs:
+        ap.error("give at least one revision")
+    with tempfile.TemporaryDirectory(prefix="report_digests-") as tmp:
+        runs = []
+        for i, rev in enumerate(args.revs):
+            commit, tree = unpack(rev, Path(tmp))
+            workdir = Path(tmp) / f"run{i}"
+            workdir.mkdir()
+            runs.append(digests(tree, workdir))
+            for label, digest in runs[-1].items():
+                print(digest, commit[:12], label)
+    if len(runs) > 1:
+        same = all(run == runs[0] for run in runs)
+        print(f"{len(runs[0])} reports: "
+              f"{'the same' if same else 'NOT the same'} in every revision")
+        return 0 if same else 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
