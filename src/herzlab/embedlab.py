@@ -377,31 +377,42 @@ def ppn_check(source, target, n, L, G, N_max, seed):
 # -- random coefficient ensembles ------------------------------------------
 
 
-def _random_coeffs(n, K, rng):
-    """Sparse lognormal coefficients on a short random window of levels.
+def _random_coeffs(n, K, rng, draws):
+    """``draws`` sets of sparse lognormal coefficients, built as one batch.
 
     Each draw occupies at most four adjacent levels so that its norm
     ratio reflects one region of the lattice instead of an average over
     all of them.  Shallow windows recur with the same law at every K,
     which keeps the ensemble maximum comparable across K, while windows
     touching the top level expose any defect that grows with K.  Level k
-    draws on the box [-2^(k+1), 2^(k+1))^n of the period-16 lattice.
+    draws on the box [-2^(k+1), 2^(k+1))^n of the period-16 lattice.  The
+    rng is called draw by draw, level by level; the phases and values of
+    all draws are then formed in one pass, element by element.
     """
-    width = min(int(rng.integers(1, 5)), K + 1)
-    k0 = int(rng.integers(0, K - width + 2))
-    levels = []
-    for k in range(k0, k0 + width):
-        half = 2 << k
-        volume = (2 * half) ** n
-        density = 2.0 ** (-n * k / 2.0)
-        count = rng.poisson(volume * density)
-        if count == 0:
-            continue
-        pos = rng.integers(-half, half, size=(count, n))
-        mags = rng.lognormal(0.0, 1.0, size=count)
-        phases = np.exp(2j * np.pi * rng.random(count))
-        levels.append((k, pos, mags * phases))
-    return CoeffSeq.from_levels(n, K, 16.0, levels)
+    # the leading empty arrays keep the concatenations valid with no draws
+    sets, mags, turns = [], [np.zeros(0)], [np.zeros(0)]
+    stop = 0
+    for _ in range(draws):
+        width = min(int(rng.integers(1, 5)), K + 1)
+        k0 = int(rng.integers(0, K - width + 2))
+        groups = []
+        for k in range(k0, k0 + width):
+            half = 2 << k
+            volume = (2 * half) ** n
+            density = 2.0 ** (-n * k / 2.0)
+            count = rng.poisson(volume * density)
+            if count == 0:
+                continue
+            pos = rng.integers(-half, half, size=(count, n))
+            mags.append(rng.lognormal(0.0, 1.0, size=count))
+            turns.append(rng.random(count))
+            groups.append((k, pos, stop, stop + count))
+            stop += count
+        sets.append(groups)
+    values = np.concatenate(mags) * np.exp(2j * np.pi * np.concatenate(turns))
+    return CoeffSeq.batch_from_levels(
+        n, K, 16.0, [[(k, pos, values[a:b]) for k, pos, a, b in groups]
+                     for groups in sets])
 
 
 def probe_coeffs(n, K, level):
@@ -429,11 +440,13 @@ def seq_embedding_check(spec, K, draws, seed, control=False):
 
     Refuses hypothesis-violating specs unless ``control=True``, which
     permits exactly one defect: a broken smoothness balance.  Probe
-    spikes at the top level and mid level are always included; they pin
-    the growth rate when the balance is broken.  All draws are made first
-    and their norms taken as one batch; draws with a zero source norm are
-    skipped.
+    spikes at the top level K and mid level max(1, K // 2) are always
+    included, so K must be >= 1; they pin the growth rate when the balance
+    is broken.  All draws are built as one batch and their norms taken as
+    one batch; draws with a zero source norm are skipped.
     """
+    if K < 1:
+        raise ValueError(f"K = {K} must be >= 1")
     if draws < 0:
         raise ValueError(f"draws = {draws} must be >= 0")
     if spec.theorem == "besov-function":
@@ -447,7 +460,7 @@ def seq_embedding_check(spec, K, draws, seed, control=False):
     else:
         spec.validate()
     rng = np.random.default_rng(seed)
-    lams = [_random_coeffs(spec.n, K, rng) for _ in range(draws)]
+    lams = _random_coeffs(spec.n, K, rng, draws)
     den = seq_norms(lams, spec.source)
     kept = den != 0.0
     ratios = seq_norms([lam for lam, ok in zip(lams, kept) if ok],

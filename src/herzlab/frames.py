@@ -50,6 +50,7 @@ fields, which round-trips complex128 bit-exactly.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -61,25 +62,29 @@ from .lpdecomp import level_spectra
 class CoeffSeq:
     """Sparse dyadic coefficients: (level k, lattice index tuple) -> value.
 
-    A set is stored as per-level arrays (see ``levels``), built once by
-    ``from_levels``; ``CoeffSeq(n, K, L, entries)`` builds them from a dict
-    keyed by (k, m).  ``entries`` is the (k, m) -> complex mapping: the
-    given dict, or for an array-built set a dict in lexicographic order,
-    made on first access.  Neither may be changed afterwards.
+    A set is stored as per-level arrays (see ``levels``).  They are built
+    by ``batch_from_levels``, which validates, sorts and de-duplicates many
+    sets at once; ``from_levels`` and ``CoeffSeq(n, K, L, entries)``, which
+    builds them from a dict keyed by (k, m), are its batch of one.
+    ``entries`` is the (k, m) -> complex mapping: the given dict, or for an
+    array-built set a dict in lexicographic order, made on first access.
+    Neither may be changed afterwards.
     """
 
     def __init__(self, n, K, L, entries=None):
         entries = {} if entries is None else entries
         # one group per (level, index length) in insertion order: a key's
-        # validity depends on those two only, so the first bad group that
-        # _build meets starts with the first bad key
+        # level and length checks depend on those two only, so the first
+        # group that fails them starts with the first key that does
         groups = {}
         for (k, m), v in entries.items():
             pos, vals = groups.setdefault((k, len(m)), ([], []))
             pos.append(m)
             vals.append(v)
-        self._build(n, K, L, [(k, pos, vals)
-                              for (k, _), (pos, vals) in groups.items()])
+        (built,) = self.batch_from_levels(
+            n, K, L, [[(k, pos, vals)
+                       for (k, _), (pos, vals) in groups.items()]])
+        self.n, self.K, self.L, self._levels = n, K, L, built._levels
         self._entries = entries
 
     @classmethod
@@ -90,47 +95,60 @@ class CoeffSeq:
         matching lam[k, m].  Groups may come in any order and repeat a level
         or an index: the last value given for an index wins.
         """
-        self = cls.__new__(cls)
-        self._build(n, K, L, groups)
-        self._entries = None
-        return self
+        return cls.batch_from_levels(n, K, L, [groups])[0]
 
-    def _build(self, n, K, L, groups):
-        """Validate, lexsort and de-duplicate groups into per-level arrays."""
+    @classmethod
+    def batch_from_levels(cls, n, K, L, sets):
+        """One set per list of (k, pos, values) groups, as from_levels.
+
+        Every group is validated, in order, and the first bad one raises.
+        All entries are then lexsorted once (stable) by set, level and
+        index, a repeated index keeps the last value given for it within
+        its set, and the result is split into per-set, per-level read-only
+        views.  Entries of different sets are never merged.
+        """
         if n < 1:
             raise ValueError("n must be >= 1")
         if K < 0:
             raise ValueError("K must be >= 0")
-        self.n, self.K, self.L = n, K, L
-        ks, pos, vals = [], [], []
-        for k, p, v in groups:
-            if not len(p):
-                continue
-            p = np.asarray(p, dtype=np.int64)
-            if not (0 <= k <= K and p.shape[1] == n):
-                raise _bad_entry(k, p[0], n, K)
-            ks.append(np.full(len(p), k, dtype=np.int64))
-            pos.append(p)
-            vals.append(np.asarray(v, dtype=np.complex128))
-        if len(ks) == 1:
-            ks, pos, vals = ks[0], pos[0], vals[0]
-        elif ks:
-            ks, pos, vals = (np.concatenate(ks), np.concatenate(pos),
-                             np.concatenate(vals))
+        keys, pos, vals = [], [], []
+        for d, groups in enumerate(sets):
+            for group in groups:
+                k, p, v = _checked_group(*group, n, K)
+                if len(v):
+                    # (set, level) as one sort key
+                    keys.append(d * (K + 1) + k)
+                    pos.append(p)
+                    vals.append(v)
+        lens = list(map(len, vals))
+        keys = np.repeat(np.array(keys, dtype=np.int64), lens)
+        if len(pos) == 1:
+            pos, vals = pos[0], vals[0]
+        elif pos:
+            pos, vals = np.concatenate(pos), np.concatenate(vals)
         else:
-            ks, pos, vals = (np.zeros(0, np.int64), np.zeros((0, n), np.int64),
-                             np.zeros(0, np.complex128))
-        order = np.lexsort((*pos.T[::-1], ks))
-        ks, pos, vals = ks[order], pos[order], vals[order]
+            pos, vals = np.zeros((0, n), np.int64), np.zeros(0, np.complex128)
+        order = np.lexsort((*pos.T[::-1], keys))
+        keys, pos, vals = keys[order], pos[order], vals[order]
         # a stable sort keeps repeats in the order given: keep the last
-        last = np.append((ks[1:] != ks[:-1])
+        last = np.append((keys[1:] != keys[:-1])
                          | (pos[1:] != pos[:-1]).any(axis=1), True)
         if not last.all():
-            ks, pos, vals = ks[last], pos[last], vals[last]
+            keys, pos, vals = keys[last], pos[last], vals[last]
         pos.flags.writeable = vals.flags.writeable = False
-        starts = [0, *(np.flatnonzero(np.diff(ks)) + 1).tolist(), len(ks)]
-        self._levels = [(int(ks[a]), pos[a:b], vals[a:b])
-                        for a, b in zip(starts, starts[1:]) if b > a]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        bounds = [*starts.tolist(), len(keys)]
+        levels = [[] for _ in sets]
+        for key, a, b in zip(keys[starts].tolist(), bounds, bounds[1:]):
+            d, k = divmod(key, K + 1)
+            levels[d].append((k, pos[a:b], vals[a:b]))
+        out = []
+        for own in levels:
+            self = cls.__new__(cls)
+            self.n, self.K, self.L, self._levels = n, K, L, own
+            self._entries = None
+            out.append(self)
+        return out
 
     @property
     def entries(self):
@@ -152,12 +170,36 @@ class CoeffSeq:
         return self._levels
 
 
-def _bad_entry(k, m, n, K):
-    """The error for an entry (k, m) that fails validation."""
+def _checked_group(k, pos, vals, n, K):
+    """A (k, pos, values) group as an int level, (H, n) int64 indices and
+    (H,) complex128 values, or a ValueError naming the level.
+
+    A group with no positions and no values is returned as it is, and is
+    checked only for an integer level.
+    """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"entry level {k!r} is not an integer") from None
+    pos = np.asarray(pos)
+    vals = np.asarray(vals, dtype=np.complex128)
+    if not pos.size and not vals.size:
+        return k, pos, vals
     if not 0 <= k <= K:
-        return ValueError(f"entry level {k} outside 0..{K}")
-    return ValueError(f"entry index {tuple(m.tolist())} is not "
-                      f"{n}-dimensional")
+        raise ValueError(f"entry level {k} outside 0..{K}")
+    if pos.ndim != 2:
+        raise ValueError(f"level {k} positions have shape {pos.shape}, "
+                         f"need (H, {n})")
+    if pos.shape[1] != n:
+        raise ValueError(f"entry index {tuple(pos[0].tolist())} is not "
+                         f"{n}-dimensional")
+    if pos.dtype.kind not in "iu":
+        raise ValueError(f"level {k} positions are {pos.dtype}, need "
+                         f"integers")
+    if vals.shape != (len(pos),):
+        raise ValueError(f"level {k} values have shape {vals.shape}, need "
+                         f"({len(pos)},)")
+    return k, pos.astype(np.int64, copy=False), vals
 
 
 def lattice_span(L, k):

@@ -353,15 +353,21 @@ def _lowered(spec):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_random_coeffs_draw_the_former_sets(n):
+    # one batch of 40 sets against 40 per-set draws from the same stream
     new, old = np.random.default_rng(40 + n), np.random.default_rng(40 + n)
-    for _ in range(40):
-        got = _random_coeffs(n, 5, new).levels()
+    batch = _random_coeffs(n, 5, new, 40)
+    assert len(batch) == 40
+    for lam in batch:
+        got = lam.levels()
         want = former_random_coeffs(n, 5, old).levels()
         assert [k for k, _, _ in got] == [k for k, _, _ in want]
         for (_, pos, vals), (_, ref_pos, ref_vals) in zip(got, want):
             assert np.array_equal(pos, ref_pos)
             assert np.array_equal(vals.view(np.float64),
                                   ref_vals.view(np.float64))
+    # the rng is left where the per-set draws leave it
+    assert new.random() == old.random()
+    assert _random_coeffs(n, 5, new, 0) == []
 
 
 @pytest.mark.parametrize("n, theorem, control, K, draws, seed", [
@@ -390,6 +396,13 @@ def test_batched_sweep_matches_per_draw_route(n, theorem, control, K, draws,
         assert got["skipped"] > 0
     if K == 5:
         assert draws * (4 << K) ** n > seqspace.BATCH_CELLS
+
+
+def test_sweep_needs_a_positive_top_level():
+    # the mid-level probe sits at level max(1, K // 2)
+    with pytest.raises(ValueError, match=r"K = 0 must be >= 1"):
+        seq_embedding_check(conforming("sobolev"), 0, draws=5, seed=1)
+    assert seq_embedding_check(conforming("sobolev"), 1, 5, 1)["K"] == 1
 
 
 def test_negative_draws_rejected_by_name():

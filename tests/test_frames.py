@@ -372,6 +372,101 @@ def test_from_levels_keeps_the_last_repeated_value():
     assert CoeffSeq.from_levels(1, 0, 16.0, []).levels() == []
 
 
+def _random_sets(n, count, rng):
+    """count lists of groups with shuffled levels, repeated indices within
+    a set, the same indices in several sets, and empty sets and groups."""
+    shared = rng.integers(-6, 6, size=(5, n))
+    sets = []
+    for d in range(count):
+        if d % 5 == 3:
+            sets.append([] if d % 2 else [(1, np.zeros((0, n), np.int64),
+                                            np.zeros(0))])
+            continue
+        groups = []
+        for k in rng.permutation(4)[:int(rng.integers(1, 5))].tolist():
+            rows = int(rng.integers(1, 12))
+            pos = np.concatenate([shared, rng.integers(-6, 6,
+                                                       size=(rows, n))])
+            vals = rng.standard_normal(len(pos)) + 1j * d
+            groups.append((k, pos, vals))
+            # a second group repeating some of the level's indices
+            groups.append((k, pos[::3], rng.standard_normal(len(pos[::3]))))
+        sets.append(groups)
+    return sets
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_batch_from_levels_equals_one_from_levels_per_set(n):
+    sets = _random_sets(n, 30, np.random.default_rng(60 + n))
+    got = CoeffSeq.batch_from_levels(n, 3, 16.0, sets)
+    assert len(got) == len(sets)
+    for lam, groups in zip(got, sets):
+        want = CoeffSeq.from_levels(n, 3, 16.0, groups)
+        assert (lam.n, lam.K, lam.L) == (n, 3, 16.0)
+        assert [k for k, _, _ in lam.levels()] == \
+            [k for k, _, _ in want.levels()]
+        for (k, pos, vals), (_, ref_pos, ref_vals) in zip(lam.levels(),
+                                                          want.levels()):
+            assert type(k) is int
+            assert np.array_equal(pos, ref_pos) and pos.dtype == np.int64
+            assert np.array_equal(vals.view(np.float64),
+                                  ref_vals.view(np.float64))
+            assert not pos.flags.writeable and not vals.flags.writeable
+        assert list(lam.entries.items()) == list(want.entries.items())
+    assert [lam.levels() for lam in got if not lam.entries] == [[]] * 6
+    assert CoeffSeq.batch_from_levels(n, 3, 16.0, []) == []
+
+
+def test_batch_from_levels_keeps_repeats_within_a_set_only():
+    first, second, empty = CoeffSeq.batch_from_levels(1, 2, 16.0, [
+        [(1, [[4], [2]], [1.0, 2.0]), (1, [[4]], [3.0])],
+        [(1, [[4]], [5.0]), (0, [[4]], [6.0])],
+        [],
+    ])
+    assert first.entries == {(1, (2,)): 2.0, (1, (4,)): 3.0}
+    assert list(second.entries) == [(0, (4,)), (1, (4,))]
+    assert second.entries == {(0, (4,)): 6.0, (1, (4,)): 5.0}
+    assert empty.levels() == [] and empty.entries == {}
+
+
+def test_batch_from_levels_names_the_first_bad_key_of_the_first_bad_set():
+    good = [(0, [[1]], [1j])]
+    with pytest.raises(ValueError, match=r"entry index \(0, 0\) is not "
+                                         r"1-dimensional"):
+        CoeffSeq.batch_from_levels(1, 2, 16.0, [
+            good, [(1, [[0, 0]], [1j]), (5, [[0]], [1j])],
+            [(7, [[0]], [1j])]])
+    with pytest.raises(ValueError, match=r"entry level 5 outside 0\.\.2"):
+        CoeffSeq.batch_from_levels(1, 2, 16.0, [
+            good, good, [(5, [[0]], [1j])], [(1, [[0, 0]], [1j])]])
+
+
+@pytest.mark.parametrize("groups, message", [
+    # level 0 has two indices and one value, level 1 one index and two
+    ([(0, [[1], [2]], [1]), (1, [[3]], [5, 6])],
+     r"level 0 values have shape \(1,\), need \(2,\)"),
+    ([(2, [[3]], [5, 6])], r"level 2 values have shape \(2,\), need \(1,\)"),
+    ([(0, [], [1])], r"level 0 positions have shape \(0,\), need \(H, 1\)"),
+    ([(0, [1, 2], [1, 2])],
+     r"level 0 positions have shape \(2,\), need \(H, 1\)"),
+    ([(1, [[1.5]], [1])], r"level 1 positions are float64, need integers"),
+    ([(0.5, [[1]], [1])], r"entry level 0\.5 is not an integer"),
+])
+def test_from_levels_rejects_misaligned_groups(groups, message):
+    with pytest.raises(ValueError, match=message):
+        CoeffSeq.from_levels(1, 2, 16.0, groups)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({(0, (1,)): 1j, (0, (1.5,)): 1j},
+     r"level 0 positions are float64, need integers"),
+    ({(0, (1,)): 1j, (0.5, (1,)): 1j}, r"entry level 0\.5 is not an integer"),
+])
+def test_coeffseq_rejects_non_integer_keys(entries, message):
+    with pytest.raises(ValueError, match=message):
+        CoeffSeq(1, 2, 16.0, entries)
+
+
 def test_synthesize_rejects_index_outside_level_span():
     system = build_fj_pair(1, 16.0, 512, 3)
     # the level-1 span is [-16, 16)

@@ -2,7 +2,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_acceptance import DETERMINISM_CONFIGS
+from test_acceptance import DETERMINISM_CONFIGS, EMBEDDING_SPECS
 
 from herzlab.cli import COMMANDS
 
@@ -20,6 +20,11 @@ def test_render_prints_one_digest_per_report(tmp_path):
             for source, commands in (("criterion-14", DETERMINISM_CONFIGS),
                                      ("test_cli", COMMANDS))
             for command in commands for fmt in ("csv", "json")]
+    want += [f"{source} embed-sweep {fmt}"
+             for source in [f"criterion-09-{name}{tag}"
+                            for name in EMBEDDING_SPECS
+                            for tag in ("", "-control")] + ["n2-sweep"]
+             for fmt in ("csv", "json")]
     assert [label for _, label in lines] == want
     assert all(len(digest) == 64 and int(digest, 16) >= 0
                for digest, _ in lines)

@@ -7,8 +7,10 @@ Run from the root of a source checkout, for example:
 Each revision's tree is unpacked with ``git archive`` into a temporary
 directory, as tools/bench_pairs.py does.  A child process imports that
 tree's herzlab and tests and runs, under its command, every config of
-DETERMINISM_CONFIGS (tests/test_acceptance.py, acceptance criterion 14)
-and every base config of tests/test_cli.py (``_fuzz_configs``), each
+DETERMINISM_CONFIGS (tests/test_acceptance.py, acceptance criterion 14),
+every base config of tests/test_cli.py (``_fuzz_configs``) and the
+embed-sweep configs of ``sweep_configs`` (the five sequence specs of
+acceptance criterion 09, each with its control, and one n = 2 sweep), each
 rendered in csv and json.  It prints one line per report: its sha256, the
 revision's commit and the report's label.  With several revisions it ends
 with a line saying whether every report has the same digest in all of
@@ -26,6 +28,61 @@ from pathlib import Path
 from bench_pairs import unpack
 
 
+# An n = 2 jawerth-strict sweep; s - bold 1/p - bold alpha is 1 on both sides.
+N2_SWEEP = """
+[run]
+theorem = jawerth-strict
+[source]
+family = f
+s = 3.5
+beta = 3
+p = 1,1
+alpha = 0.25
+q = 2
+[target]
+family = b
+s = 2
+beta = 2
+p = 2,2
+alpha = 0
+q = 1.5
+[ensemble]
+seed = 905
+draws = 40
+k_list = 2,3
+"""
+
+
+def _sweep_text(theorem, source, target, seed, control):
+    """embed-sweep config of one sequence spec at K = 4, 6, 8, 200 draws."""
+    sections = [f"[run]\ntheorem = {theorem}\n"]
+    for name, params in (("source", source), ("target", target)):
+        herz = params.herz
+        sections.append(
+            f"[{name}]\nfamily = {params.family}\ns = {params.s!r}\n"
+            f"beta = {params.beta!r}\n"
+            + "".join(f"{key} = {','.join(map(repr, values))}\n"
+                      for key, values in (("p", herz.p), ("alpha", herz.alpha),
+                                          ("q", herz.q))))
+    sections.append(f"[ensemble]\nseed = {seed}\ndraws = 200\n"
+                    f"k_list = 4,6,8\ncontrol = {'yes' if control else 'no'}\n")
+    return "".join(sections)
+
+
+def sweep_configs(specs, lowered):
+    """(source, text) of the criterion-09 sweeps and N2_SWEEP.
+
+    specs maps a theorem to its (source, target) SpaceParams, and lowered
+    gives a control's source; the seeds are those of criterion 09.
+    """
+    for name, (source, target) in specs.items():
+        yield (f"criterion-09-{name}",
+               _sweep_text(name, source, target, 900, False))
+        yield (f"criterion-09-{name}-control",
+               _sweep_text(name, lowered(source), target, 901, True))
+    yield "n2-sweep", N2_SWEEP
+
+
 def render_all(tree):
     """(label, text) of every report, rendered by the tree's own herzlab.
 
@@ -35,12 +92,15 @@ def render_all(tree):
     """
     sys.path[:0] = [str(tree / "src"), str(tree / "tests")]
     from herzlab.cli import ExperimentConfig, render_report, run_config
-    from test_acceptance import DETERMINISM_CONFIGS
+    from test_acceptance import (DETERMINISM_CONFIGS, EMBEDDING_SPECS,
+                                 _lowered)
     from test_cli import _fuzz_configs
     configs = [("criterion-14", command, text)
                for command, text in DETERMINISM_CONFIGS.items()]
     configs += [("test_cli", command, text)
                 for command, text in _fuzz_configs(Path(".")).items()]
+    configs += [(source, "embed-sweep", text)
+                for source, text in sweep_configs(EMBEDDING_SPECS, _lowered)]
     for source, command, text in configs:
         path = Path(f"{source}-{command}.ini")
         path.write_text(text)
