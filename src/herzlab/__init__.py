@@ -20,8 +20,7 @@ from .herz import (HerzParams, HypothesisError, lq_combine, lq_envelope,
                    mixed_herz_norm, mixed_lebesgue_norm)
 from .lpdecomp import (SpectralSystem, bandlimited_witness, build_fj_pair,
                        build_resolution, level_blocks, level_magnitudes,
-                       level_spectra, lp_block, partition_sum,
-                       random_band_field)
+                       level_spectra, partition_sum, random_band_field)
 from .maximal import fs_vector_check, iterated_maximal
 from .seqspace import SeqSpaceParams, b_norm, f_norm, lambda_star, seq_norm
 from .spaces import (SpaceParams, besov_norm, block_norms, space_norm,

@@ -51,6 +51,7 @@ fields, which round-trips complex128 bit-exactly.
 
 import math
 import operator
+from types import MappingProxyType
 
 import numpy as np
 
@@ -65,11 +66,11 @@ class CoeffSeq:
     A set is stored as per-level arrays (see ``levels``).  They are built
     by ``batch_from_levels``, which validates, sorts and de-duplicates many
     sets at once; ``from_levels`` and ``CoeffSeq(n, K, L, entries)``, which
-    builds them from a dict keyed by (k, m), are its batch of one.
-    ``entries`` is the (k, m) -> complex mapping: the given dict, or for an
-    array-built set a dict in lexicographic order, made on first access.
-    Neither may be changed afterwards.
+    builds them from a dict keyed by (k, m), are its batch of one.  The
+    arrays are the one stored form; ``entries`` is derived from them.
     """
+
+    _entries = None
 
     def __init__(self, n, K, L, entries=None):
         entries = {} if entries is None else entries
@@ -85,7 +86,6 @@ class CoeffSeq:
             n, K, L, [[(k, pos, vals)
                        for (k, _), (pos, vals) in groups.items()]])
         self.n, self.K, self.L, self._levels = n, K, L, built._levels
-        self._entries = entries
 
     @classmethod
     def from_levels(cls, n, K, L, groups):
@@ -122,12 +122,8 @@ class CoeffSeq:
                     vals.append(v)
         lens = list(map(len, vals))
         keys = np.repeat(np.array(keys, dtype=np.int64), lens)
-        if len(pos) == 1:
-            pos, vals = pos[0], vals[0]
-        elif pos:
-            pos, vals = np.concatenate(pos), np.concatenate(vals)
-        else:
-            pos, vals = np.zeros((0, n), np.int64), np.zeros(0, np.complex128)
+        pos = np.concatenate([np.zeros((0, n), np.int64), *pos])
+        vals = np.concatenate([np.zeros(0, np.complex128), *vals])
         order = np.lexsort((*pos.T[::-1], keys))
         keys, pos, vals = keys[order], pos[order], vals[order]
         # a stable sort keeps repeats in the order given: keep the last
@@ -146,16 +142,17 @@ class CoeffSeq:
         for own in levels:
             self = cls.__new__(cls)
             self.n, self.K, self.L, self._levels = n, K, L, own
-            self._entries = None
             out.append(self)
         return out
 
     @property
     def entries(self):
+        """The read-only (k, m) -> complex mapping, built from ``levels``
+        on first access, so in lexicographic order."""
         if self._entries is None:
-            self._entries = {
+            self._entries = MappingProxyType({
                 (k, m): v for k, pos, vals in self._levels
-                for m, v in zip(map(tuple, pos.tolist()), vals.tolist())}
+                for m, v in zip(map(tuple, pos.tolist()), vals.tolist())})
         return self._entries
 
     def level_entries(self, k):
@@ -181,7 +178,10 @@ def _checked_group(k, pos, vals, n, K):
         k = operator.index(k)
     except TypeError:
         raise ValueError(f"entry level {k!r} is not an integer") from None
-    pos = np.asarray(pos)
+    try:
+        pos = np.asarray(pos)
+    except ValueError:  # numpy's message for ragged rows names no level
+        raise ValueError(f"level {k} positions are ragged") from None
     vals = np.asarray(vals, dtype=np.complex128)
     if not pos.size and not vals.size:
         return k, pos, vals
@@ -298,14 +298,12 @@ COEFF_MAGIC = "herzcoeffs 1"
 
 def save_coeffs(coeffs, path):
     """Text snapshot; %.17g per float round-trips bit-exactly."""
-    lines = [COEFF_MAGIC,
-             f"n={coeffs.n} K={coeffs.K} L={coeffs.L:.17g} count={len(coeffs.entries)}"]
-    for (k, m) in sorted(coeffs.entries):
-        v = coeffs.entries[(k, m)]
-        idx = " ".join(str(c) for c in m)
-        lines.append(f"{k} {idx} {v.real:.17g} {v.imag:.17g}")
+    rows = [f"{k} {' '.join(map(str, m))} {v.real:.17g} {v.imag:.17g}"
+            for k, pos, vals in coeffs.levels()
+            for m, v in zip(pos.tolist(), vals.tolist())]
+    head = f"n={coeffs.n} K={coeffs.K} L={coeffs.L:.17g} count={len(rows)}"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([COEFF_MAGIC, head, *rows]) + "\n")
 
 
 def load_coeffs(path):

@@ -40,36 +40,40 @@ def _log2_exact(x):
     return e
 
 
-def _frozen(a):
-    """Whether nothing can write to array a: no array it views is writable."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return True
-
-
 def sealed(values):
     """Mark ``values``, a new array nothing else refers to, read-only.
 
-    A SampledField stores such an array as it is; code that builds a field
-    from an array it has just made seals it first and so saves the copy.
+    ``owned`` keeps such an array as it is; code that builds a stored array
+    seals it first and so saves the copy.
     """
     values.flags.writeable = False
     return values
+
+
+def owned(given, dtype):
+    """``given`` as an array nothing can write to, for an object to store.
+
+    The one rule for a field's values and a system's crops.  An array that
+    is not writable and views no writable array (``sealed``, or another
+    object's stored array) is kept as it is.  Any other is copied, unless
+    converting it to ``dtype`` already made a new array, and sealed: the
+    caller's array stays writable, and changing it later changes nothing.
+    """
+    a = view = np.asarray(given, dtype=dtype)
+    while isinstance(view, np.ndarray):
+        if view.flags.writeable:
+            return sealed(a.copy() if a is given or a.base is not None else a)
+        view = view.base
+    return a
 
 
 @dataclass(frozen=True)
 class SampledField:
     """Complex samples on the torus, in space or frequency domain.
 
-    A field owns its ``values``, stored read-only as complex128, so that
-    what is derived from a field and kept on it
-    (``lpdecomp.level_magnitudes``) cannot go stale.  An array that can
-    still be written to (the caller's, or a view of it) is copied; it stays
-    writable, and changing it later does not change the field.  An array
-    nothing can write to (``sealed``, or another field's values) is stored
-    without a copy.
+    A field owns its ``values``, stored read-only as complex128 by the rule
+    of ``owned``, so that what is derived from a field and kept on it
+    (``lpdecomp.level_magnitudes``) cannot go stale.
     """
 
     n: int
@@ -86,13 +90,9 @@ class SampledField:
         _log2_exact(self.L)
         if self.domain not in ("space", "freq"):
             raise ValueError(f"unknown domain {self.domain!r}")
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = owned(self.values, np.complex128)
         if v.shape != (self.G,) * self.n:
             raise ValueError(f"values shape {v.shape} != {(self.G,) * self.n}")
-        if not _frozen(v):
-            if v is self.values or v.base is not None:
-                v = v.copy()
-            v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property

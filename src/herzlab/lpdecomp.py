@@ -18,13 +18,13 @@ Level-k supports: resolution annulus 2^k-1 <= |xi| <= 3*2^k-1, fj annulus
 2^k-1 <= |xi| <= 2^k+1.  A band-limited witness with spectrum in the open
 shell 3/4 * 2^N < |xi| < 2^N is reproduced by resolution block N alone.
 
-A system stores each multiplier M_k once, as its band crop: M_k on the
-least centered box |m_i| <= r_k outside which it is exactly 0, in native
-FFT order (see ``grid``), an array of (min(2 r_k + 1, G),)^n.  A level
-block is F^-1[M_k F f] = band_ifft(band_fft(f) * crop_k): one forward
-transform pruned to the widest band, one inverse per level pruned to its
-own.  On an fj pair r_k ~ 2^(k+1) L / (2 pi), far inside the grid.  The
-centered full-grid M_k is built only on demand (``multiplier``).
+A system stores each multiplier M_k once, read-only, as its band crop:
+M_k on the least centered box |m_i| <= r_k outside which it is exactly 0,
+in native FFT order (see ``grid``), an array of (min(2 r_k + 1, G),)^n.
+A level block is F^-1[M_k F f] = band_ifft(band_fft(f) * crop_k): one
+forward transform pruned to the widest band, one inverse per level pruned
+to its own.  On an fj pair r_k ~ 2^(k+1) L / (2 pi), far inside the grid.
+The full-grid M_k is built only on demand (``multiplier``).
 
 A field is decomposed once per system: the forward band spectrum, and the
 level magnitudes |F^-1[M_k F f]| once asked for, are kept on the field
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (SampledField, TAU, band_box, band_fft, band_freqs,
-                   band_ifft, sealed, spectral_transform)
+                   band_ifft, owned, sealed, spectral_transform)
 
 
 def smooth_step(t):
@@ -69,8 +69,9 @@ class SpectralSystem:
     kind 'resolution': multipliers sum to 1 on the resolvable band.
     kind 'fj': squared multipliers sum to 1 there (analysis = synthesis).
     ``crops[k]`` is M_k in native order on a box of (w,)^n, w odd <= G or
-    w = G, trimmed here (the one place that decides a band) to the least
-    such box holding its nonzeros.  ``lower_bounds`` records the positivity
+    w = G, trimmed (``_trimmed``) to the least such box holding its
+    nonzeros and stored read-only by ``grid.owned``, so a sealed minimal
+    crop is kept without a copy.  ``lower_bounds`` records the positivity
     floor of levels 0 and 1 over their nominal annuli.  A system equals only
     itself and hashes by identity, as the level memo on a field
     (``level_magnitudes``) keys it.
@@ -85,21 +86,17 @@ class SpectralSystem:
     lower_bounds: tuple
 
     def __post_init__(self):
-        trimmed = []
-        for k, crop in enumerate(map(np.asarray, self.crops)):
+        crops = []
+        for k, crop in enumerate(owned(c, None) for c in self.crops):
             w = crop.shape[0] if crop.ndim else 0
             if crop.shape != (w,) * self.n or not (
                     w == self.G or w % 2 == 1 and w <= self.G):
                 raise ValueError(
                     f"level {k} crop has shape {crop.shape}, expected "
                     f"(w,)^{self.n} with w odd <= G = {self.G} or w = G")
-            freqs = np.abs(band_freqs(w))
-            # per axis, the positions whose hyperplane holds a nonzero
-            hits = (crop.any(axis=tuple(b for b in range(self.n) if b != a))
-                    for a in range(self.n))
-            r = max((freqs[h].max() for h in hits if h.any()), default=0)
-            trimmed.append(crop[band_box(min(2 * r + 1, self.G), w, self.n)])
-        object.__setattr__(self, "crops", tuple(trimmed))
+            cut = _trimmed(crop, self.G)
+            crops.append(crop if cut is crop else sealed(cut))
+        object.__setattr__(self, "crops", tuple(crops))
 
     @property
     def width(self):
@@ -119,6 +116,19 @@ class SpectralSystem:
     def check_grid(self, field):
         if (field.n, field.L, field.G) != (self.n, self.L, self.G):
             raise ValueError("field grid does not match the system's grid")
+
+
+def _trimmed(crop, G):
+    """A native-order crop cut to the least band box (width 2r + 1 capped at
+    G) holding its nonzeros; a crop that is that box is returned as it is."""
+    n, w = crop.ndim, crop.shape[0]
+    freqs = np.abs(band_freqs(w))
+    # per axis, the positions whose hyperplane holds a nonzero
+    hits = (crop.any(axis=tuple(b for b in range(n) if b != a))
+            for a in range(n))
+    r = max((freqs[h].max() for h in hits if h.any()), default=0)
+    width = min(2 * r + 1, G)
+    return crop if width == w else crop[band_box(width, w, n)]
 
 
 def _radial_freq(freqs, n, L, rows=slice(None)):
@@ -145,7 +155,8 @@ def _build_levels(kind, n, L, G, K, window, reach, support, floors):
     ``support`` at k = K) and is evaluated only on the native box of
     half-width floor(reach 2^k L / 2 pi), capped at the grid.  lower_bounds
     takes M_k's minimum on the annulus floors[k], inside that support.
-    Each box is evaluated in slabs of its first axis of about SLAB samples.
+    Each box is evaluated in slabs of its first axis of about SLAB samples
+    and trimmed as it is built, so the system keeps it without a copy.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -176,7 +187,7 @@ def _build_levels(kind, n, L, G, K, window, reach, support, floors):
             m[i:i + step] = slab
         if k < len(floors):
             lows.append(float(min(low)) if low else float("nan"))
-        crops.append(m)
+        crops.append(sealed(_trimmed(m, G)))
     return SpectralSystem(kind, n, float(L), G, K, tuple(crops), tuple(lows))
 
 
@@ -193,21 +204,6 @@ def build_fj_pair(n, L, G, K):
     return _build_levels("fj", n, L, G, K, lambda x: rho_profile(x / 2.0),
                          2.0, "2^(K+1)",
                          ((0.0, 5.0 / 3.0), (6.0 / 5.0, 10.0 / 3.0)))
-
-
-def lp_block(field, system, k):
-    """Apply the level-k multiplier; returns a field in the input's domain.
-
-    A space-domain field gives the k-th of its level_blocks, bit for bit.
-    """
-    system.check_grid(field)
-    if not 0 <= k <= system.K:
-        raise ValueError(f"level k = {k} outside 0..{system.K}")
-    if field.domain == "space":
-        crop = system.crops[k]
-        spec = band_fft(field.values, crop.shape[0])
-        return field.with_values(sealed(band_ifft(spec * crop, field.G)))
-    return field.with_values(sealed(field.values * system.multiplier(k)))
 
 
 class _Decomposition:
@@ -231,8 +227,9 @@ def _decomposition(field, system):
     Domain and grid are checked on every call, hit or miss.  A field holds
     one record, in its instance __dict__ (not a dataclass field), keyed by
     the system's identity: decomposing by another system replaces it, and
-    it is freed with the field.  A field owns its values, which nothing can
-    write to (see ``grid.SampledField``), so the record cannot go stale.
+    it is freed with the field.  A field owns its values and a system its
+    crops, which nothing can write to (see ``grid.owned``), so the record
+    cannot go stale.
     """
     if field.domain != "space":
         raise ValueError("expected a space-domain field")
@@ -257,7 +254,7 @@ def level_spectra(field, system):
     Each is a native-order crop shaped like system.crops[k], with F the
     unnormalised DFT of the stored values (see ``grid``): the entry at
     frequency m is (-1)^(m_1 + ... + m_n) G^(n/2) times the matching entry
-    of the centered spectrum lp_block(spectral_transform(field), system, k).
+    of spectral_transform(field).values * system.multiplier(k).
     The domain and grid are checked, and the forward transform taken (or
     found on the field), when this is called, not when the first spectrum
     is drawn.

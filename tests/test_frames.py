@@ -358,6 +358,38 @@ def test_from_levels_equals_dict_constructor(n):
     assert got.entries is got.entries
 
 
+def test_entries_are_derived_from_the_levels_and_read_only(tmp_path):
+    given = {(1, (3,)): 2, (0, (5,)): 0.5, (1, (-2,)): 1j, (0, (-7,)): -1}
+    lam = CoeffSeq(1, 2, 16.0, given)
+    want = {(0, (-7,)): -1 + 0j, (0, (5,)): 0.5 + 0j, (1, (-2,)): 1j,
+            (1, (3,)): 2 + 0j}
+    assert list(lam.entries.items()) == list(want.items())
+    assert all(type(v) is complex for v in lam.entries.values())
+    levels = [(k, pos.tolist(), vals.tolist()) for k, pos, vals in
+              lam.levels()]
+    lam_path = tmp_path / "lam.txt"
+    save_coeffs(lam, lam_path)
+    snapshot = lam_path.read_text()
+    # changing the caller's dict afterwards changes nothing of the set
+    given[(1, (4,))] = 5.0
+    given[(0, (5,))] = 9.0
+    assert dict(lam.entries) == want
+    assert [(k, pos.tolist(), vals.tolist()) for k, pos, vals in
+            lam.levels()] == levels
+    save_coeffs(lam, lam_path)
+    assert lam_path.read_text() == snapshot
+    assert "count=4" in snapshot
+    # and the mapping cannot be written, however the set was built
+    built = CoeffSeq.from_levels(1, 2, 16.0, [(1, [[3]], [1.0])])
+    for coeffs in (lam, built):
+        with pytest.raises(TypeError):
+            coeffs.entries[(2, (7,))] = 3.0
+        with pytest.raises(TypeError):
+            del coeffs.entries[next(iter(coeffs.entries))]
+    assert built.level_entries(1) == {(3,): 1.0}
+    assert built.level_entries(0) == {}
+
+
 def test_from_levels_keeps_the_last_repeated_value():
     lam = CoeffSeq.from_levels(2, 2, 16.0, [
         (1, [[0, 1], [2, 3], [0, 1]], [1.0, 2.0, 3.0]),
@@ -451,6 +483,7 @@ def test_batch_from_levels_names_the_first_bad_key_of_the_first_bad_set():
      r"level 0 positions have shape \(2,\), need \(H, 1\)"),
     ([(1, [[1.5]], [1])], r"level 1 positions are float64, need integers"),
     ([(0.5, [[1]], [1])], r"entry level 0\.5 is not an integer"),
+    ([(0, [[1], [2, 3]], [1, 2])], r"level 0 positions are ragged"),
 ])
 def test_from_levels_rejects_misaligned_groups(groups, message):
     with pytest.raises(ValueError, match=message):

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from herzlab import (SampledField, SpectralSystem, bandlimited_witness,
-                     build_fj_pair, build_resolution, level_blocks,
-                     level_magnitudes, level_spectra, lp_block,
-                     mixed_lebesgue_norm, partition_sum, random_band_field,
-                     spectral_transform)
+from herzlab import (HerzParams, SampledField, SpaceParams, SpectralSystem,
+                     bandlimited_witness, besov_norm, build_fj_pair,
+                     build_resolution, level_blocks, level_magnitudes,
+                     level_spectra, mixed_lebesgue_norm, partition_sum,
+                     random_band_field, spectral_transform)
 from herzlab import lpdecomp
 from herzlab.grid import band_freqs
 from herzlab.lpdecomp import (rho_profile, smooth_step, theta_profile,
@@ -83,10 +83,10 @@ def test_positivity_floors():
     assert fj.lower_bounds[1] > 0.1
 
 
-def test_lp_block_keeps_domain_and_band():
+def test_level_block_keeps_domain_and_band():
     f = random_band_field(1, 16.0, 1024, 8.0, seed=1)
     system = build_resolution(1, 16.0, 1024, 4)
-    block = lp_block(f, system, 2)
+    block = list(level_blocks(f, system))[2]
     assert block.domain == "space"
     spec = spectral_transform(block)
     xi = np.abs(f.axis_freqs())
@@ -101,8 +101,8 @@ def test_block_sum_reconstructs_resolution():
     f = random_band_field(1, 16.0, 1024, 8.0, seed=2)
     system = build_resolution(1, 16.0, 1024, 4)
     total = np.zeros_like(f.values)
-    for k in range(system.K + 1):
-        total += lp_block(f, system, k).values
+    for block in level_blocks(f, system):
+        total += block.values
     rel = np.linalg.norm(total - f.values) / np.linalg.norm(f.values)
     assert rel < 1e-13
 
@@ -138,10 +138,7 @@ def test_witness_is_reproduced_by_its_block():
     w = bandlimited_witness(1, 32.0, 2048, 2, seed=9)
     system = build_resolution(1, 32.0, 2048, 5)
     wnorm = mixed_lebesgue_norm(w, 2.0)
-    hits = []
-    for k in range(system.K + 1):
-        bk = lp_block(w, system, k)
-        hits.append(mixed_lebesgue_norm(bk, 2.0))
+    hits = [mixed_lebesgue_norm(bk, 2.0) for bk in level_blocks(w, system)]
     assert math.isclose(hits[2], wnorm, rel_tol=1e-12)
     others = [v for i, v in enumerate(hits) if i != 2]
     assert max(others) < 1e-12 * wnorm
@@ -155,21 +152,20 @@ def test_witness_deterministic_per_seed():
     assert not np.array_equal(a.values, c.values)
 
 
-def test_level_blocks_equal_lp_block_and_validate_when_called():
+def test_level_blocks_are_centered_spectra_and_validate_when_called():
     system = build_fj_pair(2, 16.0, 64, 2)
     f = random_band_field(2, 16.0, 64, 4.0, seed=5)
     blocks = list(level_blocks(f, system))
     assert len(blocks) == system.K + 1
-    for k, b in enumerate(blocks):
-        assert b.domain == "space"
-        assert np.array_equal(b.values, lp_block(f, system, k).values)
+    assert all(b.domain == "space" for b in blocks)
     # the band crops are the centered level spectra on the band, in native
     # order, times (-1)^(m_1 + m_2) G^(n/2); G^(n/2) = 64 is a power of two
     spec = spectral_transform(f)
     for k, crop in enumerate(level_spectra(f, system)):
         assert crop.shape == system.crops[k].shape
         freqs = band_freqs(crop.shape[0])
-        centered = lp_block(spec, system, k).values[np.ix_(*[freqs + 32] * 2)]
+        centered = (spec.values * system.multiplier(k))[
+            np.ix_(*[freqs + 32] * 2)]
         sign = np.where((freqs[:, None] + freqs[None, :]) % 2, -1.0, 1.0)
         assert np.array_equal(crop, centered * sign * 64.0)
     # bad input fails at the call, before any block is drawn
@@ -326,6 +322,30 @@ def test_build_memory_stays_near_the_kept_crops():
         tracemalloc.stop()
     kept = sum(c.nbytes for c in system.crops)
     assert peak < 4 * kept
+
+
+def test_crops_are_read_only_and_the_systems_own():
+    system = build_fj_pair(1, 16.0, 256, 3)
+    f = random_band_field(1, 16.0, 256, 8.0, seed=2)
+    params = SpaceParams(HerzParams(2.0, 0.25, 1.0), 0.5, 2.0, "B")
+    before = besov_norm(f, params, system)
+    for crop in system.crops:
+        with pytest.raises(ValueError, match="read-only"):
+            crop[...] *= 2.0
+    assert besov_norm(f, params, system) == before
+    # built crops are sealed and minimal, so a system keeps them uncopied
+    again = SpectralSystem("fj", 1, 16.0, 256, 3, system.crops,
+                           system.lower_bounds)
+    assert all(a is b for a, b in zip(again.crops, system.crops))
+    # a writable crop is copied, minimal or trimmed, and stays writable
+    for given in (np.array(system.crops[2]),
+                  np.fft.ifftshift(system.multiplier(2))):
+        own = SpectralSystem("fj", 1, 16.0, 256, 0, (given,), (math.nan,))
+        assert given.flags.writeable
+        assert not np.shares_memory(own.crops[0], given)
+        assert _bits(own.crops[0]) == _bits(system.crops[2])
+        given[...] = 0.0
+        assert np.any(own.crops[0])
 
 
 @pytest.mark.parametrize("shape", [(9, 8), (8, 8), (33, 33), (0, 0), (9,),

@@ -25,7 +25,18 @@ def test_render_prints_one_digest_per_report(tmp_path):
                             for name in EMBEDDING_SPECS
                             for tag in ("", "-control")] + ["n2-sweep"]
              for fmt in ("csv", "json")]
+    want += [f"coeffs {name}" for name in ("analyze-1d", "analyze-2d",
+                                           "lambda-star", "dict",
+                                           "dict-roundtrip")]
+    want += [f"{builder} {n}-{L:g}-{G}-{K}"
+             for builder in ("build_resolution", "build_fj_pair")
+             for n, L, G, K in [*((1, 16.0, 1024, K) for K in range(1, 7)),
+                                (2, 16.0, 256, 3), (1, 16.0, 4096, 6),
+                                (2, 16.0, 512, 3)]]
     assert [label for _, label in lines] == want
     assert all(len(digest) == 64 and int(digest, 16) >= 0
                for digest, _ in lines)
-    assert len({digest for digest, _ in lines}) == len(lines)
+    # a snapshot reloaded and saved again has the same bytes
+    by_label = {label: digest for digest, label in lines}
+    assert by_label.pop("coeffs dict-roundtrip") == by_label["coeffs dict"]
+    assert len(set(by_label.values())) == len(by_label)

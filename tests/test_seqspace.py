@@ -124,8 +124,10 @@ def test_norms_independent_of_insertion_order():
     lam = _random_seq(2, 3, 40, 8)
     shuffled = list(lam.entries.items())
     np.random.default_rng(0).shuffle(shuffled)
-    other = CoeffSeq(lam.n, lam.K, lam.L, dict(shuffled[::-1]))
-    assert list(other.entries) != list(lam.entries)
+    given = dict(shuffled[::-1])
+    other = CoeffSeq(lam.n, lam.K, lam.L, given)
+    assert list(given) != list(lam.entries)
+    assert list(other.entries) == list(lam.entries)
     herz = HerzParams((2.0, 1.5), (0.25, 0.0), (1.0, 2.0))
     for beta in (1.5, 2.0, math.inf):
         for family, norm in (("f", f_norm), ("b", b_norm)):

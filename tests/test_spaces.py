@@ -7,9 +7,9 @@ import pytest
 from herzlab import (HerzParams, SampledField, SpaceParams,
                      bandlimited_witness, besov_norm, block_norms,
                      build_fj_pair, build_resolution, level_blocks,
-                     level_magnitudes, level_spectra, lp_block,
-                     mixed_herz_norm, random_band_field, roundtrip_error,
-                     space_norm, spectral_transform, triebel_norm)
+                     level_magnitudes, level_spectra, mixed_herz_norm,
+                     random_band_field, roundtrip_error, space_norm,
+                     spectral_transform, triebel_norm)
 from herzlab import lpdecomp
 
 HERZ = HerzParams(2.0, 0.25, 1.0)
@@ -126,7 +126,7 @@ def test_single_level_witness_sees_one_block():
 
 def former_triebel_norm(field, params, system):
     """The envelope loop from zeros over a list of all blocks."""
-    blocks = [lp_block(field, system, k) for k in range(system.K + 1)]
+    blocks = list(level_blocks(field, system))
     env = np.zeros_like(np.abs(blocks[0].values))
     for k, b in enumerate(blocks):
         term = 2.0 ** (k * params.s) * np.abs(b.values)

@@ -11,10 +11,12 @@ DETERMINISM_CONFIGS (tests/test_acceptance.py, acceptance criterion 14),
 every base config of tests/test_cli.py (``_fuzz_configs``) and the
 embed-sweep configs of ``sweep_configs`` (the five sequence specs of
 acceptance criterion 09, each with its control, and one n = 2 sweep), each
-rendered in csv and json.  It prints one line per report: its sha256, the
-revision's commit and the report's label.  With several revisions it ends
-with a line saying whether every report has the same digest in all of
-them, and exits 1 if not.
+rendered in csv and json.  It also takes the ``save_coeffs`` bytes of the
+coefficient sets of ``coeff_sets`` and the crop bytes and lower bounds of
+the systems of SYSTEM_SIZES (``system_bytes``).  It prints one line per
+report: its sha256, the revision's commit and the report's label.  With
+several revisions it ends with a line saying whether every report has the
+same digest in all of them, and exits 1 if not.
 """
 
 import argparse
@@ -24,6 +26,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from bench_pairs import unpack
 
@@ -83,14 +87,56 @@ def sweep_configs(specs, lowered):
     yield "n2-sweep", N2_SWEEP
 
 
+# (n, L, G, K) of the systems of acceptance criteria 03-06 and of the
+# spectral benchmark workload, each built as a resolution and as an fj pair.
+SYSTEM_SIZES = [*((1, 16.0, 1024, K) for K in range(1, 7)),
+                (2, 16.0, 256, 3), (1, 16.0, 4096, 6), (2, 16.0, 512, 3)]
+
+
+def coeff_sets(herzlab):
+    """(name, CoeffSeq) of analyze outputs at the criterion-04 sizes, a
+    lambda_star output, and a dict-built set with shuffled keys and int,
+    float and complex values."""
+    from herzlab.seqspace import lambda_star
+    for name, dims in (("analyze-1d", (1, 16.0, 4096, 6)),
+                       ("analyze-2d", (2, 16.0, 512, 3))):
+        system = herzlab.build_fj_pair(*dims)
+        field = herzlab.random_band_field(*dims[:3], system.band_radius(),
+                                          seed=0)
+        lam = herzlab.analyze(field, system)
+        yield name, lam
+    yield "lambda-star", lambda_star(lam, 1.5, 3.0, 4)
+    rng = np.random.default_rng(14)
+    keys = {(int(k), tuple(rng.integers(-8, 8, size=2).tolist()))
+            for k in rng.integers(0, 4, size=60)}
+    kinds = (lambda x: int(x * 10), float, lambda x: complex(x, -x / 3))
+    entries = {key: kinds[i % 3](rng.standard_normal())
+               for i, key in enumerate(sorted(keys))}
+    order = rng.permutation(len(entries))
+    items = list(entries.items())
+    yield "dict", herzlab.CoeffSeq(2, 3, 16.0, dict(items[i] for i in order))
+
+
+def system_bytes(system):
+    """The system's kind and grid, the shape, dtype and bytes of every
+    crop, then the lower bounds."""
+    head = (f"{system.kind} {system.n} {system.L!r} {system.G} {system.K}\n"
+            .encode("ascii"))
+    parts = [f"{c.shape} {c.dtype}\n".encode("ascii") + c.tobytes()
+             for c in system.crops]
+    return head + b"".join(parts) + np.array(system.lower_bounds).tobytes()
+
+
 def render_all(tree):
-    """(label, text) of every report, rendered by the tree's own herzlab.
+    """(label, bytes) of every report, rendered by the tree's own herzlab.
 
     Config files, and the coefficient file of the seqnorm config, are
     written to the current directory under fixed relative names, so the
-    config echo in each report does not depend on where it runs.
+    config echo in each report does not depend on where it runs; so are the
+    coefficient snapshots.
     """
     sys.path[:0] = [str(tree / "src"), str(tree / "tests")]
+    import herzlab
     from herzlab.cli import ExperimentConfig, render_report, run_config
     from test_acceptance import (DETERMINISM_CONFIGS, EMBEDDING_SPECS,
                                  _lowered)
@@ -106,7 +152,19 @@ def render_all(tree):
         path.write_text(text)
         report = run_config(ExperimentConfig.load(str(path), command))
         for fmt in ("csv", "json"):
-            yield f"{source} {command} {fmt}", render_report(report, fmt)
+            yield (f"{source} {command} {fmt}",
+                   render_report(report, fmt).encode("ascii"))
+    for name, lam in coeff_sets(herzlab):
+        path = Path(f"coeffs-{name}.txt")
+        herzlab.save_coeffs(lam, path)
+        yield f"coeffs {name}", path.read_bytes()
+    # the dict-built set after a load/save round trip, written last above
+    herzlab.save_coeffs(herzlab.load_coeffs(path), path)
+    yield f"coeffs {name}-roundtrip", path.read_bytes()
+    for builder in ("build_resolution", "build_fj_pair"):
+        for n, L, G, K in SYSTEM_SIZES:
+            system = getattr(herzlab, builder)(n, L, G, K)
+            yield f"{builder} {n}-{L:g}-{G}-{K}", system_bytes(system)
 
 
 def digests(tree, workdir):
@@ -127,8 +185,8 @@ def main(argv=None):
     ap.add_argument("--render", metavar="TREE", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.render:
-        for label, text in render_all(Path(args.render)):
-            print(hashlib.sha256(text.encode("ascii")).hexdigest(), label)
+        for label, data in render_all(Path(args.render)):
+            print(hashlib.sha256(data).hexdigest(), label)
         return 0
     if not args.revs:
         ap.error("give at least one revision")
