@@ -312,8 +312,8 @@ def test_builders_equal_former_full_grid_builders(builder, former, grid, K,
 
 def test_build_memory_stays_near_the_kept_crops():
     # the levels' temporaries live one slab at a time: the peak is the
-    # crops before and after trimming plus a slab's worth, where a whole-box
-    # evaluation peaked near eight times the kept crops
+    # kept crops, the box being trimmed and a slab's worth, where a
+    # whole-box evaluation peaked near eight times the kept crops
     tracemalloc.start()
     try:
         system = build_fj_pair(2, 1.0, 8192, 11)
