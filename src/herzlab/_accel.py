@@ -3,11 +3,13 @@
 Each kernel is deterministic run to run and independent of how its rows or
 targets are batched: the maximal scan reads the same prefix-sum entries per
 row, and the majorant kernels reduce the same (target, source) products in
-source order.
+source order.  Both do their arithmetic in a few large numpy calls: the
+maximal scan takes a block of consecutive widths per call, and the majorant
+kernels gather whole rows of their kernel box per source.
 
 The maximal scan computes only the window averages that can raise its
 result.  Rows that are all zero are left out, and at a width w that follows
-w - 1 in its widths array it skips every sample whose two new edge samples
+w - 1 in its widths array it skips every window whose two new edge samples
 are zero in all rows: the window sum then keeps its bits from width w - 1,
 and as it is >= 0, dividing it by 2w+1 instead of 2w-1 cannot give more
 (correctly rounded division is monotone).  Its output is bit for bit that
@@ -15,9 +17,15 @@ of the full scan; it takes nonnegative input only, and rejects the rest.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Reported as the run's numeric path by the benchmark; numpy is the only one.
 USE_NUMBA = False
+
+# Elements of one workspace block of the kernels.  Blocks this size stay in
+# the CPU cache; 2^22-element majorant blocks ran about 2x slower on a 2-vCPU
+# x86-64 VM.
+WORKSPACE = 1 << 16
 
 
 def _support(col):
@@ -30,18 +38,14 @@ def _support(col):
     return int(hot[(i + 1) % hot.size]), G - int(gaps[i]) + 1
 
 
-def _scan_runs(a, m, w, G):
-    """Sorted disjoint runs [p, q) of the samples 0..G-1 to scan at
-    half-width w > 1 after w - 1, for live columns in [a, a + m) mod G.
-
-    A sample j needs its window only when a column entering it,
-    (j - w) mod G or (j + w) mod G, can be nonzero (the cyclic runs
-    [a - w, a - w + m) and [a + w, a + w + m)), or when j = w - 1, the one
-    sample whose window sum moves to the other prefix-sum copy.  Runs that
-    cover the period come back as the one run (0, G).
+def _runs(spans, G):
+    """Sorted disjoint runs [p, q) of 0..G-1 covering the cyclic spans
+    (start, length); a span as long as the period gives the one run (0, G).
     """
     runs = []
-    for s, n in ((a - w, m), (a + w, m), (w - 1, 1)):
+    for s, n in spans:
+        if n >= G:
+            return [(0, G)]
         s %= G
         if s + n > G:
             runs.append((0, s + n - G))
@@ -57,6 +61,78 @@ def _scan_runs(a, m, w, G):
     return merged
 
 
+def _width_blocks(widths, G, size):
+    """The widths to scan as blocks [w0, nw, pruned] of w0..w0+nw-1.
+
+    Width 0 (the samples themselves) and widths of 2w+1 > 2G samples are
+    left out.  A width w > 1 that directly follows w - 1 in ``widths`` is
+    pruned; pruned widths that follow each other share a block of at most
+    ``size``, and every other width is a block of its own.
+    """
+    blocks = []
+    prev = None
+    for w in map(int, widths):
+        pruned = w > 1 and prev == w - 1
+        prev = w
+        if w == 0 or 2 * w + 1 > 2 * G:
+            continue
+        last = blocks[-1] if blocks else [0, 0, False]
+        if pruned and last[2] and last[0] + last[1] == w and last[1] < size:
+            last[1] += 1
+        else:
+            blocks.append([w, 1, pruned])
+    return blocks
+
+
+def _block_size(G, rows, m):
+    """Widths per block of the scan, for ``rows`` live rows with support m.
+
+    A block of nw widths scans its windows on about m + 2 nw starts (the
+    left run below), and nw (m + 2 nw) rows-wide windows are kept within
+    WORKSPACE.  When the prefix sums alone, 3G rows-wide, exceed WORKSPACE,
+    the scan runs out of the cache, and the pass a block adds (its maximum
+    over widths) costs more than the numpy calls it saves: one width per
+    block.
+    """
+    if 3 * G * rows > WORKSPACE:
+        return 1
+    per_row = WORKSPACE // rows
+    size = 1
+    while (size + 1) * (m + 2 * size + 2) <= per_row:
+        size += 1
+    return size
+
+
+def _block_max(cs, p, q, w0, nw, work):
+    """Per sample, the largest average of widths w0..w0+nw-1 over the
+    windows that start at lo = p..q-1.
+
+    Window (w, lo) sums cs[lo + 2w + 1] - cs[lo] and lands on sample
+    lo + w.  Row u of the (q - p + nw - 1, R) result is sample p + w0 + u
+    (not reduced mod G); it is built in ``work``.  The block is one strided
+    view of cs minus one slice, written skewed, so that width w0 + i of
+    start p + t sits at buf[i, i + t]; the rest of buf is +0.0, which no
+    average (all >= +0.0 or NaN) is below.
+    """
+    L, R = q - p, cs.shape[1]
+    s0, s1 = cs.strides
+    if nw == 1:
+        avg = work[:L * R].reshape(L, R)
+        np.subtract(cs[p + 2 * w0 + 1:q + 2 * w0 + 1], cs[p:q], out=avg)
+        avg /= 2.0 * w0 + 1.0
+        return avg
+    buf = work[:nw * (L + nw - 1) * R].reshape(nw, L + nw - 1, R)
+    buf[:, :nw - 1] = 0.0
+    buf[:, L:] = 0.0
+    b0, b1, b2 = buf.strides
+    skew = np.ndarray((nw, L, R), buffer=work, strides=(b0 + b1, b1, b2))
+    top = np.ndarray((nw, L, R), buffer=cs, offset=(p + 2 * w0 + 1) * s0,
+                     strides=(2 * s0, s0, s1))
+    np.subtract(top, cs[p:q], out=skew)
+    skew /= (2.0 * np.arange(w0, w0 + nw) + 1.0)[:, None, None]
+    return buf.max(axis=0)
+
+
 def maximal_rows(g, widths):
     """Centered periodic maximal function of each row of ``g``.
 
@@ -69,22 +145,32 @@ def maximal_rows(g, widths):
         wrapped samples with multiplicity.  Returns the (R, G) array of
         largest window averages.
 
-    With cs the prefix sums of three periods, the window of sample j
-    starts at lo = (j - w) mod G and sums S = cs[lo + 2w + 1] - cs[lo]; for
-    j >= w and for j < w these indices are two contiguous runs.  The scan
-    runs on the transpose, where each run is one contiguous block.
+    With cs the prefix sums of three periods, the window of half-width w
+    that starts at lo in [0, G) sums S = cs[lo + 2w + 1] - cs[lo] and
+    lands on sample j = (lo + w) mod G, as in the full scan.  The scan runs
+    on the transpose, in blocks of consecutive widths (``_width_blocks``,
+    ``_block_max``): over a run of starts, the block is one strided view
+    of cs minus one slice, and its maximum over widths goes into the
+    result with one np.maximum per period piece.
 
     The scan is pruned, with the same output bits.  Rows that are all zero
-    are left out; their output is zero.  A width w > 1 that directly
-    follows w - 1 in ``widths`` scans only the samples of ``_scan_runs``.
-    For any other sample both new edge samples are +0.0 in every row and
-    both widths read the same prefix-sum copy, so both prefix sums keep
-    their bits and S is the window sum of width w - 1; as S >= 0 and
-    correctly rounded division is monotone, fl(S / (2w+1)) <=
-    fl(S / (2w-1)), which the result already holds.  Width 1 (the result
-    starts from the samples, not from prefix-sum differences), a width that
-    does not directly follow w - 1, and a width whose runs cover the period
-    scan every sample.
+    are left out; their output is zero.  With every nonzero sample in the
+    cyclic interval [a, a + m), a width w > 1 that directly follows w - 1
+    in ``widths`` needs only the starts lo in [a, a + m) (its first sample
+    may be nonzero), in [a - 2w, a - 2w + m) (its last may be) and
+    lo = G - 1, the window of sample w - 1, whose start at width w - 1 is
+    0 and so reads the other prefix-sum copy.  For any other start both
+    edge samples are +0.0 in every row and cs[lo + 1], cs[lo + 2w] are the
+    entries of window (w - 1, lo + 1), which lands on the same sample:
+    both prefix sums keep their bits, S is that window's sum, and as
+    S >= 0 and correctly rounded division is monotone, fl(S / (2w+1)) <=
+    fl(S / (2w-1)), which the result holds once width w - 1 is scanned
+    (the same holds for it in turn, down to the width before the block).
+    A block scans the union of its widths' starts, and any superset of
+    them inside the full scan has the same maximum.  Width 1 (the result
+    starts from the samples, not from prefix-sum differences), a width
+    that does not directly follow w - 1, and a block whose starts cover
+    the period scan every start.
     """
     R, G = g.shape
     if np.signbit(g).any():
@@ -98,26 +184,24 @@ def maximal_rows(g, widths):
     cs = np.zeros((3 * G + 1, live.size))
     np.cumsum(np.concatenate([col, col, col], axis=0), axis=0, out=cs[1:])
     out = col
-    avg = np.empty_like(col)
-    last = None
-    for w in map(int, widths):
-        prev, last = last, w
-        if w == 0 or 2 * w + 1 > 2 * G:
-            continue
-        runs = ((0, G),)
-        if w > 1 and prev == w - 1:
-            runs = _scan_runs(a, m, w, G)
+    work = np.empty(0)
+    for w0, nw, pruned in _width_blocks(widths, G,
+                                        _block_size(G, live.size, m)):
+        runs = [(0, G)]
+        if pruned:
+            runs = _runs(((a, m), (a - 2 * (w0 + nw - 1), m + 2 * nw - 2),
+                          (G - 1, 1)), G)
         for p, q in runs:
-            lo, hi = max(p, w), min(q, w)
-            if p < hi:
-                np.subtract(cs[G + p + w + 1:G + hi + w + 1],
-                            cs[G + p - w:G + hi - w], out=avg[p:hi])
-            if lo < q:
-                np.subtract(cs[lo + w + 1:q + w + 1], cs[lo - w:q - w],
-                            out=avg[lo:q])
-            seg = avg[p:q]
-            seg /= 2.0 * w + 1.0
-            np.maximum(out[p:q], seg, out=out[p:q])
+            need = nw * (q - p + nw - 1) * live.size
+            if work.size < need:
+                work = np.empty(need)
+            best = _block_max(cs, p, q, w0, nw, work)
+            # row u of best is sample p + w0 + u, wrapped into 0..G-1
+            j, u = (p + w0) % G, 0
+            while u < best.shape[0]:
+                k = min(G - j, best.shape[0] - u)
+                np.maximum(out[j:j + k], best[u:u + k], out=out[j:j + k])
+                j, u = 0, u + k
     if live.size == R:
         return out.T
     full = np.zeros((G, R))
@@ -125,61 +209,77 @@ def maximal_rows(g, widths):
     return full.T
 
 
-# Elements of one (chunk, H) workspace of the majorant kernels.  Blocks this
-# size stay in the CPU cache; 2^22-element blocks ran about 2x slower on a
-# 2-vCPU x86-64 VM.
-WORKSPACE = 1 << 16
+def _window_chunks(n_items, per_item):
+    """Spans [a, b) tiling 0..n_items-1, each of at most WORKSPACE //
+    per_item items (at least one)."""
+    step = max(1, WORKSPACE // max(per_item, 1))
+    for start in range(0, n_items, step):
+        yield start, min(start + step, n_items)
 
 
-def _window_chunks(n_targets, n_sources):
-    step = max(1, WORKSPACE // max(n_sources, 1))
-    for start in range(0, n_targets, step):
-        yield start, min(start + step, n_targets)
+def _kernel_box(pos, corner, shape, d):
+    """(1 + |o|)^-d on the box of offsets t - pos[h], t in the target box.
 
-
-def _offset_kernel(pos, targets, d):
-    """(1 + |o|)^-d on the box of offsets targets - pos, and its gather map.
-
-    Returns the flattened kernel and, per target and per source, the flat
-    indices T[m] and P[h] with kernel[T[m] - P[h]] at offset targets[m] -
-    pos[h].
+    The offset of target corner + u to source h sits at index
+    u + pos.max(axis=0) - pos[h] of the returned array.
     """
-    lo = targets.min(axis=0) - pos.max(axis=0)
-    shape = targets.max(axis=0) - pos.min(axis=0) - lo + 1
-    strides = np.ones(shape.size, dtype=np.int64)
-    strides[:-1] = np.cumprod(shape[::-1])[-2::-1]
-    axes = [np.arange(a, a + s, dtype=np.float64) for a, s in zip(lo, shape)]
+    top = pos.max(axis=0)
+    lo = corner - top
+    kshape = shape + top - pos.min(axis=0)
+    axes = [np.arange(a, a + s, dtype=np.float64) for a, s in zip(lo, kshape)]
     off = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
                    axis=1)
     dist = np.sqrt(np.sum(off * off, axis=1))
-    kernel = (1.0 + dist) ** (-d)
-    return kernel, targets @ strides - lo @ strides, pos @ strides
+    return ((1.0 + dist) ** (-d)).reshape(tuple(kshape))
 
 
-def _window_reduce(weights, pos, targets, d, reduce):
-    """reduce_h weights[h] * (1 + |pos[h] - m|)^-d for each target m.
+def _window_reduce(weights, pos, corner, shape, d, total):
+    """Sum (``total``) or max over h of weights[h] * (1 + |pos[h] - t|)^-d
+    for each target t of the box corner + [0, shape), in C order.
 
-    Targets are processed in chunks to bound the (chunk, H) workspace.
+    Along the box's last axis, a source's kernel values are one contiguous
+    slice of the kernel box: a sliding-window view of it, fancy-indexed by
+    the leading target indices and the sources, gives (rows, H, T) blocks,
+    rows of leading indices taken WORKSPACE at a time.  The max reduces over
+    the source axis in place.  The sum copies each block to (rows, T, H)
+    first: numpy sums pairwise along a contiguous axis, so each target's
+    sum reads its H products in source order with the bits of a sum over
+    an (M, H) product array.
     """
-    kernel, t_idx, p_idx = _offset_kernel(pos, targets, d)
-    out = np.empty(targets.shape[0], dtype=np.float64)
-    for a, b in _window_chunks(targets.shape[0], pos.shape[0]):
-        near = kernel.take(t_idx[a:b, None] - p_idx[None, :])
-        near *= weights
-        reduce(near, axis=1, out=out[a:b])
-    return out
+    corner = np.asarray(corner, dtype=np.int64)
+    shape = np.asarray(shape, dtype=np.int64)
+    kernel = _kernel_box(pos, corner, shape, d)
+    shift = pos.max(axis=0) - pos
+    H, T = pos.shape[0], int(shape[-1])
+    lead = tuple(int(s) for s in shape[:-1])
+    view = sliding_window_view(kernel, T, axis=-1)
+    out = np.empty((int(np.prod(lead, dtype=np.int64)), T))
+    for a, b in _window_chunks(out.shape[0], H * T):
+        us = np.unravel_index(np.arange(a, b), lead) if lead else ()
+        near = view[tuple(u[:, None] + shift[:, i] for i, u in enumerate(us))
+                    + (shift[None, :, -1],)]
+        if total:
+            flat = np.multiply(near.transpose(0, 2, 1), weights,
+                               out=np.empty((b - a, T, H)))
+            np.sum(flat, axis=2, out=out[a:b])
+        else:
+            near *= weights[:, None]
+            np.max(near, axis=1, out=out[a:b])
+    return out.ravel()
 
 
-def lambda_star_sum(mag_pow, pos, targets, d):
-    """sum_h mag_pow[h] / (1 + |pos[h] - m|)^d for each target m.
+def lambda_star_sum(mag_pow, pos, corner, shape, d):
+    """sum_h mag_pow[h] / (1 + |pos[h] - t|)^d for each target t.
 
     mag_pow : (H,) float64, |lambda_h|^r.
     pos : (H, n) int64 occupied lattice points.
-    targets : (M, n) int64 evaluation lattice points.
+    corner, shape : (n,) int64; the targets are the lattice points of the
+        box corner + [0, shape), in C order (last axis fastest).
     """
-    return _window_reduce(mag_pow, pos, targets, d, np.sum)
+    return _window_reduce(mag_pow, pos, corner, shape, d, True)
 
 
-def lambda_star_max(mag, pos, targets, d):
-    """max_h mag[h] * (1 + |pos[h] - m|)^(-d) for each target m (r = inf)."""
-    return _window_reduce(mag, pos, targets, d, np.max)
+def lambda_star_max(mag, pos, corner, shape, d):
+    """max_h mag[h] * (1 + |pos[h] - t|)^(-d) for each target t of the
+    box corner + [0, shape) (r = inf)."""
+    return _window_reduce(mag, pos, corner, shape, d, False)

@@ -182,7 +182,14 @@ def _checked_group(k, pos, vals, n, K):
         pos = np.asarray(pos)
     except ValueError:  # numpy's message for ragged rows names no level
         raise ValueError(f"level {k} positions are ragged") from None
-    vals = np.asarray(vals, dtype=np.complex128)
+    try:
+        vals = np.asarray(vals)
+    except ValueError:  # numpy's message for ragged values names no level
+        raise ValueError(f"level {k} values are ragged") from None
+    if vals.dtype == object and any(v is None for v in vals.flat):
+        # complex128 would store None as nan
+        raise ValueError(f"level {k} values hold None, need numbers")
+    vals = vals.astype(np.complex128, copy=False)
     if not pos.size and not vals.size:
         return k, pos, vals
     if not 0 <= k <= K:

@@ -281,15 +281,31 @@ def level_magnitudes(field, system):
     return memo.magnitudes
 
 
-def decomposition_fields(system):
-    """Peak memory of level_magnitudes beyond the field, in field sizes.
+def band_width(kind, L, G, K):
+    """The band width (``SpectralSystem.width``) of the systems of this
+    kind, L, G and K in every dimension n, without building one.
+
+    It is the width of the 1d system, whose crops hold G samples at most.
+    A crop is cut to the widest hyperplane |m_i| = r holding a nonzero.
+    Each multiplier is radial, nonzero on a disc or an annulus and zero
+    beyond it, so that hyperplane also holds a nonzero on the axis, at
+    (r, 0, ..., 0), where |xi| adds only zeros to r^2 and has the bits of
+    the 1d |xi| at r.  The tests check this level by level.
+    """
+    build = {"fj": build_fj_pair, "resolution": build_resolution}[kind]
+    return build(1, L, G, K).width
+
+
+def decomposition_fields(n, G, K, width):
+    """Peak memory of level_magnitudes beyond the field, in field sizes,
+    for a system of K + 1 levels and band width ``width`` on (G,)^n.
 
     A field size is G^n complex128 samples.  Kept on the field: the band
     spectrum, (width/G)^n, and K+1 float64 magnitudes, (K+1)/2; while the
     last level is taken, its inverse transform and the zero-padded array it
     starts from, 2 more.
     """
-    return (system.width / system.G) ** system.n + (system.K + 1) / 2 + 2
+    return (width / G) ** n + (K + 1) / 2 + 2
 
 
 def level_blocks(field, system):

@@ -258,16 +258,16 @@ def lambda_star(coeffs, r, d, window):
         # np.hypot of the parts equals Python's abs of a complex bit for bit;
         # np.abs of complex128 can differ in the last bit
         mag = np.hypot(vals.real, vals.imag)
-        los = pos.min(axis=0)
-        his = pos.max(axis=0) + 1
-        axes = [np.arange(lo - window, hi + window, dtype=np.int64)
-                for lo, hi in zip(los, his)]
+        corner = pos.min(axis=0) - window
+        shape = pos.max(axis=0) + 1 + window - corner
+        axes = [np.arange(lo, lo + s, dtype=np.int64)
+                for lo, s in zip(corner, shape)]
         mesh = np.meshgrid(*axes, indexing="ij")
         targets = np.stack([m.ravel() for m in mesh], axis=1)
         if math.isinf(r):
-            out = _accel.lambda_star_max(mag, pos, targets, float(d))
+            out = _accel.lambda_star_max(mag, pos, corner, shape, float(d))
         else:
-            out = _accel.lambda_star_sum(mag ** r, pos, targets, float(d)) \
-                ** (1.0 / r)
+            out = _accel.lambda_star_sum(mag ** r, pos, corner, shape,
+                                         float(d)) ** (1.0 / r)
         levels.append((k, targets, out))
     return CoeffSeq.from_levels(coeffs.n, coeffs.K, coeffs.L, levels)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -41,6 +42,26 @@ def reference_window(weights, pos, targets, d, reduce):
     return out
 
 
+def _box_targets(corner, shape):
+    """The lattice points of the box corner + [0, shape), last axis
+    fastest, as an (M, n) int64 array."""
+    ranges = [range(c, c + s) for c, s in zip(corner, shape)]
+    return np.array(list(itertools.product(*ranges)),
+                    dtype=np.int64).reshape(-1, len(corner))
+
+
+def _assert_majorants_match(weights, pos, corner, shape, d):
+    targets = _box_targets(corner, shape)
+    corner = np.array(corner, dtype=np.int64)
+    shape = np.array(shape, dtype=np.int64)
+    assert np.array_equal(
+        _accel.lambda_star_sum(weights, pos, corner, shape, d),
+        reference_window(weights, pos, targets, d, np.sum))
+    assert np.array_equal(
+        _accel.lambda_star_max(weights, pos, corner, shape, d),
+        reference_window(weights, pos, targets, d, np.max))
+
+
 def test_kernels_match_reference_bitwise():
     rng = np.random.default_rng(1)
     for G in (1, 2, 7, 64, 127):
@@ -48,16 +69,46 @@ def test_kernels_match_reference_bitwise():
         widths = np.arange(0, G + 1, dtype=np.int64)  # above G/2, up to G
         assert np.array_equal(_accel.maximal_rows(g, widths),
                               reference_maximal_rows(g, widths))
+    # random boxes, not always around the sources
     for n in (1, 2, 3):
         mag = np.abs(rng.standard_normal(40))
         pos = rng.integers(-9, 9, size=(40, n)).astype(np.int64)
-        targets = rng.integers(-12, 12, size=(300, n)).astype(np.int64)
-        assert np.array_equal(
-            _accel.lambda_star_sum(mag ** 1.5, pos, targets, 3.0),
-            reference_window(mag ** 1.5, pos, targets, 3.0, np.sum))
-        assert np.array_equal(
-            _accel.lambda_star_max(mag, pos, targets, 3.0),
-            reference_window(mag, pos, targets, 3.0, np.max))
+        for _ in range(3):
+            corner = rng.integers(-14, 4, size=n)
+            shape = rng.integers(1, 300 ** (1.0 / n) + 2, size=n)
+            _assert_majorants_match(mag ** 1.5, pos, corner, shape, 3.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_majorant_boxes_of_one_source_or_one_target(n):
+    # a 1-wide kernel box, a 1-long last axis, and a box far from its sources
+    rng = np.random.default_rng(10 + n)
+    one = np.array([[3] * n], dtype=np.int64)
+    many = rng.integers(-6, 6, size=(25, n)).astype(np.int64)
+    mag = np.abs(rng.standard_normal(25)) + 0.1
+    for pos, weights in ((one, mag[:1]), (many, mag)):
+        for corner, shape in (((3,) * n, (1,) * n), ((-2,) * n, (1,) * n),
+                              ((-4,) * n, (5,) * (n - 1) + (1,)),
+                              ((20,) * n, (2,) * n),
+                              ((-5,) * n, (1,) * (n - 1) + (9,))):
+            _assert_majorants_match(weights, pos, corner, shape, 2.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_majorant_sums_keep_their_bits_across_blocks(n):
+    # enough sources that a workspace block holds fewer rows than the box,
+    # so a block split falls mid-box; the sum over so many sources is
+    # pairwise in numpy, and reducing over a non-contiguous axis would
+    # change its bits
+    rng = np.random.default_rng(20 + n)
+    H = 1500
+    pos = rng.integers(-20, 20, size=(H, n)).astype(np.int64)
+    mag = rng.lognormal(0.0, 2.0, size=H)
+    shape = (7,) * (n - 1) + (13,)
+    spans = list(_accel._window_chunks(int(np.prod(shape[:-1])), H * 13))
+    if n > 1:
+        assert len(spans) > 1 and spans[0][1] < int(np.prod(shape[:-1]))
+    _assert_majorants_match(mag, pos, (-3,) * n, shape, 4.0)
 
 
 def _assert_scan_matches(g, widths):
@@ -127,6 +178,37 @@ def test_pruned_scan_keeps_overflowing_sums():
     assert nans > 0
 
 
+def test_blocked_scan_matches_reference():
+    # consecutive widths share a block: widths across block boundaries,
+    # after a gap and up to G, on a support across index 0, on supports of
+    # one sample and of the whole period, for one live row (many widths a
+    # block) and for 512 (one width a block)
+    rng = np.random.default_rng(7)
+    G = 96
+    widths = (np.arange(0, G + 1, dtype=np.int64),
+              np.arange(0, G // 2 + 1, dtype=np.int64),
+              np.r_[0:21, 24:61, 62:G + 1].astype(np.int64))
+    wrap = np.zeros((40, G))
+    wrap[:, [G - 3, G - 2, G - 1, 0, 1, 2]] = rng.random((40, 6)) + 1e-3
+    spike = np.zeros((3, G))
+    spike[1, 40] = 2.5
+    dense = rng.random((40, G)) + 1e-3
+    many = np.zeros((512, G))
+    many[:, 10:30] = rng.random((512, 20)) * (rng.random((512, 20)) < 0.5)
+    many[:, 10] += 1e-3
+    for g, m in ((wrap, 6), (spike, 1), (dense, G), (many, 20)):
+        size = _accel._block_size(G, int(g.any(axis=1).sum()), m)
+        assert {1: size > G, 512: size == 1}.get(
+            int(g.any(axis=1).sum()), 1 < size < G // 3)
+        for w in widths:
+            _assert_scan_matches(g, w)
+    blocks = _accel._width_blocks(widths[2], G, 17)
+    # width 1 and the first width after each gap start unpruned blocks
+    assert [b for b in blocks if not b[2]] == [[1, 1, False], [24, 1, False],
+                                              [62, 1, False]]
+    assert max(b[1] for b in blocks) == 17
+
+
 def test_each_row_scans_as_it_would_alone():
     # live columns are taken over the whole batch; a row's result must not
     # depend on which other rows share its call
@@ -168,19 +250,21 @@ def test_window_chunks_tile_and_bound_workspace():
 
 
 def test_numpy_fallback_correct_when_chunked():
-    # force a step smaller than the target count
+    # force a block of fewer rows than the box has
     rng = np.random.default_rng(2)
-    H = _accel.WORKSPACE // 4 + 1  # step becomes 3
+    H = _accel.WORKSPACE // 12 + 1  # 4 targets a row: 2 rows a block
     mag = np.abs(rng.standard_normal(H))
-    pos = rng.integers(-4, 4, size=(H, 1)).astype(np.int64)
-    targets = np.arange(-5, 5, dtype=np.int64).reshape(-1, 1)
-    assert list(_accel._window_chunks(targets.shape[0], H))[0] == (0, 3)
-    out = _accel.lambda_star_sum(mag, pos, targets, 3.0)
+    pos = rng.integers(-4, 4, size=(H, 2)).astype(np.int64)
+    corner, shape = np.array([-5, -2]), np.array([5, 4])
+    assert list(_accel._window_chunks(5, H * 4))[0] == (0, 2)
+    out = _accel.lambda_star_sum(mag, pos, corner, shape, 3.0)
+    targets = _box_targets(corner, shape)
     assert np.array_equal(out,
                           reference_window(mag, pos, targets, 3.0, np.sum))
-    for probe in (0, 7):
+    for probe in (0, 7, 19):
+        diff = pos - targets[probe]
         direct = float(np.sum(
-            mag / (1.0 + np.abs(pos[:, 0] - targets[probe, 0])) ** 3.0))
+            mag / (1.0 + np.sqrt(np.sum(diff * diff, axis=1))) ** 3.0))
         assert np.isclose(out[probe], direct, rtol=1e-12)
 
 

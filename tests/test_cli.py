@@ -179,6 +179,36 @@ def test_decompose_preflight_counts_the_kept_magnitudes(tmp_path, capsys,
                  str(tmp_path / "decompose.csv")]) == 0
 
 
+@pytest.mark.parametrize("kind, k, fields, need", [
+    ("fj", 12, "9.52466", 40908114576),
+    ("resolution", 12, "9.51401", 40862344848),
+    ("fj", 13, "10.0987", 43373538704)])
+def test_decompose_preflight_runs_before_the_system_is_built(
+        tmp_path, capsys, monkeypatch, kind, k, fields, need):
+    # n = 2, G = 16384 keeps 67 MiB of crops at K = 12; the rejection must
+    # not build them, and reads as it did when it did
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2052892}
+    monkeypatch.setattr(herzlab.grid, "os", SimpleNamespace(sysconf=pages.get))
+
+    def refuse(*args):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(herzlab.cli, "build_fj_pair", refuse)
+    monkeypatch.setattr(herzlab.cli, "build_resolution", refuse)
+    text = (NORM_CFG.replace("n = 1", "n = 2").replace("l = 8", "l = 1")
+            .replace("g = 256", "g = 16384").replace("kind = witness",
+                                                     "kind = zero")
+            .replace("p = 2\n", "p = 2,2\n")
+            .replace("alpha = 0.25\n", "alpha = 0.25,0.25\n")
+            .replace("q = 1\n", "q = 1,1\n")
+            .replace("kind = fj", f"kind = {kind}").replace("k = 4", f"k = {k}"))
+    cfg = _write(tmp_path, "big.ini", text)
+    line = _one_error_line(capsys, ["decompose", "--config", cfg])
+    assert line == (f"error: [grid] g = 16384: {fields} field sizes of G^n = "
+                    f"16384^2 samples needs {need} bytes, more than the "
+                    f"8408645632 bytes of physical memory")
+
+
 def _vector_exponents(text):
     return (text.replace("p = 2\n", "p = 2,2\n")
             .replace("alpha = 0.25\n", "alpha = 0.25,0.25\n")

@@ -484,6 +484,8 @@ def test_batch_from_levels_names_the_first_bad_key_of_the_first_bad_set():
     ([(1, [[1.5]], [1])], r"level 1 positions are float64, need integers"),
     ([(0.5, [[1]], [1])], r"entry level 0\.5 is not an integer"),
     ([(0, [[1], [2, 3]], [1, 2])], r"level 0 positions are ragged"),
+    ([(0, [[1], [2]], [[1], [2, 3]])], r"level 0 values are ragged"),
+    ([(1, [[1], [2]], [1j, None])], r"level 1 values hold None, need numbers"),
 ])
 def test_from_levels_rejects_misaligned_groups(groups, message):
     with pytest.raises(ValueError, match=message):

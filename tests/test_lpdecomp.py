@@ -216,6 +216,28 @@ def test_bands_are_minimal_boxes(name):
     assert system.width == max(c.shape[0] for c in system.crops)
 
 
+@pytest.mark.parametrize("builder", [build_fj_pair, build_resolution])
+def test_band_width_is_the_built_systems_width(builder):
+    # each level's crop is as wide in n = 2 and 3 as in 1d, so the width
+    # the decompose preflight reads off the 1d build is the system's
+    kind = {build_fj_pair: "fj", build_resolution: "resolution"}[builder]
+    checked = 0
+    for n, grids in ((2, (4, 8, 16, 64, 128)), (3, (4, 8, 16, 32))):
+        for L in (0.25, 1.0, 4.0, 16.0, 32.0):
+            for G in grids:
+                for K in range(1, 9):
+                    try:
+                        one = builder(1, L, G, K)
+                    except ValueError:
+                        continue
+                    system = builder(n, L, G, K)
+                    assert ([c.shape[0] for c in system.crops]
+                            == [c.shape[0] for c in one.crops])
+                    assert lpdecomp.band_width(kind, L, G, K) == system.width
+                    checked += 1
+    assert checked > 100
+
+
 def test_fj_bands_far_inside_the_grid():
     # widths 2 r_k + 1 with r_k < 2^(k+1) L / (2 pi): the outer ramp
     # underflows to 0 before it

@@ -25,9 +25,13 @@ def test_render_prints_one_digest_per_report(tmp_path):
                             for name in EMBEDDING_SPECS
                             for tag in ("", "-control")] + ["n2-sweep"]
              for fmt in ("csv", "json")]
+    want += [f"kernels-{n}d maximal-check {fmt}" for n in (1, 2)
+             for fmt in ("csv", "json")]
     want += [f"coeffs {name}" for name in ("analyze-1d", "analyze-2d",
-                                           "lambda-star", "dict",
-                                           "dict-roundtrip")]
+                                           "lambda-star",
+                                           "lambda-star-kernels-r1",
+                                           "lambda-star-kernels-rinf",
+                                           "dict", "dict-roundtrip")]
     want += [f"{builder} {n}-{L:g}-{G}-{K}"
              for builder in ("build_resolution", "build_fj_pair")
              for n, L, G, K in [*((1, 16.0, 1024, K) for K in range(1, 7)),

@@ -10,8 +10,9 @@ tree's herzlab and tests and runs, under its command, every config of
 DETERMINISM_CONFIGS (tests/test_acceptance.py, acceptance criterion 14),
 every base config of tests/test_cli.py (``_fuzz_configs``) and the
 embed-sweep configs of ``sweep_configs`` (the five sequence specs of
-acceptance criterion 09, each with its control, and one n = 2 sweep), each
-rendered in csv and json.  It also takes the ``save_coeffs`` bytes of the
+acceptance criterion 09, each with its control, and one n = 2 sweep) and
+the maximal-check configs of ``kernel_configs``, each rendered in csv and
+json.  It also takes the ``save_coeffs`` bytes of the
 coefficient sets of ``coeff_sets`` and the crop bytes and lower bounds of
 the systems of SYSTEM_SIZES (``system_bytes``).  It prints one line per
 report: its sha256, the revision's commit and the report's label.  With
@@ -21,6 +22,7 @@ same digest in all of them, and exits 1 if not.
 
 import argparse
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +89,18 @@ def sweep_configs(specs, lowered):
     yield "n2-sweep", N2_SWEEP
 
 
+def kernel_configs():
+    """(source, text) of maximal-check configs at the sizes of the kernels
+    benchmark workload: 1d G = 1024 with 16 bumps and 2d G = 128 with 4
+    (each with half that G for the fit), p = q = beta = 2, alpha = 1/4,
+    t = 1/2."""
+    for n, g_list, count in ((1, "512,1024", 16), (2, "64,128", 4)):
+        yield (f"kernels-{n}d",
+               f"[grid]\nn = {n}\nl = 16\n[space]\np = 2\nalpha = 0.25\n"
+               f"q = 2\n[maximal]\nbeta = 2\nt = 0.5\ng_list = {g_list}\n"
+               f"[ensemble]\nseed = 8808\ncount = {count}\n")
+
+
 # (n, L, G, K) of the systems of acceptance criteria 03-06 and of the
 # spectral benchmark workload, each built as a resolution and as an fj pair.
 SYSTEM_SIZES = [*((1, 16.0, 1024, K) for K in range(1, 7)),
@@ -95,8 +109,9 @@ SYSTEM_SIZES = [*((1, 16.0, 1024, K) for K in range(1, 7)),
 
 def coeff_sets(herzlab):
     """(name, CoeffSeq) of analyze outputs at the criterion-04 sizes, a
-    lambda_star output, and a dict-built set with shuffled keys and int,
-    float and complex values."""
+    lambda_star output, lambda_star outputs at r = 1 and r = inf of a set
+    shaped like a kernels benchmark input, and a dict-built set with
+    shuffled keys and int, float and complex values."""
     from herzlab.seqspace import lambda_star
     for name, dims in (("analyze-1d", (1, 16.0, 4096, 6)),
                        ("analyze-2d", (2, 16.0, 512, 3))):
@@ -106,6 +121,20 @@ def coeff_sets(herzlab):
         lam = herzlab.analyze(field, system)
         yield name, lam
     yield "lambda-star", lambda_star(lam, 1.5, 3.0, 4)
+    # shaped like a kernels benchmark input: n = 2, L = 4, K = 4, 64
+    # sources at level 3 and 256 at level 4; d = 5 and window 8 as there
+    rng = np.random.default_rng(15)
+    groups = []
+    for k, count in ((3, 64), (4, 256)):
+        side = 2 * herzlab.frames.lattice_span(4.0, k)
+        cells = rng.choice(side * side, size=count, replace=False)
+        pos = np.stack([cells // side, cells % side], axis=1) - side // 2
+        vals = (rng.lognormal(0.0, 1.0, count)
+                * np.exp(2j * np.pi * rng.random(count)))
+        groups.append((k, pos, vals))
+    sources = herzlab.CoeffSeq.from_levels(2, 4, 4.0, groups)
+    for tag, r in (("1", 1.0), ("inf", math.inf)):
+        yield f"lambda-star-kernels-r{tag}", lambda_star(sources, r, 5.0, 8)
     rng = np.random.default_rng(14)
     keys = {(int(k), tuple(rng.integers(-8, 8, size=2).tolist()))
             for k in rng.integers(0, 4, size=60)}
@@ -147,6 +176,8 @@ def render_all(tree):
                 for command, text in _fuzz_configs(Path(".")).items()]
     configs += [(source, "embed-sweep", text)
                 for source, text in sweep_configs(EMBEDDING_SPECS, _lowered)]
+    configs += [(source, "maximal-check", text)
+                for source, text in kernel_configs()]
     for source, command, text in configs:
         path = Path(f"{source}-{command}.ini")
         path.write_text(text)
