@@ -17,7 +17,6 @@ of the full scan; it takes nonnegative input only, and rejects the rest.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # Reported as the run's numeric path by the benchmark; numpy is the only one.
 USE_NUMBA = False
@@ -252,7 +251,7 @@ def _window_reduce(weights, pos, corner, shape, d, total):
     shift = pos.max(axis=0) - pos
     H, T = pos.shape[0], int(shape[-1])
     lead = tuple(int(s) for s in shape[:-1])
-    view = sliding_window_view(kernel, T, axis=-1)
+    view = np.lib.stride_tricks.sliding_window_view(kernel, T, axis=-1)
     out = np.empty((int(np.prod(lead, dtype=np.int64)), T))
     for a, b in _window_chunks(out.shape[0], H * T):
         us = np.unravel_index(np.arange(a, b), lead) if lead else ()

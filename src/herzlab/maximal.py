@@ -7,10 +7,11 @@ periodically with multiplicity, which only enlarges M, so upper-bound
 checks run conservative.  For continuum comparisons the window of half-width w
 covers the cell interval of radius (w + 1/2) h around the sample's cell.
 Every axis is one ``_accel.maximal_rows`` call on the nonnegative
-magnitudes (or their t-th powers).  It skips rows that are all zero and,
-at each width, the samples whose window gains only zeros, with the output
-bits of the full scan, so a family supported on a small part of the grid
-costs less than a dense one.
+magnitudes (or their t-th powers), over the rows of every field of a
+family.  It scans blocks of consecutive widths, a few numpy calls per
+block; it skips rows that are all zero and, at each width, the windows
+that gain only zeros, with the output bits of the full scan, so a family
+supported on a small part of the grid costs less than a dense one.
 
 fs_vector_check measures the vector-valued bound: the Herz norm of the
 l^beta envelope of iterated maximal functions against that of the inputs.
