@@ -196,10 +196,10 @@ def test_blocked_scan_matches_reference():
     many = np.zeros((512, G))
     many[:, 10:30] = rng.random((512, 20)) * (rng.random((512, 20)) < 0.5)
     many[:, 10] += 1e-3
-    for g, m in ((wrap, 6), (spike, 1), (dense, G), (many, 20)):
-        size = _accel._block_size(G, int(g.any(axis=1).sum()), m)
-        assert {1: size > G, 512: size == 1}.get(
-            int(g.any(axis=1).sum()), 1 < size < G // 3)
+    some = lambda size: 1 < size < G // 3
+    for g, m, fits in ((wrap, 6, some), (spike, 1, lambda size: size > G),
+                       (dense, G, some), (many, 20, lambda size: size == 1)):
+        assert fits(_accel._block_size(G, int(g.any(axis=1).sum()), m))
         for w in widths:
             _assert_scan_matches(g, w)
     blocks = _accel._width_blocks(widths[2], G, 17)
