@@ -5,7 +5,8 @@ targets are batched: the maximal scan reads the same prefix-sum entries per
 row, and the majorant kernels reduce the same (target, source) products in
 source order.  Both do their arithmetic in a few large numpy calls: the
 maximal scan takes a block of consecutive widths per call, and the majorant
-kernels gather whole rows of their kernel box per source.
+kernels gather, per source, slices of their kernel box along a tile of
+targets.
 
 The maximal scan computes only the window averages that can raise its
 result.  Rows that are all zero are left out, and at a width w that follows
@@ -25,6 +26,13 @@ USE_NUMBA = False
 # the CPU cache; 2^22-element majorant blocks ran about 2x slower on a 2-vCPU
 # x86-64 VM.
 WORKSPACE = 1 << 16
+
+# Tiles narrower than this many targets take single kernel values; wider
+# ones gather slices of the kernel box.  Indexing a slice costs about as
+# much as taking 30-odd single values on a 2-vCPU x86-64 VM: 4-target
+# slices ran the majorant of 16384 sources 2-8x slower than single values.
+SLICE_MIN = 32
+
 
 
 def _support(col):
@@ -86,12 +94,16 @@ def _width_blocks(widths, G, size):
 def _block_size(G, rows, m):
     """Widths per block of the scan, for ``rows`` live rows with support m.
 
-    A block of nw widths scans its windows on about m + 2 nw starts (the
-    left run below), and nw (m + 2 nw) rows-wide windows are kept within
-    WORKSPACE.  When the prefix sums alone, 3G rows-wide, exceed WORKSPACE,
-    the scan runs out of the cache, and the pass a block adds (its maximum
-    over widths) costs more than the numpy calls it saves: one width per
-    block.
+    The size is the largest nw with nw (m + 2 nw + 2) rows <= WORKSPACE.
+    A block's buffer over a run of L starts holds nw (L + nw - 1) rows, and
+    a run is at most the union of the right run, the left run and the start
+    G - 1 (see ``maximal_rows``), L <= 2m + 2 nw - 1: the buffer stays below
+    2 WORKSPACE, not within it.  Sizing for that union instead, nw (2m +
+    3 nw - 2) rows <= WORKSPACE, gave about 2/3 the widths a block and ran
+    the ``kernels`` maximal inputs about 5% slower on a 2-vCPU x86-64 VM.
+    When the prefix sums alone, 3G rows-wide, exceed WORKSPACE, the scan
+    runs out of the cache, and the pass a block adds (its maximum over
+    widths) costs more than the numpy calls it saves: one width per block.
     """
     if 3 * G * rows > WORKSPACE:
         return 1
@@ -216,6 +228,18 @@ def _window_chunks(n_items, per_item):
         yield start, min(start + step, n_items)
 
 
+def _box_tiles(rows, T, H):
+    """Tiles (a, b, t0, t1) of a rows x T target box: rows a..b-1 by
+    columns t0..t1-1, each of at most max(WORKSPACE, H) target-source
+    pairs.  A tile spans WORKSPACE // H columns (at least one) and as many
+    rows as then fit; the tiles of one column span come one after another.
+    """
+    width = min(T, max(1, WORKSPACE // H))
+    for t0 in range(0, T, width):
+        for a, b in _window_chunks(rows, H * width):
+            yield a, b, t0, min(t0 + width, T)
+
+
 def _kernel_box(pos, corner, shape, d):
     """(1 + |o|)^-d on the box of offsets t - pos[h], t in the target box.
 
@@ -236,34 +260,49 @@ def _window_reduce(weights, pos, corner, shape, d, total):
     """Sum (``total``) or max over h of weights[h] * (1 + |pos[h] - t|)^-d
     for each target t of the box corner + [0, shape), in C order.
 
-    Along the box's last axis, a source's kernel values are one contiguous
-    slice of the kernel box: a sliding-window view of it, fancy-indexed by
-    the leading target indices and the sources, gives (rows, H, T) blocks,
-    rows of leading indices taken WORKSPACE at a time.  The max reduces over
-    the source axis in place.  The sum copies each block to (rows, T, H)
-    first: numpy sums pairwise along a contiguous axis, so each target's
-    sum reads its H products in source order with the bits of a sum over
-    an (M, H) product array.
+    The box is cut into the tiles of ``_box_tiles``: rows of leading
+    indices by t targets along the last axis.  The kernel value of source h
+    at the target of row u and last index c sits at flat index
+    row_at[u] + c + src_at[h] of the kernel box, so along the last axis a
+    source's values are one contiguous slice of it.  A tile at least
+    SLICE_MIN wide fancy-indexes a sliding-window view of the flat box by
+    the slices' starts, which gives a (rows, H, t) block; a narrower one
+    takes single values into a (rows, t, H) block.  The max reduces over
+    the source axis in place.  The sum reduces (rows, t, H) products,
+    copying a (rows, H, t) block to that layout first: numpy sums pairwise
+    along a contiguous axis, so each target's sum reads its H products in
+    source order with the bits of a sum over an (M, H) product array,
+    whatever the tiles and gathers.
     """
-    corner = np.asarray(corner, dtype=np.int64)
-    shape = np.asarray(shape, dtype=np.int64)
-    kernel = _kernel_box(pos, corner, shape, d)
-    shift = pos.max(axis=0) - pos
+    kernel = _kernel_box(pos, np.asarray(corner, dtype=np.int64),
+                         np.asarray(shape, dtype=np.int64), d)
+    flat = kernel.ravel()
+    step = np.array(kernel.strides) // kernel.itemsize
     H, T = pos.shape[0], int(shape[-1])
-    lead = tuple(int(s) for s in shape[:-1])
-    view = np.lib.stride_tricks.sliding_window_view(kernel, T, axis=-1)
-    out = np.empty((int(np.prod(lead, dtype=np.int64)), T))
-    for a, b in _window_chunks(out.shape[0], H * T):
-        us = np.unravel_index(np.arange(a, b), lead) if lead else ()
-        near = view[tuple(u[:, None] + shift[:, i] for i, u in enumerate(us))
-                    + (shift[None, :, -1],)]
-        if total:
-            flat = np.multiply(near.transpose(0, 2, 1), weights,
-                               out=np.empty((b - a, T, H)))
-            np.sum(flat, axis=2, out=out[a:b])
+    # flat offset of each row's first target, and of each source
+    row_at = np.zeros(1, dtype=np.int64)
+    for s, k in zip(shape[:-1], step[:-1]):
+        row_at = (row_at[:, None] + np.arange(int(s)) * k).ravel()
+    src_at = (pos.max(axis=0) - pos) @ step
+    out = np.empty((row_at.size, T))
+    view = None
+    for a, b, t0, t1 in _box_tiles(row_at.size, T, H):
+        if t1 - t0 >= SLICE_MIN:
+            if view is None or view.shape[1] != t1 - t0:
+                view = np.lib.stride_tricks.sliding_window_view(flat, t1 - t0)
+            near = view[(row_at[a:b] + t0)[:, None] + src_at]
+            if not total:
+                near *= weights[:, None]
+                np.max(near, axis=1, out=out[a:b, t0:t1])
+                continue
+            prods = np.multiply(near.transpose(0, 2, 1), weights,
+                                out=np.empty((b - a, t1 - t0, H)))
         else:
-            near *= weights[:, None]
-            np.max(near, axis=1, out=out[a:b])
+            at = row_at[a:b, None] + np.arange(t0, t1)
+            prods = flat.take(at[:, :, None] + src_at)
+            prods *= weights
+        reduce = np.sum if total else np.max
+        reduce(prods, axis=2, out=out[a:b, t0:t1])
     return out.ravel()
 
 

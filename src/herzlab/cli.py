@@ -29,9 +29,8 @@ from .frames import load_coeffs, roundtrip_error
 from .grid import (DyadicGeometry, _log2_exact, check_grid_memory,
                    make_field, sealed)
 from .herz import HerzParams, HypothesisError, SpaceParams, mixed_herz_norm
-from .lpdecomp import (band_width, bandlimited_witness, build_fj_pair,
-                       build_resolution, decomposition_fields,
-                       random_band_field, smooth_step)
+from .lpdecomp import (band_width, bandlimited_witness, build_system,
+                       decomposition_fields, random_band_field, smooth_step)
 from .maximal import fs_vector_check
 from .seqspace import seq_norm
 from .spaces import block_norms
@@ -264,11 +263,6 @@ def _system_kind(cfg, default_k):
     return kind, cfg.get_int("system", "k", default_k, low=1)
 
 
-def _build_system(kind, n, L, G, K):
-    builders = {"fj": build_fj_pair, "resolution": build_resolution}
-    return builders[kind](n, L, G, K)
-
-
 # -- command handlers -------------------------------------------------------
 
 
@@ -287,7 +281,7 @@ def _cmd_decompose(cfg):
     # before the system is built
     _check_grid(n, G, "[grid] g",
                 1 + decomposition_fields(n, G, K, band_width(kind, L, G, K)))
-    system = _build_system(kind, n, L, G, K)
+    system = build_system(kind, n, L, G, K)
     f = _build_field(cfg, n, L, G)
     meta = _grid_meta(L, G, {"system.kind": system.kind,
                              "system.k": system.K})
@@ -298,7 +292,7 @@ def _cmd_decompose(cfg):
 def _cmd_phitransform(cfg):
     n, L, G = _grid_from(cfg)
     kind, K = _system_kind(cfg, default_k=3)
-    system = _build_system(kind, n, L, G, K)
+    system = build_system(kind, n, L, G, K)
     count = cfg.get_int("ensemble", "count", "8", low=1)
     seed = cfg.seed()
     records = []

@@ -206,6 +206,12 @@ def build_fj_pair(n, L, G, K):
                          ((0.0, 5.0 / 3.0), (6.0 / 5.0, 10.0 / 3.0)))
 
 
+def build_system(kind, n, L, G, K):
+    """The system of this kind ("fj" or "resolution"), levels 0..K."""
+    return {"fj": build_fj_pair, "resolution": build_resolution}[kind](
+        n, L, G, K)
+
+
 class _Decomposition:
     """What a field keeps of its decomposition by ``system``."""
 
@@ -292,8 +298,7 @@ def band_width(kind, L, G, K):
     (r, 0, ..., 0), where |xi| adds only zeros to r^2 and has the bits of
     the 1d |xi| at r.  The tests check this level by level.
     """
-    build = {"fj": build_fj_pair, "resolution": build_resolution}[kind]
-    return build(1, L, G, K).width
+    return build_system(kind, 1, L, G, K).width
 
 
 def decomposition_fields(n, G, K, width):

@@ -51,15 +51,20 @@ def _box_targets(corner, shape):
 
 
 def _assert_majorants_match(weights, pos, corner, shape, d):
+    # once with every tile gathering slices of the kernel box, once with
+    # every tile taking single values
     targets = _box_targets(corner, shape)
     corner = np.array(corner, dtype=np.int64)
     shape = np.array(shape, dtype=np.int64)
-    assert np.array_equal(
-        _accel.lambda_star_sum(weights, pos, corner, shape, d),
-        reference_window(weights, pos, targets, d, np.sum))
-    assert np.array_equal(
-        _accel.lambda_star_max(weights, pos, corner, shape, d),
-        reference_window(weights, pos, targets, d, np.max))
+    for slice_min in (1, int(shape[-1]) + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_accel, "SLICE_MIN", slice_min)
+            assert np.array_equal(
+                _accel.lambda_star_sum(weights, pos, corner, shape, d),
+                reference_window(weights, pos, targets, d, np.sum))
+            assert np.array_equal(
+                _accel.lambda_star_max(weights, pos, corner, shape, d),
+                reference_window(weights, pos, targets, d, np.max))
 
 
 def test_kernels_match_reference_bitwise():
@@ -105,9 +110,10 @@ def test_majorant_sums_keep_their_bits_across_blocks(n):
     pos = rng.integers(-20, 20, size=(H, n)).astype(np.int64)
     mag = rng.lognormal(0.0, 2.0, size=H)
     shape = (7,) * (n - 1) + (13,)
-    spans = list(_accel._window_chunks(int(np.prod(shape[:-1])), H * 13))
+    rows = int(np.prod(shape[:-1]))
+    tiles = list(_accel._box_tiles(rows, 13, H))
     if n > 1:
-        assert len(spans) > 1 and spans[0][1] < int(np.prod(shape[:-1]))
+        assert len(tiles) > 1 and tiles[0][1] < rows
     _assert_majorants_match(mag, pos, (-3,) * n, shape, 4.0)
 
 
@@ -249,23 +255,44 @@ def test_window_chunks_tile_and_bound_workspace():
         assert covered == list(range(m))
 
 
+def test_box_tiles_tile_the_box_and_bound_workspace():
+    # tiles must cover each (row, column) of the target box once and keep
+    # their target-source pairs at or below the budget, or at one target
+    # once H exceeds it
+    budget = _accel.WORKSPACE
+    for rows, T, h in ((1, 30, budget // 12 + 1), (5, 30, budget // 12 + 1),
+                       (7, 13, 1500), (3, 4, 2 * budget), (1, 1, 1),
+                       (40, 300, 7), (0, 5, 3)):
+        seen = np.zeros((rows, T), dtype=np.int64)
+        for a, b, t0, t1 in _accel._box_tiles(rows, T, h):
+            assert 0 <= a < b <= rows and 0 <= t0 < t1 <= T
+            assert (b - a) * (t1 - t0) * h <= max(budget, h)
+            seen[a:b, t0:t1] += 1
+        assert np.all(seen == 1)
+
+
 def test_numpy_fallback_correct_when_chunked():
-    # force a block of fewer rows than the box has
+    # so many sources that a tile holds 11 targets of a row: the last axis
+    # splits into 3 tiles, in 1d too, and in 2d each row is a block
     rng = np.random.default_rng(2)
-    H = _accel.WORKSPACE // 12 + 1  # 4 targets a row: 2 rows a block
-    mag = np.abs(rng.standard_normal(H))
-    pos = rng.integers(-4, 4, size=(H, 2)).astype(np.int64)
-    corner, shape = np.array([-5, -2]), np.array([5, 4])
-    assert list(_accel._window_chunks(5, H * 4))[0] == (0, 2)
-    out = _accel.lambda_star_sum(mag, pos, corner, shape, 3.0)
-    targets = _box_targets(corner, shape)
-    assert np.array_equal(out,
-                          reference_window(mag, pos, targets, 3.0, np.sum))
-    for probe in (0, 7, 19):
-        diff = pos - targets[probe]
-        direct = float(np.sum(
-            mag / (1.0 + np.sqrt(np.sum(diff * diff, axis=1))) ** 3.0))
-        assert np.isclose(out[probe], direct, rtol=1e-12)
+    H = _accel.WORKSPACE // 12 + 1
+    for corner, shape in (((-5,), (30,)), ((-5, -2), (5, 30))):
+        n = len(shape)
+        mag = np.abs(rng.standard_normal(H))
+        pos = rng.integers(-40, 40, size=(H, n)).astype(np.int64)
+        rows = int(np.prod(shape[:-1]))
+        assert list(_accel._box_tiles(rows, 30, H)) == [
+            (a, a + 1, t0, t1) for t0, t1 in ((0, 11), (11, 22), (22, 30))
+            for a in range(rows)]
+        _assert_majorants_match(mag, pos, corner, shape, 3.0)
+        out = _accel.lambda_star_sum(mag, pos, np.array(corner),
+                                     np.array(shape), 3.0)
+        targets = _box_targets(corner, shape)
+        for probe in (0, 10, 11, 29, len(targets) - 1):
+            diff = pos - targets[probe]
+            direct = float(np.sum(
+                mag / (1.0 + np.sqrt(np.sum(diff * diff, axis=1))) ** 3.0))
+            assert np.isclose(out[probe], direct, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n, G, beta, t", [(1, 256, 2.0, 0.5),

@@ -193,8 +193,7 @@ def test_decompose_preflight_runs_before_the_system_is_built(
     def refuse(*args):
         raise AssertionError("the system was built")
 
-    monkeypatch.setattr(herzlab.cli, "build_fj_pair", refuse)
-    monkeypatch.setattr(herzlab.cli, "build_resolution", refuse)
+    monkeypatch.setattr(herzlab.cli, "build_system", refuse)
     text = (NORM_CFG.replace("n = 1", "n = 2").replace("l = 8", "l = 1")
             .replace("g = 256", "g = 16384").replace("kind = witness",
                                                      "kind = zero")
