@@ -3,10 +3,13 @@
 Each kernel is deterministic run to run and independent of how its rows or
 targets are batched: the maximal scan reads the same prefix-sum entries per
 row, and the majorant kernels reduce the same (target, source) products in
-source order.  Both do their arithmetic in a few large numpy calls: the
-maximal scan takes a block of consecutive widths per call, and the majorant
-kernels gather, per source, slices of their kernel box along a tile of
-targets.
+the same order.  Both do their arithmetic in a few large numpy calls and
+copy no more than they must: the maximal scan takes a block of consecutive
+widths per call from prefix sums built in place, and the majorant kernels
+read each source's kernel values over a tile of targets as one plain slice
+of their kernel box, with one multiply and one in-place add or maximum per
+source and tile.  The sums add in numpy's own pairwise order, made
+explicit, so they keep the bits of np.sum over a contiguous source axis.
 
 The maximal scan computes only the window averages that can raise its
 result.  Rows that are all zero are left out, and at a width w that follows
@@ -17,6 +20,9 @@ and as it is >= 0, dividing it by 2w+1 instead of 2w-1 cannot give more
 of the full scan; it takes nonnegative input only, and rejects the rest.
 """
 
+import itertools
+import math
+
 import numpy as np
 
 # Reported as the run's numeric path by the benchmark; numpy is the only one.
@@ -26,13 +32,6 @@ USE_NUMBA = False
 # the CPU cache; 2^22-element majorant blocks ran about 2x slower on a 2-vCPU
 # x86-64 VM.
 WORKSPACE = 1 << 16
-
-# Tiles narrower than this many targets take single kernel values; wider
-# ones gather slices of the kernel box.  Indexing a slice costs about as
-# much as taking 30-odd single values on a 2-vCPU x86-64 VM: 4-target
-# slices ran the majorant of 16384 sources 2-8x slower than single values.
-SLICE_MIN = 32
-
 
 
 def _support(col):
@@ -190,10 +189,20 @@ def maximal_rows(g, widths):
     live = np.flatnonzero(g.any(axis=1))
     if live.size == 0:
         return np.zeros((G, R)).T
-    col = np.ascontiguousarray(g[live].T, dtype=np.float64)
+    # a fresh C-ordered copy: the result is built in it (the transpose of
+    # one row is contiguous, and asking for that would alias g)
+    if live.size == R:
+        col = np.array(g.T, dtype=np.float64, order="C")
+    else:
+        col = np.ascontiguousarray(g[live].T, dtype=np.float64)
     a, m = _support(col)
-    cs = np.zeros((3 * G + 1, live.size))
-    np.cumsum(np.concatenate([col, col, col], axis=0), axis=0, out=cs[1:])
+    # the prefix sums of three periods, each carried on from the last sum
+    # of the one before: the bits of a cumsum over their concatenation
+    cs = np.empty((3 * G + 1, live.size))
+    cs[0] = 0.0
+    for p in range(0, 3 * G, G):
+        cs[p + 1:p + G + 1] = col
+        np.cumsum(cs[p:p + G + 1], axis=0, out=cs[p:p + G + 1])
     out = col
     work = np.empty(0)
     for w0, nw, pruned in _width_blocks(widths, G,
@@ -220,24 +229,20 @@ def maximal_rows(g, widths):
     return full.T
 
 
-def _window_chunks(n_items, per_item):
-    """Spans [a, b) tiling 0..n_items-1, each of at most WORKSPACE //
-    per_item items (at least one)."""
-    step = max(1, WORKSPACE // max(per_item, 1))
-    for start in range(0, n_items, step):
-        yield start, min(start + step, n_items)
+def _tiles(shape, size):
+    """Boxes tiling the index box [0, shape), each of at most ``size``
+    elements (at least one), as tuples of slices in C order.
 
-
-def _box_tiles(rows, T, H):
-    """Tiles (a, b, t0, t1) of a rows x T target box: rows a..b-1 by
-    columns t0..t1-1, each of at most max(WORKSPACE, H) target-source
-    pairs.  A tile spans WORKSPACE // H columns (at least one) and as many
-    rows as then fit; the tiles of one column span come one after another.
+    A tile spans as much of the last axis as fits, then of the axis before
+    it, and so on: the box is split along every axis that the size needs.
     """
-    width = min(T, max(1, WORKSPACE // H))
-    for t0 in range(0, T, width):
-        for a, b in _window_chunks(rows, H * width):
-            yield a, b, t0, min(t0 + width, T)
+    extent = []
+    for s in reversed(shape):
+        extent.append(max(1, min(s, size)))
+        size //= extent[-1]
+    spans = [[slice(a, min(a + e, s)) for a in range(0, s, e)]
+             for s, e in zip(shape, reversed(extent))]
+    return itertools.product(*spans)
 
 
 def _kernel_box(pos, corner, shape, d):
@@ -256,53 +261,92 @@ def _kernel_box(pos, corner, shape, d):
     return ((1.0 + dist) ** (-d)).reshape(tuple(kshape))
 
 
+def _pair_depth(H):
+    """Levels of halving in ``_pairwise`` over H terms."""
+    depth = 0
+    while H > 128:
+        H -= H // 2 - H // 2 % 8
+        depth += 1
+    return depth
+
+
+def _pairwise(term, a, b, out, spare):
+    """out = the sum of terms a..b-1 in numpy's pairwise order.
+
+    term(h, buf) writes term h into buf and returns buf.  This is the order
+    in which numpy sums a contiguous axis (pairwise_sum in its add loop),
+    made explicit: fewer than 8 terms are added in turn; up to 128 terms
+    (numpy's PW_BLOCKSIZE) go into 8 interleaved partial sums, combined as
+    ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), and the terms past
+    the last multiple of 8 are added after that; a longer run is split in
+    two at the multiple of 8 at or below its half, and the two sums are
+    added.  A run of up to 128 terms needs 8 ``spare`` buffers, and each
+    halving one more.
+    """
+    n = b - a
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _pairwise(term, a, a + half, out, spare)
+        _pairwise(term, a + half, b, spare[0], spare[1:])
+        out += spare[0]
+        return
+    prod = spare[0]
+    if n < 8:
+        # numpy starts from -0.0, and -0.0 + x is x
+        term(a, out)
+        for h in range(a + 1, b):
+            out += term(h, prod)
+        return
+    acc = [out, *spare[1:8]]
+    for j in range(8):
+        term(a + j, acc[j])
+    stop = b - n % 8
+    for h in range(a + 8, stop):
+        acc[(h - a) % 8] += term(h, prod)
+    for i, j in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+        acc[i] += acc[j]
+    for h in range(stop, b):
+        out += term(h, prod)
+
+
 def _window_reduce(weights, pos, corner, shape, d, total):
     """Sum (``total``) or max over h of weights[h] * (1 + |pos[h] - t|)^-d
     for each target t of the box corner + [0, shape), in C order.
 
-    The box is cut into the tiles of ``_box_tiles``: rows of leading
-    indices by t targets along the last axis.  The kernel value of source h
-    at the target of row u and last index c sits at flat index
-    row_at[u] + c + src_at[h] of the kernel box, so along the last axis a
-    source's values are one contiguous slice of it.  A tile at least
-    SLICE_MIN wide fancy-indexes a sliding-window view of the flat box by
-    the slices' starts, which gives a (rows, H, t) block; a narrower one
-    takes single values into a (rows, t, H) block.  The max reduces over
-    the source axis in place.  The sum reduces (rows, t, H) products,
-    copying a (rows, H, t) block to that layout first: numpy sums pairwise
-    along a contiguous axis, so each target's sum reads its H products in
-    source order with the bits of a sum over an (M, H) product array,
-    whatever the tiles and gathers.
+    In the kernel box, source h's values over a box of targets corner +
+    [u0, u1) are the plain slice top - pos[h] + [u0, u1), top =
+    pos.max(axis=0).  The target box is cut into ``_tiles`` that fit the
+    scratch buffers in WORKSPACE, and per tile each source takes one
+    multiply of its slice into a buffer and one in-place add or maximum.
+    The max is exact, so its order does not matter.  The sum adds the
+    products in numpy's pairwise order (``_pairwise``), so each target's
+    sum has the bits of np.sum over a contiguous (M, H) product array,
+    whatever the tiles.
     """
     kernel = _kernel_box(pos, np.asarray(corner, dtype=np.int64),
                          np.asarray(shape, dtype=np.int64), d)
-    flat = kernel.ravel()
-    step = np.array(kernel.strides) // kernel.itemsize
-    H, T = pos.shape[0], int(shape[-1])
-    # flat offset of each row's first target, and of each source
-    row_at = np.zeros(1, dtype=np.int64)
-    for s, k in zip(shape[:-1], step[:-1]):
-        row_at = (row_at[:, None] + np.arange(int(s)) * k).ravel()
-    src_at = (pos.max(axis=0) - pos) @ step
-    out = np.empty((row_at.size, T))
-    view = None
-    for a, b, t0, t1 in _box_tiles(row_at.size, T, H):
-        if t1 - t0 >= SLICE_MIN:
-            if view is None or view.shape[1] != t1 - t0:
-                view = np.lib.stride_tricks.sliding_window_view(flat, t1 - t0)
-            near = view[(row_at[a:b] + t0)[:, None] + src_at]
-            if not total:
-                near *= weights[:, None]
-                np.max(near, axis=1, out=out[a:b, t0:t1])
-                continue
-            prods = np.multiply(near.transpose(0, 2, 1), weights,
-                                out=np.empty((b - a, t1 - t0, H)))
-        else:
-            at = row_at[a:b, None] + np.arange(t0, t1)
-            prods = flat.take(at[:, :, None] + src_at)
-            prods *= weights
-        reduce = np.sum if total else np.max
-        reduce(prods, axis=2, out=out[a:b, t0:t1])
+    shape = tuple(map(int, shape))
+    at = (pos.max(axis=0) - pos).tolist()
+    weights = weights.tolist()
+    nbuf = 8 + _pair_depth(len(at)) if total else 1
+    size = max(1, WORKSPACE // nbuf)
+    work = np.empty(nbuf * min(size, math.prod(shape)))
+    out = np.empty(shape)
+    for tile in _tiles(shape, size):
+        tshape = tuple(t.stop - t.start for t in tile)
+        spare = work[:nbuf * math.prod(tshape)].reshape(nbuf, *tshape)
+
+        def term(h, buf):
+            box = tuple(slice(o + t.start, o + t.stop)
+                        for o, t in zip(at[h], tile))
+            return np.multiply(kernel[box], weights[h], out=buf)
+
+        if total:
+            _pairwise(term, 0, len(at), out[tile], spare)
+            continue
+        res = term(0, out[tile])
+        for h in range(1, len(at)):
+            np.maximum(res, term(h, spare[0]), out=res)
     return out.ravel()
 
 

@@ -66,7 +66,8 @@ class CoeffSeq:
     A set is stored as per-level arrays (see ``levels``).  They are built
     by ``batch_from_levels``, which validates, sorts and de-duplicates many
     sets at once; ``from_levels`` and ``CoeffSeq(n, K, L, entries)``, which
-    builds them from a dict keyed by (k, m), are its batch of one.  The
+    builds them from a dict keyed by (k, m), are its batch of one.
+    ``_of_sorted`` stores groups already in that form without checks.  The
     arrays are the one stored form; ``entries`` is derived from them.
     """
 
@@ -144,6 +145,27 @@ class CoeffSeq:
             self.n, self.K, self.L, self._levels = n, K, L, own
             out.append(self)
         return out
+
+    @classmethod
+    def _of_sorted(cls, n, K, L, groups):
+        """A set from (k, pos, values) groups that are already in the stored
+        form's order: levels ascending and nonempty, each level's indices
+        in C order (lexicographic) without repeats.
+
+        The unchecked twin of ``from_levels`` for builders that make such
+        groups by construction (``analyze`` and ``seqspace.lambda_star``):
+        nothing is validated, sorted or de-duplicated, and the result is
+        the set that ``from_levels`` builds from the same groups.
+        """
+        levels = []
+        for k, pos, vals in groups:
+            pos = np.ascontiguousarray(pos, dtype=np.int64)
+            vals = np.ascontiguousarray(vals, dtype=np.complex128)
+            pos.flags.writeable = vals.flags.writeable = False
+            levels.append((int(k), pos, vals))
+        self = cls.__new__(cls)
+        self.n, self.K, self.L, self._levels = n, K, L, levels
+        return self
 
     @property
     def entries(self):
@@ -262,7 +284,7 @@ def analyze(field, system):
         vals = (lattice * ((field.h * stride) ** (n / 2.0) / scale)).ravel()
         pos = np.indices((N,) * n).reshape(n, -1).T - N // 2
         levels.append((k, pos, vals))
-    return CoeffSeq.from_levels(n, system.K, L, levels)
+    return CoeffSeq._of_sorted(n, system.K, L, levels)
 
 
 def synthesize(coeffs, system):

@@ -33,12 +33,16 @@ def reference_maximal_rows(g, widths):
 
 
 def reference_window(weights, pos, targets, d, reduce):
+    # targets in chunks of at most 2^16 target-source pairs (one target at
+    # least); each target's row of products is reduced on its own
     out = np.empty(targets.shape[0], dtype=np.float64)
     fpos = pos.astype(np.float64)
-    for a, b in _accel._window_chunks(targets.shape[0], pos.shape[0]):
-        diff = targets[a:b, None, :].astype(np.float64) - fpos[None, :, :]
+    step = max(1, (1 << 16) // pos.shape[0])
+    for a in range(0, targets.shape[0], step):
+        diff = targets[a:a + step, None, :].astype(np.float64) - fpos[None]
         dist = np.sqrt(np.sum(diff * diff, axis=2))
-        out[a:b] = reduce(weights[None, :] * (1.0 + dist) ** (-d), axis=1)
+        out[a:a + step] = reduce(weights[None, :] * (1.0 + dist) ** (-d),
+                                 axis=1)
     return out
 
 
@@ -50,15 +54,16 @@ def _box_targets(corner, shape):
                     dtype=np.int64).reshape(-1, len(corner))
 
 
-def _assert_majorants_match(weights, pos, corner, shape, d):
-    # once with every tile gathering slices of the kernel box, once with
-    # every tile taking single values
+def _assert_majorants_match(weights, pos, corner, shape, d,
+                            workspaces=(_accel.WORKSPACE, 1)):
+    # once per workspace size: the default, and by default also one target
+    # a tile, which splits the box along every axis
     targets = _box_targets(corner, shape)
     corner = np.array(corner, dtype=np.int64)
     shape = np.array(shape, dtype=np.int64)
-    for slice_min in (1, int(shape[-1]) + 1):
+    for workspace in workspaces:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_accel, "SLICE_MIN", slice_min)
+            patch.setattr(_accel, "WORKSPACE", workspace)
             assert np.array_equal(
                 _accel.lambda_star_sum(weights, pos, corner, shape, d),
                 reference_window(weights, pos, targets, d, np.sum))
@@ -99,22 +104,62 @@ def test_majorant_boxes_of_one_source_or_one_target(n):
             _assert_majorants_match(weights, pos, corner, shape, 2.5)
 
 
+def _sum_tiles(shape, H):
+    """The tiles of a target box that the sum of H sources takes."""
+    nbuf = 8 + _accel._pair_depth(H)
+    return list(_accel._tiles(shape, max(1, _accel.WORKSPACE // nbuf)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_majorant_sums_keep_their_bits_across_blocks(n):
-    # enough sources that a workspace block holds fewer rows than the box,
-    # so a block split falls mid-box; the sum over so many sources is
-    # pairwise in numpy, and reducing over a non-contiguous axis would
-    # change its bits
+def test_majorant_sums_keep_their_bits_across_blocks(n, monkeypatch):
+    # a workspace that holds less than the box, so tiles split it on every
+    # axis; the sum over so many sources is pairwise in numpy (four
+    # halvings), and adding the sources in any other order would change
+    # its bits
     rng = np.random.default_rng(20 + n)
     H = 1500
     pos = rng.integers(-20, 20, size=(H, n)).astype(np.int64)
     mag = rng.lognormal(0.0, 2.0, size=H)
     shape = (7,) * (n - 1) + (13,)
-    rows = int(np.prod(shape[:-1]))
-    tiles = list(_accel._box_tiles(rows, 13, H))
-    if n > 1:
-        assert len(tiles) > 1 and tiles[0][1] < rows
-    _assert_majorants_match(mag, pos, (-3,) * n, shape, 4.0)
+    monkeypatch.setattr(_accel, "WORKSPACE", 5 * (8 + _accel._pair_depth(H)))
+    tiles = _sum_tiles(shape, H)
+    assert _accel._pair_depth(H) == 4 and len(tiles) > 1
+    assert all(len({t[i].start for t in tiles}) > 1 for i in range(n))
+    _assert_majorants_match(mag, pos, (-3,) * n, shape, 4.0,
+                            workspaces=(_accel.WORKSPACE,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_majorant_sums_follow_numpys_pairwise_order(n):
+    # every source count up to 300 crosses each branch of the pairwise
+    # order: fewer than 8, the 8 partial sums with every remainder mod 8,
+    # and one halving above 128 (one more above 256)
+    rng = np.random.default_rng(30 + n)
+    shape = ((6,), (3, 5), (2, 3, 4))[n - 1]
+    for H in range(1, 301):
+        pos = rng.integers(-5, 5, size=(H, n)).astype(np.int64)
+        mag = rng.lognormal(0.0, 2.0, size=H)
+        _assert_majorants_match(mag, pos, (-2,) * n, shape, 2.5,
+                                workspaces=(_accel.WORKSPACE,))
+    # tiles split on every axis, at a few counts
+    for H in (5, 8, 13, 128, 129, 257, 300):
+        pos = rng.integers(-5, 5, size=(H, n)).astype(np.int64)
+        _assert_majorants_match(rng.lognormal(0.0, 2.0, size=H), pos,
+                                (-2,) * n, shape, 2.5,
+                                workspaces=(1, 2 * (8 + _accel._pair_depth(H))))
+
+
+def test_majorant_sums_beyond_numpys_buffer():
+    # more sources than numpy's 8192-element buffer: np.sum over a
+    # contiguous row still runs one pairwise sum over all of it
+    rng = np.random.default_rng(40)
+    H = 9000
+    for corner, shape in (((-4,), (9,)), ((-2, -3), (3, 4))):
+        n = len(shape)
+        pos = rng.integers(-50, 50, size=(H, n)).astype(np.int64)
+        mag = rng.lognormal(0.0, 2.0, size=H)
+        _assert_majorants_match(mag, pos, corner, shape, 3.0,
+                                workspaces=(_accel.WORKSPACE, 30))
 
 
 def _assert_scan_matches(g, widths):
@@ -231,6 +276,25 @@ def test_each_row_scans_as_it_would_alone():
         assert np.array_equal(alone[0], batch[r])
 
 
+def test_scan_never_writes_its_input():
+    # the scan builds its result in place in a copy of the live rows; the
+    # contiguous transpose of one row is a view of it, and must not be used
+    rng = np.random.default_rng(8)
+    G = 48
+    widths = np.arange(0, G // 2 + 1, dtype=np.int64)
+    mixed = np.zeros((5, G))
+    mixed[[1, 3], 10:20] = rng.random((2, 10))
+    for g in (rng.random((1, G)), rng.random((4, G)), mixed,
+              np.zeros((1, G)), mixed[3:4]):
+        kept = g.copy()
+        g.flags.writeable = False
+        _assert_scan_matches(g, widths)
+        assert np.array_equal(g, kept)
+        g = kept.copy()  # and, writable, it keeps its values too
+        _assert_scan_matches(g, widths)
+        assert np.array_equal(g, kept)
+
+
 def test_scan_rejects_negative_input():
     g = np.ones((2, 8))
     widths = np.arange(0, 5, dtype=np.int64)
@@ -240,51 +304,46 @@ def test_scan_rejects_negative_input():
             _accel.maximal_rows(g, widths)
 
 
-def test_window_chunks_tile_and_bound_workspace():
-    # chunks must tile [0, M) exactly and keep chunk * H at or below the
-    # workspace budget once H exceeds it
-    budget = _accel.WORKSPACE
-    for m, h in ((6000, 8), (10, 2 * budget), (0, 5), (7, 3),
-                 (budget, 1)):
-        spans = list(_accel._window_chunks(m, h))
-        covered = []
-        for a, b in spans:
-            assert 0 <= a < b <= m
-            assert (b - a) * h <= max(budget, h)  # step >= 1 always
-            covered.extend(range(a, b))
-        assert covered == list(range(m))
-
-
 def test_box_tiles_tile_the_box_and_bound_workspace():
-    # tiles must cover each (row, column) of the target box once and keep
-    # their target-source pairs at or below the budget, or at one target
-    # once H exceeds it
-    budget = _accel.WORKSPACE
-    for rows, T, h in ((1, 30, budget // 12 + 1), (5, 30, budget // 12 + 1),
-                       (7, 13, 1500), (3, 4, 2 * budget), (1, 1, 1),
-                       (40, 300, 7), (0, 5, 3)):
-        seen = np.zeros((rows, T), dtype=np.int64)
-        for a, b, t0, t1 in _accel._box_tiles(rows, T, h):
-            assert 0 <= a < b <= rows and 0 <= t0 < t1 <= T
-            assert (b - a) * (t1 - t0) * h <= max(budget, h)
-            seen[a:b, t0:t1] += 1
+    # tiles must cover each target of the box once, in C order, hold at
+    # most size targets (at least one), and split only the axes they must
+    for shape, size in (((30,), 11), ((5, 30), 11), ((5, 30), 60),
+                        ((7, 7, 13), 5), ((3, 4), 1), ((3, 4), 100),
+                        ((4, 6, 2), 12), ((1,), 1), ((0, 5), 3)):
+        seen = np.zeros(shape, dtype=np.int64)
+        order = []
+        for tile in _accel._tiles(shape, size):
+            assert len(tile) == len(shape)
+            assert 0 < seen[tile].size <= max(size, 1)
+            seen[tile] += 1
+            order.append(tuple(t.start for t in tile))
         assert np.all(seen == 1)
+        assert order == sorted(order)
+        last = min(shape[-1], size)
+        assert all(t[-1].stop - t[-1].start == min(last, shape[-1] - t[-1].start)
+                   for t in _accel._tiles(shape, size))
 
 
-def test_numpy_fallback_correct_when_chunked():
-    # so many sources that a tile holds 11 targets of a row: the last axis
-    # splits into 3 tiles, in 1d too, and in 2d each row is a block
+def test_numpy_fallback_correct_when_chunked(monkeypatch):
+    # so many sources that the sum halves six times, and a workspace that
+    # holds 11 targets a tile: the last axis splits into 3 tiles, in 1d
+    # too, and in 2d each row is split
     rng = np.random.default_rng(2)
-    H = _accel.WORKSPACE // 12 + 1
+    H = (1 << 16) // 12 + 1
+    nbuf = 8 + _accel._pair_depth(H)
+    assert nbuf == 14
+    monkeypatch.setattr(_accel, "WORKSPACE", 11 * nbuf)
     for corner, shape in (((-5,), (30,)), ((-5, -2), (5, 30))):
         n = len(shape)
         mag = np.abs(rng.standard_normal(H))
         pos = rng.integers(-40, 40, size=(H, n)).astype(np.int64)
-        rows = int(np.prod(shape[:-1]))
-        assert list(_accel._box_tiles(rows, 30, H)) == [
-            (a, a + 1, t0, t1) for t0, t1 in ((0, 11), (11, 22), (22, 30))
-            for a in range(rows)]
-        _assert_majorants_match(mag, pos, corner, shape, 3.0)
+        spans = ((0, 11), (11, 22), (22, 30))
+        assert [tuple((t.start, t.stop) for t in tile)
+                for tile in _sum_tiles(shape, H)] == [
+            ((a, a + 1),) * (n - 1) + (span,)
+            for a in range(shape[0] if n > 1 else 1) for span in spans]
+        _assert_majorants_match(mag, pos, corner, shape, 3.0,
+                                workspaces=(_accel.WORKSPACE,))
         out = _accel.lambda_star_sum(mag, pos, np.array(corner),
                                      np.array(shape), 3.0)
         targets = _box_targets(corner, shape)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from herzlab import (CoeffSeq, SampledField, SpectralSystem, analyze,
-                     build_fj_pair, load_coeffs, make_field,
+                     build_fj_pair, lambda_star, load_coeffs, make_field,
                      random_band_field, roundtrip_error, save_coeffs,
                      spectral_transform, synthesize)
 from herzlab import frames, grid, lpdecomp
@@ -533,3 +533,34 @@ def test_load_coeffs_names_the_malformed_part(tmp_path, body, names):
         load_coeffs(path)
     for name in names:
         assert name in str(info.value)
+
+
+def _assert_same_set(got, want):
+    # levels, index and value dtypes, read-only flags and entries order
+    assert (got.n, got.K, got.L) == (want.n, want.K, want.L)
+    assert len(got.levels()) == len(want.levels())
+    for (k, pos, vals), (k2, pos2, vals2) in zip(got.levels(), want.levels()):
+        assert type(k) is type(k2) and k == k2
+        for a, b in ((pos, pos2), (vals, vals2)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable and not b.flags.writeable
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+    assert list(got.entries.items()) == list(want.entries.items())
+
+
+@pytest.mark.parametrize("n, G", [(1, 256), (2, 64)])
+def test_unchecked_builders_equal_from_levels(n, G):
+    # analyze and lambda_star skip the checks, sort and de-duplication of
+    # from_levels; what they build must be the set from_levels builds
+    system = build_fj_pair(n, 16.0, G, 2)
+    coeffs = analyze(random_band_field(n, 16.0, G, system.band_radius(),
+                                       seed=5), system)
+    sparse = CoeffSeq.from_levels(n, 2, 16.0, [
+        (k, pos[::7], vals[::7]) for k, pos, vals in coeffs.levels()])
+    for built in (coeffs, lambda_star(sparse, 1.0, 3.0, 2),
+                  lambda_star(sparse, math.inf, 3.0, 2)):
+        _assert_same_set(built, CoeffSeq.from_levels(
+            built.n, built.K, built.L,
+            [(k, np.array(pos), np.array(vals))
+             for k, pos, vals in built.levels()]))
