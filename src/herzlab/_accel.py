@@ -12,12 +12,13 @@ source and tile.  The sums add in numpy's own pairwise order, made
 explicit, so they keep the bits of np.sum over a contiguous source axis.
 
 The maximal scan computes only the window averages that can raise its
-result.  Rows that are all zero are left out, and at a width w that follows
-w - 1 in its widths array it skips every window whose two new edge samples
-are zero in all rows: the window sum then keeps its bits from width w - 1,
-and as it is >= 0, dividing it by 2w+1 instead of 2w-1 cannot give more
-(correctly rounded division is monotone).  Its output is bit for bit that
-of the full scan; it takes nonnegative input only, and rejects the rest.
+result.  It takes the half-widths 0..G/2 of its one caller and no other
+set.  Rows that are all zero are left out, and at each width w >= 2 it
+skips every window whose two new edge samples are zero in all rows: the
+window sum then keeps its bits from width w - 1, and as it is >= 0,
+dividing it by 2w+1 instead of 2w-1 cannot give more (correctly rounded
+division is monotone).  Its output is bit for bit that of the full scan;
+it takes nonnegative input only, and rejects the rest.
 """
 
 import itertools
@@ -67,27 +68,13 @@ def _runs(spans, G):
     return merged
 
 
-def _width_blocks(widths, G, size):
-    """The widths to scan as blocks [w0, nw, pruned] of w0..w0+nw-1.
-
-    Width 0 (the samples themselves) and widths of 2w+1 > 2G samples are
-    left out.  A width w > 1 that directly follows w - 1 in ``widths`` is
-    pruned; pruned widths that follow each other share a block of at most
-    ``size``, and every other width is a block of its own.
-    """
-    blocks = []
-    prev = None
-    for w in map(int, widths):
-        pruned = w > 1 and prev == w - 1
-        prev = w
-        if w == 0 or 2 * w + 1 > 2 * G:
-            continue
-        last = blocks[-1] if blocks else [0, 0, False]
-        if pruned and last[2] and last[0] + last[1] == w and last[1] < size:
-            last[1] += 1
-        else:
-            blocks.append([w, 1, pruned])
-    return blocks
+def _width_blocks(G, size):
+    """The widths 1..G/2 to scan, as blocks (w0, nw) of w0..w0+nw-1: width
+    1 alone, as its windows are not pruned, then blocks of ``size``."""
+    half = G // 2
+    blocks = [(1, 1)] if half else []
+    return blocks + [(w, min(size, half + 1 - w))
+                     for w in range(2, half + 1, size)]
 
 
 def _block_size(G, rows, m):
@@ -100,9 +87,10 @@ def _block_size(G, rows, m):
     2 WORKSPACE, not within it.  Sizing for that union instead, nw (2m +
     3 nw - 2) rows <= WORKSPACE, gave about 2/3 the widths a block and ran
     the ``kernels`` maximal inputs about 5% slower on a 2-vCPU x86-64 VM.
-    When the prefix sums alone, 3G rows-wide, exceed WORKSPACE, the scan
-    runs out of the cache, and the pass a block adds (its maximum over
-    widths) costs more than the numpy calls it saves: one width per block.
+    When 3G rows, the prefix sums (2G) and the result (G), exceed
+    WORKSPACE, the scan runs out of the cache, and the pass a block adds
+    (its maximum over widths) costs more than the numpy calls it saves: one
+    width per block.
     """
     if 3 * G * rows > WORKSPACE:
         return 1
@@ -149,40 +137,41 @@ def maximal_rows(g, widths):
     g : (R, G) nonnegative float64, one row per 1d slice.  An entry with
         its sign bit set (a negative value or -0.0) raises ValueError: the
         pruning below needs window sums >= 0, and zeros of one sign.
-    widths : 1d int64 array of window half-widths in samples; width w
-        averages 2w+1 consecutive samples (w = 0 is the sample alone).
-        Widths up to G are allowed; windows wrap periodically, counting
-        wrapped samples with multiplicity.  Returns the (R, G) array of
-        largest window averages.
+    widths : the window half-widths, which must be np.arange(G // 2 + 1);
+        any other array raises ValueError.  Width w averages 2w+1
+        consecutive samples (w = 0 is the sample alone); windows wrap
+        periodically.  Returns the (R, G) array of largest window averages.
 
-    With cs the prefix sums of three periods, the window of half-width w
-    that starts at lo in [0, G) sums S = cs[lo + 2w + 1] - cs[lo] and
-    lands on sample j = (lo + w) mod G, as in the full scan.  The scan runs
-    on the transpose, in blocks of consecutive widths (``_width_blocks``,
-    ``_block_max``): over a run of starts, the block is one strided view
-    of cs minus one slice, and its maximum over widths goes into the
-    result with one np.maximum per period piece.
+    With cs the prefix sums of two periods, the window of half-width w
+    that starts at lo in [0, G) sums S = cs[lo + 2w + 1] - cs[lo]
+    (lo + 2w + 1 <= 2G) and lands on sample j = (lo + w) mod G, as in the
+    full scan.  The scan runs on the transpose, in blocks of consecutive
+    widths (``_width_blocks``, ``_block_max``): over a run of starts, the
+    block is one strided view of cs minus one slice, and its maximum over
+    widths goes into the result with one np.maximum per period piece.
 
     The scan is pruned, with the same output bits.  Rows that are all zero
     are left out; their output is zero.  With every nonzero sample in the
-    cyclic interval [a, a + m), a width w > 1 that directly follows w - 1
-    in ``widths`` needs only the starts lo in [a, a + m) (its first sample
-    may be nonzero), in [a - 2w, a - 2w + m) (its last may be) and
-    lo = G - 1, the window of sample w - 1, whose start at width w - 1 is
-    0 and so reads the other prefix-sum copy.  For any other start both
-    edge samples are +0.0 in every row and cs[lo + 1], cs[lo + 2w] are the
-    entries of window (w - 1, lo + 1), which lands on the same sample:
-    both prefix sums keep their bits, S is that window's sum, and as
-    S >= 0 and correctly rounded division is monotone, fl(S / (2w+1)) <=
-    fl(S / (2w-1)), which the result holds once width w - 1 is scanned
-    (the same holds for it in turn, down to the width before the block).
-    A block scans the union of its widths' starts, and any superset of
-    them inside the full scan has the same maximum.  Width 1 (the result
-    starts from the samples, not from prefix-sum differences), a width
-    that does not directly follow w - 1, and a block whose starts cover
-    the period scan every start.
+    cyclic interval [a, a + m), a width w >= 2 needs only the starts lo in
+    [a, a + m) (its first sample may be nonzero), in [a - 2w, a - 2w + m)
+    (its last may be) and lo = G - 1, the window of sample w - 1, whose
+    start at width w - 1 is 0 and so reads the other prefix-sum period.
+    For any other start both edge samples are +0.0 in every row and
+    cs[lo + 1], cs[lo + 2w] are the entries of window (w - 1, lo + 1),
+    which lands on the same sample: both prefix sums keep their bits, S is
+    that window's sum, and as S >= 0 and correctly rounded division is
+    monotone, fl(S / (2w+1)) <= fl(S / (2w-1)), which the result holds
+    once width w - 1 is scanned (the same holds for it in turn, down to
+    the width before the block).  A block scans the union of its widths'
+    starts, and any superset of them inside the full scan has the same
+    maximum.  Width 1 (the result starts from the samples, not from
+    prefix-sum differences) and a block whose starts cover the period scan
+    every start.
     """
     R, G = g.shape
+    if not np.array_equal(widths, np.arange(G // 2 + 1)):
+        raise ValueError(f"maximal_rows takes the widths 0..{G // 2} "
+                         f"(np.arange(G // 2 + 1)) for G = {G}")
     if np.signbit(g).any():
         raise ValueError("maximal_rows needs nonnegative input "
                          "(no negative entry and no -0.0)")
@@ -196,19 +185,18 @@ def maximal_rows(g, widths):
     else:
         col = np.ascontiguousarray(g[live].T, dtype=np.float64)
     a, m = _support(col)
-    # the prefix sums of three periods, each carried on from the last sum
-    # of the one before: the bits of a cumsum over their concatenation
-    cs = np.empty((3 * G + 1, live.size))
+    # the prefix sums of two periods, the second carried on from the last
+    # sum of the first: the bits of a cumsum over their concatenation
+    cs = np.empty((2 * G + 1, live.size))
     cs[0] = 0.0
-    for p in range(0, 3 * G, G):
+    for p in (0, G):
         cs[p + 1:p + G + 1] = col
         np.cumsum(cs[p:p + G + 1], axis=0, out=cs[p:p + G + 1])
     out = col
     work = np.empty(0)
-    for w0, nw, pruned in _width_blocks(widths, G,
-                                        _block_size(G, live.size, m)):
+    for w0, nw in _width_blocks(G, _block_size(G, live.size, m)):
         runs = [(0, G)]
-        if pruned:
+        if w0 > 1:
             runs = _runs(((a, m), (a - 2 * (w0 + nw - 1), m + 2 * nw - 2),
                           (G - 1, 1)), G)
         for p, q in runs:

@@ -22,46 +22,28 @@ band-limited family cannot satisfy the dilation law (its periodisation
 has full support), which is why the spatial family is the scaling probe.
 
 Hypotheses are checked in exact arithmetic: each exponent is read as the
-nearest fraction with denominator at most EXACT_DENOMINATOR (inf stays
-inf), and sums such as the smoothness balance are taken on those
-fractions.  So a float built from small-denominator rationals, such as
-0.1 + 1/3, counts as the rational it stands for, and a balance that holds
-for the rationals holds here.
+nearest fraction with denominator at most herz.EXACT_DENOMINATOR (inf
+stays inf; ``herz._rational``), and sums such as the smoothness balance
+are taken on those fractions.  So a float built from small-denominator
+rationals, such as 0.1 + 1/3, counts as the rational it stands for, and a
+balance that holds for the rationals holds here.
 """
 
 import functools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .frames import CoeffSeq
 from .grid import SampledField, sealed
 from .herz import (HerzParams, HypothesisError, SpaceParams, _inv,
-                   lq_combine, mixed_herz_norm)
+                   _rational, lq_combine, mixed_herz_norm)
 from .seqspace import seq_norms
 
 THEOREMS = ("sobolev", "jawerth-strict", "jawerth-equal",
             "franke-strict", "franke-equal", "besov-function")
-
-
-# An exponent x is compared as Fraction(x).limit_denominator(D), D below.
-# Every decimal with at most six digits after the point is then exact, and a
-# float within 5e-10 of a fraction with denominator <= 1000 (any such
-# fraction computed in a few float steps) is that fraction, since distinct
-# fractions with denominators b, d <= D lie at least 1/(b d) apart.  The
-# price: a float closer than 1/(1000 D) = 1e-9 to such a fraction is read as
-# it, so exponents meant to differ must differ by more than that.
-EXACT_DENOMINATOR = 10 ** 6
-
-
-def _rational(x):
-    """x as the nearest fraction with denominator <= EXACT_DENOMINATOR."""
-    if math.isinf(x):
-        return x
-    return Fraction(x).limit_denominator(EXACT_DENOMINATOR)
 
 
 class _ExactHerz:

@@ -103,10 +103,6 @@ class SampledField:
         """Sample coordinates along one axis (shared by all axes)."""
         return (np.arange(self.G) - self.G // 2) * self.h
 
-    def axis_freqs(self):
-        """Frequency values along one axis, centered layout."""
-        return (np.arange(self.G) - self.G // 2) * (TAU / self.L)
-
     def with_values(self, values, domain=None):
         return SampledField(self.n, self.L, self.G, values,
                             self.domain if domain is None else domain)
@@ -240,24 +236,6 @@ def band_ifft(crop, size):
     return out
 
 
-SNAPSHOT_MAGIC = "herzfield 1"
-
-
-def save_field(field, path):
-    """Write a textual snapshot: magic, header, one 're im' line per sample.
-
-    Floats use 17 significant digits, so load(save(f)) is bit exact and the
-    file is locale independent.
-    """
-    flat = field.values.ravel(order="C")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(SNAPSHOT_MAGIC + "\n")
-        fh.write("n=%d L=%.17g G=%d domain=%s\n"
-                 % (field.n, field.L, field.G, field.domain))
-        for z in flat:
-            fh.write("%.17g %.17g\n" % (z.real, z.imag))
-
-
 def parse_header(line, casts):
     """The key=value fields of a snapshot header line, converted.
 
@@ -282,26 +260,3 @@ def parse_header(line, casts):
                 f"header field {key}={fields[key]!r} is not a valid "
                 f"{cast.__name__}") from None
     return out
-
-
-def load_field(path):
-    with open(path, "r", encoding="ascii") as fh:
-        magic = fh.readline().strip()
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"not a field snapshot: bad magic {magic!r}")
-        header = parse_header(fh.readline(),
-                              {"n": int, "L": float, "G": int, "domain": str})
-        n, L, G = header["n"], header["L"], header["G"]
-        count = G ** n
-        vals = np.empty(count, dtype=np.complex128)
-        for i in range(count):
-            parts = fh.readline().split()
-            if len(parts) != 2:
-                raise ValueError(f"snapshot truncated at sample {i}")
-            try:
-                vals[i] = complex(float(parts[0]), float(parts[1]))
-            except ValueError:
-                raise ValueError(f"line {i + 3}: malformed sample "
-                                 f"{' '.join(parts)!r}") from None
-    return SampledField(n=n, L=L, G=G, values=sealed(vals).reshape((G,) * n),
-                        domain=header["domain"])

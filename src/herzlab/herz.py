@@ -17,6 +17,7 @@ then x3.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,6 +31,23 @@ class HypothesisError(ValueError):
 def _inv(p):
     """1/p with the convention 1/inf = 0."""
     return 0.0 if math.isinf(p) else 1.0 / p
+
+
+# An exponent x is compared as Fraction(x).limit_denominator(D), D below.
+# Every decimal with at most six digits after the point is then exact, and a
+# float within 5e-10 of a fraction with denominator <= 1000 (any such
+# fraction computed in a few float steps) is that fraction, since distinct
+# fractions with denominators b, d <= D lie at least 1/(b d) apart.  The
+# price: a float closer than 1/(1000 D) = 1e-9 to such a fraction is read as
+# it, so exponents meant to differ must differ by more than that.
+EXACT_DENOMINATOR = 10 ** 6
+
+
+def _rational(x):
+    """x as the nearest fraction with denominator <= EXACT_DENOMINATOR."""
+    if math.isinf(x):
+        return x
+    return Fraction(x).limit_denominator(EXACT_DENOMINATOR)
 
 
 def _as_exponent_tuple(t, n, name):

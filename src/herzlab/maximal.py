@@ -8,16 +8,20 @@ checks run conservative.  For continuum comparisons the window of half-width w
 covers the cell interval of radius (w + 1/2) h around the sample's cell.
 Every axis is one ``_accel.maximal_rows`` call on the nonnegative
 magnitudes (or their t-th powers), over the rows of every field of a
-family.  It scans blocks of consecutive widths, a few numpy calls per
-block; it skips rows that are all zero and, at each width, the windows
-that gain only zeros, with the output bits of the full scan, so a family
-supported on a small part of the grid costs less than a dense one.
+family, with the half-widths 0..G/2, the one set it takes.  It scans
+blocks of consecutive widths, a few numpy calls per block; it skips rows
+that are all zero and, at each width, the windows that gain only zeros,
+with the output bits of the full scan, so a family supported on a small
+part of the grid costs less than a dense one.
 
 fs_vector_check measures the vector-valued bound: the Herz norm of the
 l^beta envelope of iterated maximal functions against that of the inputs.
-Its hypotheses (-1/p_i < alpha_i < 1 - 1/p_i per axis and
-0 < t < min(beta, p_i, q_i)) are enforced, not assumed.  Inputs must be
-supported in a quarter period per axis so annulus geometry is not
+Its hypotheses, 0 < t < min(beta, p_i, q_i) and
+-1/p_i < alpha_i < 1/t - 1/p_i per axis, are enforced, not assumed.  The
+alpha range is the Herz bound for M (-1/p < alpha < 1 - 1/p) carried over
+by f -> |f|^t, which maps K^alpha_{p,q} onto K^{t alpha}_{p/t,q/t}; it is
+compared exactly, with each exponent read by ``herz._rational``.  Inputs
+must be supported in a quarter period per axis so annulus geometry is not
 distorted by wrap-around.
 """
 
@@ -25,7 +29,8 @@ import numpy as np
 
 from . import _accel
 from .grid import sealed
-from .herz import HypothesisError, _inv, lq_envelope, magnitude_herz_norm
+from .herz import (HypothesisError, _inv, _rational, lq_envelope,
+                   magnitude_herz_norm)
 
 
 def _maximal_along(mag, axis):
@@ -86,17 +91,19 @@ def fs_vector_check(fields, herz, beta, t):
 
     Raises HypothesisError outside the vector maximal bound's range.
     """
-    for i, (p, a) in enumerate(zip(herz.p, herz.alpha)):
-        if not (-_inv(p) < a < 1.0 - _inv(p)):
-            raise HypothesisError(
-                f"alpha[{i}] = {a} outside (-1/p, 1 - 1/p) = "
-                f"({-_inv(p)}, {1.0 - _inv(p)})")
     if not beta > 0.0:
         raise HypothesisError(f"beta = {beta} must be positive")
     cap = min(herz.p_minus(), herz.q_minus(), beta)
     if not 0.0 < t < cap:
         raise HypothesisError(
             f"t = {t} outside (0, min(p, q, beta)) = (0, {cap})")
+    for i, (p, a) in enumerate(zip(herz.p, herz.alpha)):
+        inv_p = _rational(_inv(p))
+        if not -inv_p < _rational(a) < _rational(_inv(t)) - inv_p:
+            raise HypothesisError(
+                f"alpha[{i}] = {a} outside (-1/p, 1/t - 1/p) = "
+                f"({-_inv(p)}, {_inv(t) - _inv(p)}) at p[{i}] = {p}, "
+                f"t = {t}")
     if not fields:
         raise ValueError("need at least one field")
     mags = np.stack([np.abs(f.values) for f in fields])

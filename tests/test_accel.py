@@ -17,15 +17,15 @@ from herzlab.maximal import envelope
 # ---------------------------------------------------------------------------
 
 
-def reference_maximal_rows(g, widths):
+def reference_maximal_rows(g):
+    # half-widths 1..G/2 on top of the samples; a window starting in the
+    # first period ends within the second
     R, G = g.shape
-    ext = np.concatenate([g, g, g], axis=1)
+    ext = np.concatenate([g, g], axis=1)
     cs = np.concatenate([np.zeros((R, 1)), np.cumsum(ext, axis=1)], axis=1)
     out = g.astype(np.float64).copy()
     base = np.arange(G)
-    for w in widths:
-        if w == 0 or 2 * w + 1 > 2 * G:
-            continue
+    for w in range(1, G // 2 + 1):
         lo = (base - w) % G
         avg = (cs[:, lo + 2 * w + 1] - cs[:, lo]) / (2.0 * w + 1.0)
         np.maximum(out, avg, out=out)
@@ -75,10 +75,7 @@ def _assert_majorants_match(weights, pos, corner, shape, d,
 def test_kernels_match_reference_bitwise():
     rng = np.random.default_rng(1)
     for G in (1, 2, 7, 64, 127):
-        g = np.ascontiguousarray(np.abs(rng.standard_normal((5, G))))
-        widths = np.arange(0, G + 1, dtype=np.int64)  # above G/2, up to G
-        assert np.array_equal(_accel.maximal_rows(g, widths),
-                              reference_maximal_rows(g, widths))
+        _assert_scan_matches(np.abs(rng.standard_normal((5, G))))
     # random boxes, not always around the sources
     for n in (1, 2, 3):
         mag = np.abs(rng.standard_normal(40))
@@ -162,9 +159,14 @@ def test_majorant_sums_beyond_numpys_buffer():
                                 workspaces=(_accel.WORKSPACE, 30))
 
 
-def _assert_scan_matches(g, widths):
-    out = _accel.maximal_rows(g, widths)
-    assert np.array_equal(out, reference_maximal_rows(g, widths))
+def _half(G):
+    """The one widths array the scan takes: the half-widths 0..G/2."""
+    return np.arange(0, G // 2 + 1, dtype=np.int64)
+
+
+def _assert_scan_matches(g):
+    out = _accel.maximal_rows(g, _half(g.shape[1]))
+    assert np.array_equal(out, reference_maximal_rows(g))
     return out
 
 
@@ -173,10 +175,8 @@ def test_pruned_scan_matches_reference_on_sparse_rows():
     # zero; every case here must still give the full scan's bits
     rng = np.random.default_rng(4)
     for G in range(1, 41):
-        full = np.arange(0, G + 1, dtype=np.int64)
-        half = np.arange(0, G // 2 + 1, dtype=np.int64)
-        _assert_scan_matches(np.zeros((3, G)), full)
-        for _ in range(6):
+        _assert_scan_matches(np.zeros((3, G)))
+        for _ in range(12):
             g = np.zeros((5, G))
             for r in rng.choice(5, size=int(rng.integers(1, 5)),
                                 replace=False):
@@ -184,61 +184,60 @@ def test_pruned_scan_matches_reference_on_sparse_rows():
                 cols = (int(rng.integers(0, G)) + np.arange(span)) % G
                 cols = cols[rng.random(span) < 0.7] if span > 2 else cols
                 g[r, cols] = 10.0 ** rng.uniform(-30.0, 30.0, cols.size)
-            for widths in (full, half):
-                _assert_scan_matches(g, widths)
+            _assert_scan_matches(g)
         spike = np.zeros((2, G))
         spike[0, int(rng.integers(0, G))] = 10.0 ** rng.uniform(-30, 30)
-        _assert_scan_matches(spike, full)
+        _assert_scan_matches(spike)
         if G > 2:
             # support straddling index 0: the last and the first samples
             edge = np.zeros((1, G))
             edge[0, [G - 2, G - 1, 0, 1]] = [3.0, 1e-30, 1e30, 0.5]
-            _assert_scan_matches(edge, full)
+            _assert_scan_matches(edge)
 
 
-def test_pruned_scan_keeps_arbitrary_width_arrays():
-    # widths out of order, repeated or with gaps prune only after w - 1
-    rng = np.random.default_rng(5)
+def test_scan_takes_only_the_half_widths():
+    # widths out of order, repeated, with gaps, stopping short of G/2 or
+    # going past it are refused, whatever the input
     g = np.zeros((3, 32))
-    g[0, 10:14] = rng.random(4)
-    g[2, [30, 31, 0]] = [1e-30, 2.0, 1e30]
-    for widths in ([0, 3, 4, 5, 9, 10, 2, 1, 2, 3, 20, 21, 22],
-                   [5, 4, 5, 6, 6, 7, 31, 32, 33, 1],
-                   [2, 7, 11, 16], [16, 15, 14, 13]):
-        _assert_scan_matches(g, np.array(widths, dtype=np.int64))
+    g[0, 10:14] = 1.0
+    for widths in (np.arange(16, -1, -1), np.r_[0:9, 8:17], np.r_[0:5, 6:17],
+                   np.arange(1, 17), np.arange(0, 16), np.arange(0, 18),
+                   np.arange(0, 33), np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError, match="widths 0..16"):
+            _accel.maximal_rows(g, widths.astype(np.int64))
+    with pytest.raises(ValueError, match="widths 0..3"):
+        _accel.maximal_rows(np.ones((1, 7)), _half(8))
+    assert np.array_equal(_accel.maximal_rows(g, list(range(17))),
+                          reference_maximal_rows(g))
 
 
 def test_pruned_scan_keeps_overflowing_sums():
     # prefix sums past the float range turn into inf, and a window between
     # two inf prefix sums reads NaN; only here can the width-1 scan or the
-    # sample j = w - 1 (which moves to the second prefix-sum copy) differ
+    # sample j = w - 1 (which moves to the second prefix-sum period) differ
     # from what the width before gave, so these must match too
     nans = 0
     for G in range(2, 25):
-        full = np.arange(0, G + 1, dtype=np.int64)
         for start in range(G):
             for run in (1, 2):
                 g = np.zeros((2, G))
                 g[0, (start + np.arange(run)) % G] = 1.7e308
                 g[1, G // 2] = 1.0
                 with np.errstate(over="ignore", invalid="ignore"):
-                    out = _accel.maximal_rows(g, full)
-                    ref = reference_maximal_rows(g, full)
+                    out = _accel.maximal_rows(g, _half(G))
+                    ref = reference_maximal_rows(g)
                 assert np.array_equal(out, ref, equal_nan=True)
                 nans += int(np.isnan(ref).sum())
     assert nans > 0
 
 
 def test_blocked_scan_matches_reference():
-    # consecutive widths share a block: widths across block boundaries,
-    # after a gap and up to G, on a support across index 0, on supports of
-    # one sample and of the whole period, for one live row (many widths a
-    # block) and for 512 (one width a block)
+    # consecutive widths share a block: widths across block boundaries, on
+    # a support across index 0, on supports of one sample and of the whole
+    # period, for one live row (many widths a block) and for 512 (one width
+    # a block)
     rng = np.random.default_rng(7)
     G = 96
-    widths = (np.arange(0, G + 1, dtype=np.int64),
-              np.arange(0, G // 2 + 1, dtype=np.int64),
-              np.r_[0:21, 24:61, 62:G + 1].astype(np.int64))
     wrap = np.zeros((40, G))
     wrap[:, [G - 3, G - 2, G - 1, 0, 1, 2]] = rng.random((40, 6)) + 1e-3
     spike = np.zeros((3, G))
@@ -251,13 +250,14 @@ def test_blocked_scan_matches_reference():
     for g, m, fits in ((wrap, 6, some), (spike, 1, lambda size: size > G),
                        (dense, G, some), (many, 20, lambda size: size == 1)):
         assert fits(_accel._block_size(G, int(g.any(axis=1).sum()), m))
-        for w in widths:
-            _assert_scan_matches(g, w)
-    blocks = _accel._width_blocks(widths[2], G, 17)
-    # width 1 and the first width after each gap start unpruned blocks
-    assert [b for b in blocks if not b[2]] == [[1, 1, False], [24, 1, False],
-                                              [62, 1, False]]
-    assert max(b[1] for b in blocks) == 17
+        _assert_scan_matches(g)
+    # width 1 alone, then blocks of the given size up to G/2
+    assert _accel._width_blocks(G, 17) == [(1, 1), (2, 17), (19, 17),
+                                           (36, 13)]
+    assert _accel._width_blocks(G, 1) == [(w, 1) for w in range(1, 49)]
+    assert _accel._width_blocks(G, 200) == [(1, 1), (2, 47)]
+    assert _accel._width_blocks(1, 5) == [] and \
+        _accel._width_blocks(3, 5) == [(1, 1)]
 
 
 def test_each_row_scans_as_it_would_alone():
@@ -269,10 +269,9 @@ def test_each_row_scans_as_it_would_alone():
     g[1, 5:9] = rng.random(4)
     g[3, 40] = 7.0
     g[4] = rng.random(G) * (rng.random(G) < 0.2)
-    widths = np.arange(0, G // 2 + 1, dtype=np.int64)
-    batch = _assert_scan_matches(g, widths)
+    batch = _assert_scan_matches(g)
     for r in range(g.shape[0]):
-        alone = _accel.maximal_rows(g[r:r + 1], widths)
+        alone = _accel.maximal_rows(g[r:r + 1], _half(G))
         assert np.array_equal(alone[0], batch[r])
 
 
@@ -281,27 +280,25 @@ def test_scan_never_writes_its_input():
     # contiguous transpose of one row is a view of it, and must not be used
     rng = np.random.default_rng(8)
     G = 48
-    widths = np.arange(0, G // 2 + 1, dtype=np.int64)
     mixed = np.zeros((5, G))
     mixed[[1, 3], 10:20] = rng.random((2, 10))
     for g in (rng.random((1, G)), rng.random((4, G)), mixed,
               np.zeros((1, G)), mixed[3:4]):
         kept = g.copy()
         g.flags.writeable = False
-        _assert_scan_matches(g, widths)
+        _assert_scan_matches(g)
         assert np.array_equal(g, kept)
         g = kept.copy()  # and, writable, it keeps its values too
-        _assert_scan_matches(g, widths)
+        _assert_scan_matches(g)
         assert np.array_equal(g, kept)
 
 
 def test_scan_rejects_negative_input():
     g = np.ones((2, 8))
-    widths = np.arange(0, 5, dtype=np.int64)
     for bad in (-1e-300, -0.0, -2.0):
         g[1, 3] = bad
         with pytest.raises(ValueError, match="nonnegative"):
-            _accel.maximal_rows(g, widths)
+            _accel.maximal_rows(g, _half(8))
 
 
 def test_box_tiles_tile_the_box_and_bound_workspace():

@@ -93,9 +93,18 @@ def test_vector_bound_holds_and_is_grid_stable():
 
 
 def test_vector_check_hypothesis_guards():
+    # alpha must lie in (-1/p, 1/t - 1/p), here (-0.5, 1/t - 0.5); the
+    # bound is exact, so alpha = 0.3 at t = 1.25 is out although the floats
+    # give 1/t - 1/p = 0.30000000000000004
     fields = _bumps(1, 256, 4, 4)
-    with pytest.raises(HypothesisError):
-        fs_vector_check(fields, HerzParams(2.0, 0.75, 2.0), beta=2.0, t=0.5)
+    for alpha, t in ((0.75, 1.0), (2.0, 0.5), (0.25, 1.5), (0.3, 1.25)):
+        with pytest.raises(HypothesisError,
+                           match=rf"alpha\[0\] = {alpha} .* p\[0\] = 2.0, "
+                                 rf"t = {t}"):
+            fs_vector_check(fields, HerzParams(2.0, alpha, 2.0), beta=2.0,
+                            t=t)
+    rep = fs_vector_check(fields, HerzParams(2.0, 1.25, 2.0), beta=2.0, t=0.5)
+    assert rep["ratio"] >= 1.0
     with pytest.raises(HypothesisError):
         fs_vector_check(fields, HerzParams(2.0, 0.25, 2.0), beta=2.0, t=2.5)
     with pytest.raises(HypothesisError):

@@ -1,11 +1,10 @@
-"""Property tests: field and coefficient snapshots read back bit for bit."""
+"""Property test: coefficient snapshots read back bit for bit."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from herzlab import (CoeffSeq, SampledField, load_coeffs, load_field,
-                     save_coeffs, save_field)
+from herzlab import CoeffSeq, load_coeffs, save_coeffs
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None,
                     database=None)
@@ -23,19 +22,6 @@ def _bits(values):
 
 
 @st.composite
-def _fields(draw):
-    n = draw(st.integers(1, 2))
-    G = draw(st.sampled_from((4, 8)))
-    L = draw(st.sampled_from((0.5, 1.0, 16.0)))
-    parts = draw(st.lists(FLOATS, min_size=2 * G ** n, max_size=2 * G ** n))
-    vals = np.empty((G,) * n, dtype=np.complex128)
-    vals.real = np.reshape(parts[::2], vals.shape)
-    vals.imag = np.reshape(parts[1::2], vals.shape)
-    domain = draw(st.sampled_from(("space", "freq")))
-    return SampledField(n, L, G, vals, domain=domain)
-
-
-@st.composite
 def _coeffs(draw):
     n = draw(st.integers(1, 3))
     K = draw(st.integers(0, 4))
@@ -47,17 +33,6 @@ def _coeffs(draw):
         max_size=12, unique=True))
     entries = {key: complex(draw(FLOATS), draw(FLOATS)) for key in keys}
     return CoeffSeq(n, K, L, entries)
-
-
-@PROPERTY
-@given(field=_fields())
-def test_field_snapshot_reads_back_bit_exact(field, tmp_path_factory):
-    path = tmp_path_factory.mktemp("field") / "f.field"
-    save_field(field, path)
-    back = load_field(path)
-    assert (back.n, back.L, back.G, back.domain) == \
-        (field.n, field.L, field.G, field.domain)
-    assert _bits(back.values) == _bits(field.values)
 
 
 @PROPERTY

@@ -2,6 +2,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from herzlab import HerzParams, fs_vector_check
+from herzlab.cli import bump_family
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "tracing", ROOT / "perfbench" / "tracing.py")
@@ -48,3 +51,23 @@ def test_tracer_resolves_every_layer_and_uninstall_restores_it():
     for ns, names in zip(spaces, before):
         now = vars(ns)
         assert all(now[name] is value for name, value in names.items()), ns
+
+
+def test_tracer_counts_the_windows_of_each_maximal_scan():
+    # run.py --trace 1 counts rows x G x len(widths) per maximal_rows call;
+    # fs_vector_check makes one call per axis over the rows of every field,
+    # each with the half-widths 0..G/2
+    n, G, count = 2, 32, 3
+    fields = bump_family(n, 16.0, G, count, seed=3)
+    tracer = tracing.Tracer()
+    totals = tracer.start_pass(keep_spans=False)
+    try:
+        tracer.install()
+        fs_vector_check(fields, HerzParams((2.0,) * n, (0.25,) * n,
+                                           (2.0,) * n), 2.0, 0.5)
+    finally:
+        tracer.uninstall()
+    rows = count * G ** (n - 1)
+    assert totals.calls["accel.maximal_rows"] == n
+    assert totals.counts["accel.maximal_rows.window_evals"] == (
+        n * rows * G * (G // 2 + 1))
