@@ -55,8 +55,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .grid import (SampledField, band_box, band_fft, band_freqs, band_ifft,
-                   parse_header, sealed)
+from .grid import (SampledField, _band_index, band_box, band_fft, band_ifft,
+                   sealed)
 from .lpdecomp import level_spectra
 
 
@@ -262,7 +262,7 @@ def _fold(crop, size):
         width = crop.shape[axis]
         out = np.zeros(crop.shape[:axis] + (size,) + crop.shape[axis + 1:],
                        dtype=np.complex128)
-        index = (slice(None),) * axis + (band_freqs(width) % size,)
+        index = (slice(None),) * axis + (_band_index(width, size),)
         if width <= size:
             out[index] = crop
         else:
@@ -323,6 +323,33 @@ def roundtrip_error(field, system):
 
 
 COEFF_MAGIC = "herzcoeffs 1"
+
+
+def parse_header(line, casts):
+    """The key=value fields of a coefficient snapshot's header line,
+    converted.
+
+    casts maps each required key to its converter; a ValueError names the
+    malformed, missing or unconvertible field.
+    """
+    fields = {}
+    for part in line.split():
+        key, eq, text = part.partition("=")
+        if not eq:
+            raise ValueError(
+                f"malformed header field {part!r}, expected key=value")
+        fields[key] = text
+    out = {}
+    for key, cast in casts.items():
+        if key not in fields:
+            raise ValueError(f"header has no {key!r} field")
+        try:
+            out[key] = cast(fields[key])
+        except ValueError:
+            raise ValueError(
+                f"header field {key}={fields[key]!r} is not a valid "
+                f"{cast.__name__}") from None
+    return out
 
 
 def save_coeffs(coeffs, path):

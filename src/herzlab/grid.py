@@ -20,8 +20,15 @@ times (-1)^(m_1 + ... + m_n); a convolution (multiply, transform back)
 cancels that sign, so no shift is needed.  ``band_fft`` and ``band_ifft``
 skip the lines a band leaves at zero and give the same bits as
 ``np.fft.fftn`` cropped and ``np.fft.ifftn`` of the zero-padded crop.
+
+Every transform indexes its band through ``_band_index`` (one axis) or
+``band_box`` (the box), which build each index once per (width, size) or
+(width, size, n), keep up to BAND_CACHE of them, and return arrays nothing
+can write to, so one shared index serves every caller.
 """
 
+import functools
+import math
 import os
 from dataclasses import dataclass
 
@@ -29,13 +36,17 @@ import numpy as np
 
 TAU = 2.0 * np.pi
 
+# Band indices kept by ``_band_index`` and by ``band_box``, each; a system
+# of K + 1 levels uses a few per level.
+BAND_CACHE = 256
+
 
 def _log2_exact(x):
     """log2 of x, required to be an exact power of two."""
-    if not 0.0 < x < np.inf:
+    if not 0.0 < x < math.inf:
         raise ValueError(f"{x} is not a power of two")
-    e = int(round(np.log2(x)))
-    if 2.0 ** e != x:
+    e = math.frexp(x)[1] - 1
+    if math.ldexp(1.0, e) != x:
         raise ValueError(f"{x} is not a power of two")
     return e
 
@@ -196,9 +207,17 @@ def band_freqs(width):
     return freqs
 
 
+@functools.lru_cache(maxsize=BAND_CACHE)
+def _band_index(width, size):
+    """Read-only positions of a band crop axis of ``width`` in ``size``."""
+    return sealed(band_freqs(width) % size)
+
+
+@functools.lru_cache(maxsize=BAND_CACHE)
 def band_box(width, size, n):
-    """np.ix_ index of the band of ``width`` in a native (size,)^n array."""
-    return np.ix_(*[band_freqs(width) % size] * n)
+    """Read-only np.ix_ index of the band of ``width`` in a native (size,)^n
+    array."""
+    return np.ix_(*[_band_index(width, size)] * n)
 
 
 def band_fft(values, width):
@@ -213,7 +232,7 @@ def band_fft(values, width):
         out = np.fft.fft(out, axis=axis)
         size = out.shape[axis]
         if width < size:
-            out = out.take(band_freqs(width) % size, axis=axis)
+            out = out.take(_band_index(width, size), axis=axis)
     return out
 
 
@@ -230,33 +249,8 @@ def band_ifft(crop, size):
         if width < size:
             full = np.zeros(out.shape[:axis] + (size,) + out.shape[axis + 1:],
                             dtype=np.complex128)
-            full[(slice(None),) * axis + (band_freqs(width) % size,)] = out
+            full[(slice(None),) * axis + (_band_index(width, size),)] = out
             out = full
         out = np.fft.ifft(out, axis=axis)
     return out
 
-
-def parse_header(line, casts):
-    """The key=value fields of a snapshot header line, converted.
-
-    casts maps each required key to its converter; a ValueError names the
-    malformed, missing or unconvertible field.
-    """
-    fields = {}
-    for part in line.split():
-        key, eq, text = part.partition("=")
-        if not eq:
-            raise ValueError(
-                f"malformed header field {part!r}, expected key=value")
-        fields[key] = text
-    out = {}
-    for key, cast in casts.items():
-        if key not in fields:
-            raise ValueError(f"header has no {key!r} field")
-        try:
-            out[key] = cast(fields[key])
-        except ValueError:
-            raise ValueError(
-                f"header field {key}={fields[key]!r} is not a valid "
-                f"{cast.__name__}") from None
-    return out

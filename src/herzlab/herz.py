@@ -160,16 +160,16 @@ def _axis_reduce_herz(mag, lo, v, p, alpha, q):
         n0, n1 = max(-(1 << (j + 1)), lo), min(-(1 << j), hi)
         if p_inf:
             if p1 > p0:
-                np.maximum(rows[j], mag[p0 - lo:p1 - lo].max(axis=0),
+                np.maximum(rows[j], np.maximum.reduce(mag[p0 - lo:p1 - lo]),
                            out=rows[j])
             if n1 > n0:
-                np.maximum(rows[j], mag[n0 - lo:n1 - lo].max(axis=0),
+                np.maximum(rows[j], np.maximum.reduce(mag[n0 - lo:n1 - lo]),
                            out=rows[j])
         else:
             if p1 > p0:
-                rows[j] += pw[p0 - lo:p1 - lo].sum(axis=0)
+                rows[j] += np.add.reduce(pw[p0 - lo:p1 - lo])
             if n1 > n0:
-                rows[j] += pw[n0 - lo:n1 - lo].sum(axis=0)
+                rows[j] += np.add.reduce(pw[n0 - lo:n1 - lo])
     if not p_inf:
         rows = (rows * mu) ** (1.0 / p)
     weights = [2.0 ** ((1 - v + j) * alpha) for j in range(span)]

@@ -57,8 +57,10 @@ def _result(items_per_s, digest, failed=0):
 
 
 def test_summarize_workload_counts_digests_and_failures():
-    metrics = [{"name": "items_per_s", "unit": "items/s", "better": "higher"},
-               {"name": "setup_s", "unit": "s", "better": "lower"}]
+    metrics = [{"name": "items_per_s", "unit": "items/s", "better": "higher",
+                "bound": 0.25},
+               {"name": "setup_s", "unit": "s", "better": "lower",
+                "bound": 0.25}]
     pairs = [(5, _result(50.0, "a"), _result(70.0, "a")),
              (6, _result(52.0, "b"), _result(71.0, "b", failed=2)),
              (7, _result(51.0, "c"), _result(50.0, "d"))]
@@ -72,8 +74,46 @@ def test_summarize_workload_counts_digests_and_failures():
     assert list(ips)[:2] == ["unit", "better"]
     assert (ips["change_wins"], ips["change_losses"]) == (2, 1)
     assert ips["change_runs"] == [70.0, 71.0, 50.0]
+    assert (ips["gain_shown"], ips["within_bound"]) == (False, True)
     setup = got["metrics"]["setup_s"]
     assert (setup["change_wins"], setup["change_losses"]) == (0, 0)
+
+
+PARENT = [10.0, 12.0, 11.0, 13.0, 9.0, 14.0, 10.5, 12.5, 11.5, 13.5]
+
+
+@pytest.mark.parametrize("change, better, shown", [
+    # ten wins, median 15.75 beats 11.75 by more than the IQR 2.75
+    ([x + 4.0 for x in PARENT], "higher", True),
+    # the same runs read as a loss where lower is better
+    ([x + 4.0 for x in PARENT], "lower", False),
+    # nine wins and a loss, median 15.25 still 3.5 above
+    ([x + 4.0 for x in PARENT[:9]] + [1.0], "higher", True),
+    # ten wins by 2.0 each: the median gap is inside the IQR
+    ([x + 2.0 for x in PARENT], "higher", False),
+    # eight wins of ten: too few, however large the gap
+    ([x + 9.0 for x in PARENT[:8]] + [1.0, 1.0], "higher", False),
+])
+def test_gain_shown_needs_nine_wins_and_a_gap_beyond_the_iqr(change, better,
+                                                            shown):
+    stats = bench_pairs.summarize(PARENT, change, better)
+    assert bench_pairs.claim_checks(stats, better, 0.25)["gain_shown"] is shown
+
+
+@pytest.mark.parametrize("shift, better, bound, within", [
+    (0.0, "higher", 0.0, True),        # no change is within any bound
+    (-2.9, "higher", 0.25, True),      # 11.75 -> 8.85, 24.7% worse
+    (-3.0, "higher", 0.25, False),     # 11.75 -> 8.75, 25.5% worse
+    (2.9, "lower", 0.25, True),
+    (3.0, "lower", 0.25, False),
+    (-3.0, "lower", 0.0, True),        # a gain is within a bound of 0
+])
+def test_within_bound_compares_the_median_with_the_bound(shift, better,
+                                                         bound, within):
+    change = [x + shift for x in PARENT]
+    stats = bench_pairs.summarize(PARENT, change, better)
+    got = bench_pairs.claim_checks(stats, better, bound)["within_bound"]
+    assert got is within
 
 
 def test_parse_run_reads_result_and_meta():

@@ -6,8 +6,9 @@ import pytest
 
 from herzlab import (DyadicGeometry, SampledField, make_field,
                      spectral_transform)
-from herzlab import grid
-from herzlab.grid import band_fft, band_freqs, band_ifft, check_grid_memory
+from herzlab import frames, grid, lpdecomp
+from herzlab.grid import (_log2_exact, band_box, band_fft, band_freqs,
+                          band_ifft, check_grid_memory)
 
 TIB16 = 1 << 20  # G = 2^20 in n = 2: 16 TiB per field, more than any machine
 
@@ -118,6 +119,47 @@ def test_band_transforms_are_cropped_and_padded_fftn(n, G, width):
     padded = np.zeros((G,) * n, dtype=np.complex128)
     padded[box] = crop
     assert np.array_equal(band_ifft(crop, G), np.fft.ifftn(padded))
+
+
+def test_band_indices_are_built_once_per_system():
+    # a second field through the same system finds every index built
+    system = lpdecomp.build_fj_pair(2, 16.0, 64, 2)
+    caches = (grid.band_box, grid._band_index)
+    for seed in (1, 2):
+        f = lpdecomp.random_band_field(2, 16.0, 64, system.band_radius(),
+                                       seed)
+        misses = [c.cache_info().misses for c in caches]
+        frames.roundtrip_error(f, system)
+        lpdecomp.level_magnitudes(f, system)
+    assert [c.cache_info().misses for c in caches] == misses
+
+
+def test_band_indices_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        grid._band_index(7, 16)[0] = 1
+    for n in (1, 2, 3):
+        for index in band_box(7, 16, n):
+            with pytest.raises(ValueError, match="read-only"):
+                index.flat[0] = 1
+    assert grid._band_index(7, 16).tolist() == [0, 1, 2, 3, 13, 14, 15]
+
+
+@pytest.mark.parametrize("e", range(-40, 41))
+def test_log2_exact_reads_every_power_of_two(e):
+    x = 2.0 ** e
+    forms = [x, np.float64(x), np.float32(x)]
+    if e >= 0:
+        forms += [1 << e, np.int64(1 << e)]
+    for form in forms:
+        assert _log2_exact(form) == e
+
+
+@pytest.mark.parametrize("x", [0, 0.0, -2, -2.0, 3, 0.75, 12.0, math.inf,
+                               -math.inf, math.nan, np.float64(3.0),
+                               np.int64(6), (1 << 60) + 1])
+def test_log2_exact_rejects_what_is_no_power_of_two(x):
+    with pytest.raises(ValueError, match=r"^.+ is not a power of two$"):
+        _log2_exact(x)
 
 
 def test_grid_memory_preflight_rejects_before_allocating():

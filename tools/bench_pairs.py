@@ -20,7 +20,12 @@ the seeds, the digests that matched, the failed items and, per end-to-end
 metric of BENCHMARK.json, each side's median and interquartile range
 (statistics.quantiles, exclusive method), the pairs the change won and
 lost (ties count for neither) and every run, rounded to six significant
-digits.  The medians and ranges are taken on the unrounded runs.
+digits.  The medians and ranges are taken on the unrounded runs.  Each
+metric also says whether a gain is shown (``gain_shown``: the change won
+at least nine pairs in ten and its median beats the parent's by more than
+the parent's interquartile range) and whether the change stays within the
+metric's bound (``within_bound``: its median is worse than the parent's by
+at most the bound times the parent's median).
 """
 
 import argparse
@@ -63,6 +68,20 @@ def summarize(parent_runs, change_runs, better):
     }
 
 
+def claim_checks(stats, better, bound):
+    """``gain_shown`` and ``within_bound`` of one metric's ``summarize``.
+
+    bound is the metric's end_to_end bound of BENCHMARK.json, a share of
+    the parent's median.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    gain = sign * (stats["change_median"] - stats["parent_median"])
+    pairs = len(stats["parent_runs"])
+    return {"gain_shown": (10 * stats["change_wins"] >= 9 * pairs
+                           and gain > stats["parent_iqr"]),
+            "within_bound": -gain <= bound * abs(stats["parent_median"])}
+
+
 def summarize_workload(pairs, metrics, seconds):
     """One workload's entry from its pairs.
 
@@ -85,8 +104,10 @@ def summarize_workload(pairs, metrics, seconds):
         name = m["name"]
         runs = [[pair[1 + i]["metrics"][name]["value"] for pair in pairs]
                 for i in range(len(SIDES))]
-        out["metrics"][name] = {"unit": m["unit"], "better": m["better"],
-                                **summarize(*runs, m["better"])}
+        stats = summarize(*runs, m["better"])
+        out["metrics"][name] = {
+            "unit": m["unit"], "better": m["better"], **stats,
+            **claim_checks(stats, m["better"], m["bound"])}
     return out
 
 
