@@ -10,6 +10,8 @@ read each source's kernel values over a tile of targets as one plain slice
 of their kernel box, with one multiply and one in-place add or maximum per
 source and tile.  The sums add in numpy's own pairwise order, made
 explicit, so they keep the bits of np.sum over a contiguous source axis.
+A kernel box is built once per corner, shape and d and kept read-only, so
+the r = 1 and r = inf majorants of one set read the same box.
 
 The maximal scan computes only the window averages that can raise its
 result.  It takes the half-widths 0..G/2 of its one caller and no other
@@ -21,6 +23,7 @@ division is monotone).  Its output is bit for bit that of the full scan;
 it takes nonnegative input only, and rejects the rest.
 """
 
+import functools
 import itertools
 import math
 
@@ -28,6 +31,11 @@ import numpy as np
 
 # Reported as the run's numeric path by the benchmark; numpy is the only one.
 USE_NUMBA = False
+
+# Kernel boxes kept by ``_offset_kernel``.  The majorant inputs of the
+# ``kernels`` benchmark workload (32 sets, levels 3 and 4) use 7 distinct
+# boxes of at most 164 KB each.
+KERNEL_CACHE = 8
 
 # Elements of one workspace block of the kernels.  Blocks this size stay in
 # the CPU cache; 2^22-element majorant blocks ran about 2x slower on a 2-vCPU
@@ -237,16 +245,30 @@ def _kernel_box(pos, corner, shape, d):
     """(1 + |o|)^-d on the box of offsets t - pos[h], t in the target box.
 
     The offset of target corner + u to source h sits at index
-    u + pos.max(axis=0) - pos[h] of the returned array.
+    u + pos.max(axis=0) - pos[h] of the returned array, which is read-only
+    and may be shared (``_offset_kernel``).
     """
     top = pos.max(axis=0)
-    lo = corner - top
-    kshape = shape + top - pos.min(axis=0)
+    return _offset_kernel(tuple((corner - top).tolist()),
+                          tuple((shape + top - pos.min(axis=0)).tolist()),
+                          float(d))
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE)
+def _offset_kernel(lo, kshape, d):
+    """(1 + |o|)^-d on the offsets o in lo + [0, kshape), read-only.
+
+    A box depends only on its corner, its shape and d, not on r or the
+    weights, so the sum (r < inf) and max (r = inf) majorants of one set
+    share it; up to KERNEL_CACHE boxes are kept.
+    """
     axes = [np.arange(a, a + s, dtype=np.float64) for a, s in zip(lo, kshape)]
     off = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
                    axis=1)
     dist = np.sqrt(np.sum(off * off, axis=1))
-    return ((1.0 + dist) ** (-d)).reshape(tuple(kshape))
+    box = ((1.0 + dist) ** (-d)).reshape(kshape)
+    box.flags.writeable = False
+    return box
 
 
 def _pair_depth(H):

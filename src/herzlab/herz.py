@@ -13,8 +13,18 @@ mixed Herz norm reproduces the mixed Lebesgue norm to rounding error.
 
 Axis 1 is innermost: ``mixed_herz_norm`` reduces the x1 axis first, then x2,
 then x3.
+
+The memory layout of a reduction's cell array decides its summation order.
+numpy sums a run of rows pairwise within a column whose rows lie next to
+each other in memory (a lone (C, 1) column, or the columns of a transposed,
+Fortran-ordered stack), and one row after another across the columns of a
+C-ordered array.  ``_axis_reduce_herz`` keeps its input's order in its own
+work arrays, so a value reduced in a transposed stack has the bits of its
+reduction alone; ``magnitude_herz_norms`` reduces the last axes of several
+arrays that way, in one call.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,6 +152,13 @@ def _axis_reduce_herz(mag, lo, v, p, alpha, q):
         the reduced axis, columns enumerate the remaining positions.
     v : cells have side 2^-v.
     Returns the (M,) array of K(p, alpha, q) norms in that axis variable.
+
+    The annulus rows (and so the terms of the l^q sum) are laid out in
+    mag's memory order: C order unless mag's columns are contiguous (a
+    transposed stack), then F order.  Every sum over rows then runs as it
+    does on mag, one row after another in C order and pairwise per column
+    in F order, which is also how a lone (C, 1) column is summed: each
+    column of an F-ordered input gets the bits of its own (C, 1) call.
     """
     C, M = mag.shape
     hi = lo + C
@@ -154,7 +171,8 @@ def _axis_reduce_herz(mag, lo, v, p, alpha, q):
     # row j: the p-norm (p-mass for finite p) of annulus k = 1 - v + j
     max_abs = max(hi - 1, -lo)
     span = int(max_abs).bit_length()
-    rows = np.zeros((span, M))
+    rows = np.zeros((span, M), order="F" if mag.strides[0] < mag.strides[1]
+                    else "C")
     for j in range(span):
         p0, p1 = max(1 << j, lo), min(1 << (j + 1), hi)
         n0, n1 = max(-(1 << (j + 1)), lo), min(-(1 << j), hi)
@@ -226,19 +244,35 @@ def lq_envelope(arrays, beta):
     """Pointwise l^beta of an iterable of nonnegative arrays.
 
     The maximum for beta = inf, otherwise (sum a^beta)^(1/beta); terms are
-    consumed one at a time.
+    consumed one at a time, and none is kept or written to.
     """
-    terms = iter(arrays)
-    first = next(terms)
+    return _weighted_envelope(arrays, itertools.repeat(1.0), beta)
+
+
+def _weighted_envelope(arrays, weights, beta):
+    """lq_envelope of the products w * a of paired weights and arrays, bit
+    for bit.
+
+    It is built in one accumulator and one scratch array: each later term
+    is multiplied into the scratch (a weight of 1.0 copies the array),
+    raised there with ``**=``, the operator of (w * a) ** beta, so that
+    numpy picks the same routine (sqrt for beta = 0.5), and added in.
+    """
+    pairs = zip(weights, arrays)
+    w, a = next(pairs)
+    acc = np.multiply(a, w)
+    scratch = np.empty_like(acc)
     if math.isinf(beta):
-        acc = first
-        for a in terms:
-            acc = np.maximum(acc, a)
+        for w, a in pairs:
+            np.maximum(acc, np.multiply(a, w, out=scratch), out=acc)
         return acc
-    acc = first ** beta
-    for a in terms:
-        acc = acc + a ** beta
-    return acc ** (1.0 / beta)
+    acc **= beta
+    for w, a in pairs:
+        np.multiply(a, w, out=scratch)
+        scratch **= beta
+        acc += scratch
+    acc **= 1.0 / beta
+    return acc
 
 
 def _reduce_axes(arr, reduce, n):
@@ -265,16 +299,35 @@ def _cells_mixed_herz(arr, los, v, herz):
         cells, los[i], v, herz.p[i], herz.alpha[i], herz.q[i]), len(los))
 
 
+def magnitude_herz_norms(mags, L, params):
+    """magnitude_herz_norm of each of a sequence of same-shape arrays, as an
+    (S,) float64 array, bit for bit.
+
+    Each array's axes before its last are reduced on their own, as in
+    magnitude_herz_norm; the S last-axis vectors left are stacked as the
+    columns of one F-ordered (G, S) array and reduced in one call, each
+    column summed as it is alone (see ``_axis_reduce_herz``).  Only those
+    vectors are copied.
+    """
+    n, G = mags[0].ndim, mags[0].shape[0]
+    if params.n != n:
+        raise ValueError(f"params for n = {params.n}, field has n = {n}")
+    v = _log2_exact(G) - _log2_exact(L)
+
+    def reduce(i, cells):
+        return _axis_reduce_herz(cells, -G // 2, v, params.p[i],
+                                 params.alpha[i], params.q[i])
+
+    lines = np.stack([_reduce_axes(m, reduce, n - 1) for m in mags])
+    return reduce(n - 1, lines.T)
+
+
 def magnitude_herz_norm(mag, L, params):
     """mixed_herz_norm of a field of period L whose magnitudes are ``mag``.
 
     mag : the (G,)^n nonnegative float64 array |f| of a sampled field.
     """
-    n, G = mag.ndim, mag.shape[0]
-    if params.n != n:
-        raise ValueError(f"params for n = {params.n}, field has n = {n}")
-    v = _log2_exact(G) - _log2_exact(L)
-    return float(_cells_mixed_herz(mag, (-G // 2,) * n, v, params))
+    return float(magnitude_herz_norms([mag], L, params)[0])
 
 
 def mixed_herz_norm(field, params):

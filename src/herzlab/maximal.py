@@ -15,7 +15,8 @@ with the output bits of the full scan, so a family supported on a small
 part of the grid costs less than a dense one.
 
 fs_vector_check measures the vector-valued bound: the Herz norm of the
-l^beta envelope of iterated maximal functions against that of the inputs.
+l^beta envelope of iterated maximal functions against that of the inputs,
+the two norms taken in one herz.magnitude_herz_norms call.
 Its hypotheses, 0 < t < min(beta, p_i, q_i) and
 -1/p_i < alpha_i < 1/t - 1/p_i per axis, are enforced, not assumed.  The
 alpha range is the Herz bound for M (-1/p < alpha < 1 - 1/p) carried over
@@ -30,7 +31,7 @@ import numpy as np
 from . import _accel
 from .grid import sealed
 from .herz import (HypothesisError, _inv, _rational, lq_envelope,
-                   magnitude_herz_norm)
+                   magnitude_herz_norms)
 
 
 def _maximal_along(mag, axis):
@@ -110,9 +111,9 @@ def fs_vector_check(fields, herz, beta, t):
     for f, m in zip(fields, mags):
         _support_guard(f, m)
     L = fields[0].L
-    num = magnitude_herz_norm(
-        lq_envelope(_iterated_rows(mags, fields[0].n, t), beta), L, herz)
-    den = magnitude_herz_norm(lq_envelope(mags, beta), L, herz)
+    num, den = magnitude_herz_norms(
+        [lq_envelope(_iterated_rows(mags, fields[0].n, t), beta),
+         lq_envelope(mags, beta)], L, herz).tolist()
     if den == 0.0:
         raise ValueError("zero input family")
     return {"numerator": num, "denominator": den, "ratio": num / den,

@@ -14,8 +14,9 @@ The norms take a list of sets (b_norms, f_norms, seq_norms) and stack the
 sets' cell arrays as columns of one array per reduction; the single-set
 norms are the batch of one.  A set's norm in a batch can still differ from
 its own in the last bit: the exact Herz reduction sums cell rows along
-axis 0, and numpy sums the rows of one column pairwise but those of
-several columns one row after another.  (On the 25 draws of
+axis 0 in the memory order of its input (see ``herz``), and numpy sums the
+rows of one column pairwise but those of a C-ordered stack of columns,
+as these batches are, one row after another.  (On the 25 draws of
 embedlab._random_coeffs(1, 8, default_rng(9000), 25) with p = 1.5,
 alpha = 0.25, q = 2, s = 0.5, 3-4 b-norms (beta 1, 2) and 7-8 f-norms
 (beta 1.5, 2) differ, by at most 3.5e-16 relative.)  Their parameters

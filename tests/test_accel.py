@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from herzlab import HerzParams, fs_vector_check, iterated_maximal
+from herzlab import (CoeffSeq, HerzParams, fs_vector_check, iterated_maximal,
+                     lambda_star)
 from herzlab import _accel
 from herzlab.cli import bump_family
 from herzlab.herz import mixed_herz_norm
@@ -348,6 +349,32 @@ def test_numpy_fallback_correct_when_chunked(monkeypatch):
             direct = float(np.sum(
                 mag / (1.0 + np.sqrt(np.sum(diff * diff, axis=1))) ** 3.0))
             assert np.isclose(out[probe], direct, rtol=1e-12)
+
+
+def test_majorants_of_one_set_share_one_kernel_box():
+    # r = 1 and r = inf read the boxes r = 1 built, and no box is written
+    rng = np.random.default_rng(8)
+    entries = {(k, tuple(rng.integers(-6, 6, size=2).tolist())):
+               complex(*rng.standard_normal(2)) for k in (2, 3) * 12}
+    lam = CoeffSeq(2, 3, 4.0, entries)
+    _accel._offset_kernel.cache_clear()
+    star = lambda_star(lam, 1.0, 5.0, 4)
+    built = _accel._offset_kernel.cache_info().misses
+    assert built == 2
+    again = lambda_star(lam, math.inf, 5.0, 4)
+    assert _accel._offset_kernel.cache_info().misses == built
+    assert lambda_star(lam, 1.0, 5.0, 4).entries == star.entries
+    _accel._offset_kernel.cache_clear()
+    assert lambda_star(lam, math.inf, 5.0, 4).entries == again.entries
+    for k, pos, _ in lam.levels():
+        # lambda_star's box of this level: the bounding box plus the window
+        corner = pos.min(axis=0) - 4
+        shape = pos.max(axis=0) + 1 + 4 - corner
+        box = _accel._kernel_box(pos, corner, shape, 5.0)
+        assert box is _accel._kernel_box(pos, corner, shape, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            box[(0,) * box.ndim] = 0.0
+    assert _accel._offset_kernel.cache_info().misses == built
 
 
 @pytest.mark.parametrize("n, G, beta, t", [(1, 256, 2.0, 0.5),

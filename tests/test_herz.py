@@ -5,7 +5,10 @@ import pytest
 
 from herzlab import (HerzParams, HypothesisError, lq_combine, lq_envelope,
                      make_field, mixed_herz_norm, mixed_lebesgue_norm)
-from herzlab.herz import _axis_reduce_herz
+from herzlab.grid import _log2_exact
+from herzlab.herz import (_axis_reduce_herz, _cells_mixed_herz,
+                          _weighted_envelope, magnitude_herz_norm,
+                          magnitude_herz_norms)
 
 # ---------------------------------------------------------------------------
 # Reference implementation, kept deliberately naive: every cell's |x| interval
@@ -269,11 +272,61 @@ def former_axis_reduce_herz(mag, lo, v, p, alpha, q):
 def test_axis_reduce_bitwise_equals_former_loop(p, alpha, q):
     rng = np.random.default_rng(11)
     for C, M, lo, v in [(1, 1, 0, 0), (37, 1, -20, 3), (200, 5, -64, 6),
-                        (64, 33, 3, -2), (90, 4, -95, 1), (16, 2, 0, 4)]:
+                        (64, 33, 3, -2), (90, 4, -95, 1), (16, 2, 0, 4),
+                        (2048, 6, -1024, 7), (1500, 3, -700, 2)]:
         mag = rng.lognormal(size=(C, M)) * (rng.random((C, M)) < 0.6)
         got = _axis_reduce_herz(mag, lo, v, p, alpha, q)
         want = former_axis_reduce_herz(mag, lo, v, p, alpha, q)
         assert np.array_equal(got, want)
+        # a transposed (M, C) stack: each column has the bits of its own
+        # (C, 1) call, annuli past 128 terms and 8 annuli included
+        stack = np.ascontiguousarray(mag.T).T
+        assert stack.flags.f_contiguous
+        got = _axis_reduce_herz(stack, lo, v, p, alpha, q)
+        for i in range(M):
+            column = np.ascontiguousarray(mag[:, i:i + 1])
+            assert np.array_equal(
+                got[i:i + 1], _axis_reduce_herz(column, lo, v, p, alpha, q))
+            assert np.array_equal(
+                got[i:i + 1],
+                former_axis_reduce_herz(column, lo, v, p, alpha, q))
+
+
+# (n, G, L) and a layer with p = inf on one axis and q = inf on another
+BATCH_CASES = [
+    (1, 2048, 16.0, HerzParams((3.0,), (0.25,), (2.0,))),
+    (1, 2048, 16.0, HerzParams((math.inf,), (0.25,), (1.5,))),
+    (1, 1024, 8.0, HerzParams((2.0,), (-0.25,), (math.inf,))),
+    (2, 512, 16.0, HerzParams((2.0, math.inf), (0.25, 0.125),
+                              (math.inf, 1.5))),
+    (2, 512, 16.0, HerzParams((1.5, 3.0), (0.0, 0.25), (2.0, 0.75))),
+    (3, 16, 4.0, HerzParams((math.inf, 2.0, 3.0), (0.125, 0.25, 0.0),
+                            (2.0, math.inf, 1.5))),
+]
+
+
+@pytest.mark.parametrize("n, G, L, params", BATCH_CASES)
+def test_magnitude_herz_norms_equal_one_call_per_array(n, G, L, params):
+    # three arrays of a wide dynamic range and one all-zero level: the
+    # batch has the bits of one magnitude_herz_norm call per array, and
+    # that of the one reduction it was before the batch
+    rng = np.random.default_rng(n * 1000 + G)
+    mags = [rng.lognormal(0.0, 2.0, size=(G,) * n)
+            * (rng.random((G,) * n) < 0.7) for _ in range(3)]
+    mags.insert(2, np.zeros((G,) * n))
+    got = magnitude_herz_norms(mags, L, params)
+    assert got.shape == (4,) and got[2] == 0.0
+    v = _log2_exact(G) - _log2_exact(L)
+    for norm, mag in zip(got.tolist(), mags):
+        assert norm == magnitude_herz_norm(mag, L, params)
+        assert norm == float(_cells_mixed_herz(mag, (-G // 2,) * n, v,
+                                               params))
+
+
+def test_magnitude_herz_norms_check_the_dimension():
+    with pytest.raises(ValueError, match="n = 2"):
+        magnitude_herz_norms([np.ones(8)], 8.0,
+                             HerzParams((2.0, 2.0), (0.0, 0.0), (2.0, 2.0)))
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0, math.inf])
@@ -287,3 +340,32 @@ def test_lq_envelope_equals_loop_from_zeros(beta):
     if not math.isinf(beta):
         want = want ** (1.0 / beta)
     assert np.array_equal(lq_envelope(iter(terms), beta), want)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, math.inf])
+def test_lq_envelope_neither_keeps_nor_writes_its_terms(beta):
+    # read-only terms, and one buffer refilled for every term, give the
+    # envelope of the separate arrays in the operator form (w a) ** beta;
+    # so do the weighted terms multiplied into the envelope's scratch
+    rng = np.random.default_rng(5)
+    terms = [np.abs(rng.standard_normal((16, 16))) for _ in range(5)]
+    for t in terms:
+        t.flags.writeable = False
+    weights = [2.0 ** (0.375 * k) for k in range(5)]
+    buf = np.empty((16, 16))
+    refilled = lq_envelope((np.multiply(t, w, out=buf)
+                            for w, t in zip(weights, terms)), beta)
+    if math.isinf(beta):
+        want = weights[0] * terms[0]
+        for w, t in zip(weights[1:], terms[1:]):
+            want = np.maximum(want, w * t)
+    else:
+        want = (weights[0] * terms[0]) ** beta
+        for w, t in zip(weights[1:], terms[1:]):
+            want = want + (w * t) ** beta
+        want = want ** (1.0 / beta)
+    assert np.array_equal(refilled, want)
+    assert np.array_equal(_weighted_envelope(terms, weights, beta), want)
+    assert np.array_equal(lq_envelope([terms[2]], beta),
+                          terms[2] if math.isinf(beta)
+                          else (terms[2] ** beta) ** (1.0 / beta))

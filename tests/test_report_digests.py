@@ -32,11 +32,13 @@ def test_render_prints_one_digest_per_report(tmp_path):
                                            "lambda-star-kernels-r1",
                                            "lambda-star-kernels-rinf",
                                            "dict", "dict-roundtrip")]
+    sizes = [*((1, 16.0, 1024, K) for K in range(1, 7)), (2, 16.0, 256, 3),
+             (1, 16.0, 4096, 6), (2, 16.0, 512, 3)]
     want += [f"{builder} {n}-{L:g}-{G}-{K}"
              for builder in ("build_resolution", "build_fj_pair")
-             for n, L, G, K in [*((1, 16.0, 1024, K) for K in range(1, 7)),
-                                (2, 16.0, 256, 3), (1, 16.0, 4096, 6),
-                                (2, 16.0, 512, 3)]]
+             for n, L, G, K in sizes]
+    want += [f"function-norms fj {n}-{L:g}-{G}-{K}" for n, L, G, K in sizes]
+    want += [f"function-norms maximal-{n}d" for n in (1, 2)]
     assert [label for _, label in lines] == want
     assert all(len(digest) == 64 and int(digest, 16) >= 0
                for digest, _ in lines)

@@ -14,7 +14,11 @@ acceptance criterion 09, each with its control, and one n = 2 sweep) and
 the maximal-check configs of ``kernel_configs``, each rendered in csv and
 json.  It also takes the ``save_coeffs`` bytes of the
 coefficient sets of ``coeff_sets`` and the crop bytes and lower bounds of
-the systems of SYSTEM_SIZES (``system_bytes``).  It prints one line per
+the systems of SYSTEM_SIZES (``system_bytes``), and the function-side
+norms of ``function_norms``: block, Besov and Triebel-Lizorkin norms of a
+band-limited field on each fj system of SYSTEM_SIZES, and vector maximal
+numerators and denominators at the kernels workload sizes, written as the
+repr of each value.  It prints one line per
 report: its sha256, the revision's commit and the report's label.  With
 several revisions it ends with a line saying whether every report has the
 same digest in all of them, and exits 1 if not.
@@ -146,6 +150,60 @@ def coeff_sets(herzlab):
     yield "dict", herzlab.CoeffSeq(2, 3, 16.0, dict(items[i] for i in order))
 
 
+# Herz layers (p, alpha, q) of the function norms by n: finite, p = inf on
+# an axis, q = inf on an axis; the n = 2 layers have unequal p.
+FUNCTION_LAYERS = {
+    1: (((3.0,), (0.25,), (2.0,)), ((math.inf,), (0.25,), (1.5,)),
+        ((2.0,), (-0.25,), (math.inf,))),
+    2: (((2.0, 3.0), (0.25, 0.125), (2.0, 1.5)),
+        ((math.inf, 2.0), (0.25, 0.125), (2.0, 1.5)),
+        ((2.0, 3.0), (0.25, 0.0), (math.inf, 2.0))),
+}
+
+
+def function_norms(herzlab):
+    """(name, text) of the function-side norms, one value per line.
+
+    On each fj system of SYSTEM_SIZES, a random_band_field (seed 0, radius
+    the system's band radius) gets, per layer of FUNCTION_LAYERS, its
+    block_norms and, at s = 1/2 and beta = 2, 3/2 and inf, its besov_norm
+    and (finite layers only) triebel_norm.  At the kernels workload sizes
+    (1d G = 1024 with 16 bumps, 2d G = 128 with 4, L = 16), fs_vector_check
+    gives its numerator and denominator at t = 1/2 for p = q = 2, alpha =
+    1/4, beta = 2, and for the first layer of FUNCTION_LAYERS at beta = inf.
+    """
+    from herzlab.cli import bump_family
+    for n, L, G, K in SYSTEM_SIZES:
+        system = herzlab.build_fj_pair(n, L, G, K)
+        field = herzlab.random_band_field(n, L, G, system.band_radius(),
+                                          seed=0)
+        lines = []
+        for p, alpha, q in FUNCTION_LAYERS[n]:
+            herz = herzlab.HerzParams(p, alpha, q)
+            lines.append(f"block {herz} "
+                         f"{herzlab.block_norms(field, herz, system)!r}")
+            for beta in (2.0, 1.5, math.inf):
+                for family, norm in (("B", herzlab.besov_norm),
+                                     ("F", herzlab.triebel_norm)):
+                    if family == "F" and math.inf in p + q:
+                        continue
+                    params = herzlab.SpaceParams(herz, 0.5, beta, family)
+                    lines.append(f"{family} {herz} {beta!r} "
+                                 f"{norm(field, params, system)!r}")
+        yield f"fj {n}-{L:g}-{G}-{K}", "\n".join(lines)
+    for n, G, count in ((1, 1024, 16), (2, 128, 4)):
+        fields = bump_family(n, 16.0, G, count, seed=8808)
+        lines = []
+        cases = ((((2.0,) * n, (0.25,) * n, (2.0,) * n), 2.0),
+                 (FUNCTION_LAYERS[n][0], math.inf))
+        for layer, beta in cases:
+            herz = herzlab.HerzParams(*layer)
+            rep = herzlab.fs_vector_check(fields, herz, beta, 0.5)
+            lines.append(f"{herz} {beta!r} {rep['numerator']!r} "
+                         f"{rep['denominator']!r}")
+        yield f"maximal-{n}d", "\n".join(lines)
+
+
 def system_bytes(system):
     """The system's kind and grid, the shape, dtype and bytes of every
     crop, then the lower bounds."""
@@ -196,6 +254,8 @@ def render_all(tree):
         for n, L, G, K in SYSTEM_SIZES:
             system = getattr(herzlab, builder)(n, L, G, K)
             yield f"{builder} {n}-{L:g}-{G}-{K}", system_bytes(system)
+    for name, text in function_norms(herzlab):
+        yield f"function-norms {name}", text.encode("ascii")
 
 
 def digests(tree, workdir):
