@@ -312,14 +312,11 @@ def magnitude_herz_norms(mags, L, params):
     n, G = mags[0].ndim, mags[0].shape[0]
     if params.n != n:
         raise ValueError(f"params for n = {params.n}, field has n = {n}")
-    v = _log2_exact(G) - _log2_exact(L)
-
-    def reduce(i, cells):
-        return _axis_reduce_herz(cells, -G // 2, v, params.p[i],
-                                 params.alpha[i], params.q[i])
-
-    lines = np.stack([_reduce_axes(m, reduce, n - 1) for m in mags])
-    return reduce(n - 1, lines.T)
+    v, lo = _log2_exact(G) - _log2_exact(L), -G // 2
+    lines = np.stack([_cells_mixed_herz(m, (lo,) * (n - 1), v, params)
+                      for m in mags])
+    return _axis_reduce_herz(lines.T, lo, v, params.p[-1], params.alpha[-1],
+                             params.q[-1])
 
 
 def magnitude_herz_norm(mag, L, params):
