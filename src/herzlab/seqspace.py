@@ -10,18 +10,33 @@ no sampling step:
   f-norm: herz of (sum_k (2^{k s} g_k)^beta)^(1/beta), assembled exactly on
           the finest occupied level's tiling.
 
-The norms take a list of sets (b_norms, f_norms, seq_norms) and stack the
-sets' cell arrays as columns of one array per reduction; the single-set
-norms are the batch of one.  A set's norm in a batch can still differ from
-its own in the last bit: the exact Herz reduction sums cell rows along
-axis 0 in the memory order of its input (see ``herz``), and numpy sums the
-rows of one column pairwise but those of a C-ordered stack of columns,
-as these batches are, one row after another.  (On the 25 draws of
-embedlab._random_coeffs(1, 8, default_rng(9000), 25) with p = 1.5,
-alpha = 0.25, q = 2, s = 0.5, 3-4 b-norms (beta 1, 2) and 7-8 f-norms
-(beta 1.5, 2) differ, by at most 3.5e-16 relative.)  Their parameters
-are herz.SpaceParams with family 'b' or 'f'; SeqSpaceParams is a second
-name for that class.
+The norms take a list of sets (b_norms, f_norms, seq_norms); the single-set
+norms are the batch of one.  Their parameters are herz.SpaceParams with
+family 'b' or 'f'; SeqSpaceParams is a second name for that class.
+
+A batch is reduced in stacks.  The b-norm stacks the blocks of one level,
+the f-norm the envelopes of the sets that share a finest occupied level,
+each as the columns of one C-ordered array on their union box, and
+_chunks splits a stack that would hold more than BATCH_CELLS cells.  Every
+stack of a batch is planned first.  The stacks then lie one after another
+in one flat float64 buffer (or several of at most BATCH_CELLS cells each,
+for a large batch), which is filled in one pass: the b-norm writes the
+magnitudes of every block with one assignment, and the f-norm adds the
+terms of every coefficient with one scatter per level gap and takes the
+1/beta root once.  Each stack's view of the buffer goes to one Herz
+reduction.
+
+The bits of each norm are fixed by what the layout keeps: which stack
+holds a set and in which column, each stack's union box, the order in
+which an envelope cell's terms are added (ascending k, from zero) and
+each term's power (Python's float power).  A set's norm in a batch can
+still differ from its own in the last bit: the exact Herz reduction sums
+cell rows along axis 0 in the memory order of its input (see ``herz``),
+and numpy sums the rows of one column pairwise but those of a C-ordered
+stack of columns, as these stacks are, one row after another.  (On the 25
+draws of embedlab._random_coeffs(1, 8, default_rng(9000), 25) with
+p = 1.5, alpha = 0.25, q = 2, s = 0.5, 3-4 b-norms (beta 1, 2) and 7-8
+f-norms (beta 1.5, 2) differ, by at most 3.5e-16 relative.)
 
 lambda_star is the discretised peak majorant
 (sum_h |lam[k, h]|^r (1 + |h - m|)^-d)^(1/r) per level, evaluated on the
@@ -30,6 +45,8 @@ form.  The window is a truncation, so callers gauge it by doubling.
 """
 
 import math
+import operator
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -41,8 +58,8 @@ from .herz import SpaceParams, _cells_mixed_herz, lq_combine
 SeqSpaceParams = SpaceParams
 
 
-# Cells of one stacked array of a batch.  A set whose own box holds more
-# is evaluated on its own.
+# Cells of one stacked array of a batch, and of one buffer of such arrays.
+# A set whose own box holds more is evaluated on its own.
 BATCH_CELLS = 1 << 16
 
 
@@ -81,39 +98,122 @@ class _Blocks(NamedTuple):
         return cls(np.array(d, np.int64), np.array(k, np.int64), starts, pos,
                    np.hypot(vals.real, vals.imag), lo, hi)
 
-    def rows(self, sel):
-        """Rows of blocks sel, block after block, and each block's length."""
-        lens = self.starts[sel + 1] - self.starts[sel]
-        first = np.repeat(self.starts[sel] - np.cumsum(lens) + lens, lens)
-        return np.arange(lens.sum()) + first, lens
-
-    def paint(self, sel, values):
-        """values of blocks sel on their union box, one column per block.
-
-        Returns the (*box, len(sel)) array and the box's corner index.
-        """
-        lo, hi = self.lo[sel].min(axis=0), self.hi[sel].max(axis=0)
-        rows, lens = self.rows(sel)
-        arr = np.zeros((*(hi - lo).tolist(), len(sel)))
-        arr[(*(self.pos[rows] - lo).T, np.repeat(np.arange(len(sel)), lens))] \
-            = values[rows]
-        return arr, lo
-
 
 def _chunks(los, his):
     """Split boxes into runs whose union box, times the run's length, holds
     at most BATCH_CELLS cells (or one box, if it alone holds more).
 
-    los, his : (D, n) corner and end indices.  Yields (a, b): boxes a..b-1.
+    los, his : (D, n) corner and end indices.  Yields (a, b, lo, hi): boxes
+    a..b-1 and their union box [lo, hi).
     """
     start = 0
     while start < len(los):
         lo = np.minimum.accumulate(los[start:], axis=0)
         hi = np.maximum.accumulate(his[start:], axis=0)
-        cells = np.prod(hi - lo, axis=1) * np.arange(1, len(lo) + 1)
-        stop = start + max(1, int(np.count_nonzero(cells <= BATCH_CELLS)))
-        yield start, stop
-        start = stop
+        cells = (hi - lo).prod(axis=1) * np.arange(1, len(lo) + 1)
+        count = max(1, int(np.count_nonzero(cells <= BATCH_CELLS)))
+        yield start, start + count, lo[count - 1], hi[count - 1]
+        start += count
+
+
+class _Stacks(NamedTuple):
+    """Boxes stacked as columns, one array per key and BATCH_CELLS chunk.
+
+    Keys run ascending, and the boxes of a key are split by _chunks in
+    their given order.  Stack j holds box members[j][c] in column c of a
+    C-ordered (*box, len(members[j])) array of key keys[j] whose box has
+    corner index los[j].  The stacks are numbered by global cells, stack j
+    holding cells starts[j]..starts[j+1] - 1, and box b's cell at lattice
+    index m is global cell base[b] + sum_i m_i strides[i, b].
+    """
+
+    keys: list
+    members: list
+    los: list
+    shapes: list
+    starts: list
+    base: np.ndarray
+    strides: np.ndarray
+
+    @classmethod
+    def of(cls, keys, los, his):
+        """The stacks of boxes [los[b], his[b]) of keys[b], for B >= 1 boxes.
+
+        A key whose boxes fit together is one stack; _chunks splits the
+        others.
+        """
+        B, n = los.shape
+        order = np.argsort(keys, kind="stable")
+        opens = np.flatnonzero(np.diff(keys[order])) + 1
+        firsts, lasts = [0, *opens.tolist()], [*opens.tolist(), B]
+        lo = np.minimum.reduceat(los[order], firsts, axis=0)
+        hi = np.maximum.reduceat(his[order], firsts, axis=0)
+        fits = ((hi - lo).prod(axis=1) * np.subtract(lasts, firsts)
+                <= BATCH_CELLS).tolist()
+        # (first, last, lo, hi): sorted boxes first..last - 1, their union box
+        plan = []
+        for g, (a, b) in enumerate(zip(firsts, lasts)):
+            if fits[g]:
+                plan.append((a, b, lo[g], hi[g]))
+                continue
+            ids = order[a:b]
+            plan += [(a + c, a + d, lo_c, hi_c)
+                     for c, d, lo_c, hi_c in _chunks(los[ids], his[ids])]
+        first, last, corners, ends = zip(*plan)
+        corners = np.array(corners)
+        columns = np.subtract(last, first)
+        shapes = [(*box, c) for box, c in zip((np.array(ends) - corners)
+                                              .tolist(), columns.tolist())]
+        strides = np.array([[math.prod(shape[i + 1:]) for i in range(n)]
+                            for shape in shapes], np.int64)
+        starts = [0, *accumulate(map(math.prod, shapes))]
+        origin = np.array(starts[:-1]) - (corners * strides).sum(1) - first
+        base = np.empty(B, np.int64)
+        base[order] = np.repeat(origin, columns) + np.arange(B)
+        box_strides = np.empty((n, B), np.int64)
+        box_strides[:, order] = np.repeat(strides.T, columns, axis=1)
+        return cls(keys[order[list(first)]].tolist(),
+                   [order[a:b] for a, b in zip(first, last)], list(corners),
+                   shapes, starts, base, box_strides)
+
+    def cells(self, boxes, lens, pos):
+        """The global cell of each row of pos and each row's strides.
+
+        Rows run in blocks, lens[j] rows in box boxes[j]; every per-box
+        value is gathered one axis at a time.  Returns the (R,) cells and
+        a list of the (R,) strides of each axis.
+        """
+        strides = [np.repeat(s[boxes], lens) for s in self.strides]
+        cells = np.repeat(self.base[boxes], lens)
+        for p, s in zip(pos.T, strides):
+            cells += p * s
+        return cells, strides
+
+    def buffers(self, cells):
+        """Fresh zero buffers for the stacks: consecutive stacks share one
+        while they hold at most BATCH_CELLS cells in all (a larger stack
+        has its own), so a typical batch has one buffer.
+
+        cells : (R,) global cell of each row of the caller's data.  Yields
+        (rows, local, buf, stacks) per buffer: the rows whose cell lies in
+        it (a slice when it holds every stack), those cells as indices into
+        buf, buf, and (j, array) of each of its stacks, every array a view
+        of buf.
+        """
+        starts, j = self.starts, 0
+        while j < len(self.keys):
+            end = j + 1
+            while (end < len(self.keys)
+                   and starts[end + 1] - starts[j] <= BATCH_CELLS):
+                end += 1
+            a, b = starts[j], starts[end]
+            rows = (slice(None) if b - a == starts[-1]
+                    else np.flatnonzero((cells >= a) & (cells < b)))
+            buf = np.zeros(b - a)
+            yield rows, cells[rows] - a, buf, [
+                (i, buf[starts[i] - a:starts[i + 1] - a].reshape(shape))
+                for i, shape in enumerate(self.shapes[j:end], j)]
+            j = end
 
 
 def _check_batch(batch, params, family):
@@ -129,20 +229,25 @@ def _check_batch(batch, params, family):
 def b_norms(batch, params):
     """b_norm of each coefficient set in a list, as an array.
 
-    Each level's blocks are stacked as columns on a common box (chunked
-    by BATCH_CELLS) and reduced in one call.  Every set's levels are
-    combined over max(K) + 1 terms of the batch.
+    Each level's blocks are stacked as columns on their union box (split
+    by _chunks), the magnitudes of every block are written in one
+    assignment, and each stack is reduced in one call.  Every set's levels
+    are combined over max(K) + 1 terms of the batch.
     """
     _check_batch(batch, params, "b")
     n = params.herz.n
     blk = _Blocks.of(batch, n)
     terms = np.zeros((len(batch), max((c.K for c in batch), default=0) + 1))
-    for k in sorted(set(blk.k.tolist())):
-        ids = np.flatnonzero(blk.k == k)
-        for a, b in _chunks(blk.lo[ids], blk.hi[ids]):
-            sel = ids[a:b]
-            arr, lo = blk.paint(sel, blk.mag)
-            t = _cells_mixed_herz(arr, lo, k, params.herz)
+    if not len(blk.d):
+        return lq_combine(terms, params.beta)
+    stk = _Stacks.of(blk.k, blk.lo, blk.hi)
+    cells, _ = stk.cells(slice(None), blk.starts[1:] - blk.starts[:-1],
+                        blk.pos)
+    for rows, local, buf, stacks in stk.buffers(cells):
+        buf[local] = blk.mag[rows]
+        for j, arr in stacks:
+            k, sel = stk.keys[j], stk.members[j]
+            t = _cells_mixed_herz(arr, stk.los[j], k, params.herz)
             terms[blk.d[sel], k] = 2.0 ** (k * (params.s + n / 2.0)) * t
     return lq_combine(terms, params.beta)
 
@@ -150,70 +255,74 @@ def b_norms(batch, params):
 def _f_envelopes(batch, params):
     """The l^beta envelopes across levels, on the finest occupied tilings.
 
-    Sets are grouped by finest occupied level vf; a group's envelopes are
-    stacked as columns on their union box (chunked by BATCH_CELLS).  A
-    level-k coefficient covers 2^((vf - k) n) finest cells; its term is
-    added into each of them level by level in ascending k, starting from
-    zero.  Each coefficient's power is taken with Python's float power
-    (libm pow), as in a per-entry painting; numpy's vectorised power can
-    differ from it in the last bit.  Yields (sets, env, corner index, vf)
-    per stack; empty sets are in none.
+    Sets are grouped by finest occupied level vf, and a group's envelopes
+    are stacked as columns on their union box (split by _chunks).  A
+    level-k coefficient covers the 2^(g n) finest cells from its corner
+    cell on, g = vf - k being its gap.  Each corner cell is computed once.
+    The terms are then added with one scatter per distinct gap over the
+    whole buffer, in descending g.  Within one stack, descending g is
+    ascending k, so every cell is summed from zero in ascending k.  The
+    cells of the coefficients of one gap are distinct, so a scatter adds
+    to each cell at most once.  Each coefficient's power is taken with
+    Python's float power (libm pow), as in a per-entry painting; numpy's
+    vectorised power can differ from it in the last bit.  The 1/beta root
+    is then taken once over the buffer.  Yields (sets, env, corner index,
+    vf) per stack, env a view of the buffer; empty sets are in none.
     """
     n, beta = params.herz.n, params.beta
     blk = _Blocks.of(batch, n)
     if not len(blk.d):
         return
-    lens = np.diff(blk.starts)
+    lens = blk.starts[1:] - blk.starts[:-1]
     weight = [2.0 ** (k * (params.s + n / 2.0)) for k in blk.k.tolist()]
     contrib = np.repeat(weight, lens) * blk.mag
     if not math.isinf(beta):
         contrib = np.array([c ** beta for c in contrib.tolist()])
     # each set's finest level and envelope box, in finest-level indices
-    first = np.flatnonzero(np.diff(blk.d, prepend=-1))
+    new_set = np.diff(blk.d, prepend=-1) != 0
+    first = np.flatnonzero(new_set)
     sets = blk.d[first]
     vf = np.zeros(len(batch), np.int64)
     vf[sets] = blk.k[np.append(first[1:], len(blk.d)) - 1]
-    shift = vf[blk.d] - blk.k
-    los = np.minimum.reduceat(blk.lo << shift[:, None], first, axis=0)
-    his = np.maximum.reduceat(blk.hi << shift[:, None], first, axis=0)
-    for top in sorted(set(vf[sets].tolist())):
-        group = np.flatnonzero(vf[sets] == top)
-        for a, b in _chunks(los[group], his[group]):
-            members = sets[group[a:b]]
-            lo = los[group[a:b]].min(axis=0)
-            shape = (*(his[group[a:b]].max(axis=0) - lo).tolist(), b - a)
-            chosen = np.zeros(len(batch), dtype=bool)
-            chosen[members] = True
-            mine = np.flatnonzero(chosen[blk.d])
-            column = np.searchsorted(members, blk.d[mine])
-            strides = np.array([math.prod(shape[i + 1:]) for i in range(n)])
-            env = np.zeros(shape)
-            flat_env = env.reshape(-1)
-            for k in sorted(set(blk.k[mine].tolist())):
-                at = blk.k[mine] == k
-                rows, counts = blk.rows(mine[at])
-                scale = 1 << (top - k)
-                corner = ((blk.pos[rows] * scale - lo) @ strides
-                          + np.repeat(column[at], counts))
-                # the scale^n finest cells of one coefficient, as offsets
-                offsets = np.indices((scale,) * n).reshape(n, -1).T @ strides
-                flat = (corner[:, None] + offsets).reshape(-1)
-                terms = np.repeat(contrib[rows], len(offsets))
-                # a level's cells are distinct, so each is updated once
-                if math.isinf(beta):
-                    flat_env[flat] = np.maximum(flat_env[flat], terms)
-                else:
-                    flat_env[flat] += terms
-            if not math.isinf(beta):
-                env = env ** (1.0 / beta)
-            yield members, env, lo, top
+    gap = vf[blk.d] - blk.k
+    los = np.minimum.reduceat(blk.lo << gap[:, None], first, axis=0)
+    his = np.maximum.reduceat(blk.hi << gap[:, None], first, axis=0)
+    stk = _Stacks.of(vf[sets], los, his)
+    # each coefficient's corner cell, at its index shifted to the finest level
+    row_gap = np.repeat(gap, lens)
+    corner, strides = stk.cells(np.cumsum(new_set) - 1, lens,
+                                blk.pos << row_gap[:, None])
+    gaps = sorted(set(gap.tolist()), reverse=True)
+    for rows, local, buf, stacks in stk.buffers(corner):
+        buf_gap, buf_contrib = row_gap[rows], contrib[rows]
+        buf_strides = [s[rows] for s in strides]
+        for g in gaps:
+            at = np.flatnonzero(buf_gap == g)
+            flat, terms = local[at], buf_contrib[at]
+            if g:
+                # the (2^g)^n finest cells of each coefficient: row c of
+                # flat holds cell c of every coefficient
+                cell = np.indices((1 << g,) * n).reshape(n, -1, 1)
+                flat = flat + cell[0] * buf_strides[0][at]
+                for i in range(1, n):
+                    flat += cell[i] * buf_strides[i][at]
+                flat = flat.reshape(-1)
+                terms = np.tile(terms, cell.shape[1])
+            if math.isinf(beta):
+                buf[flat] = np.maximum(buf[flat], terms)
+            else:
+                buf[flat] += terms
+        if not math.isinf(beta):
+            buf **= 1.0 / beta
+        for j, env in stacks:
+            yield sets[stk.members[j]], env, stk.los[j], stk.keys[j]
 
 
 def f_norms(batch, params):
     """f_norm of each coefficient set in a list, as an array.
 
-    One reduction per finest-level group (and BATCH_CELLS chunk) of
-    stacked envelopes.
+    One reduction per finest-level group (and _chunks split) of stacked
+    envelopes.
     """
     _check_batch(batch, params, "f")
     out = np.zeros(len(batch))
@@ -253,12 +362,17 @@ def lambda_star(coeffs, r, d, window):
 
     Evaluates (sum_h |lam[k, h]|^r (1 + |h - m|)^-d)^(1/r) (sup form for
     r = inf) at every lattice index m in the occupied bounding box dilated
-    by ``window`` cells per side.  |h - m| is the Euclidean index distance.
+    by ``window`` cells per side, an integer >= 0.  |h - m| is the
+    Euclidean index distance.
     """
     if not (r > 0.0):
         raise ValueError("r must be positive")
     if d <= 0.0:
         raise ValueError("d must be positive")
+    try:
+        window = operator.index(window)
+    except TypeError:
+        raise ValueError(f"window = {window!r} must be an integer") from None
     if window < 0:
         raise ValueError("window must be >= 0")
     levels = []

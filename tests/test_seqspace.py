@@ -246,6 +246,139 @@ def test_batches_stay_within_the_cell_budget(monkeypatch, family):
     assert max(shape[-1] for shape in shapes) > 1
 
 
+# ---------------------------------------------------------------------------
+# Reference layout: each (level, chunk) stack of b painted on its own array,
+# and each (finest level, chunk) stack of f built level by level with its
+# own scatter indices, as seqspace did before it filled every stack of a
+# batch in one pass.  The one-pass layout must give the same bits.
+# ---------------------------------------------------------------------------
+
+
+def _reference_chunks(los, his):
+    start = 0
+    while start < len(los):
+        lo = np.minimum.accumulate(los[start:], axis=0)
+        hi = np.maximum.accumulate(his[start:], axis=0)
+        cells = np.prod(hi - lo, axis=1) * np.arange(1, len(lo) + 1)
+        stop = start + max(1, int(np.count_nonzero(cells <= seqspace.BATCH_CELLS)))
+        yield start, stop
+        start = stop
+
+
+def _reference_rows(blk, sel):
+    lens = blk.starts[sel + 1] - blk.starts[sel]
+    first = np.repeat(blk.starts[sel] - np.cumsum(lens) + lens, lens)
+    return np.arange(lens.sum()) + first, lens
+
+
+def reference_b_norms(batch, params):
+    """b_norms with each (level, chunk) stack painted on its own array."""
+    n = params.herz.n
+    blk = seqspace._Blocks.of(batch, n)
+    terms = np.zeros((len(batch), max((c.K for c in batch), default=0) + 1))
+    for k in sorted(set(blk.k.tolist())):
+        ids = np.flatnonzero(blk.k == k)
+        for a, b in _reference_chunks(blk.lo[ids], blk.hi[ids]):
+            sel = ids[a:b]
+            lo, hi = blk.lo[sel].min(axis=0), blk.hi[sel].max(axis=0)
+            rows, lens = _reference_rows(blk, sel)
+            arr = np.zeros((*(hi - lo).tolist(), len(sel)))
+            arr[(*(blk.pos[rows] - lo).T,
+                 np.repeat(np.arange(len(sel)), lens))] = blk.mag[rows]
+            t = _cells_mixed_herz(arr, lo, k, params.herz)
+            terms[blk.d[sel], k] = 2.0 ** (k * (params.s + n / 2.0)) * t
+    return lq_combine(terms, params.beta)
+
+
+def reference_f_envelopes(batch, params):
+    """_f_envelopes built per (finest level, chunk, level), as a list."""
+    n, beta = params.herz.n, params.beta
+    blk = seqspace._Blocks.of(batch, n)
+    if not len(blk.d):
+        return []
+    lens = np.diff(blk.starts)
+    weight = [2.0 ** (k * (params.s + n / 2.0)) for k in blk.k.tolist()]
+    contrib = np.repeat(weight, lens) * blk.mag
+    if not math.isinf(beta):
+        contrib = np.array([c ** beta for c in contrib.tolist()])
+    first = np.flatnonzero(np.diff(blk.d, prepend=-1))
+    sets = blk.d[first]
+    vf = np.zeros(len(batch), np.int64)
+    vf[sets] = blk.k[np.append(first[1:], len(blk.d)) - 1]
+    shift = vf[blk.d] - blk.k
+    los = np.minimum.reduceat(blk.lo << shift[:, None], first, axis=0)
+    his = np.maximum.reduceat(blk.hi << shift[:, None], first, axis=0)
+    out = []
+    for top in sorted(set(vf[sets].tolist())):
+        group = np.flatnonzero(vf[sets] == top)
+        for a, b in _reference_chunks(los[group], his[group]):
+            members = sets[group[a:b]]
+            lo = los[group[a:b]].min(axis=0)
+            shape = (*(his[group[a:b]].max(axis=0) - lo).tolist(), b - a)
+            chosen = np.zeros(len(batch), dtype=bool)
+            chosen[members] = True
+            mine = np.flatnonzero(chosen[blk.d])
+            column = np.searchsorted(members, blk.d[mine])
+            strides = np.array([math.prod(shape[i + 1:]) for i in range(n)])
+            env = np.zeros(shape)
+            flat_env = env.reshape(-1)
+            for k in sorted(set(blk.k[mine].tolist())):
+                at = blk.k[mine] == k
+                rows, counts = _reference_rows(blk, mine[at])
+                scale = 1 << (top - k)
+                corner = ((blk.pos[rows] * scale - lo) @ strides
+                          + np.repeat(column[at], counts))
+                offsets = np.indices((scale,) * n).reshape(n, -1).T @ strides
+                flat = (corner[:, None] + offsets).reshape(-1)
+                terms = np.repeat(contrib[rows], len(offsets))
+                if math.isinf(beta):
+                    flat_env[flat] = np.maximum(flat_env[flat], terms)
+                else:
+                    flat_env[flat] += terms
+            if not math.isinf(beta):
+                env = env ** (1.0 / beta)
+            out.append((members, env, lo, top))
+    return out
+
+
+def _layout_batch(n):
+    # _mixed_batch's sets, of several finest levels, with an empty and a
+    # one-entry set, plus a one-entry set on the top level and a dense
+    # lambda_star set
+    K = 5 - n
+    return _mixed_batch(n, K, 2) + [
+        CoeffSeq(n, K, 16.0, {(K, (-3,) * n): 0.5 - 1j}),
+        lambda_star(_random_seq(n, 2, 10, 40 + n, spread=1), 1.5, 3.0, 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("budget", [seqspace.BATCH_CELLS, 300, 0],
+                         ids=["default", "small", "zero"])
+@pytest.mark.parametrize("beta", [1.5, 2.0, math.inf])
+def test_one_pass_layout_equals_reference_layout(monkeypatch, n, budget,
+                                                 beta):
+    monkeypatch.setattr(seqspace, "BATCH_CELLS", budget)
+    herz = HerzParams((2.0, 1.5, 3.0)[:n], (0.25, 0.0, 0.125)[:n],
+                      (1.0, 2.0, 1.5)[:n])
+    batch = _layout_batch(n)
+    bparams = SeqSpaceParams(herz, 0.5, beta, "b")
+    assert np.array_equal(seqspace.b_norms(batch, bparams),
+                          reference_b_norms(batch, bparams))
+    fparams = SeqSpaceParams(herz, 0.5, beta, "f")
+    got = list(_f_envelopes(batch, fparams))
+    want = reference_f_envelopes(batch, fparams)
+    assert len(got) == len(want)
+    for (sets, env, lo, top), (w_sets, w_env, w_lo, w_top) in zip(got, want):
+        assert np.array_equal(sets, w_sets) and top == w_top
+        assert np.array_equal(lo, w_lo)
+        assert env.shape == w_env.shape and env.flags.c_contiguous
+        assert np.array_equal(env, w_env)
+    want_f = np.zeros(len(batch))
+    for sets, env, lo, top in want:
+        want_f[sets] = _cells_mixed_herz(env, lo, top, herz)
+    assert np.array_equal(seqspace.f_norms(batch, fparams), want_f)
+
+
 def test_batched_norms_check_every_set():
     lam = CoeffSeq(1, 2, 16.0, FIXED_ENTRIES)
     other = CoeffSeq(2, 2, 16.0, {(0, (0, 0)): 1j})
@@ -320,3 +453,14 @@ def test_majorant_stabilizes_under_window_doubling():
     ratios = [f_norm(lambda_star(lam, 1.0, 3.0, w), par) / base for w in (4, 8, 16)]
     assert abs(ratios[1] - ratios[0]) <= 0.1 * ratios[0]
     assert abs(ratios[2] - ratios[1]) <= 0.1 * ratios[1]
+
+
+@pytest.mark.parametrize("window", [2.5, 2.0, "2", None])
+def test_majorant_rejects_a_window_that_is_not_an_integer(window):
+    # 2.5 once built a lopsided box of 12 targets around one coefficient
+    lam = CoeffSeq(1, 1, 16.0, {(0, (4,)): 1.0 + 0j})
+    with pytest.raises(ValueError, match=r"^window = .* must be an integer$"):
+        lambda_star(lam, 1.0, 3.0, window)
+    assert len(lambda_star(lam, 1.0, 3.0, np.int64(2)).entries) == 5
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        lambda_star(lam, 1.0, 3.0, -1)

@@ -17,8 +17,11 @@ coefficient sets of ``coeff_sets`` and the crop bytes and lower bounds of
 the systems of SYSTEM_SIZES (``system_bytes``), and the function-side
 norms of ``function_norms``: block, Besov and Triebel-Lizorkin norms of a
 band-limited field on each fj system of SYSTEM_SIZES, and vector maximal
-numerators and denominators at the kernels workload sizes, written as the
-repr of each value.  It prints one line per
+numerators and denominators at the kernels workload sizes, and the
+sequence norms of ``sequence_norms``: b and f norms of embed-sweep draws,
+of a batch that BATCH_CELLS splits, of the probes and of the majorant
+outputs of the kernels workload, batched and set by set, each written as
+the repr of each value.  It prints one line per
 report: its sha256, the revision's commit and the report's label.  With
 several revisions it ends with a line saying whether every report has the
 same digest in all of them, and exits 1 if not.
@@ -111,22 +114,9 @@ SYSTEM_SIZES = [*((1, 16.0, 1024, K) for K in range(1, 7)),
                 (2, 16.0, 256, 3), (1, 16.0, 4096, 6), (2, 16.0, 512, 3)]
 
 
-def coeff_sets(herzlab):
-    """(name, CoeffSeq) of analyze outputs at the criterion-04 sizes, a
-    lambda_star output, lambda_star outputs at r = 1 and r = inf of a set
-    shaped like a kernels benchmark input, and a dict-built set with
-    shuffled keys and int, float and complex values."""
-    from herzlab.seqspace import lambda_star
-    for name, dims in (("analyze-1d", (1, 16.0, 4096, 6)),
-                       ("analyze-2d", (2, 16.0, 512, 3))):
-        system = herzlab.build_fj_pair(*dims)
-        field = herzlab.random_band_field(*dims[:3], system.band_radius(),
-                                          seed=0)
-        lam = herzlab.analyze(field, system)
-        yield name, lam
-    yield "lambda-star", lambda_star(lam, 1.5, 3.0, 4)
-    # shaped like a kernels benchmark input: n = 2, L = 4, K = 4, 64
-    # sources at level 3 and 256 at level 4; d = 5 and window 8 as there
+def kernels_sources(herzlab):
+    """A set shaped like a kernels benchmark input: n = 2, L = 4, K = 4, 64
+    sources at level 3 and 256 at level 4."""
     rng = np.random.default_rng(15)
     groups = []
     for k, count in ((3, 64), (4, 256)):
@@ -136,7 +126,25 @@ def coeff_sets(herzlab):
         vals = (rng.lognormal(0.0, 1.0, count)
                 * np.exp(2j * np.pi * rng.random(count)))
         groups.append((k, pos, vals))
-    sources = herzlab.CoeffSeq.from_levels(2, 4, 4.0, groups)
+    return herzlab.CoeffSeq.from_levels(2, 4, 4.0, groups)
+
+
+def coeff_sets(herzlab):
+    """(name, CoeffSeq) of analyze outputs at the criterion-04 sizes, a
+    lambda_star output, lambda_star outputs at r = 1 and r = inf of
+    ``kernels_sources`` with d = 5 and window 8 as in the kernels
+    benchmark, and a dict-built set with shuffled keys and int, float and
+    complex values."""
+    from herzlab.seqspace import lambda_star
+    for name, dims in (("analyze-1d", (1, 16.0, 4096, 6)),
+                       ("analyze-2d", (2, 16.0, 512, 3))):
+        system = herzlab.build_fj_pair(*dims)
+        field = herzlab.random_band_field(*dims[:3], system.band_radius(),
+                                          seed=0)
+        lam = herzlab.analyze(field, system)
+        yield name, lam
+    yield "lambda-star", lambda_star(lam, 1.5, 3.0, 4)
+    sources = kernels_sources(herzlab)
     for tag, r in (("1", 1.0), ("inf", math.inf)):
         yield f"lambda-star-kernels-r{tag}", lambda_star(sources, r, 5.0, 8)
     rng = np.random.default_rng(14)
@@ -204,6 +212,58 @@ def function_norms(herzlab):
         yield f"maximal-{n}d", "\n".join(lines)
 
 
+# Herz layers (p, alpha, q) of the sequence norms by n, and the layer of
+# the kernels benchmark workload's f-norms.
+SEQUENCE_LAYERS = {1: ((1.5,), (0.25,), (2.0,)),
+                   2: ((2.0, 1.5), (0.25, 0.0), (1.0, 2.0))}
+KERNELS_LAYER = ((2.0, 2.0), (0.0, 0.0), (2.0, 2.0))
+
+
+def sequence_batches(herzlab):
+    """(name, layer, batch) of the batches of ``sequence_norms``.
+
+    embed-sweep draws at n = 1 (K = 4 and 8, 25 and 200 draws) and n = 2
+    (K = 3), an n = 2, K = 6 batch whose top-level stack BATCH_CELLS
+    splits, the probes of seq_embedding_check at K = 8 and 3, and the
+    lambda_star outputs of ``kernels_sources`` at r = 1 and r = inf.
+    """
+    from herzlab.embedlab import _random_coeffs, probe_coeffs
+    from herzlab.seqspace import lambda_star
+    for n, K, draws in ((1, 4, 25), (1, 4, 200), (1, 8, 25), (1, 8, 200),
+                        (2, 3, 40)):
+        rng = np.random.default_rng(9000 + 100 * n + K)
+        yield (f"random-{n}d-K{K}-{draws}", SEQUENCE_LAYERS[n],
+               _random_coeffs(n, K, rng, draws))
+    yield ("split-2d-K6", SEQUENCE_LAYERS[2],
+           _random_coeffs(2, 6, np.random.default_rng(9306), 12))
+    for n, K in ((1, 8), (2, 3)):
+        yield (f"probes-{n}d-K{K}", SEQUENCE_LAYERS[n],
+               [probe_coeffs(n, K, level) for level in sorted({K, K // 2})])
+    sources = kernels_sources(herzlab)
+    yield ("lambda-star-kernels", KERNELS_LAYER,
+           [lambda_star(sources, r, 5.0, 8) for r in (1.0, math.inf)])
+
+
+def sequence_norms(herzlab):
+    """(name, text) of the sequence norms of each ``sequence_batches``
+    batch, one line per family and beta (3/2, 2 and inf, s = 1/2): the
+    repr of every value of b_norms or f_norms of the batch, then that of
+    seq_norm of each of its sets alone."""
+    from herzlab.seqspace import b_norms, f_norms, seq_norm
+    for name, layer, batch in sequence_batches(herzlab):
+        herz = herzlab.HerzParams(*layer)
+        lines = []
+        for beta in (1.5, 2.0, math.inf):
+            for family, norms in (("b", b_norms), ("f", f_norms)):
+                params = herzlab.SpaceParams(herz, 0.5, beta, family)
+                for way, values in (
+                        ("batch", norms(batch, params).tolist()),
+                        ("single", [seq_norm(lam, params) for lam in batch])):
+                    lines.append(f"{family} {beta!r} {way} "
+                                 + " ".join(map(repr, values)))
+        yield name, "\n".join(lines)
+
+
 def system_bytes(system):
     """The system's kind and grid, the shape, dtype and bytes of every
     crop, then the lower bounds."""
@@ -256,6 +316,8 @@ def render_all(tree):
             yield f"{builder} {n}-{L:g}-{G}-{K}", system_bytes(system)
     for name, text in function_norms(herzlab):
         yield f"function-norms {name}", text.encode("ascii")
+    for name, text in sequence_norms(herzlab):
+        yield f"sequence-norms {name}", text.encode("ascii")
 
 
 def digests(tree, workdir):
