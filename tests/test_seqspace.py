@@ -249,8 +249,8 @@ def test_batches_stay_within_the_cell_budget(monkeypatch, family):
 # ---------------------------------------------------------------------------
 # Reference layout: each (level, chunk) stack of b painted on its own array,
 # and each (finest level, chunk) stack of f built level by level with its
-# own scatter indices, as seqspace did before it filled every stack of a
-# batch in one pass.  The one-pass layout must give the same bits.
+# own scatter indices.  seqspace fills every stack of a batch in one pass
+# and must give the same bits.
 # ---------------------------------------------------------------------------
 
 
