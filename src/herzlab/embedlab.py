@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import CoeffSeq
+from .frames import CoeffBatch, CoeffSeq
 from .grid import SampledField, sealed
 from .herz import (HerzParams, HypothesisError, SpaceParams, _inv,
                    _rational, lq_combine, mixed_herz_norm)
@@ -360,7 +360,7 @@ def ppn_check(source, target, n, L, G, N_max, seed):
 
 
 def _random_coeffs(n, K, rng, draws):
-    """``draws`` sets of sparse lognormal coefficients, built as one batch.
+    """``draws`` sets of sparse lognormal coefficients, as one CoeffBatch.
 
     Each draw occupies at most four adjacent levels so that its norm
     ratio reflects one region of the lattice instead of an average over
@@ -369,15 +369,16 @@ def _random_coeffs(n, K, rng, draws):
     touching the top level expose any defect that grows with K.  Level k
     draws on the box [-2^(k+1), 2^(k+1))^n of the period-16 lattice.  The
     rng is called draw by draw, level by level; the phases and values of
-    all draws are then formed in one pass, element by element.
+    all draws are then formed in one pass, element by element, and the
+    rows sorted into the batch at once.  Every group is valid by
+    construction, so none is checked.
     """
     # the leading empty arrays keep the concatenations valid with no draws
-    sets, mags, turns = [], [np.zeros(0)], [np.zeros(0)]
-    stop = 0
-    for _ in range(draws):
+    keys, counts, pos = [], [], [np.zeros((0, n), np.int64)]
+    mags, turns = [np.zeros(0)], [np.zeros(0)]
+    for d in range(draws):
         width = min(int(rng.integers(1, 5)), K + 1)
         k0 = int(rng.integers(0, K - width + 2))
-        groups = []
         for k in range(k0, k0 + width):
             half = 2 << k
             volume = (2 * half) ** n
@@ -385,21 +386,30 @@ def _random_coeffs(n, K, rng, draws):
             count = rng.poisson(volume * density)
             if count == 0:
                 continue
-            pos = rng.integers(-half, half, size=(count, n))
+            pos.append(rng.integers(-half, half, size=(count, n)))
             mags.append(rng.lognormal(0.0, 1.0, size=count))
             turns.append(rng.random(count))
-            groups.append((k, pos, stop, stop + count))
-            stop += count
-        sets.append(groups)
+            keys.append(d * (K + 1) + k)
+            counts.append(count)
     values = np.concatenate(mags) * np.exp(2j * np.pi * np.concatenate(turns))
-    return CoeffSeq.batch_from_levels(
-        n, K, 16.0, [[(k, pos, values[a:b]) for k, pos, a, b in groups]
-                     for groups in sets])
+    return CoeffBatch._of_keys(
+        n, K, 16.0, draws, np.repeat(np.array(keys, np.int64), counts),
+        np.concatenate(pos), values)
 
 
 def probe_coeffs(n, K, level):
     """A single unit coefficient on the cell touching the origin corner."""
     return CoeffSeq(n, K, 16.0, {(level, (1,) * n): 1.0 + 0.0j})
+
+
+def _probes(n, K, levels):
+    """The probe_coeffs set of each of the ascending levels in 0..K, one set
+    per level, as a batch built in place."""
+    count = len(levels)
+    return CoeffBatch._of_blocks(
+        n, K, 16.0, count, np.arange(count), np.array(levels, np.int64),
+        np.arange(count + 1), np.ones((count, n), np.int64),
+        np.ones(count, np.complex128))
 
 
 def single_spike_ratio(spec, level):
@@ -424,8 +434,11 @@ def seq_embedding_check(spec, K, draws, seed, control=False):
     permits exactly one defect: a broken smoothness balance.  Probe
     spikes at the top level K and mid level max(1, K // 2) are always
     included, so K must be >= 1; they pin the growth rate when the balance
-    is broken.  All draws are built as one batch and their norms taken as
-    one batch; draws with a zero source norm are skipped.
+    is broken.  All draws are built as one CoeffBatch and their norms taken
+    on it; the target norms are taken on the batch of the draws whose
+    source norm is not zero (the batch itself when none is skipped, so a
+    source and target of one family share its stack plan), and the other
+    draws are skipped.
     """
     if K < 1:
         raise ValueError(f"K = {K} must be >= 1")
@@ -445,11 +458,10 @@ def seq_embedding_check(spec, K, draws, seed, control=False):
     lams = _random_coeffs(spec.n, K, rng, draws)
     den = seq_norms(lams, spec.source)
     kept = den != 0.0
-    ratios = seq_norms([lam for lam, ok in zip(lams, kept) if ok],
-                       spec.target) / den[kept]
-    # the probes sit on distinct levels, so each is reduced on its own
-    probes = [probe_coeffs(spec.n, K, level)
-              for level in sorted({K, max(1, K // 2)})]
+    ratios = seq_norms(lams.take(kept), spec.target) / den[kept]
+    # the probes sit on distinct levels, so each is reduced on its own; in
+    # the draws' batch they would share stacks and change bits
+    probes = _probes(spec.n, K, sorted({K, max(1, K // 2)}))
     probe_ratios = (seq_norms(probes, spec.target)
                     / seq_norms(probes, spec.source)).tolist()
     ratios = ratios.tolist()

@@ -49,6 +49,7 @@ Coefficient sets serialise to a line-oriented text format with %.17g
 fields, which round-trips complex128 bit-exactly.
 """
 
+import functools
 import math
 import operator
 from types import MappingProxyType
@@ -60,18 +61,185 @@ from .grid import (SampledField, _band_index, band_box, band_fft, band_ifft,
 from .lpdecomp import level_spectra
 
 
-class CoeffSeq:
+class CoeffBatch:
+    """D sparse dyadic coefficient sets as sorted flat columns.
+
+    Row r is the coefficient lam[level[r], index[r]] = value[r] of set
+    set[r]: ``index`` (R, n) int64 lattice indices, ``value`` (R,)
+    complex128, ``set`` and ``level`` (R,) int64.  Rows run by set, then
+    level, then index in C order (lexicographic), and no index repeats
+    within a (set, level).  Each occupied (set, level) is one block:
+    block b is level block_level[b] of set block_set[b], rows
+    starts[b]:starts[b+1].  A set with no coefficients has no block.
+    Every array is read-only.
+
+    The columns are a batch's one stored form.  ``batch_from_levels``
+    validates, sorts and de-duplicates many sets at once; iterating a
+    batch yields one ``CoeffSeq`` per set, whose columns are views of the
+    batch's; ``take`` keeps the sets of a mask, and ``pack`` joins sets
+    into one batch.  ``magnitudes`` and ``boxes`` are computed on first
+    use and kept, and so are the stack plans that seqspace keeps in
+    ``_plans``.
+    """
+
+    def _store(self, n, K, L, size, block_set, block_level, starts, index,
+               value):
+        self.n, self.K, self.L, self._size = n, K, L, size
+        self.block_set, self.block_level = block_set, block_level
+        self.starts, self.index, self.value = starts, index, value
+        for array in (block_set, block_level, starts, index, value):
+            sealed(array)
+        self._plans = {}
+        return self
+
+    @classmethod
+    def _of_blocks(cls, n, K, L, size, block_set, block_level, starts,
+                   index, value):
+        """A batch of columns already in the stored order; nothing is
+        checked or copied."""
+        return cls.__new__(cls)._store(n, K, L, size, block_set,
+                                       block_level, starts, index, value)
+
+    def _sort(self, n, K, L, size, keys, index, value):
+        """Store rows given in any order, keys[r] = set * (K + 1) + level.
+
+        One stable lexsort orders them by set, level and index, and a
+        repeated index keeps the last value given for it within its
+        (set, level).
+        """
+        order = np.lexsort((*index.T[::-1], keys))
+        keys, index, value = keys[order], index[order], value[order]
+        # a stable sort keeps repeats in the order given: keep the last
+        last = np.append((keys[1:] != keys[:-1])
+                         | (index[1:] != index[:-1]).any(axis=1), True)
+        if not last.all():
+            keys, index, value = keys[last], index[last], value[last]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        block_set, block_level = np.divmod(keys[starts], K + 1)
+        return self._store(n, K, L, size, block_set, block_level,
+                           np.append(starts, len(keys)), index, value)
+
+    @classmethod
+    def _of_keys(cls, n, K, L, size, keys, index, value):
+        """A batch of ``size`` sets from unsorted, unchecked rows (see
+        ``_sort``), for builders whose rows are valid by construction."""
+        return cls.__new__(cls)._sort(n, K, L, size, keys, index, value)
+
+    @staticmethod
+    def batch_from_levels(n, K, L, sets):
+        """A batch of one set per list of (k, pos, values) groups.
+
+        k is a level, pos (H, n) integer lattice indices and values (H,)
+        the matching lam[k, m].  Every group is validated, in order, and
+        the first bad one raises.  Groups may come in any order and repeat
+        a level or an index: the last value given for an index wins within
+        its set, and entries of different sets are never merged.
+        """
+        return CoeffBatch._of_keys(n, K, L, len(sets),
+                                   *_checked_rows(n, K, sets))
+
+    @staticmethod
+    def pack(n, sets):
+        """The n-dimensional sets of a list as one batch, in order.
+
+        Its K is the largest of theirs and its L the first set's (None for
+        no sets); the columns are copied once.
+        """
+        blocks = [len(s.block_level) for s in sets]
+        offsets = np.cumsum([0, *(len(s.value) for s in sets)])
+        return CoeffBatch._of_blocks(
+            n, max((s.K for s in sets), default=0),
+            sets[0].L if sets else None, len(sets),
+            np.repeat(np.arange(len(sets)), blocks),
+            np.concatenate([np.zeros(0, np.int64),
+                            *(s.block_level for s in sets)]),
+            np.concatenate([*(s.starts[:-1] + a
+                              for s, a in zip(sets, offsets.tolist())),
+                            offsets[-1:]]),
+            np.concatenate([np.zeros((0, n), np.int64),
+                            *(s.index for s in sets)]),
+            np.concatenate([np.zeros(0, np.complex128),
+                            *(s.value for s in sets)]))
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, d):
+        """Set d as a CoeffSeq whose columns are views of the batch's."""
+        d = operator.index(d)
+        if not 0 <= d < self._size:
+            raise IndexError(f"set {d} of a batch of {self._size}")
+        a, b = self._set_blocks[d:d + 2].tolist()
+        r0, r1 = self.starts[[a, b]].tolist()
+        return CoeffSeq._of_blocks(
+            self.n, self.K, self.L, 1, np.zeros(b - a, np.int64),
+            self.block_level[a:b], self.starts[a:b + 1] - r0,
+            self.index[r0:r1], self.value[r0:r1])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._size))
+
+    def take(self, keep):
+        """The batch of the sets where the (D,) boolean mask keep is true,
+        in order; the batch itself when it keeps every set."""
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != (self._size,):
+            raise ValueError(f"mask of shape {keep.shape} for a batch of "
+                             f"{self._size} sets")
+        if keep.all():
+            return self
+        blocks, lens = keep[self.block_set], np.diff(self.starts)
+        rows = np.repeat(blocks, lens)
+        return CoeffBatch._of_blocks(
+            self.n, self.K, self.L, int(np.count_nonzero(keep)),
+            (np.cumsum(keep) - 1)[self.block_set[blocks]],
+            self.block_level[blocks], np.cumsum([0, *lens[blocks].tolist()]),
+            self.index[rows], self.value[rows])
+
+    @functools.cached_property
+    def _set_blocks(self):
+        """Set d's blocks are _set_blocks[d]:_set_blocks[d + 1]."""
+        return np.searchsorted(self.block_set, np.arange(self._size + 1))
+
+    @functools.cached_property
+    def set(self):
+        """The (R,) set of each row, read-only."""
+        return sealed(np.repeat(self.block_set, np.diff(self.starts)))
+
+    @functools.cached_property
+    def level(self):
+        """The (R,) level of each row, read-only."""
+        return sealed(np.repeat(self.block_level, np.diff(self.starts)))
+
+    @functools.cached_property
+    def magnitudes(self):
+        """|value| of each row, read-only.  np.hypot of the parts equals
+        Python's abs of a complex bit for bit; np.abs of complex128 can
+        differ in the last bit."""
+        return sealed(np.hypot(self.value.real, self.value.imag))
+
+    @functools.cached_property
+    def boxes(self):
+        """(lo, hi): the (B, n) corner and end indices of each block's
+        bounding box, read-only."""
+        if not len(self.block_level):
+            return (sealed(np.zeros((0, self.n), np.int64)),) * 2
+        firsts = self.starts[:-1]
+        return (sealed(np.minimum.reduceat(self.index, firsts, axis=0)),
+                sealed(np.maximum.reduceat(self.index, firsts, axis=0) + 1))
+
+
+class CoeffSeq(CoeffBatch):
     """Sparse dyadic coefficients: (level k, lattice index tuple) -> value.
 
-    A set is stored as per-level arrays (see ``levels``).  They are built
-    by ``batch_from_levels``, which validates, sorts and de-duplicates many
-    sets at once; ``from_levels`` and ``CoeffSeq(n, K, L, entries)``, which
-    builds them from a dict keyed by (k, m), are its batch of one.
-    ``_of_sorted`` stores groups already in that form without checks.  The
-    arrays are the one stored form; ``entries`` is derived from them.
+    A set is a batch of one (its blocks are its occupied levels), built by
+    ``from_levels`` or by ``CoeffSeq(n, K, L, entries)`` from a dict keyed
+    by (k, m), both checked as ``batch_from_levels`` checks.  ``levels()``
+    and ``entries`` are views derived from the columns.
     """
 
     _entries = None
+    _levels = None
 
     def __init__(self, n, K, L, entries=None):
         entries = {} if entries is None else entries
@@ -83,68 +251,17 @@ class CoeffSeq:
             pos, vals = groups.setdefault((k, len(m)), ([], []))
             pos.append(m)
             vals.append(v)
-        (built,) = self.batch_from_levels(
-            n, K, L, [[(k, pos, vals)
-                       for (k, _), (pos, vals) in groups.items()]])
-        self.n, self.K, self.L, self._levels = n, K, L, built._levels
+        groups = [(k, pos, vals) for (k, _), (pos, vals) in groups.items()]
+        self._sort(n, K, L, 1, *_checked_rows(n, K, [groups]))
 
     @classmethod
     def from_levels(cls, n, K, L, groups):
         """A set from (k, pos, values) groups; the array constructor.
 
-        k is a level, pos (H, n) integer lattice indices and values (H,) the
-        matching lam[k, m].  Groups may come in any order and repeat a level
-        or an index: the last value given for an index wins.
+        Groups may come in any order and repeat a level or an index: the
+        last value given for an index wins.
         """
-        return cls.batch_from_levels(n, K, L, [groups])[0]
-
-    @classmethod
-    def batch_from_levels(cls, n, K, L, sets):
-        """One set per list of (k, pos, values) groups, as from_levels.
-
-        Every group is validated, in order, and the first bad one raises.
-        All entries are then lexsorted once (stable) by set, level and
-        index, a repeated index keeps the last value given for it within
-        its set, and the result is split into per-set, per-level read-only
-        views.  Entries of different sets are never merged.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if K < 0:
-            raise ValueError("K must be >= 0")
-        keys, pos, vals = [], [], []
-        for d, groups in enumerate(sets):
-            for group in groups:
-                k, p, v = _checked_group(*group, n, K)
-                if len(v):
-                    # (set, level) as one sort key
-                    keys.append(d * (K + 1) + k)
-                    pos.append(p)
-                    vals.append(v)
-        lens = list(map(len, vals))
-        keys = np.repeat(np.array(keys, dtype=np.int64), lens)
-        pos = np.concatenate([np.zeros((0, n), np.int64), *pos])
-        vals = np.concatenate([np.zeros(0, np.complex128), *vals])
-        order = np.lexsort((*pos.T[::-1], keys))
-        keys, pos, vals = keys[order], pos[order], vals[order]
-        # a stable sort keeps repeats in the order given: keep the last
-        last = np.append((keys[1:] != keys[:-1])
-                         | (pos[1:] != pos[:-1]).any(axis=1), True)
-        if not last.all():
-            keys, pos, vals = keys[last], pos[last], vals[last]
-        pos.flags.writeable = vals.flags.writeable = False
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        bounds = [*starts.tolist(), len(keys)]
-        levels = [[] for _ in sets]
-        for key, a, b in zip(keys[starts].tolist(), bounds, bounds[1:]):
-            d, k = divmod(key, K + 1)
-            levels[d].append((k, pos[a:b], vals[a:b]))
-        out = []
-        for own in levels:
-            self = cls.__new__(cls)
-            self.n, self.K, self.L, self._levels = n, K, L, own
-            out.append(self)
-        return out
+        return cls._of_keys(n, K, L, 1, *_checked_rows(n, K, [groups]))
 
     @classmethod
     def _of_sorted(cls, n, K, L, groups):
@@ -153,19 +270,16 @@ class CoeffSeq:
         in C order (lexicographic) without repeats.
 
         The unchecked twin of ``from_levels`` for builders that make such
-        groups by construction (``analyze`` and ``seqspace.lambda_star``):
-        nothing is validated, sorted or de-duplicated, and the result is
-        the set that ``from_levels`` builds from the same groups.
+        groups by construction (``seqspace.lambda_star``): nothing is
+        validated, sorted or de-duplicated, and the result is the set that
+        ``from_levels`` builds from the same groups.
         """
-        levels = []
-        for k, pos, vals in groups:
-            pos = np.ascontiguousarray(pos, dtype=np.int64)
-            vals = np.ascontiguousarray(vals, dtype=np.complex128)
-            pos.flags.writeable = vals.flags.writeable = False
-            levels.append((int(k), pos, vals))
-        self = cls.__new__(cls)
-        self.n, self.K, self.L, self._levels = n, K, L, levels
-        return self
+        ks, pos, vals = zip(*groups) if groups else ((), (), ())
+        return cls._of_blocks(
+            n, K, L, 1, np.zeros(len(ks), np.int64), np.array(ks, np.int64),
+            np.cumsum([0, *map(len, vals)]),
+            np.concatenate([np.zeros((0, n), np.int64), *pos]),
+            np.concatenate([np.zeros(0, np.complex128), *vals]))
 
     @property
     def entries(self):
@@ -173,7 +287,7 @@ class CoeffSeq:
         on first access, so in lexicographic order."""
         if self._entries is None:
             self._entries = MappingProxyType({
-                (k, m): v for k, pos, vals in self._levels
+                (k, m): v for k, pos, vals in self.levels()
                 for m, v in zip(map(tuple, pos.tolist()), vals.tolist())})
         return self._entries
 
@@ -181,12 +295,38 @@ class CoeffSeq:
         return {m: v for (kk, m), v in self.entries.items() if kk == k}
 
     def levels(self):
-        """Occupied levels as read-only arrays, in ascending k.
+        """Occupied levels as read-only views of the columns, in ascending k.
 
         Returns a list of (k, pos, values): pos (H, n) int64 lattice indices
         in lexicographic order, values (H,) complex128 the matching lam[k, m].
         """
+        if self._levels is None:
+            bounds = self.starts.tolist()
+            self._levels = [(k, self.index[a:b], self.value[a:b])
+                            for k, a, b in zip(self.block_level.tolist(),
+                                               bounds, bounds[1:])]
         return self._levels
+
+
+def _checked_rows(n, K, sets):
+    """The rows of one list of (k, pos, values) groups per set, each group
+    checked (see ``_checked_group``), as (keys, index, value) for
+    ``CoeffBatch._sort``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    keys, pos, vals = [], [], []
+    for d, groups in enumerate(sets):
+        for group in groups:
+            k, p, v = _checked_group(*group, n, K)
+            if len(v):
+                keys.append(d * (K + 1) + k)
+                pos.append(p)
+                vals.append(v)
+    return (np.repeat(np.array(keys, dtype=np.int64), list(map(len, vals))),
+            np.concatenate([np.zeros((0, n), np.int64), *pos]),
+            np.concatenate([np.zeros(0, np.complex128), *vals]))
 
 
 def _checked_group(k, pos, vals, n, K):
@@ -272,19 +412,29 @@ def _fold(crop, size):
 
 
 def analyze(field, system):
-    """Inner products of the field against every lattice translate."""
+    """Inner products of the field against every lattice translate.
+
+    Each level's values and indices are written into the set's columns as
+    they are computed, so the set is built without a second copy.
+    """
     n, G, L = field.n, field.G, field.L
     scale = float(G) ** (n / 2.0)
-    levels = []
-    for k, spec in enumerate(level_spectra(field, system)):
-        N, size = _lattice(G, L, k)
+    spectra = level_spectra(field, system)
+    sizes = [_lattice(G, L, k) for k in range(system.K + 1)]
+    starts = np.cumsum([0, *(N ** n for N, _ in sizes)])
+    index = np.empty((starts[-1], n), np.int64)
+    value = np.empty(starts[-1], np.complex128)
+    for k, spec in enumerate(spectra):
+        (N, size), rows = sizes[k], slice(starts[k], starts[k + 1])
         stride = size // N
         small = band_ifft(_fold(spec, size), size) * float(size) ** (n / 2.0)
         lattice = small[(slice(None, None, stride),) * n]
-        vals = (lattice * ((field.h * stride) ** (n / 2.0) / scale)).ravel()
-        pos = np.indices((N,) * n).reshape(n, -1).T - N // 2
-        levels.append((k, pos, vals))
-    return CoeffSeq._of_sorted(n, system.K, L, levels)
+        value[rows] = (lattice * ((field.h * stride) ** (n / 2.0)
+                                  / scale)).ravel()
+        index[rows] = np.indices((N,) * n).reshape(n, -1).T - N // 2
+    return CoeffSeq._of_blocks(n, system.K, L, 1,
+                               np.zeros(len(sizes), np.int64),
+                               np.arange(len(sizes)), starts, index, value)
 
 
 def synthesize(coeffs, system):
@@ -369,9 +519,14 @@ def load_coeffs(path):
             raise ValueError(f"not a coefficient snapshot: {magic!r}")
         head = parse_header(fh.readline(),
                             {"n": int, "K": int, "L": float, "count": int})
-        n = head["n"]
+        n, L, count = head["n"], head["L"], head["count"]
+        if not (math.isfinite(L) and L > 0.0):
+            raise ValueError(f"header field L={L!r} must be finite and "
+                             f"positive")
+        if count < 0:
+            raise ValueError(f"header field count={count} must be >= 0")
         entries = {}
-        for lineno in range(3, head["count"] + 3):
+        for lineno in range(3, count + 3):
             toks = fh.readline().split()
             if len(toks) != n + 3:
                 raise ValueError(f"line {lineno}: {len(toks)} fields, a "
@@ -382,4 +537,8 @@ def load_coeffs(path):
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed coefficient line "
                                  f"{' '.join(toks)!r}") from None
-    return CoeffSeq(n, head["K"], head["L"], entries)
+        for lineno, line in enumerate(fh, count + 3):
+            if line.strip():
+                raise ValueError(f"line {lineno}: {line.strip()!r} after the "
+                                 f"count={count} coefficient lines")
+    return CoeffSeq(n, head["K"], L, entries)

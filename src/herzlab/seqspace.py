@@ -10,15 +10,19 @@ no sampling step:
   f-norm: herz of (sum_k (2^{k s} g_k)^beta)^(1/beta), assembled exactly on
           the finest occupied level's tiling.
 
-The norms take a list of sets (b_norms, f_norms, seq_norms); the single-set
-norms are the batch of one.  Their parameters are herz.SpaceParams with
-family 'b' or 'f'; SeqSpaceParams is a second name for that class.
+The norms (b_norms, f_norms, seq_norms) take a frames.CoeffBatch and read
+its flat columns and (set, level) blocks in place; a list of sets is
+packed into one batch first.  The single-set norms pass their CoeffSeq,
+a batch of one.  Their parameters are herz.SpaceParams with family 'b' or
+'f'; SeqSpaceParams is a second name for that class.
 
 A batch is reduced in stacks.  The b-norm stacks the blocks of one level,
 the f-norm the envelopes of the sets that share a finest occupied level,
 each as the columns of one C-ordered array on their union box, and
 _chunks splits a stack that would hold more than BATCH_CELLS cells.  Every
-stack of a batch is planned first.  The stacks then lie one after another
+stack of a batch is planned first, once per kind (b or f) and kept on the
+batch with its magnitudes and block boxes, so the source and target norms
+of an embedding share them.  The stacks then lie one after another
 in one flat float64 buffer (or several of at most BATCH_CELLS cells each,
 for a large batch), which is filled in one pass: the b-norm writes the
 magnitudes of every block with one assignment, and the f-norm adds the
@@ -52,7 +56,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _accel
-from .frames import CoeffSeq
+from .frames import CoeffBatch, CoeffSeq
+from .grid import sealed
 from .herz import SpaceParams, _cells_mixed_herz, lq_combine
 
 SeqSpaceParams = SpaceParams
@@ -61,42 +66,6 @@ SeqSpaceParams = SpaceParams
 # Cells of one stacked array of a batch, and of one buffer of such arrays.
 # A set whose own box holds more is evaluated on its own.
 BATCH_CELLS = 1 << 16
-
-
-class _Blocks(NamedTuple):
-    """Every occupied level of a batch of sets, one block per (set, level).
-
-    Blocks run set by set, levels ascending.  Block b is level k[b] of
-    set d[b]: rows starts[b]:starts[b+1] of pos and mag, inside the box
-    [lo[b], hi[b]).
-    """
-
-    d: np.ndarray
-    k: np.ndarray
-    starts: np.ndarray
-    pos: np.ndarray
-    mag: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-    @classmethod
-    def of(cls, batch, n):
-        d, k, pos, vals = [], [], [], []
-        for i, coeffs in enumerate(batch):
-            for kk, p, v in coeffs.levels():
-                d.append(i)
-                k.append(kk)
-                pos.append(p)
-                vals.append(v)
-        starts = np.cumsum([0, *map(len, pos)])
-        pos = np.concatenate(pos) if pos else np.zeros((0, n), np.int64)
-        vals = np.concatenate(vals) if vals else np.zeros(0, np.complex128)
-        lo = hi = np.zeros((0, n), np.int64)
-        if d:
-            lo = np.minimum.reduceat(pos, starts[:-1], axis=0)
-            hi = np.maximum.reduceat(pos, starts[:-1], axis=0) + 1
-        return cls(np.array(d, np.int64), np.array(k, np.int64), starts, pos,
-                   np.hypot(vals.real, vals.imag), lo, hi)
 
 
 def _chunks(los, his):
@@ -124,14 +93,15 @@ class _Stacks(NamedTuple):
     C-ordered (*box, len(members[j])) array of key keys[j] whose box has
     corner index los[j].  The stacks are numbered by global cells, stack j
     holding cells starts[j]..starts[j+1] - 1, and box b's cell at lattice
-    index m is global cell base[b] + sum_i m_i strides[i, b].
+    index m is global cell base[b] + sum_i m_i strides[i, b].  Every field
+    is a tuple or a read-only array.
     """
 
-    keys: list
-    members: list
-    los: list
-    shapes: list
-    starts: list
+    keys: tuple
+    members: tuple
+    los: tuple
+    shapes: tuple
+    starts: tuple
     base: np.ndarray
     strides: np.ndarray
 
@@ -172,9 +142,11 @@ class _Stacks(NamedTuple):
         base[order] = np.repeat(origin, columns) + np.arange(B)
         box_strides = np.empty((n, B), np.int64)
         box_strides[:, order] = np.repeat(strides.T, columns, axis=1)
-        return cls(keys[order[list(first)]].tolist(),
-                   [order[a:b] for a, b in zip(first, last)], list(corners),
-                   shapes, starts, base, box_strides)
+        sealed(order)
+        return cls(tuple(keys[order[list(first)]].tolist()),
+                   tuple(order[a:b] for a, b in zip(first, last)),
+                   tuple(sealed(corners)), tuple(shapes), tuple(starts),
+                   sealed(base), sealed(box_strides))
 
     def cells(self, boxes, lens, pos):
         """The global cell of each row of pos and each row's strides.
@@ -216,40 +188,94 @@ class _Stacks(NamedTuple):
             j = end
 
 
-def _check_batch(batch, params, family):
-    """The checks of the family's norm: its family, and each set's n."""
+def _batch(batch, params, family):
+    """The batch as a CoeffBatch, after the checks of the family's norm: its
+    family, and the sets' n.  A list of sets is packed into one batch."""
     if params.family != family:
         raise ValueError(f"{family}_norm needs family {family!r} parameters")
-    for coeffs in batch:
-        if params.herz.n != coeffs.n:
-            raise ValueError(f"params for n = {params.herz.n}, coeffs have "
+    n = params.herz.n
+    packed = isinstance(batch, CoeffBatch)
+    for coeffs in [batch] if packed else batch:
+        if n != coeffs.n:
+            raise ValueError(f"params for n = {n}, coeffs have "
                              f"n = {coeffs.n}")
+    return batch if packed else CoeffBatch.pack(n, batch)
+
+
+def _plan(batch, kind, build):
+    """build(batch), the batch's stack plan of this kind ("b" or "f"), made
+    once per BATCH_CELLS and kept on the batch."""
+    key = (kind, BATCH_CELLS)
+    if key not in batch._plans:
+        batch._plans[key] = build(batch)
+    return batch._plans[key]
+
+
+def _b_plan(batch):
+    """Each level's blocks stacked as columns on their union box, and the
+    global cell of each row of the batch."""
+    stk = _Stacks.of(batch.block_level, *batch.boxes)
+    cells, _ = stk.cells(slice(None), np.diff(batch.starts), batch.index)
+    return stk, sealed(cells)
 
 
 def b_norms(batch, params):
-    """b_norm of each coefficient set in a list, as an array.
+    """b_norm of each coefficient set of a batch (or a list), as an array.
 
     Each level's blocks are stacked as columns on their union box (split
     by _chunks), the magnitudes of every block are written in one
     assignment, and each stack is reduced in one call.  Every set's levels
-    are combined over max(K) + 1 terms of the batch.
+    are combined over the batch's K + 1 terms.
     """
-    _check_batch(batch, params, "b")
+    batch = _batch(batch, params, "b")
     n = params.herz.n
-    blk = _Blocks.of(batch, n)
-    terms = np.zeros((len(batch), max((c.K for c in batch), default=0) + 1))
-    if not len(blk.d):
+    terms = np.zeros((len(batch), batch.K + 1))
+    if not len(batch.block_level):
         return lq_combine(terms, params.beta)
-    stk = _Stacks.of(blk.k, blk.lo, blk.hi)
-    cells, _ = stk.cells(slice(None), blk.starts[1:] - blk.starts[:-1],
-                        blk.pos)
+    stk, cells = _plan(batch, "b", _b_plan)
     for rows, local, buf, stacks in stk.buffers(cells):
-        buf[local] = blk.mag[rows]
+        buf[local] = batch.magnitudes[rows]
         for j, arr in stacks:
             k, sel = stk.keys[j], stk.members[j]
             t = _cells_mixed_herz(arr, stk.los[j], k, params.herz)
-            terms[blk.d[sel], k] = 2.0 ** (k * (params.s + n / 2.0)) * t
+            terms[batch.block_set[sel], k] = (
+                2.0 ** (k * (params.s + n / 2.0)) * t)
     return lq_combine(terms, params.beta)
+
+
+class _FPlan(NamedTuple):
+    """The envelope stacks of the sets with coefficients, numbered sets[i]
+    in the batch, and each row's level gap, corner cell and strides."""
+
+    sets: np.ndarray
+    stacks: _Stacks
+    gap: np.ndarray
+    corner: np.ndarray
+    strides: tuple
+    gaps: tuple
+
+
+def _f_plan(batch):
+    d, k = batch.block_set, batch.block_level
+    lens = np.diff(batch.starts)
+    # each set's finest level and envelope box, in finest-level indices
+    new_set = np.diff(d, prepend=-1) != 0
+    first = np.flatnonzero(new_set)
+    sets = d[first]
+    vf = np.zeros(len(batch), np.int64)
+    vf[sets] = k[np.append(first[1:], len(d)) - 1]
+    gap = vf[d] - k
+    lo, hi = batch.boxes
+    los = np.minimum.reduceat(lo << gap[:, None], first, axis=0)
+    his = np.maximum.reduceat(hi << gap[:, None], first, axis=0)
+    stk = _Stacks.of(vf[sets], los, his)
+    # each coefficient's corner cell, at its index shifted to the finest level
+    row_gap = np.repeat(gap, lens)
+    corner, strides = stk.cells(np.cumsum(new_set) - 1, lens,
+                                batch.index << row_gap[:, None])
+    return _FPlan(sealed(sets), stk, sealed(row_gap), sealed(corner),
+                  tuple(map(sealed, strides)),
+                  tuple(sorted(set(gap.tolist()), reverse=True)))
 
 
 def _f_envelopes(batch, params):
@@ -258,45 +284,33 @@ def _f_envelopes(batch, params):
     Sets are grouped by finest occupied level vf, and a group's envelopes
     are stacked as columns on their union box (split by _chunks).  A
     level-k coefficient covers the 2^(g n) finest cells from its corner
-    cell on, g = vf - k being its gap.  Each corner cell is computed once.
-    The terms are then added with one scatter per distinct gap over the
-    whole buffer, in descending g.  Within one stack, descending g is
-    ascending k, so every cell is summed from zero in ascending k.  The
-    cells of the coefficients of one gap are distinct, so a scatter adds
-    to each cell at most once.  Each coefficient's power is taken with
-    Python's float power (libm pow), as in a per-entry painting; numpy's
-    vectorised power can differ from it in the last bit.  The 1/beta root
-    is then taken once over the buffer.  Yields (sets, env, corner index,
-    vf) per stack, env a view of the buffer; empty sets are in none.
+    cell on, g = vf - k being its gap.  Each corner cell is computed once
+    per batch.  The terms are then added with one scatter per distinct gap
+    over the whole buffer, in descending g.  Within one stack, descending
+    g is ascending k, so every cell is summed from zero in ascending k.
+    The cells of the coefficients of one gap are distinct, so a scatter
+    adds to each cell at most once.  Each coefficient's power is taken
+    with Python's float power (libm pow), as in a per-entry painting;
+    numpy's vectorised power can differ from it in the last bit.  The
+    1/beta root is then taken once over the buffer.  Yields (sets, env,
+    corner index, vf) per stack, env a view of the buffer; empty sets are
+    in none.
     """
+    batch = _batch(batch, params, "f")
     n, beta = params.herz.n, params.beta
-    blk = _Blocks.of(batch, n)
-    if not len(blk.d):
+    if not len(batch.block_level):
         return
-    lens = blk.starts[1:] - blk.starts[:-1]
-    weight = [2.0 ** (k * (params.s + n / 2.0)) for k in blk.k.tolist()]
-    contrib = np.repeat(weight, lens) * blk.mag
+    plan = _plan(batch, "f", _f_plan)
+    weight = np.array([2.0 ** (k * (params.s + n / 2.0))
+                       for k in range(batch.K + 1)])
+    contrib = weight[batch.level] * batch.magnitudes
     if not math.isinf(beta):
         contrib = np.array([c ** beta for c in contrib.tolist()])
-    # each set's finest level and envelope box, in finest-level indices
-    new_set = np.diff(blk.d, prepend=-1) != 0
-    first = np.flatnonzero(new_set)
-    sets = blk.d[first]
-    vf = np.zeros(len(batch), np.int64)
-    vf[sets] = blk.k[np.append(first[1:], len(blk.d)) - 1]
-    gap = vf[blk.d] - blk.k
-    los = np.minimum.reduceat(blk.lo << gap[:, None], first, axis=0)
-    his = np.maximum.reduceat(blk.hi << gap[:, None], first, axis=0)
-    stk = _Stacks.of(vf[sets], los, his)
-    # each coefficient's corner cell, at its index shifted to the finest level
-    row_gap = np.repeat(gap, lens)
-    corner, strides = stk.cells(np.cumsum(new_set) - 1, lens,
-                                blk.pos << row_gap[:, None])
-    gaps = sorted(set(gap.tolist()), reverse=True)
-    for rows, local, buf, stacks in stk.buffers(corner):
-        buf_gap, buf_contrib = row_gap[rows], contrib[rows]
-        buf_strides = [s[rows] for s in strides]
-        for g in gaps:
+    stk = plan.stacks
+    for rows, local, buf, stacks in stk.buffers(plan.corner):
+        buf_gap, buf_contrib = plan.gap[rows], contrib[rows]
+        buf_strides = [s[rows] for s in plan.strides]
+        for g in plan.gaps:
             at = np.flatnonzero(buf_gap == g)
             flat, terms = local[at], buf_contrib[at]
             if g:
@@ -315,16 +329,16 @@ def _f_envelopes(batch, params):
         if not math.isinf(beta):
             buf **= 1.0 / beta
         for j, env in stacks:
-            yield sets[stk.members[j]], env, stk.los[j], stk.keys[j]
+            yield plan.sets[stk.members[j]], env, stk.los[j], stk.keys[j]
 
 
 def f_norms(batch, params):
-    """f_norm of each coefficient set in a list, as an array.
+    """f_norm of each coefficient set of a batch (or a list), as an array.
 
     One reduction per finest-level group (and _chunks split) of stacked
     envelopes.
     """
-    _check_batch(batch, params, "f")
+    batch = _batch(batch, params, "f")
     out = np.zeros(len(batch))
     for members, env, lo, top in _f_envelopes(batch, params):
         out[members] = _cells_mixed_herz(env, lo, top, params.herz)
@@ -341,7 +355,7 @@ def seq_norms(batch, params):
 
 def b_norm(coeffs, params):
     """l^beta over levels of weighted exact cell-carrier Herz norms."""
-    return float(b_norms([coeffs], params)[0])
+    return float(b_norms(coeffs, params)[0])
 
 
 def f_norm(coeffs, params):
@@ -350,11 +364,11 @@ def f_norm(coeffs, params):
     The envelope is assembled exactly on the finest occupied level: each
     coefficient cell covers a full block of finest cells.
     """
-    return float(f_norms([coeffs], params)[0])
+    return float(f_norms(coeffs, params)[0])
 
 
 def seq_norm(coeffs, params):
-    return float(seq_norms([coeffs], params)[0])
+    return float(seq_norms(coeffs, params)[0])
 
 
 def lambda_star(coeffs, r, d, window):

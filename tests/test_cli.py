@@ -287,6 +287,32 @@ path = {coeffs}
     assert "dictionary update" not in line
 
 
+@pytest.mark.parametrize("head, lines, names", [
+    ("n=1 K=2 L=16 count=1", "0 0 1 0\n1 3 2 0\n", ["line 4", "count=1"]),
+    ("n=1 K=2 L=16 count=-2", "", ["count=-2"]),
+    ("n=1 K=2 L=nan count=1", "0 0 1 0\n", ["L=nan"]),
+], ids=["extra-line", "negative-count", "nan-L"])
+def test_coefficient_file_beyond_its_header_names_the_part(tmp_path, capsys,
+                                                           head, lines,
+                                                           names):
+    coeffs = tmp_path / "lam.coeffs"
+    coeffs.write_text(f"herzcoeffs 1\n{head}\n{lines}")
+    cfg = _write(tmp_path, "seq.ini", f"""
+[space]
+family = b
+s = 0.5
+beta = 2
+p = 2
+alpha = 0.25
+q = 1
+
+[coeffs]
+path = {coeffs}
+""")
+    _one_error_line(capsys, ["seqnorm", "--config", cfg], "[coeffs] path",
+                    *names)
+
+
 @pytest.mark.parametrize("length", ["0", "-3"])
 def test_hardy_check_rejects_short_length(tmp_path, capsys, length):
     cfg = _write(tmp_path, "hardy.ini",

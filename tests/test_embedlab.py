@@ -357,7 +357,8 @@ def test_random_coeffs_draw_the_former_sets(n):
     new, old = np.random.default_rng(40 + n), np.random.default_rng(40 + n)
     batch = _random_coeffs(n, 5, new, 40)
     assert len(batch) == 40
-    for lam in batch:
+    rows = []
+    for d, lam in enumerate(batch):
         got = lam.levels()
         want = former_random_coeffs(n, 5, old).levels()
         assert [k for k, _, _ in got] == [k for k, _, _ in want]
@@ -365,9 +366,20 @@ def test_random_coeffs_draw_the_former_sets(n):
             assert np.array_equal(pos, ref_pos)
             assert np.array_equal(vals.view(np.float64),
                                   ref_vals.view(np.float64))
+        rows += [(d, k, pos, vals) for k, pos, vals in want]
+    # the batch's flat columns are the former sets, concatenated in order
+    assert np.array_equal(batch.set, np.concatenate(
+        [np.full(len(vals), d) for d, _, _, vals in rows]))
+    assert np.array_equal(batch.level, np.concatenate(
+        [np.full(len(vals), k) for _, k, _, vals in rows]))
+    assert np.array_equal(batch.index,
+                          np.concatenate([pos for _, _, pos, _ in rows]))
+    assert np.array_equal(
+        batch.value.view(np.float64),
+        np.concatenate([vals for *_, vals in rows]).view(np.float64))
     # the rng is left where the per-set draws leave it
     assert new.random() == old.random()
-    assert _random_coeffs(n, 5, new, 0) == []
+    assert len(_random_coeffs(n, 5, new, 0)) == 0
 
 
 @pytest.mark.parametrize("n, theorem, control, K, draws, seed", [

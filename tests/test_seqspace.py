@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,6 +255,31 @@ def test_batches_stay_within_the_cell_budget(monkeypatch, family):
 # ---------------------------------------------------------------------------
 
 
+def _reference_blocks(batch, n):
+    """Every occupied level of a list of sets (or of a batch's sets), one
+    block per (set, level), concatenated set by set from each set's own
+    levels(): block b is level k[b] of set d[b], rows starts[b]:starts[b+1]
+    of pos and mag, inside the box [lo[b], hi[b])."""
+    d, k, pos, vals = [], [], [], []
+    for i, coeffs in enumerate(batch):
+        for kk, p, v in coeffs.levels():
+            d.append(i)
+            k.append(kk)
+            pos.append(p)
+            vals.append(v)
+    starts = np.cumsum([0, *map(len, pos)])
+    pos = np.concatenate(pos) if pos else np.zeros((0, n), np.int64)
+    vals = np.concatenate(vals) if vals else np.zeros(0, np.complex128)
+    lo = hi = np.zeros((0, n), np.int64)
+    if d:
+        lo = np.minimum.reduceat(pos, starts[:-1], axis=0)
+        hi = np.maximum.reduceat(pos, starts[:-1], axis=0) + 1
+    return SimpleNamespace(d=np.array(d, np.int64), k=np.array(k, np.int64),
+                           starts=starts, pos=pos,
+                           mag=np.array([abs(v) for v in vals.tolist()]),
+                           lo=lo, hi=hi)
+
+
 def _reference_chunks(los, his):
     start = 0
     while start < len(los):
@@ -274,7 +300,7 @@ def _reference_rows(blk, sel):
 def reference_b_norms(batch, params):
     """b_norms with each (level, chunk) stack painted on its own array."""
     n = params.herz.n
-    blk = seqspace._Blocks.of(batch, n)
+    blk = _reference_blocks(batch, n)
     terms = np.zeros((len(batch), max((c.K for c in batch), default=0) + 1))
     for k in sorted(set(blk.k.tolist())):
         ids = np.flatnonzero(blk.k == k)
@@ -293,7 +319,7 @@ def reference_b_norms(batch, params):
 def reference_f_envelopes(batch, params):
     """_f_envelopes built per (finest level, chunk, level), as a list."""
     n, beta = params.herz.n, params.beta
-    blk = seqspace._Blocks.of(batch, n)
+    blk = _reference_blocks(batch, n)
     if not len(blk.d):
         return []
     lens = np.diff(blk.starts)
@@ -377,6 +403,70 @@ def test_one_pass_layout_equals_reference_layout(monkeypatch, n, budget,
     for sets, env, lo, top in want:
         want_f[sets] = _cells_mixed_herz(env, lo, top, herz)
     assert np.array_equal(seqspace.f_norms(batch, fparams), want_f)
+
+
+def _reference_f_norms(sets, params):
+    out = np.zeros(len(sets))
+    for members, env, lo, top in reference_f_envelopes(sets, params):
+        out[members] = _cells_mixed_herz(env, lo, top, params.herz)
+    return out
+
+
+def _plan_leaves(plan):
+    """Every array of a stack plan, checking that each container on the way
+    is a tuple."""
+    if isinstance(plan, np.ndarray):
+        yield plan
+    elif not isinstance(plan, int):
+        assert isinstance(plan, tuple)
+        for part in plan:
+            yield from _plan_leaves(part)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("budget", [seqspace.BATCH_CELLS, 300, 0],
+                         ids=["default", "small", "zero"])
+@pytest.mark.parametrize("beta", [1.5, 2.0, math.inf])
+def test_batch_norms_equal_reference_layout(monkeypatch, n, budget, beta):
+    monkeypatch.setattr(seqspace, "BATCH_CELLS", budget)
+    herz = HerzParams((2.0, 1.5, 3.0)[:n], (0.25, 0.0, 0.125)[:n],
+                      (1.0, 2.0, 1.5)[:n])
+    bparams = SeqSpaceParams(herz, 0.5, beta, "b")
+    fparams = SeqSpaceParams(herz, 0.5, beta, "f")
+    sets = _layout_batch(n)
+    K = max(lam.K for lam in sets)
+    empty = CoeffSeq(n, K, 16.0, {})
+    sets = [empty, *sets[:5], empty, *sets[5:], empty]
+    batch = CoeffSeq.batch_from_levels(n, K, 16.0,
+                                       [lam.levels() for lam in sets])
+    # every third set goes, the empty first one and non-empty ones with it
+    keep = np.arange(len(batch)) % 3 != 0
+    assert not sets[0].entries and sets[3].entries
+    one = np.arange(len(batch)) == 3
+    for part in (batch, batch.take(keep), batch.take(one)):
+        members = list(part)
+        assert len(members) == len(part)
+        got_b = seqspace.b_norms(part, bparams)
+        assert np.array_equal(got_b, reference_b_norms(members, bparams))
+        got_f = seqspace.f_norms(part, fparams)
+        assert np.array_equal(got_f, _reference_f_norms(members, fparams))
+        # a list of the sets is packed into a batch with the same bits
+        assert np.array_equal(seqspace.b_norms(members, bparams), got_b)
+        assert np.array_equal(seqspace.f_norms(members, fparams), got_f)
+        # the kept magnitudes, boxes and plans cannot be written
+        plans = list(part._plans.values())
+        assert len(plans) == 2
+        for array in [part.magnitudes, *part.boxes, part.set, part.level,
+                      *(a for plan in plans for a in _plan_leaves(plan))]:
+            assert not array.flags.writeable
+    # a take keeps no plan of the batch it came from; keeping every set is
+    # the batch itself
+    kept = batch.take(keep)
+    assert not kept._plans
+    seqspace.f_norms(kept, fparams)
+    assert all(plan is not other for plan in kept._plans.values()
+               for other in batch._plans.values())
+    assert batch.take(np.ones(len(batch), bool)) is batch
 
 
 def test_batched_norms_check_every_set():

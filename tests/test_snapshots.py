@@ -1,6 +1,7 @@
 """Property test: coefficient snapshots read back bit for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,3 +46,30 @@ def test_coeff_snapshot_reads_back_bit_exact(lam, tmp_path_factory):
     assert sorted(back.entries) == sorted(lam.entries)
     assert _bits([back.entries[k] for k in sorted(lam.entries)]) == \
         _bits([lam.entries[k] for k in sorted(lam.entries)])
+
+
+@pytest.mark.parametrize("body, names", [
+    # a coefficient line the header's count does not cover
+    ("n=1 K=2 L=16 count=1\n0 0 1 0\n1 3 2 0\n", ["line 4", "count=1"]),
+    ("n=1 K=2 L=16 count=0\n\n0 0 1 0\n", ["line 4", "count=0"]),
+    ("n=1 K=2 L=16 count=-2\n", ["count=-2"]),
+    ("n=1 K=2 L=nan count=1\n0 0 1 0\n", ["L=nan"]),
+    ("n=1 K=2 L=inf count=0\n", ["L=inf"]),
+    ("n=1 K=2 L=0 count=0\n", ["L=0.0"]),
+    ("n=1 K=2 L=-16 count=0\n", ["L=-16.0"]),
+], ids=["extra-line", "line-after-blank", "negative-count", "nan-L", "inf-L",
+        "zero-L", "negative-L"])
+def test_load_coeffs_refuses_a_header_that_does_not_match(tmp_path, body,
+                                                          names):
+    path = tmp_path / "bad.coeffs"
+    path.write_text("herzcoeffs 1\n" + body)
+    with pytest.raises(ValueError) as info:
+        load_coeffs(path)
+    for name in names:
+        assert name in str(info.value)
+
+
+def test_load_coeffs_reads_blank_lines_after_the_count(tmp_path):
+    path = tmp_path / "c.coeffs"
+    path.write_text("herzcoeffs 1\nn=1 K=2 L=16 count=1\n0 3 1 0\n\n  \n")
+    assert load_coeffs(path).entries == {(0, (3,)): 1 + 0j}
