@@ -169,7 +169,7 @@ class CoeffBatch:
         d = operator.index(d)
         if not 0 <= d < self._size:
             raise IndexError(f"set {d} of a batch of {self._size}")
-        a, b = self._set_blocks[d:d + 2].tolist()
+        a, b = np.searchsorted(self.block_set, [d, d + 1]).tolist()
         r0, r1 = self.starts[[a, b]].tolist()
         return CoeffSeq._of_blocks(
             self.n, self.K, self.L, 1, np.zeros(b - a, np.int64),
@@ -195,11 +195,6 @@ class CoeffBatch:
             (np.cumsum(keep) - 1)[self.block_set[blocks]],
             self.block_level[blocks], np.cumsum([0, *lens[blocks].tolist()]),
             self.index[rows], self.value[rows])
-
-    @functools.cached_property
-    def _set_blocks(self):
-        """Set d's blocks are _set_blocks[d]:_set_blocks[d + 1]."""
-        return np.searchsorted(self.block_set, np.arange(self._size + 1))
 
     @functools.cached_property
     def set(self):
