@@ -404,7 +404,7 @@ def probe_coeffs(n, K, level):
 
 def _probes(n, K, levels):
     """The probe_coeffs set of each of the ascending levels in 0..K, one set
-    per level, as a batch built in place."""
+    per level, as one batch built from its columns without checks."""
     count = len(levels)
     return CoeffBatch._of_blocks(
         n, K, 16.0, count, np.arange(count), np.array(levels, np.int64),
