@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import CoeffBatch, CoeffSeq
+from .frames import CoeffBatch
 from .grid import SampledField, sealed
 from .herz import (HerzParams, HypothesisError, SpaceParams, _inv,
                    _rational, lq_combine, mixed_herz_norm)
@@ -374,7 +374,7 @@ def _random_coeffs(n, K, rng, draws):
     construction, so none is checked.
     """
     # the leading empty arrays keep the concatenations valid with no draws
-    keys, counts, pos = [], [], [np.zeros((0, n), np.int64)]
+    runs, pos = [], [np.zeros((0, n), np.int64)]
     mags, turns = [np.zeros(0)], [np.zeros(0)]
     for d in range(draws):
         width = min(int(rng.integers(1, 5)), K + 1)
@@ -389,22 +389,16 @@ def _random_coeffs(n, K, rng, draws):
             pos.append(rng.integers(-half, half, size=(count, n)))
             mags.append(rng.lognormal(0.0, 1.0, size=count))
             turns.append(rng.random(count))
-            keys.append(d * (K + 1) + k)
-            counts.append(count)
+            runs.append((d, k, count))
     values = np.concatenate(mags) * np.exp(2j * np.pi * np.concatenate(turns))
-    return CoeffBatch._of_keys(
-        n, K, 16.0, draws, np.repeat(np.array(keys, np.int64), counts),
-        np.concatenate(pos), values)
-
-
-def probe_coeffs(n, K, level):
-    """A single unit coefficient on the cell touching the origin corner."""
-    return CoeffSeq(n, K, 16.0, {(level, (1,) * n): 1.0 + 0.0j})
+    return CoeffBatch._of_keys(n, K, 16.0, draws, runs, np.concatenate(pos),
+                               values)
 
 
 def _probes(n, K, levels):
-    """The probe_coeffs set of each of the ascending levels in 0..K, one set
-    per level, as one batch built from its columns without checks."""
+    """One probe set per ascending level of 0..K, as one batch built from
+    its columns without checks: a single unit coefficient at index
+    (1, .., 1), on the cell touching the origin corner."""
     count = len(levels)
     return CoeffBatch._of_blocks(
         n, K, 16.0, count, np.arange(count), np.array(levels, np.int64),

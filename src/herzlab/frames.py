@@ -64,21 +64,20 @@ from .lpdecomp import level_spectra
 class CoeffBatch:
     """D sparse dyadic coefficient sets as sorted flat columns.
 
-    Row r is the coefficient lam[level[r], index[r]] = value[r] of set
-    set[r]: ``index`` (R, n) int64 lattice indices, ``value`` (R,)
-    complex128, ``set`` and ``level`` (R,) int64.  Rows run by set, then
-    level, then index in C order (lexicographic), and no index repeats
-    within a (set, level).  Each occupied (set, level) is one block:
-    block b is level block_level[b] of set block_set[b], rows
-    starts[b]:starts[b+1].  A set with no coefficients has no block.
-    Every array is read-only.
+    The rows are stored as ``index`` (R, n) int64 lattice indices and
+    ``value`` (R,) complex128 in blocks: each occupied (set, level) is one
+    block, block b being level block_level[b] of set block_set[b], rows
+    starts[b]:starts[b+1].  Blocks run by set, then level, rows within a
+    block by index in C order (lexicographic), and no index repeats
+    within a block.  A set with no coefficients has no block.  Every array
+    is read-only.
 
     The columns are a batch's one stored form.  ``batch_from_levels``
     validates, sorts and de-duplicates many sets at once; iterating a
     batch yields one ``CoeffSeq`` per set, whose columns are views of the
-    batch's; ``take`` keeps the sets of a mask, and ``pack`` joins sets
-    into one batch.  ``magnitudes`` and ``boxes`` are computed on first
-    use and kept, and so are the stack plans that seqspace keeps in
+    batch's, and ``take`` keeps the sets of a mask.  ``level`` (each
+    row's level), ``magnitudes`` and ``boxes`` are computed on first use
+    and kept, and so are the stack plans that seqspace keeps in
     ``_plans``.
     """
 
@@ -100,13 +99,16 @@ class CoeffBatch:
         return cls.__new__(cls)._store(n, K, L, size, block_set,
                                        block_level, starts, index, value)
 
-    def _sort(self, n, K, L, size, keys, index, value):
-        """Store rows given in any order, keys[r] = set * (K + 1) + level.
+    def _sort(self, n, K, L, size, runs, index, value):
+        """Store rows given in any order, in runs of one (set, level): runs
+        holds the (set, level, count) triple of each run, in row order.
 
-        One stable lexsort orders them by set, level and index, and a
+        One stable lexsort orders the rows by set, level and index, and a
         repeated index keeps the last value given for it within its
         (set, level).
         """
+        sets, levels, counts = np.array(runs, np.int64).reshape(-1, 3).T
+        keys = np.repeat(sets * (K + 1) + levels, counts)
         order = np.lexsort((*index.T[::-1], keys))
         keys, index, value = keys[order], index[order], value[order]
         # a stable sort keeps repeats in the order given: keep the last
@@ -120,10 +122,10 @@ class CoeffBatch:
                            np.append(starts, len(keys)), index, value)
 
     @classmethod
-    def _of_keys(cls, n, K, L, size, keys, index, value):
+    def _of_keys(cls, n, K, L, size, runs, index, value):
         """A batch of ``size`` sets from unsorted, unchecked rows (see
         ``_sort``), for builders whose rows are valid by construction."""
-        return cls.__new__(cls)._sort(n, K, L, size, keys, index, value)
+        return cls.__new__(cls)._sort(n, K, L, size, runs, index, value)
 
     @staticmethod
     def batch_from_levels(n, K, L, sets):
@@ -137,29 +139,6 @@ class CoeffBatch:
         """
         return CoeffBatch._of_keys(n, K, L, len(sets),
                                    *_checked_rows(n, K, sets))
-
-    @staticmethod
-    def pack(n, sets):
-        """The n-dimensional sets of a list as one batch, in order.
-
-        Its K is the largest of theirs and its L the first set's (None for
-        no sets); the columns are copied once.
-        """
-        blocks = [len(s.block_level) for s in sets]
-        offsets = np.cumsum([0, *(len(s.value) for s in sets)])
-        return CoeffBatch._of_blocks(
-            n, max((s.K for s in sets), default=0),
-            sets[0].L if sets else None, len(sets),
-            np.repeat(np.arange(len(sets)), blocks),
-            np.concatenate([np.zeros(0, np.int64),
-                            *(s.block_level for s in sets)]),
-            np.concatenate([*(s.starts[:-1] + a
-                              for s, a in zip(sets, offsets.tolist())),
-                            offsets[-1:]]),
-            np.concatenate([np.zeros((0, n), np.int64),
-                            *(s.index for s in sets)]),
-            np.concatenate([np.zeros(0, np.complex128),
-                            *(s.value for s in sets)]))
 
     def __len__(self):
         return self._size
@@ -195,11 +174,6 @@ class CoeffBatch:
             (np.cumsum(keep) - 1)[self.block_set[blocks]],
             self.block_level[blocks], np.cumsum([0, *lens[blocks].tolist()]),
             self.index[rows], self.value[rows])
-
-    @functools.cached_property
-    def set(self):
-        """The (R,) set of each row, read-only."""
-        return sealed(np.repeat(self.block_set, np.diff(self.starts)))
 
     @functools.cached_property
     def level(self):
@@ -258,24 +232,6 @@ class CoeffSeq(CoeffBatch):
         """
         return cls._of_keys(n, K, L, 1, *_checked_rows(n, K, [groups]))
 
-    @classmethod
-    def _of_sorted(cls, n, K, L, groups):
-        """A set from (k, pos, values) groups that are already in the stored
-        form's order: levels ascending and nonempty, each level's indices
-        in C order (lexicographic) without repeats.
-
-        The unchecked twin of ``from_levels`` for builders that make such
-        groups by construction (``seqspace.lambda_star``): nothing is
-        validated, sorted or de-duplicated, and the result is the set that
-        ``from_levels`` builds from the same groups.
-        """
-        ks, pos, vals = zip(*groups) if groups else ((), (), ())
-        return cls._of_blocks(
-            n, K, L, 1, np.zeros(len(ks), np.int64), np.array(ks, np.int64),
-            np.cumsum([0, *map(len, vals)]),
-            np.concatenate([np.zeros((0, n), np.int64), *pos]),
-            np.concatenate([np.zeros(0, np.complex128), *vals]))
-
     @property
     def entries(self):
         """The read-only (k, m) -> complex mapping, built from ``levels``
@@ -305,22 +261,21 @@ class CoeffSeq(CoeffBatch):
 
 def _checked_rows(n, K, sets):
     """The rows of one list of (k, pos, values) groups per set, each group
-    checked (see ``_checked_group``), as (keys, index, value) for
+    checked (see ``_checked_group``), as (runs, index, value) for
     ``CoeffBatch._sort``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if K < 0:
         raise ValueError("K must be >= 0")
-    keys, pos, vals = [], [], []
+    runs, pos, vals = [], [], []
     for d, groups in enumerate(sets):
         for group in groups:
             k, p, v = _checked_group(*group, n, K)
             if len(v):
-                keys.append(d * (K + 1) + k)
+                runs.append((d, k, len(v)))
                 pos.append(p)
                 vals.append(v)
-    return (np.repeat(np.array(keys, dtype=np.int64), list(map(len, vals))),
-            np.concatenate([np.zeros((0, n), np.int64), *pos]),
+    return (runs, np.concatenate([np.zeros((0, n), np.int64), *pos]),
             np.concatenate([np.zeros(0, np.complex128), *vals]))
 
 
@@ -346,7 +301,10 @@ def _checked_group(k, pos, vals, n, K):
     if vals.dtype == object and any(v is None for v in vals.flat):
         # complex128 would store None as nan
         raise ValueError(f"level {k} values hold None, need numbers")
-    vals = vals.astype(np.complex128, copy=False)
+    try:
+        vals = vals.astype(np.complex128, copy=False)
+    except (TypeError, ValueError):  # numpy's message names no level
+        raise ValueError(f"level {k} values are not numbers") from None
     if not pos.size and not vals.size:
         return k, pos, vals
     if not 0 <= k <= K:

@@ -11,10 +11,10 @@ no sampling step:
           the finest occupied level's tiling.
 
 The norms (b_norms, f_norms, seq_norms) take a frames.CoeffBatch and read
-its flat columns and (set, level) blocks in place; a list of sets is
-packed into one batch first.  The single-set norms pass their CoeffSeq,
-a batch of one.  Their parameters are herz.SpaceParams with family 'b' or
-'f'; SeqSpaceParams is a second name for that class.
+its flat columns and (set, level) blocks in place.  The single-set norms
+pass their CoeffSeq, a batch of one.  Their parameters are
+herz.SpaceParams with family 'b' or 'f'; SeqSpaceParams is a second name
+for that class.
 
 A batch is reduced in stacks.  The b-norm stacks the blocks of one level,
 the f-norm the envelopes of the sets that share a finest occupied level,
@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _accel
-from .frames import CoeffBatch, CoeffSeq
+from .frames import CoeffSeq
 from .grid import sealed
 from .herz import SpaceParams, _cells_mixed_herz, lq_combine
 
@@ -188,18 +188,13 @@ class _Stacks(NamedTuple):
             j = end
 
 
-def _batch(batch, params, family):
-    """The batch as a CoeffBatch, after the checks of the family's norm: its
-    family, and the sets' n.  A list of sets is packed into one batch."""
+def _check(batch, params, family):
+    """The checks of the family's norm: its family, and the batch's n."""
     if params.family != family:
         raise ValueError(f"{family}_norm needs family {family!r} parameters")
-    n = params.herz.n
-    packed = isinstance(batch, CoeffBatch)
-    for coeffs in [batch] if packed else batch:
-        if n != coeffs.n:
-            raise ValueError(f"params for n = {n}, coeffs have "
-                             f"n = {coeffs.n}")
-    return batch if packed else CoeffBatch.pack(n, batch)
+    if params.herz.n != batch.n:
+        raise ValueError(f"params for n = {params.herz.n}, coeffs have "
+                         f"n = {batch.n}")
 
 
 def _plan(batch, kind, build):
@@ -220,14 +215,14 @@ def _b_plan(batch):
 
 
 def b_norms(batch, params):
-    """b_norm of each coefficient set of a batch (or a list), as an array.
+    """b_norm of each coefficient set of a batch, as an array.
 
     Each level's blocks are stacked as columns on their union box (split
     by _chunks), the magnitudes of every block are written in one
     assignment, and each stack is reduced in one call.  Every set's levels
     are combined over the batch's K + 1 terms.
     """
-    batch = _batch(batch, params, "b")
+    _check(batch, params, "b")
     n = params.herz.n
     terms = np.zeros((len(batch), batch.K + 1))
     if not len(batch.block_level):
@@ -296,7 +291,7 @@ def _f_envelopes(batch, params):
     corner index, vf) per stack, env a view of the buffer; empty sets are
     in none.
     """
-    batch = _batch(batch, params, "f")
+    _check(batch, params, "f")
     n, beta = params.herz.n, params.beta
     if not len(batch.block_level):
         return
@@ -333,12 +328,11 @@ def _f_envelopes(batch, params):
 
 
 def f_norms(batch, params):
-    """f_norm of each coefficient set of a batch (or a list), as an array.
+    """f_norm of each coefficient set of a batch, as an array.
 
     One reduction per finest-level group (and _chunks split) of stacked
     envelopes.
     """
-    batch = _batch(batch, params, "f")
     out = np.zeros(len(batch))
     for members, env, lo, top in _f_envelopes(batch, params):
         out[members] = _cells_mixed_herz(env, lo, top, params.herz)
@@ -346,7 +340,7 @@ def f_norms(batch, params):
 
 
 def seq_norms(batch, params):
-    """The params family's norm of each coefficient set in a list."""
+    """The params family's norm of each coefficient set of a batch."""
     norms = {"b": b_norms, "f": f_norms}.get(params.family)
     if norms is None:
         raise ValueError("seq_norm needs family 'b' or 'f' parameters")
@@ -381,7 +375,7 @@ def lambda_star(coeffs, r, d, window):
     """
     if not (r > 0.0):
         raise ValueError("r must be positive")
-    if d <= 0.0:
+    if not d > 0.0:
         raise ValueError("d must be positive")
     try:
         window = operator.index(window)
@@ -389,22 +383,27 @@ def lambda_star(coeffs, r, d, window):
         raise ValueError(f"window = {window!r} must be an integer") from None
     if window < 0:
         raise ValueError("window must be >= 0")
-    levels = []
-    for k, pos, vals in coeffs.levels():
-        # np.hypot of the parts equals Python's abs of a complex bit for bit;
-        # np.abs of complex128 can differ in the last bit
-        mag = np.hypot(vals.real, vals.imag)
-        corner = pos.min(axis=0) - window
-        shape = pos.max(axis=0) + 1 + window - corner
-        axes = [np.arange(lo, lo + s, dtype=np.int64)
-                for lo, s in zip(corner, shape)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        targets = np.stack([m.ravel() for m in mesh], axis=1)
+    # the values and indices of each level's box are written into the
+    # result's columns in place; the boxes are nonempty, in C order and
+    # ascending in k
+    n, lo, hi = coeffs.n, *coeffs.boxes
+    corners = lo - window
+    shapes = hi - lo + 2 * window
+    starts = np.cumsum([0, *shapes.prod(axis=1).tolist()])
+    index = np.empty((starts[-1], n), np.int64)
+    value = np.empty(starts[-1], np.complex128)
+    bounds = coeffs.starts.tolist()
+    for b, (corner, shape) in enumerate(zip(corners, shapes)):
+        rows = slice(bounds[b], bounds[b + 1])
+        mag, pos = coeffs.magnitudes[rows], coeffs.index[rows]
         if math.isinf(r):
             out = _accel.lambda_star_max(mag, pos, corner, shape, float(d))
         else:
             out = _accel.lambda_star_sum(mag ** r, pos, corner, shape,
                                          float(d)) ** (1.0 / r)
-        levels.append((k, targets, out))
-    # the boxes are nonempty, in C order and ascending in k
-    return CoeffSeq._of_sorted(coeffs.n, coeffs.K, coeffs.L, levels)
+        targets = slice(starts[b], starts[b + 1])
+        value[targets] = out
+        index[targets] = np.indices(shape).reshape(n, -1).T + corner
+    return CoeffSeq._of_blocks(n, coeffs.K, coeffs.L, 1,
+                               np.zeros(len(starts) - 1, np.int64),
+                               coeffs.block_level, starts, index, value)

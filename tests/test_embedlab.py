@@ -12,7 +12,7 @@ from herzlab import (CoeffSeq, EmbeddingSpec, HerzParams, HypothesisError,
                      necessity_fit, ppn_check, seq_embedding_check, seq_norm,
                      single_spike_ratio)
 from herzlab import seqspace
-from herzlab.embedlab import _random_coeffs, _rational, probe_coeffs
+from herzlab.embedlab import _probes, _random_coeffs, _rational
 
 
 def _seq(family, p, alpha, r, s, beta):
@@ -237,10 +237,16 @@ def test_ppn_hypothesis_guards():
                   1, 8.0, 256, 4, seed=9)
 
 
+def _probe(n, K, level):
+    """The probe of seq_embedding_check, built from its dict."""
+    return CoeffSeq(n, K, 16.0, {(level, (1,) * n): 1})
+
+
 def test_single_spike_ratio_closed_form():
     spec = conforming("sobolev")
-    for level in (2, 4):
-        probe = probe_coeffs(1, 4, level)
+    probes = _probes(1, 4, [2, 4])
+    for level, probe in zip((2, 4), probes):
+        assert probe.entries == _probe(1, 4, level).entries
         got = seq_norm(probe, spec.target) / seq_norm(probe, spec.source)
         assert math.isclose(got, single_spike_ratio(spec, level), rel_tol=1e-10)
 
@@ -320,7 +326,7 @@ def former_seq_embedding_check(spec, K, draws, seed):
         ratios.append(seq_norm(lam, spec.target) / den)
     probe_ratios = []
     for level in sorted({K, max(1, K // 2)}):
-        lam = probe_coeffs(spec.n, K, level)
+        lam = _probe(spec.n, K, level)
         probe_ratios.append(seq_norm(lam, spec.target)
                             / seq_norm(lam, spec.source))
     return {"draws": len(ratios), "skipped": skipped,
@@ -368,8 +374,9 @@ def test_random_coeffs_draw_the_former_sets(n):
                                   ref_vals.view(np.float64))
         rows += [(d, k, pos, vals) for k, pos, vals in want]
     # the batch's flat columns are the former sets, concatenated in order
-    assert np.array_equal(batch.set, np.concatenate(
-        [np.full(len(vals), d) for d, _, _, vals in rows]))
+    assert np.array_equal(
+        np.repeat(batch.block_set, np.diff(batch.starts)),
+        np.concatenate([np.full(len(vals), d) for d, _, _, vals in rows]))
     assert np.array_equal(batch.level, np.concatenate(
         [np.full(len(vals), k) for _, k, _, vals in rows]))
     assert np.array_equal(batch.index,

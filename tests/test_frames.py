@@ -486,6 +486,9 @@ def test_batch_from_levels_names_the_first_bad_key_of_the_first_bad_set():
     ([(0, [[1], [2, 3]], [1, 2])], r"level 0 positions are ragged"),
     ([(0, [[1], [2]], [[1], [2, 3]])], r"level 0 values are ragged"),
     ([(1, [[1], [2]], [1j, None])], r"level 1 values hold None, need numbers"),
+    # numpy's own messages for these named no level
+    ([(0, [[1]], ["a"])], r"^level 0 values are not numbers$"),
+    ([(1, [[1], [2]], [1j, object()])], r"^level 1 values are not numbers$"),
 ])
 def test_from_levels_rejects_misaligned_groups(groups, message):
     with pytest.raises(ValueError, match=message):

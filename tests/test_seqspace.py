@@ -168,7 +168,7 @@ def test_f_norm_bitwise_equals_per_entry_painting(beta):
     herz = HerzParams((2.0, 1.5), (0.25, 0.0), (1.0, 2.0))
     params = SeqSpaceParams(herz, s=0.5, beta=beta, family="f")
     env, los, vf = per_entry_f_envelope(lam, params)
-    _, got, got_los, got_vf = next(_f_envelopes([lam], params))
+    _, got, got_los, got_vf = next(_f_envelopes(lam, params))
     assert np.array_equal(got[..., 0], env)
     assert np.array_equal(got_los, los) and got_vf == vf
     assert f_norm(lam, params) == _cells_mixed_herz(env, los, vf, herz)
@@ -194,6 +194,12 @@ def test_majorant_bitwise_equals_pairwise_sum(r):
         assert np.array_equal(got, want)
 
 
+def _as_batch(sets):
+    """The sets of a nonempty list, all of one n and L, as one batch."""
+    return CoeffSeq.batch_from_levels(sets[0].n, max(s.K for s in sets),
+                                      sets[0].L, [s.levels() for s in sets])
+
+
 def _mixed_batch(n, K, spread):
     # sets of several finest levels, an empty set and a one-entry set
     batch = [_random_seq(n, K, 30, seed, spread) for seed in range(10)]
@@ -207,8 +213,9 @@ def _mixed_batch(n, K, spread):
 def test_batched_norms_match_single_norms(monkeypatch, n, family, beta):
     herz = HerzParams((2.0, 1.5)[:n], (0.25, 0.0)[:n], (1.0, 2.0)[:n])
     params = SeqSpaceParams(herz, 0.5, beta, family)
-    batch = _mixed_batch(n, 4, 3)
-    singles = np.array([seq_norm(lam, params) for lam in batch])
+    sets = _mixed_batch(n, 4, 3)
+    batch = _as_batch(sets)
+    singles = np.array([seq_norm(lam, params) for lam in sets])
     got = seqspace.seq_norms(batch, params)
     assert got[-2] == 0.0 and singles[-2] == 0.0
     # equal to rounding, not bit for bit: the Herz reduction sums a single
@@ -226,11 +233,11 @@ def test_batches_stay_within_the_cell_budget(monkeypatch, family):
     # and small sets that stack
     herz = HerzParams((2.0, 1.5), (0.25, 0.0), (1.0, 2.0))
     params = SeqSpaceParams(herz, 0.5, 2.0, family)
-    batch = [_random_seq(2, 6, 12, seed, spread=2) for seed in range(8)]
-    batch += [CoeffSeq(2, 6, 16.0, {(6, (i, j)): complex(i, j + 1)
-                                    for i in range(d) for j in range(3)})
-              for d in (1, 2, 3, 4)]
-    singles = np.array([seq_norm(lam, params) for lam in batch])
+    sets = [_random_seq(2, 6, 12, seed, spread=2) for seed in range(8)]
+    sets += [CoeffSeq(2, 6, 16.0, {(6, (i, j)): complex(i, j + 1)
+                                   for i in range(d) for j in range(3)})
+             for d in (1, 2, 3, 4)]
+    singles = np.array([seq_norm(lam, params) for lam in sets])
     shapes = []
 
     def recording(arr, los, v, herz):
@@ -238,7 +245,7 @@ def test_batches_stay_within_the_cell_budget(monkeypatch, family):
         return _cells_mixed_herz(arr, los, v, herz)
 
     monkeypatch.setattr(seqspace, "_cells_mixed_herz", recording)
-    got = seqspace.seq_norms(batch, params)
+    got = seqspace.seq_norms(_as_batch(sets), params)
     assert np.allclose(got, singles, rtol=1e-12, atol=0.0)
     sizes = [math.prod(shape) for shape in shapes]
     assert all(size <= seqspace.BATCH_CELLS or shape[-1] == 1
@@ -386,13 +393,14 @@ def test_one_pass_layout_equals_reference_layout(monkeypatch, n, budget,
     monkeypatch.setattr(seqspace, "BATCH_CELLS", budget)
     herz = HerzParams((2.0, 1.5, 3.0)[:n], (0.25, 0.0, 0.125)[:n],
                       (1.0, 2.0, 1.5)[:n])
-    batch = _layout_batch(n)
+    sets = _layout_batch(n)
+    batch = _as_batch(sets)
     bparams = SeqSpaceParams(herz, 0.5, beta, "b")
     assert np.array_equal(seqspace.b_norms(batch, bparams),
-                          reference_b_norms(batch, bparams))
+                          reference_b_norms(sets, bparams))
     fparams = SeqSpaceParams(herz, 0.5, beta, "f")
     got = list(_f_envelopes(batch, fparams))
-    want = reference_f_envelopes(batch, fparams)
+    want = reference_f_envelopes(sets, fparams)
     assert len(got) == len(want)
     for (sets, env, lo, top), (w_sets, w_env, w_lo, w_top) in zip(got, want):
         assert np.array_equal(sets, w_sets) and top == w_top
@@ -437,8 +445,7 @@ def test_batch_norms_equal_reference_layout(monkeypatch, n, budget, beta):
     K = max(lam.K for lam in sets)
     empty = CoeffSeq(n, K, 16.0, {})
     sets = [empty, *sets[:5], empty, *sets[5:], empty]
-    batch = CoeffSeq.batch_from_levels(n, K, 16.0,
-                                       [lam.levels() for lam in sets])
+    batch = _as_batch(sets)
     # every third set goes, the empty first one and non-empty ones with it
     keep = np.arange(len(batch)) % 3 != 0
     assert not sets[0].entries and sets[3].entries
@@ -450,13 +457,10 @@ def test_batch_norms_equal_reference_layout(monkeypatch, n, budget, beta):
         assert np.array_equal(got_b, reference_b_norms(members, bparams))
         got_f = seqspace.f_norms(part, fparams)
         assert np.array_equal(got_f, _reference_f_norms(members, fparams))
-        # a list of the sets is packed into a batch with the same bits
-        assert np.array_equal(seqspace.b_norms(members, bparams), got_b)
-        assert np.array_equal(seqspace.f_norms(members, fparams), got_f)
         # the kept magnitudes, boxes and plans cannot be written
         plans = list(part._plans.values())
         assert len(plans) == 2
-        for array in [part.magnitudes, *part.boxes, part.set, part.level,
+        for array in [part.magnitudes, *part.boxes, part.level,
                       *(a for plan in plans for a in _plan_leaves(plan))]:
             assert not array.flags.writeable
     # a take keeps no plan of the batch it came from; keeping every set is
@@ -470,13 +474,16 @@ def test_batch_norms_equal_reference_layout(monkeypatch, n, budget, beta):
 
 
 def test_batched_norms_check_every_set():
+    # a batch has one n, so checking the batch checks every set
     lam = CoeffSeq(1, 2, 16.0, FIXED_ENTRIES)
-    other = CoeffSeq(2, 2, 16.0, {(0, (0, 0)): 1j})
+    other = CoeffSeq.batch_from_levels(2, 2, 16.0, [
+        [], [(0, [(0, 0)], [1j])]])
     with pytest.raises(ValueError, match="coeffs have n = 2"):
-        seqspace.b_norms([lam, other], PARAMS_B)
+        seqspace.b_norms(other, PARAMS_B)
     with pytest.raises(ValueError, match="family 'f'"):
-        seqspace.f_norms([lam], PARAMS_B)
-    assert seqspace.seq_norms([], PARAMS_F).shape == (0,)
+        seqspace.f_norms(lam, PARAMS_B)
+    empty = CoeffSeq.batch_from_levels(1, 2, 16.0, [])
+    assert seqspace.seq_norms(empty, PARAMS_F).shape == (0,)
 
 
 @pytest.mark.parametrize("norm, families", [(b_norm, "b"), (f_norm, "f"),
@@ -554,3 +561,16 @@ def test_majorant_rejects_a_window_that_is_not_an_integer(window):
     assert len(lambda_star(lam, 1.0, 3.0, np.int64(2)).entries) == 5
     with pytest.raises(ValueError, match="window must be >= 0"):
         lambda_star(lam, 1.0, 3.0, -1)
+
+
+@pytest.mark.parametrize("r, d, message", [
+    (1.0, math.nan, "d must be positive"),
+    (1.0, 0.0, "d must be positive"),
+    (1.0, -1.0, "d must be positive"),
+    (math.nan, 3.0, "r must be positive"),
+])
+def test_majorant_rejects_exponents_that_are_not_positive(r, d, message):
+    # d = nan once passed and gave nan majorant values
+    lam = CoeffSeq(1, 1, 16.0, {(0, (4,)): 1.0 + 0j})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lambda_star(lam, r, d, 2)

@@ -19,13 +19,18 @@ norms of ``function_norms``: block, Besov and Triebel-Lizorkin norms of a
 band-limited field on each fj system of SYSTEM_SIZES, and vector maximal
 numerators and denominators at the kernels workload sizes, and the
 sequence norms of ``sequence_norms``: b and f norms of embed-sweep draws,
-of a batch that BATCH_CELLS splits, of a list of some of the sets of a
+of a batch that BATCH_CELLS splits, of a batch of some of the sets of a
 draws batch, of the probes and of the majorant outputs of the kernels
-workload, batched and set by set, each written as
-the repr of each value.  It prints one line per
-report: its sha256, the revision's commit and the report's label.  With
-several revisions it ends with a line saying whether every report has the
-same digest in all of them, and exits 1 if not.
+workload, batched and set by set, each written as the repr of each
+value.  It prints one line per report: its sha256, the revision's commit
+and the report's label.  With several revisions it ends with a line
+saying whether every report has the same digest in all of them, and
+exits 1 if not.
+
+This script renders every revision, so a revision can be compared only
+if its herzlab has each function the script calls; the sequence norms
+need ``CoeffBatch.take`` and ``batch_from_levels``, which herzlab has
+had since the flat batch form came in (7e54af6).
 """
 
 import argparse
@@ -225,13 +230,14 @@ def sequence_batches(herzlab):
 
     embed-sweep draws at n = 1 (K = 4 and 8, 25 and 200 draws) and n = 2
     (K = 3), an n = 2, K = 6 batch whose top-level stack BATCH_CELLS
-    splits, a list of the sets of n = 1, K = 2 draws that drops the empty
-    draw and every third one, the probes of seq_embedding_check at K = 8
-    and 3, and the lambda_star outputs of ``kernels_sources`` at r = 1 and
-    r = inf.
+    splits, the take of n = 1, K = 2 draws that drops the empty draw and
+    every third one, and batches built by batch_from_levels of the probes
+    of seq_embedding_check at K = 8 and 3 and of the lambda_star outputs
+    of ``kernels_sources`` at r = 1 and r = inf.
     """
-    from herzlab.embedlab import _random_coeffs, probe_coeffs
+    from herzlab.embedlab import _random_coeffs
     from herzlab.seqspace import lambda_star
+    from_levels = herzlab.CoeffSeq.batch_from_levels
     for n, K, draws in ((1, 4, 25), (1, 4, 200), (1, 8, 25), (1, 8, 200),
                         (2, 3, 40)):
         rng = np.random.default_rng(9000 + 100 * n + K)
@@ -239,17 +245,19 @@ def sequence_batches(herzlab):
                _random_coeffs(n, K, rng, draws))
     yield ("split-2d-K6", SEQUENCE_LAYERS[2],
            _random_coeffs(2, 6, np.random.default_rng(9306), 12))
-    # draw 2 is empty; every third draw goes too, so the list holds
-    # non-adjacent sets of the batch
+    # draw 2 is empty; every third draw goes too, so the batch holds
+    # non-adjacent sets of the draws
     draws = _random_coeffs(1, 2, np.random.default_rng(5), 40)
-    yield ("kept-1d-K2-40", SEQUENCE_LAYERS[1],
-           [lam for d, lam in enumerate(draws) if lam.entries and d % 3])
+    keep = [bool(lam.entries) and d % 3 != 0 for d, lam in enumerate(draws)]
+    yield "kept-1d-K2-40", SEQUENCE_LAYERS[1], draws.take(keep)
     for n, K in ((1, 8), (2, 3)):
         yield (f"probes-{n}d-K{K}", SEQUENCE_LAYERS[n],
-               [probe_coeffs(n, K, level) for level in sorted({K, K // 2})])
+               from_levels(n, K, 16.0, [[(level, [(1,) * n], [1.0])]
+                                        for level in sorted({K, K // 2})]))
     sources = kernels_sources(herzlab)
     yield ("lambda-star-kernels", KERNELS_LAYER,
-           [lambda_star(sources, r, 5.0, 8) for r in (1.0, math.inf)])
+           from_levels(2, 4, 4.0, [lambda_star(sources, r, 5.0, 8).levels()
+                                   for r in (1.0, math.inf)]))
 
 
 def sequence_norms(herzlab):
