@@ -375,7 +375,7 @@ def lambda_star(coeffs, r, d, window):
     """
     if not (r > 0.0):
         raise ValueError("r must be positive")
-    if not d > 0.0:
+    if not (d > 0.0):
         raise ValueError("d must be positive")
     try:
         window = operator.index(window)
@@ -386,24 +386,24 @@ def lambda_star(coeffs, r, d, window):
     # the values and indices of each level's box are written into the
     # result's columns in place; the boxes are nonempty, in C order and
     # ascending in k
-    n, lo, hi = coeffs.n, *coeffs.boxes
+    n, (lo, hi) = coeffs.n, coeffs.boxes
     corners = lo - window
     shapes = hi - lo + 2 * window
     starts = np.cumsum([0, *shapes.prod(axis=1).tolist()])
     index = np.empty((starts[-1], n), np.int64)
     value = np.empty(starts[-1], np.complex128)
-    bounds = coeffs.starts.tolist()
-    for b, (corner, shape) in enumerate(zip(corners, shapes)):
-        rows = slice(bounds[b], bounds[b + 1])
-        mag, pos = coeffs.magnitudes[rows], coeffs.index[rows]
+    for (_, pos, vals), corner, shape, a, b in zip(
+            coeffs.levels(), corners, shapes, starts, starts[1:]):
+        # np.hypot of the parts equals Python's abs of a complex bit for bit;
+        # np.abs of complex128 can differ in the last bit
+        mag = np.hypot(vals.real, vals.imag)
         if math.isinf(r):
             out = _accel.lambda_star_max(mag, pos, corner, shape, float(d))
         else:
             out = _accel.lambda_star_sum(mag ** r, pos, corner, shape,
                                          float(d)) ** (1.0 / r)
-        targets = slice(starts[b], starts[b + 1])
-        value[targets] = out
-        index[targets] = np.indices(shape).reshape(n, -1).T + corner
+        value[a:b] = out
+        index[a:b] = np.indices(shape).reshape(n, -1).T + corner
     return CoeffSeq._of_blocks(n, coeffs.K, coeffs.L, 1,
-                               np.zeros(len(starts) - 1, np.int64),
+                               np.zeros(len(shapes), np.int64),
                                coeffs.block_level, starts, index, value)
