@@ -393,14 +393,14 @@ def test_one_pass_layout_equals_reference_layout(monkeypatch, n, budget,
     monkeypatch.setattr(seqspace, "BATCH_CELLS", budget)
     herz = HerzParams((2.0, 1.5, 3.0)[:n], (0.25, 0.0, 0.125)[:n],
                       (1.0, 2.0, 1.5)[:n])
-    sets = _layout_batch(n)
-    batch = _as_batch(sets)
+    layout = _layout_batch(n)
+    batch = _as_batch(layout)
     bparams = SeqSpaceParams(herz, 0.5, beta, "b")
     assert np.array_equal(seqspace.b_norms(batch, bparams),
-                          reference_b_norms(sets, bparams))
+                          reference_b_norms(layout, bparams))
     fparams = SeqSpaceParams(herz, 0.5, beta, "f")
     got = list(_f_envelopes(batch, fparams))
-    want = reference_f_envelopes(sets, fparams)
+    want = reference_f_envelopes(layout, fparams)
     assert len(got) == len(want)
     for (sets, env, lo, top), (w_sets, w_env, w_lo, w_top) in zip(got, want):
         assert np.array_equal(sets, w_sets) and top == w_top
