@@ -430,8 +430,8 @@ def seq_embedding_check(spec, K, draws, seed, control=False):
     included, so K must be >= 1; they pin the growth rate when the balance
     is broken.  All draws are built as one CoeffBatch and their norms taken
     on it; the target norms are taken on the batch of the draws whose
-    source norm is not zero (the batch itself when none is skipped, so a
-    source and target of one family share its stack plan), and the other
+    source norm is not zero (the batch itself when none is skipped, so its
+    cached magnitudes and boxes are not computed again), and the other
     draws are skipped.
     """
     if K < 1:

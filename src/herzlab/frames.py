@@ -77,8 +77,8 @@ class CoeffBatch:
     batch yields one ``CoeffSeq`` per set, whose columns are views of the
     batch's, and ``take`` keeps the sets of a mask.  ``level`` (each
     row's level), ``magnitudes`` and ``boxes`` are computed on first use
-    and kept, and so are the stack plans that seqspace keeps in
-    ``_plans``.
+    and kept; the norms of ``seqspace`` plan their stacks per call and keep
+    nothing on the batch.
     """
 
     def _store(self, n, K, L, size, block_set, block_level, starts, index,
@@ -88,7 +88,6 @@ class CoeffBatch:
         self.starts, self.index, self.value = starts, index, value
         for array in (block_set, block_level, starts, index, value):
             sealed(array)
-        self._plans = {}
         return self
 
     @classmethod
@@ -281,7 +280,7 @@ def _checked_rows(n, K, sets):
 
 def _checked_group(k, pos, vals, n, K):
     """A (k, pos, values) group as an int level, (H, n) int64 indices and
-    (H,) complex128 values, or a ValueError naming the level.
+    (H,) finite complex128 values, or a ValueError naming the level.
 
     A group with no positions and no values is returned as it is, and is
     checked only for an integer level.
@@ -321,6 +320,8 @@ def _checked_group(k, pos, vals, n, K):
     if vals.shape != (len(pos),):
         raise ValueError(f"level {k} values have shape {vals.shape}, need "
                          f"({len(pos)},)")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"level {k} values are not finite")
     return k, pos.astype(np.int64, copy=False), vals
 
 

@@ -19,16 +19,15 @@ for that class.
 A batch is reduced in stacks.  The b-norm stacks the blocks of one level,
 the f-norm the envelopes of the sets that share a finest occupied level,
 each as the columns of one C-ordered array on their union box, and
-_chunks splits a stack that would hold more than BATCH_CELLS cells.  Every
-stack of a batch is planned first, once per kind (b or f) and kept on the
-batch with its magnitudes and block boxes, so the source and target norms
-of an embedding share them.  The stacks then lie one after another
-in one flat float64 buffer (or several of at most BATCH_CELLS cells each,
-for a large batch), which is filled in one pass: the b-norm writes the
-magnitudes of every block with one assignment, and the f-norm adds the
-terms of every coefficient with one scatter per level gap and takes the
-1/beta root once.  Each stack's view of the buffer goes to one Herz
-reduction.
+_chunks splits a stack that would hold more than BATCH_CELLS cells.  Each
+norm call plans its stacks first; the plan lives only for that call,
+while the magnitudes and block boxes it reads are kept on the batch.  The
+stacks then lie one after another in one flat float64 buffer (or several
+of at most BATCH_CELLS cells each, for a large batch), which is filled in
+one pass: the b-norm writes the magnitudes of every block with one
+assignment, and the f-norm adds the terms of every coefficient with one
+scatter per level gap and takes the 1/beta root once.  Each stack's view
+of the buffer goes to one Herz reduction.
 
 The bits of each norm are fixed by what the layout keeps: which stack
 holds a set and in which column, each stack's union box, the order in
@@ -57,7 +56,6 @@ import numpy as np
 
 from . import _accel
 from .frames import CoeffSeq
-from .grid import sealed
 from .herz import SpaceParams, _cells_mixed_herz, lq_combine
 
 SeqSpaceParams = SpaceParams
@@ -92,25 +90,26 @@ class _Stacks(NamedTuple):
     their given order.  Stack j holds box members[j][c] in column c of a
     C-ordered (*box, len(members[j])) array of key keys[j] whose box has
     corner index los[j].  The stacks are numbered by global cells, stack j
-    holding cells starts[j]..starts[j+1] - 1, and box b's cell at lattice
-    index m is global cell base[b] + sum_i m_i strides[i, b].  Every field
-    is a tuple or a read-only array.
+    holding cells starts[j]..starts[j+1] - 1.
     """
 
-    keys: tuple
-    members: tuple
-    los: tuple
-    shapes: tuple
-    starts: tuple
-    base: np.ndarray
-    strides: np.ndarray
+    keys: list
+    members: list
+    los: np.ndarray
+    shapes: list
+    starts: list
 
     @classmethod
-    def of(cls, keys, los, his):
-        """The stacks of boxes [los[b], his[b]) of keys[b], for B >= 1 boxes.
+    def of(cls, keys, los, his, owner, lens, pos):
+        """The stacks of boxes [los[b], his[b]) of keys[b], for B >= 1 boxes,
+        and the global cell of each row of pos and each row's strides.
 
         A key whose boxes fit together is one stack; _chunks splits the
-        others.
+        others.  Rows run in blocks, lens[j] rows in box owner[j]; box b's
+        cell at lattice index m is global cell base[b] + sum_i m_i
+        strides[i, b], every per-box value gathered one axis at a time.
+        Returns the stacks, the (R,) cells and a list of the (R,) strides of
+        each axis.
         """
         B, n = los.shape
         order = np.argsort(keys, kind="stable")
@@ -142,24 +141,14 @@ class _Stacks(NamedTuple):
         base[order] = np.repeat(origin, columns) + np.arange(B)
         box_strides = np.empty((n, B), np.int64)
         box_strides[:, order] = np.repeat(strides.T, columns, axis=1)
-        sealed(order)
-        return cls(tuple(keys[order[list(first)]].tolist()),
-                   tuple(order[a:b] for a, b in zip(first, last)),
-                   tuple(sealed(corners)), tuple(shapes), tuple(starts),
-                   sealed(base), sealed(box_strides))
-
-    def cells(self, boxes, lens, pos):
-        """The global cell of each row of pos and each row's strides.
-
-        Rows run in blocks, lens[j] rows in box boxes[j]; every per-box
-        value is gathered one axis at a time.  Returns the (R,) cells and
-        a list of the (R,) strides of each axis.
-        """
-        strides = [np.repeat(s[boxes], lens) for s in self.strides]
-        cells = np.repeat(self.base[boxes], lens)
-        for p, s in zip(pos.T, strides):
+        row_strides = [np.repeat(s[owner], lens) for s in box_strides]
+        cells = np.repeat(base[owner], lens)
+        for p, s in zip(pos.T, row_strides):
             cells += p * s
-        return cells, strides
+        stacks = cls(keys[order[list(first)]].tolist(),
+                     [order[a:b] for a, b in zip(first, last)], corners,
+                     shapes, starts)
+        return stacks, cells, row_strides
 
     def buffers(self, cells):
         """Fresh zero buffers for the stacks: consecutive stacks share one
@@ -197,23 +186,6 @@ def _check(batch, params, family):
                          f"n = {batch.n}")
 
 
-def _plan(batch, kind, build):
-    """build(batch), the batch's stack plan of this kind ("b" or "f"), made
-    once per BATCH_CELLS and kept on the batch."""
-    key = (kind, BATCH_CELLS)
-    if key not in batch._plans:
-        batch._plans[key] = build(batch)
-    return batch._plans[key]
-
-
-def _b_plan(batch):
-    """Each level's blocks stacked as columns on their union box, and the
-    global cell of each row of the batch."""
-    stk = _Stacks.of(batch.block_level, *batch.boxes)
-    cells, _ = stk.cells(slice(None), np.diff(batch.starts), batch.index)
-    return stk, sealed(cells)
-
-
 def b_norms(batch, params):
     """b_norm of each coefficient set of a batch, as an array.
 
@@ -227,7 +199,8 @@ def b_norms(batch, params):
     terms = np.zeros((len(batch), batch.K + 1))
     if not len(batch.block_level):
         return lq_combine(terms, params.beta)
-    stk, cells = _plan(batch, "b", _b_plan)
+    stk, cells, _ = _Stacks.of(batch.block_level, *batch.boxes, slice(None),
+                               np.diff(batch.starts), batch.index)
     for rows, local, buf, stacks in stk.buffers(cells):
         buf[local] = batch.magnitudes[rows]
         for j, arr in stacks:
@@ -238,41 +211,6 @@ def b_norms(batch, params):
     return lq_combine(terms, params.beta)
 
 
-class _FPlan(NamedTuple):
-    """The envelope stacks of the sets with coefficients, numbered sets[i]
-    in the batch, and each row's level gap, corner cell and strides."""
-
-    sets: np.ndarray
-    stacks: _Stacks
-    gap: np.ndarray
-    corner: np.ndarray
-    strides: tuple
-    gaps: tuple
-
-
-def _f_plan(batch):
-    d, k = batch.block_set, batch.block_level
-    lens = np.diff(batch.starts)
-    # each set's finest level and envelope box, in finest-level indices
-    new_set = np.diff(d, prepend=-1) != 0
-    first = np.flatnonzero(new_set)
-    sets = d[first]
-    vf = np.zeros(len(batch), np.int64)
-    vf[sets] = k[np.append(first[1:], len(d)) - 1]
-    gap = vf[d] - k
-    lo, hi = batch.boxes
-    los = np.minimum.reduceat(lo << gap[:, None], first, axis=0)
-    his = np.maximum.reduceat(hi << gap[:, None], first, axis=0)
-    stk = _Stacks.of(vf[sets], los, his)
-    # each coefficient's corner cell, at its index shifted to the finest level
-    row_gap = np.repeat(gap, lens)
-    corner, strides = stk.cells(np.cumsum(new_set) - 1, lens,
-                                batch.index << row_gap[:, None])
-    return _FPlan(sealed(sets), stk, sealed(row_gap), sealed(corner),
-                  tuple(map(sealed, strides)),
-                  tuple(sorted(set(gap.tolist()), reverse=True)))
-
-
 def _f_envelopes(batch, params):
     """The l^beta envelopes across levels, on the finest occupied tilings.
 
@@ -280,7 +218,7 @@ def _f_envelopes(batch, params):
     are stacked as columns on their union box (split by _chunks).  A
     level-k coefficient covers the 2^(g n) finest cells from its corner
     cell on, g = vf - k being its gap.  Each corner cell is computed once
-    per batch.  The terms are then added with one scatter per distinct gap
+    per call.  The terms are then added with one scatter per distinct gap
     over the whole buffer, in descending g.  Within one stack, descending
     g is ascending k, so every cell is summed from zero in ascending k.
     The cells of the coefficients of one gap are distinct, so a scatter
@@ -295,17 +233,33 @@ def _f_envelopes(batch, params):
     n, beta = params.herz.n, params.beta
     if not len(batch.block_level):
         return
-    plan = _plan(batch, "f", _f_plan)
+    d, k = batch.block_set, batch.block_level
+    lens = np.diff(batch.starts)
+    # each set's finest level and envelope box, in finest-level indices
+    new_set = np.diff(d, prepend=-1) != 0
+    first = np.flatnonzero(new_set)
+    sets = d[first]
+    vf = np.zeros(len(batch), np.int64)
+    vf[sets] = k[np.append(first[1:], len(d)) - 1]
+    gap = vf[d] - k
+    lo, hi = batch.boxes
+    los = np.minimum.reduceat(lo << gap[:, None], first, axis=0)
+    his = np.maximum.reduceat(hi << gap[:, None], first, axis=0)
+    # each coefficient's corner cell, at its index shifted to the finest level
+    row_gap = np.repeat(gap, lens)
+    stk, corner, strides = _Stacks.of(vf[sets], los, his,
+                                      np.cumsum(new_set) - 1, lens,
+                                      batch.index << row_gap[:, None])
+    gaps = sorted(set(gap.tolist()), reverse=True)
     weight = np.array([2.0 ** (k * (params.s + n / 2.0))
                        for k in range(batch.K + 1)])
     contrib = weight[batch.level] * batch.magnitudes
     if not math.isinf(beta):
         contrib = np.array([c ** beta for c in contrib.tolist()])
-    stk = plan.stacks
-    for rows, local, buf, stacks in stk.buffers(plan.corner):
-        buf_gap, buf_contrib = plan.gap[rows], contrib[rows]
-        buf_strides = [s[rows] for s in plan.strides]
-        for g in plan.gaps:
+    for rows, local, buf, stacks in stk.buffers(corner):
+        buf_gap, buf_contrib = row_gap[rows], contrib[rows]
+        buf_strides = [s[rows] for s in strides]
+        for g in gaps:
             at = np.flatnonzero(buf_gap == g)
             flat, terms = local[at], buf_contrib[at]
             if g:
@@ -324,7 +278,7 @@ def _f_envelopes(batch, params):
         if not math.isinf(beta):
             buf **= 1.0 / beta
         for j, env in stacks:
-            yield plan.sets[stk.members[j]], env, stk.los[j], stk.keys[j]
+            yield sets[stk.members[j]], env, stk.los[j], stk.keys[j]
 
 
 def f_norms(batch, params):
@@ -371,8 +325,11 @@ def lambda_star(coeffs, r, d, window):
     Evaluates (sum_h |lam[k, h]|^r (1 + |h - m|)^-d)^(1/r) (sup form for
     r = inf) at every lattice index m in the occupied bounding box dilated
     by ``window`` cells per side, an integer >= 0.  |h - m| is the
-    Euclidean index distance.
+    Euclidean index distance.  coeffs is one set (a batch of one).
     """
+    if len(coeffs) != 1:
+        raise ValueError(f"lambda_star takes one coefficient set, not a "
+                         f"batch of {len(coeffs)}")
     if not (r > 0.0):
         raise ValueError("r must be positive")
     if not (d > 0.0):
@@ -392,11 +349,10 @@ def lambda_star(coeffs, r, d, window):
     starts = np.cumsum([0, *shapes.prod(axis=1).tolist()])
     index = np.empty((starts[-1], n), np.int64)
     value = np.empty(starts[-1], np.complex128)
-    for (_, pos, vals), corner, shape, a, b in zip(
-            coeffs.levels(), corners, shapes, starts, starts[1:]):
-        # np.hypot of the parts equals Python's abs of a complex bit for bit;
-        # np.abs of complex128 can differ in the last bit
-        mag = np.hypot(vals.real, vals.imag)
+    rows = coeffs.starts.tolist()
+    for r0, r1, corner, shape, a, b in zip(rows, rows[1:], corners, shapes,
+                                           starts, starts[1:]):
+        mag, pos = coeffs.magnitudes[r0:r1], coeffs.index[r0:r1]
         if math.isinf(r):
             out = _accel.lambda_star_max(mag, pos, corner, shape, float(d))
         else:

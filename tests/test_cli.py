@@ -291,7 +291,12 @@ path = {coeffs}
     ("n=1 K=2 L=16 count=1", "0 0 1 0\n1 3 2 0\n", ["line 4", "count=1"]),
     ("n=1 K=2 L=16 count=-2", "", ["count=-2"]),
     ("n=1 K=2 L=nan count=1", "0 0 1 0\n", ["L=nan"]),
-], ids=["extra-line", "negative-count", "nan-L"])
+    # a nan once gave the norm of the set without it, an inf gave 0.0
+    ("n=1 K=2 L=16 count=2", "0 1 nan 0\n1 3 1 0\n",
+     ["level 0 values are not finite"]),
+    ("n=1 K=2 L=16 count=2", "0 1 0 inf\n1 3 1 0\n",
+     ["level 0 values are not finite"]),
+], ids=["extra-line", "negative-count", "nan-L", "nan-value", "inf-value"])
 def test_coefficient_file_beyond_its_header_names_the_part(tmp_path, capsys,
                                                            head, lines,
                                                            names):

@@ -489,6 +489,10 @@ def test_batch_from_levels_names_the_first_bad_key_of_the_first_bad_set():
     # numpy's own messages for these named no level
     ([(0, [[1]], ["a"])], r"^level 0 values are not numbers$"),
     ([(1, [[1], [2]], [1j, object()])], r"^level 1 values are not numbers$"),
+    # a nan or infinite part once passed and changed the norms silently
+    ([(0, [[1], [2]], [1, complex(1, math.nan)])],
+     r"^level 0 values are not finite$"),
+    ([(2, [[1]], [math.inf])], r"^level 2 values are not finite$"),
 ])
 def test_from_levels_rejects_misaligned_groups(groups, message):
     with pytest.raises(ValueError, match=message):

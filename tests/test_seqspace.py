@@ -1,4 +1,5 @@
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -420,15 +421,10 @@ def _reference_f_norms(sets, params):
     return out
 
 
-def _plan_leaves(plan):
-    """Every array of a stack plan, checking that each container on the way
-    is a tuple."""
-    if isinstance(plan, np.ndarray):
-        yield plan
-    elif not isinstance(plan, int):
-        assert isinstance(plan, tuple)
-        for part in plan:
-            yield from _plan_leaves(part)
+def _stored(batch):
+    """vars(batch) as bytes, apart from the three views a batch caches."""
+    return pickle.dumps({k: v for k, v in vars(batch).items()
+                         if k not in ("level", "magnitudes", "boxes")})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -451,25 +447,22 @@ def test_batch_norms_equal_reference_layout(monkeypatch, n, budget, beta):
     assert not sets[0].entries and sets[3].entries
     one = np.arange(len(batch)) == 3
     for part in (batch, batch.take(keep), batch.take(one)):
+        stored = _stored(part)
         members = list(part)
         assert len(members) == len(part)
         got_b = seqspace.b_norms(part, bparams)
         assert np.array_equal(got_b, reference_b_norms(members, bparams))
         got_f = seqspace.f_norms(part, fparams)
         assert np.array_equal(got_f, _reference_f_norms(members, fparams))
-        # the kept magnitudes, boxes and plans cannot be written
-        plans = list(part._plans.values())
-        assert len(plans) == 2
-        for array in [part.magnitudes, *part.boxes, part.level,
-                      *(a for plan in plans for a in _plan_leaves(plan))]:
+        # a second call, as a target norm after a source norm: the same
+        # norms, and the batch keeps nothing beyond its cached views
+        assert np.array_equal(seqspace.b_norms(part, bparams), got_b)
+        assert np.array_equal(seqspace.f_norms(part, fparams), got_f)
+        assert _stored(part) == stored
+        # the cached magnitudes, boxes and levels cannot be written
+        for array in [part.magnitudes, *part.boxes, part.level]:
             assert not array.flags.writeable
-    # a take keeps no plan of the batch it came from; keeping every set is
-    # the batch itself
-    kept = batch.take(keep)
-    assert not kept._plans
-    seqspace.f_norms(kept, fparams)
-    assert all(plan is not other for plan in kept._plans.values()
-               for other in batch._plans.values())
+    # keeping every set is the batch itself
     assert batch.take(np.ones(len(batch), bool)) is batch
 
 
@@ -561,6 +554,12 @@ def test_majorant_rejects_a_window_that_is_not_an_integer(window):
     assert len(lambda_star(lam, 1.0, 3.0, np.int64(2)).entries) == 5
     with pytest.raises(ValueError, match="window must be >= 0"):
         lambda_star(lam, 1.0, 3.0, -1)
+    # a batch of two sets once failed only on a missing ``levels``
+    two = CoeffSeq.batch_from_levels(1, 1, 16.0, [lam.levels()] * 2)
+    with pytest.raises(ValueError, match=r"^lambda_star takes one "
+                                         r"coefficient set, not a batch of "
+                                         r"2$"):
+        lambda_star(two, 1.0, 3.0, 2)
 
 
 @pytest.mark.parametrize("r, d, message", [
