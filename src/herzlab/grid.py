@@ -20,6 +20,9 @@ times (-1)^(m_1 + ... + m_n); a convolution (multiply, transform back)
 cancels that sign, so no shift is needed.  ``band_fft`` and ``band_ifft``
 skip the lines a band leaves at zero and give the same bits as
 ``np.fft.fftn`` cropped and ``np.fft.ifftn`` of the zero-padded crop.
+They transform in place (numpy's ``out=``, numpy >= 2.0) every array they
+made themselves, and only read the one they are given, which may be
+read-only: a pass over the full grid holds one full-grid array, not two.
 
 Every transform indexes its band through ``_band_index`` (one axis) or
 ``band_box`` (the box), which build each index once per (width, size) or
@@ -225,11 +228,13 @@ def band_fft(values, width):
 
     Each axis, last first as in np.fft.fftn, is transformed on the lines
     still held and then cut to its band, so the next axis transforms only
-    band lines.  Returns the native-order crop of (min(width, G),)^n.
+    band lines.  The first pass reads ``values`` into a new array; every
+    later one runs in place on the array made before it.  Returns the
+    native-order crop of (min(width, G),)^n.
     """
     out = values
     for axis in reversed(range(values.ndim)):
-        out = np.fft.fft(out, axis=axis)
+        out = np.fft.fft(out, axis=axis, out=None if out is values else out)
         size = out.shape[axis]
         if width < size:
             out = out.take(_band_index(width, size), axis=axis)
@@ -241,7 +246,8 @@ def band_ifft(crop, size):
 
     Axis by axis, last first as in np.fft.ifftn, the crop is scattered into
     zeros along that axis and transformed there; a line the band leaves at
-    zero is never transformed, as its transform is zero.
+    zero is never transformed, as its transform is zero.  Every array made
+    here is transformed in place, and ``crop`` is only read.
     """
     out = crop
     for axis in reversed(range(crop.ndim)):
@@ -251,6 +257,6 @@ def band_ifft(crop, size):
                             dtype=np.complex128)
             full[(slice(None),) * axis + (_band_index(width, size),)] = out
             out = full
-        out = np.fft.ifft(out, axis=axis)
+        out = np.fft.ifft(out, axis=axis, out=None if out is crop else out)
     return out
 

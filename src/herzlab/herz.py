@@ -26,6 +26,7 @@ arrays that way, in one call.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -234,8 +235,9 @@ def lq_combine(values, q):
         safe = np.where(peak > 0.0, peak, 1.0)
         sums = np.sum((v / safe[..., None]) ** q, axis=-1)
         # Python's float power per row, as for a single sum
-        root = np.reshape([s ** (1.0 / q) for s in np.ravel(sums).tolist()],
-                          sums.shape)
+        root = np.fromiter(map(operator.pow, np.ravel(sums).tolist(),
+                               itertools.repeat(1.0 / q)),
+                           np.float64, sums.size).reshape(sums.shape)
         peak = np.where(peak > 0.0, peak * root, 0.0)
     return float(peak) if v.ndim == 1 else peak
 

@@ -307,8 +307,9 @@ def decomposition_fields(n, G, K, width):
 
     A field size is G^n complex128 samples.  Kept on the field: the band
     spectrum, (width/G)^n, and K+1 float64 magnitudes, (K+1)/2; while the
-    last level is taken, its inverse transform and the zero-padded array it
-    starts from, 2 more.
+    last level is taken, 2 more are counted.  Its inverse transform runs
+    in place on the zero-padded array it starts from, so one full-grid
+    array is in flight and the count keeps one field size of headroom.
     """
     return (width / G) ** n + (K + 1) / 2 + 2
 

@@ -49,7 +49,7 @@ form.  The window is a truncation, so callers gauge it by doubling.
 
 import math
 import operator
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -223,11 +223,11 @@ def _f_envelopes(batch, params):
     g is ascending k, so every cell is summed from zero in ascending k.
     The cells of the coefficients of one gap are distinct, so a scatter
     adds to each cell at most once.  Each coefficient's power is taken
-    with Python's float power (libm pow), as in a per-entry painting;
-    numpy's vectorised power can differ from it in the last bit.  The
-    1/beta root is then taken once over the buffer.  Yields (sets, env,
-    corner index, vf) per stack, env a view of the buffer; empty sets are
-    in none.
+    with Python's float power (libm pow, ``operator.pow`` mapped over the
+    terms in one pass), as in a per-entry painting; numpy's vectorised
+    power can differ from it in the last bit.  The 1/beta root is then
+    taken once over the buffer.  Yields (sets, env, corner index, vf) per
+    stack, env a view of the buffer; empty sets are in none.
     """
     _check(batch, params, "f")
     n, beta = params.herz.n, params.beta
@@ -255,7 +255,8 @@ def _f_envelopes(batch, params):
                        for k in range(batch.K + 1)])
     contrib = weight[batch.level] * batch.magnitudes
     if not math.isinf(beta):
-        contrib = np.array([c ** beta for c in contrib.tolist()])
+        contrib = np.fromiter(map(operator.pow, contrib.tolist(),
+                                  repeat(beta)), np.float64, len(contrib))
     for rows, local, buf, stacks in stk.buffers(corner):
         buf_gap, buf_contrib = row_gap[rows], contrib[rows]
         buf_strides = [s[rows] for s in strides]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from herzlab import (DyadicGeometry, SampledField, make_field,
                      spectral_transform)
 from herzlab import frames, grid, lpdecomp
 from herzlab.grid import (_log2_exact, band_box, band_fft, band_freqs,
-                          band_ifft, check_grid_memory)
+                          band_ifft, check_grid_memory, sealed)
 
 TIB16 = 1 << 20  # G = 2^20 in n = 2: 16 TiB per field, more than any machine
 
@@ -108,17 +109,46 @@ def test_band_freqs_native_order():
 @pytest.mark.parametrize("n, G", [(1, 64), (2, 32), (3, 16)])
 @pytest.mark.parametrize("width", [1, 5, 15, None])
 def test_band_transforms_are_cropped_and_padded_fftn(n, G, width):
-    # the pruned transforms give the bits of the full ones on the band
+    # the pruned transforms give the bits of the full ones on the band; they
+    # run in place only on arrays they made, so a read-only input is read,
+    # never written, and the result is a new C-ordered array
     width = G if width is None else width
     rng = np.random.default_rng(n * 100 + width)
-    values = rng.standard_normal((G,) * n) + 1j * rng.standard_normal((G,) * n)
+    values = sealed(rng.standard_normal((G,) * n)
+                    + 1j * rng.standard_normal((G,) * n))
+    kept = values.copy()
     box = np.ix_(*[band_freqs(width) % G] * n)
-    crop = band_fft(values, width)
+    crop = sealed(band_fft(values, width))
     assert crop.shape == (width,) * n
     assert np.array_equal(crop, np.fft.fftn(values)[box])
+    assert np.array_equal(values, kept)
+    assert crop.flags.c_contiguous
+    assert not np.shares_memory(crop, values)
     padded = np.zeros((G,) * n, dtype=np.complex128)
     padded[box] = crop
-    assert np.array_equal(band_ifft(crop, G), np.fft.ifftn(padded))
+    kept = crop.copy()
+    back = band_ifft(crop, G)
+    assert np.array_equal(back, np.fft.ifftn(padded))
+    assert np.array_equal(crop, kept)
+    assert back.flags.c_contiguous
+    assert not np.shares_memory(back, crop)
+
+
+def test_band_ifft_holds_one_full_grid_array():
+    # each zero-padded array is transformed in place: an (81, 81) crop into
+    # 512^2 peaks near one field size, where a second array for each
+    # transform's output peaked at two
+    rng = np.random.default_rng(81)
+    crop = sealed(rng.standard_normal((81, 81))
+                  + 1j * rng.standard_normal((81, 81)))
+    band_ifft(crop, 512)
+    tracemalloc.start()
+    try:
+        band_ifft(crop, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 512 ** 2 * 16
 
 
 def test_band_indices_are_built_once_per_system():

@@ -37,7 +37,8 @@ def test_render_prints_one_digest_per_report(tmp_path):
     want += [f"{builder} {n}-{L:g}-{G}-{K}"
              for builder in ("build_resolution", "build_fj_pair")
              for n, L, G, K in sizes]
-    want += [f"function-norms fj {n}-{L:g}-{G}-{K}" for n, L, G, K in sizes]
+    want += [f"function-norms fj {n}-{L:g}-{G}-{K}{tag}"
+             for n, L, G, K in sizes for tag in ("", " roundtrip")]
     want += [f"function-norms maximal-{n}d" for n in (1, 2)]
     want += [f"sequence-norms {name}"
              for name in ("random-1d-K4-25", "random-1d-K4-200",

@@ -16,7 +16,10 @@ json.  It also takes the ``save_coeffs`` bytes of the
 coefficient sets of ``coeff_sets`` and the crop bytes and lower bounds of
 the systems of SYSTEM_SIZES (``system_bytes``), and the function-side
 norms of ``function_norms``: block, Besov and Triebel-Lizorkin norms of a
-band-limited field on each fj system of SYSTEM_SIZES, and vector maximal
+band-limited field on each fj system of SYSTEM_SIZES, in a second report
+per system the relative error of that field's analyze/synthesize round
+trip (so the round trip is pinned at the spectral workload sizes, 1d
+G = 4096 and 2d G = 512), and vector maximal
 numerators and denominators at the kernels workload sizes, and the
 sequence norms of ``sequence_norms``: b and f norms of embed-sweep draws,
 of a batch that BATCH_CELLS splits, of a batch of some of the sets of a
@@ -181,7 +184,8 @@ def function_norms(herzlab):
     On each fj system of SYSTEM_SIZES, a random_band_field (seed 0, radius
     the system's band radius) gets, per layer of FUNCTION_LAYERS, its
     block_norms and, at s = 1/2 and beta = 2, 3/2 and inf, its besov_norm
-    and (finite layers only) triebel_norm.  At the kernels workload sizes
+    and (finite layers only) triebel_norm, and then, as a report of its
+    own, its roundtrip_error.  At the kernels workload sizes
     (1d G = 1024 with 16 bumps, 2d G = 128 with 4, L = 16), fs_vector_check
     gives its numerator and denominator at t = 1/2 for p = q = 2, alpha =
     1/4, beta = 2, and for the first layer of FUNCTION_LAYERS at beta = inf.
@@ -205,6 +209,8 @@ def function_norms(herzlab):
                     lines.append(f"{family} {herz} {beta!r} "
                                  f"{norm(field, params, system)!r}")
         yield f"fj {n}-{L:g}-{G}-{K}", "\n".join(lines)
+        yield (f"fj {n}-{L:g}-{G}-{K} roundtrip",
+               repr(herzlab.roundtrip_error(field, system)))
     for n, G, count in ((1, 1024, 16), (2, 128, 4)):
         fields = bump_family(n, 16.0, G, count, seed=8808)
         lines = []
