@@ -18,10 +18,21 @@ The memory layout of a reduction's cell array decides its summation order.
 numpy sums a run of rows pairwise within a column whose rows lie next to
 each other in memory (a lone (C, 1) column, or the columns of a transposed,
 Fortran-ordered stack), and one row after another across the columns of a
-C-ordered array.  ``_axis_reduce_herz`` keeps its input's order in its own
-work arrays, so a value reduced in a transposed stack has the bits of its
+C-ordered array.  The reduction keeps its input's order in its own work
+arrays, so a value reduced in a transposed stack has the bits of its
 reduction alone; ``magnitude_herz_norms`` reduces the last axes of several
 arrays that way, in one call.
+
+``_axis_reduce_stacks`` reduces one axis of several stacks (the stacks of
+a sequence-norm buffer, or the arrays of ``magnitude_herz_norms``) in one
+call.  Each stack's annuli are summed on its own cells, and the rows of
+annulus sums are shared, so the per-column finish runs once per call.
+Stacks summed row by row (C-ordered, two or more columns) share one
+C-ordered array padded with zero rows to the widest span: a trailing zero
+added to a sum x >= +0 leaves x.  Stacks summed pairwise share one
+Fortran-ordered array per span, unpadded: numpy adds a run of 8 or more
+adjacent terms in eight interleaved partial sums, so a zero row can change
+the sum of a column it pads to 8 or more rows.
 """
 
 import itertools
@@ -152,69 +163,130 @@ def _axis_reduce_herz(mag, lo, v, p, alpha, q):
     mag : (C, M) nonnegative float64; row r holds cell index m = lo + r along
         the reduced axis, columns enumerate the remaining positions.
     v : cells have side 2^-v.
-    Returns the (M,) array of K(p, alpha, q) norms in that axis variable.
-
-    The annulus rows (and so the terms of the l^q sum) are laid out in
-    mag's memory order: C order unless mag's columns are contiguous (a
-    transposed stack), then F order.  Every sum over rows then runs as it
-    does on mag, one row after another in C order and pairwise per column
-    in F order, which is also how a lone (C, 1) column is summed: each
-    column of an F-ordered input gets the bits of its own (C, 1) call.
+    Returns the (M,) array of K(p, alpha, q) norms in that axis variable,
+    summed in mag's memory order (see the module docstring): the batch of
+    one of ``_axis_reduce_stacks``.
     """
-    C, M = mag.shape
-    hi = lo + C
-    mu = 2.0 ** (-v)
-    p_inf = math.isinf(p)
-    q_inf = math.isinf(q)
-    if not p_inf:
-        pw = mag ** p
+    return _axis_reduce_stacks([(mag, lo, v)], p, alpha, q)[0]
 
-    # row j: the p-norm (p-mass for finite p) of annulus k = 1 - v + j
-    max_abs = max(hi - 1, -lo)
-    span = int(max_abs).bit_length()
-    rows = np.zeros((span, M), order="F" if mag.strides[0] < mag.strides[1]
-                    else "C")
-    for j in range(span):
-        p0, p1 = max(1 << j, lo), min(1 << (j + 1), hi)
-        n0, n1 = max(-(1 << (j + 1)), lo), min(-(1 << j), hi)
-        if p_inf:
-            if p1 > p0:
-                np.maximum(rows[j], np.maximum.reduce(mag[p0 - lo:p1 - lo]),
-                           out=rows[j])
-            if n1 > n0:
-                np.maximum(rows[j], np.maximum.reduce(mag[n0 - lo:n1 - lo]),
-                           out=rows[j])
-        else:
-            if p1 > p0:
-                rows[j] += np.add.reduce(pw[p0 - lo:p1 - lo])
-            if n1 > n0:
-                rows[j] += np.add.reduce(pw[n0 - lo:n1 - lo])
-    if not p_inf:
-        rows = (rows * mu) ** (1.0 / p)
-    weights = [2.0 ** ((1 - v + j) * alpha) for j in range(span)]
-    terms = np.reshape(weights, (span, 1)) * rows
+
+def _axis_reduce_stacks(stacks, p, alpha, q):
+    """``_axis_reduce_herz`` of each of a list of stacks, bit for bit.
+
+    stacks : (mag, lo, v) of each stack.  Returns the list of their (M,)
+    results, views of one array.
+
+    Row j of a stack's annulus rows belongs to annulus k = 1 - v + j.  After
+    the annulus sums, the finish (the 1/p root, the weights
+    2^((1-v+j) alpha), the origin tail, the peak, the l^q sum and its root)
+    runs once per shared array of rows.  It is elementwise but for the sum
+    over rows, and v enters it only through factors computed with Python's
+    float power once per distinct v.
+    """
+    p_inf, q_inf = math.isinf(p), math.isinf(q)
+    spans = [int(max(lo + mag.shape[0] - 1, -lo)).bit_length()
+             for mag, lo, _ in stacks]
+    # the row-by-row group under None, each pairwise group under its span
+    groups = {}
+    for i, (mag, _, _) in enumerate(stacks):
+        row_by_row = mag.shape[1] > 1 and mag.strides[0] >= mag.strides[1]
+        groups.setdefault(None if row_by_row else spans[i], []).append(i)
+    order = [i for members in groups.values() for i in members]
+    widths = [stacks[i][0].shape[1] for i in order]
+    first = dict(zip(order, itertools.accumulate(widths, initial=0)))
+    M = sum(widths)
+
+    # per distinct v: 2^-v, the tail factor and the annulus weights, by
+    # Python's float power; then repeated across each stack's columns
+    glog = alpha if p_inf else alpha + 1.0 / p
+    widest = max(spans)
+    factors = {}
+    for i in order:
+        v = stacks[i][2]
+        if v not in factors:
+            factors[v] = [2.0 ** (-v), 2.0 ** (-v * alpha) if p_inf
+                          else 2.0 ** (-1.0 / p - v * glog),
+                          *(2.0 ** ((1 - v + j) * alpha)
+                            for j in range(widest))]
+    table = np.repeat(np.array([factors[stacks[i][2]] for i in order]).T,
+                      widths, axis=1)
+    mu, tail, weights = table[0], table[1], table[2:]
 
     # cells m = 0 and m = -1 cross every annulus k <= -v; closed-form tail
-    a = mag[0 - lo] if lo <= 0 < hi else np.zeros(M)
-    b = mag[-1 - lo] if lo <= -1 < hi else np.zeros(M)
+    a, b = np.zeros((2, M))
+    peak = np.empty(M)
+    shared = []
+    for key, members in groups.items():
+        g0 = first[members[0]]
+        g1 = g0 + sum(stacks[i][0].shape[1] for i in members)
+        span = max(spans[i] for i in members)
+        rows = np.zeros((span, g1 - g0), order="C" if key is None else "F")
+        for i in members:
+            mag, lo = stacks[i][0], int(stacks[i][1])
+            c0, c1 = first[i], first[i] + mag.shape[1]
+            if 0 <= -lo < mag.shape[0]:
+                a[c0:c1] = mag[-lo]
+            if 0 <= -1 - lo < mag.shape[0]:
+                b[c0:c1] = mag[-1 - lo]
+            _annulus_sums(mag, lo, p, rows[:spans[i], c0 - g0:c1 - g0])
+        if not p_inf:
+            rows *= mu[g0:g1]
+            rows **= 1.0 / p
+        rows *= weights[:span, g0:g1]
+        np.maximum.reduce(rows, initial=0.0, out=peak[g0:g1])
+        shared.append((g0, g1, rows))
+
     if p_inf:
-        base = np.maximum(a, b)
-        glog = alpha            # tail term at k: base * 2^(k*alpha)
-        top = base * 2.0 ** (-v * alpha)
+        top = np.maximum(a, b, out=a)
     else:
-        base = (a ** p + b ** p) ** (1.0 / p)
-        glog = alpha + 1.0 / p  # tail term at k: base*2^(-1/p)*2^(k*glog)
-        top = base * 2.0 ** (-1.0 / p - v * glog)
+        a **= p
+        b **= p
+        a += b
+        a **= 1.0 / p
+        top = a
+    top *= tail
     # glog > 0 by admissibility, so the tail is geometric with top term at
     # k = -v and ratio 2^-glog.
+    np.maximum(peak, top, out=peak)
+    out = peak
+    if not q_inf:
+        safe = np.where(peak > 0.0, peak, 1.0)
+        out = np.empty(M)
+        for g0, g1, rows in shared:
+            rows /= safe[g0:g1]
+            rows **= q
+            np.add.reduce(rows, out=out[g0:g1])
+        top /= safe
+        top **= q
+        top /= 1.0 - 2.0 ** (-glog * q)
+        out += top
+        out **= 1.0 / q
+        out *= safe     # a zero peak gives +0.0
+    return [out[first[i]:first[i] + mag.shape[1]]
+            for i, (mag, _, _) in enumerate(stacks)]
 
-    peak = np.maximum(terms.max(axis=0, initial=0.0), top)
-    if q_inf:
-        return peak
-    safe = np.where(peak > 0.0, peak, 1.0)
-    s = ((terms / safe) ** q).sum(axis=0)
-    s += (top / safe) ** q / (1.0 - 2.0 ** (-glog * q))
-    return np.where(peak > 0.0, safe * s ** (1.0 / q), 0.0)
+
+def _annulus_sums(mag, lo, p, out):
+    """Write row j of out: the p-mass (the maximum for p = inf) of the cells
+    of mag (row r at cell index lo + r) in annulus j, each side of the
+    origin reduced as one slice of mag, in mag's memory order.  The p-th
+    powers live only for the call."""
+    C = mag.shape[0]
+    if math.isinf(p):
+        join, reduce, src = np.maximum, np.maximum.reduce, mag
+    else:
+        join, reduce = np.add, np.add.reduce
+        src = mag if p == 1.0 else mag ** p
+    for j, row in enumerate(out):
+        # the rows of annulus j's cells right and left of the origin
+        p0, p1 = max((1 << j) - lo, 0), min((2 << j) - lo, C)
+        n0, n1 = max((-2 << j) - lo, 0), min((-1 << j) - lo, C)
+        if p1 > p0 and n1 > n0:
+            join(reduce(src[p0:p1]), reduce(src[n0:n1]), out=row)
+        elif p1 > p0:
+            reduce(src[p0:p1], out=row)
+        elif n1 > n0:
+            reduce(src[n0:n1], out=row)
 
 
 def lq_combine(values, q):
@@ -277,46 +349,53 @@ def _weighted_envelope(arrays, weights, beta):
     return acc
 
 
-def _reduce_axes(arr, reduce, n):
-    """Collapse axis 1, then 2, ..., then n of ``arr``.
+def _reduce_axes(arrs, reduce, n):
+    """Collapse axis 1, then 2, ..., then n of each of a list of arrays.
 
-    reduce(i, cells) maps the (C, M) cells of axis i (rows along it,
-    columns the remaining positions) to the (M,) reduced values.  Axes
-    after the n-th survive: returns the array of their shape (0d when
-    there are none).
+    reduce(i, cells) maps the list of the (C, M) cells of axis i of every
+    array (rows along it, columns the remaining positions) to the list of
+    their (M,) reduced values.  Axes after the n-th survive: returns the
+    list of the arrays of their shapes (0d when there are none).
     """
     for i in range(n):
-        rest = arr.shape[1:]
-        arr = reduce(i, arr.reshape(arr.shape[0], -1)).reshape(rest)
-    return arr
+        rests = [arr.shape[1:] for arr in arrs]
+        arrs = [out.reshape(rest) for out, rest in zip(
+            reduce(i, [arr.reshape(arr.shape[0], -1) for arr in arrs]),
+            rests)]
+    return arrs
 
 
-def _cells_mixed_herz(arr, los, v, herz):
-    """Exact mixed Herz norm of a cell array (side 2^-v, corner index los).
+def _cells_mixed_herz(stacks, herz):
+    """Exact mixed Herz norms of a list of cell arrays, one reduction per
+    axis over all of them.
 
-    The first len(los) axes are the cell axes; a trailing axis stacks
-    several arrays on the same box and gets one norm per entry.
+    stacks : (arr, los, v) per array: cells of side 2^-v, corner index los.
+    The first len(los) axes are the cell axes, as many in every array; a
+    trailing axis stacks several arrays on the same box and gets one norm
+    per entry.  Returns the list of the norms of each array.
     """
-    return _reduce_axes(arr, lambda i, cells: _axis_reduce_herz(
-        cells, los[i], v, herz.p[i], herz.alpha[i], herz.q[i]), len(los))
+    arrs, los, vs = zip(*stacks)
+    return _reduce_axes(list(arrs), lambda i, cells: _axis_reduce_stacks(
+        [(c, lo[i], v) for c, lo, v in zip(cells, los, vs)],
+        herz.p[i], herz.alpha[i], herz.q[i]), len(los[0]))
 
 
 def magnitude_herz_norms(mags, L, params):
     """magnitude_herz_norm of each of a sequence of same-shape arrays, as an
     (S,) float64 array, bit for bit.
 
-    Each array's axes before its last are reduced on their own, as in
-    magnitude_herz_norm; the S last-axis vectors left are stacked as the
-    columns of one F-ordered (G, S) array and reduced in one call, each
-    column summed as it is alone (see ``_axis_reduce_herz``).  Only those
-    vectors are copied.
+    The axes before the last of every array are reduced in one call per
+    axis, each array's columns with their own bits; the S last-axis
+    vectors left are stacked as the columns of one F-ordered (G, S) array
+    and reduced in one call, each column summed as it is alone (see
+    ``_axis_reduce_stacks``).  Only those vectors are copied.
     """
     n, G = mags[0].ndim, mags[0].shape[0]
     if params.n != n:
         raise ValueError(f"params for n = {params.n}, field has n = {n}")
     v, lo = _log2_exact(G) - _log2_exact(L), -G // 2
-    lines = np.stack([_cells_mixed_herz(m, (lo,) * (n - 1), v, params)
-                      for m in mags])
+    lines = np.stack(_cells_mixed_herz([(m, (lo,) * (n - 1), v)
+                                        for m in mags], params))
     return _axis_reduce_herz(lines.T, lo, v, params.p[-1], params.alpha[-1],
                              params.q[-1])
 
@@ -342,9 +421,10 @@ def mixed_lebesgue_norm(field, p):
     """Iterated per-axis L^p norm, axis 1 innermost; p is scalar or n-tuple."""
     p = _as_exponent_tuple(p, field.n, "p")
 
-    def reduce(i, mag):
+    def reduce(i, mags):
         if math.isinf(p[i]):
-            return mag.max(axis=0)
-        return (np.sum(mag ** p[i], axis=0) * field.h) ** (1.0 / p[i])
+            return [mag.max(axis=0) for mag in mags]
+        return [(np.sum(mag ** p[i], axis=0) * field.h) ** (1.0 / p[i])
+                for mag in mags]
 
-    return float(_reduce_axes(np.abs(field.values), reduce, field.n))
+    return float(_reduce_axes([np.abs(field.values)], reduce, field.n)[0])

@@ -26,8 +26,9 @@ stacks then lie one after another in one flat float64 buffer (or several
 of at most BATCH_CELLS cells each, for a large batch), which is filled in
 one pass: the b-norm writes the magnitudes of every block with one
 assignment, and the f-norm adds the terms of every coefficient with one
-scatter per level gap and takes the 1/beta root once.  Each stack's view
-of the buffer goes to one Herz reduction.
+scatter per level gap and takes the 1/beta root once.  The stacks' views
+of a buffer go to one Herz reduction per axis, which finishes them all
+together (see ``herz._axis_reduce_stacks``).
 
 The bits of each norm are fixed by what the layout keeps: which stack
 holds a set and in which column, each stack's union box, the order in
@@ -191,8 +192,8 @@ def b_norms(batch, params):
 
     Each level's blocks are stacked as columns on their union box (split
     by _chunks), the magnitudes of every block are written in one
-    assignment, and each stack is reduced in one call.  Every set's levels
-    are combined over the batch's K + 1 terms.
+    assignment, and the stacks of each buffer are reduced in one call.
+    Every set's levels are combined over the batch's K + 1 terms.
     """
     _check(batch, params, "b")
     n = params.herz.n
@@ -203,9 +204,10 @@ def b_norms(batch, params):
                                np.diff(batch.starts), batch.index)
     for rows, local, buf, stacks in stk.buffers(cells):
         buf[local] = batch.magnitudes[rows]
-        for j, arr in stacks:
+        norms = _cells_mixed_herz([(arr, stk.los[j], stk.keys[j])
+                                   for j, arr in stacks], params.herz)
+        for (j, _), t in zip(stacks, norms):
             k, sel = stk.keys[j], stk.members[j]
-            t = _cells_mixed_herz(arr, stk.los[j], k, params.herz)
             terms[batch.block_set[sel], k] = (
                 2.0 ** (k * (params.s + n / 2.0)) * t)
     return lq_combine(terms, params.beta)
@@ -226,8 +228,9 @@ def _f_envelopes(batch, params):
     with Python's float power (libm pow, ``operator.pow`` mapped over the
     terms in one pass), as in a per-entry painting; numpy's vectorised
     power can differ from it in the last bit.  The 1/beta root is then
-    taken once over the buffer.  Yields (sets, env, corner index, vf) per
-    stack, env a view of the buffer; empty sets are in none.
+    taken once over the buffer.  Yields, per buffer, the list of
+    (sets, env, corner index, vf) of its stacks, each env a view of the
+    buffer; empty sets are in none.
     """
     _check(batch, params, "f")
     n, beta = params.herz.n, params.beta
@@ -278,19 +281,22 @@ def _f_envelopes(batch, params):
                 buf[flat] += terms
         if not math.isinf(beta):
             buf **= 1.0 / beta
-        for j, env in stacks:
-            yield sets[stk.members[j]], env, stk.los[j], stk.keys[j]
+        yield [(sets[stk.members[j]], env, stk.los[j], stk.keys[j])
+               for j, env in stacks]
 
 
 def f_norms(batch, params):
     """f_norm of each coefficient set of a batch, as an array.
 
-    One reduction per finest-level group (and _chunks split) of stacked
-    envelopes.
+    One reduction per buffer of stacked envelopes, each stack holding a
+    finest-level group (or a _chunks split of one).
     """
     out = np.zeros(len(batch))
-    for members, env, lo, top in _f_envelopes(batch, params):
-        out[members] = _cells_mixed_herz(env, lo, top, params.herz)
+    for stacks in _f_envelopes(batch, params):
+        norms = _cells_mixed_herz([(env, lo, top)
+                                   for _, env, lo, top in stacks], params.herz)
+        for (members, *_), norm in zip(stacks, norms):
+            out[members] = norm
     return out
 
 

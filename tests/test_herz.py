@@ -6,9 +6,9 @@ import pytest
 from herzlab import (HerzParams, HypothesisError, lq_combine, lq_envelope,
                      make_field, mixed_herz_norm, mixed_lebesgue_norm)
 from herzlab.grid import _log2_exact
-from herzlab.herz import (_axis_reduce_herz, _cells_mixed_herz,
-                          _weighted_envelope, magnitude_herz_norm,
-                          magnitude_herz_norms)
+from herzlab.herz import (_axis_reduce_herz, _axis_reduce_stacks,
+                          _cells_mixed_herz, _weighted_envelope,
+                          magnitude_herz_norm, magnitude_herz_norms)
 
 # ---------------------------------------------------------------------------
 # Reference implementation, kept deliberately naive: every cell's |x| interval
@@ -292,6 +292,79 @@ def test_axis_reduce_bitwise_equals_former_loop(p, alpha, q):
                 former_axis_reduce_herz(column, lo, v, p, alpha, q))
 
 
+def _random_box(rng, span):
+    """A box [lo, hi) whose annulus span is ``span`` (0 only for [0, 1))."""
+    if span == 0:
+        return 0, 1
+    m = int(rng.integers(1 << (span - 1), 1 << span))
+    if rng.random() < 0.5:
+        return int(rng.integers(-m, m + 1)), m + 1
+    return -m, int(rng.integers(-m + 1, m + 2))
+
+
+def _random_stack(rng, layout, lo, hi):
+    """(C, M) magnitudes in one of three layouts, a quarter of them zero."""
+    C, M = hi - lo, 1 if layout == "lone" else int(rng.integers(2, 6))
+    mag = rng.lognormal(0.0, 2.0, (C, M)) * (rng.random((C, M)) < 0.7)
+    if rng.random() < 0.1:
+        mag[:] = 0.0
+    return np.ascontiguousarray(mag.T).T if layout == "transposed" else mag
+
+
+def _former_columns(mag, lo, v, p, alpha, q):
+    """The former one-axis reduction: on the whole stack when it is summed
+    row by row, column by column (each a (C, 1) call) otherwise."""
+    if mag.flags.c_contiguous:
+        return former_axis_reduce_herz(mag, lo, v, p, alpha, q)
+    return np.concatenate([former_axis_reduce_herz(
+        np.ascontiguousarray(mag[:, i:i + 1]), lo, v, p, alpha, q)
+        for i in range(mag.shape[1])])
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("q", [1.0, 1.7, math.inf])
+def test_stacks_reduced_together_equal_the_former_loop(p, q):
+    # C-ordered stacks of several columns (summed row by row and padded
+    # together), lone columns and transposed stacks (summed pairwise, one
+    # shared array per span) mixed in one call, spans 0-11 with the boxes
+    # [0, 1), [-1, 0) and [1, 2), and v from -2 to 9
+    rng = np.random.default_rng(2500 + int(10 * p if p < 9 else 99)
+                                + int(100 * q if q < 9 else 999))
+    alphas = (0.25, 0.125) if math.isinf(p) else (0.25, 0.0, -0.25)
+    special = [(0, 1), (-1, 0), (1, 2)]
+    for trial in range(60):
+        alpha = alphas[trial % len(alphas)]
+        stacks = []
+        for _ in range(int(rng.integers(1, 7))):
+            lo, hi = (special[int(rng.integers(3))] if rng.random() < 0.2
+                      else _random_box(rng, int(rng.integers(0, 12))))
+            layout = ("c", "lone", "transposed")[int(rng.integers(3))]
+            stacks.append((_random_stack(rng, layout, lo, hi), lo,
+                           int(rng.integers(-2, 10))))
+        got = _axis_reduce_stacks(stacks, p, alpha, q)
+        assert len(got) == len(stacks)
+        for out, (mag, lo, v) in zip(got, stacks):
+            want = _former_columns(mag, lo, v, p, alpha, q)
+            assert np.array_equal(out, want), (trial, mag.shape, lo, v)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 1.7), (1.0, 1.0), (3.0, 2.0)])
+def test_span_one_lone_column_beside_a_row_by_row_stack(p, q):
+    # the row-by-row group and the pairwise group of span 1 stay apart: a
+    # lone column on [-1, 1) (span 1) beside stacks of span 11, whose l^q
+    # sums over 11 annuli differ between the two summation orders
+    rng = np.random.default_rng(77)
+    for _ in range(4):
+        lone = rng.lognormal(size=(2, 1))
+        wide = rng.lognormal(0.0, 2.0, size=(2000, 16))
+        tall = np.ascontiguousarray(rng.lognormal(size=(4, 2000)).T).T
+        stacks = [(lone, -1, 4), (wide, -1000, 4), (tall, -1000, 5)]
+        got = _axis_reduce_stacks(stacks, p, 0.25, q)
+        for out, (mag, lo, v) in zip(got, stacks):
+            assert np.array_equal(out,
+                                  _former_columns(mag, lo, v, p, 0.25, q))
+
+
 # (n, G, L) and a layer with p = inf on one axis and q = inf on another
 BATCH_CASES = [
     (1, 2048, 16.0, HerzParams((3.0,), (0.25,), (2.0,))),
@@ -319,8 +392,8 @@ def test_magnitude_herz_norms_equal_one_call_per_array(n, G, L, params):
     v = _log2_exact(G) - _log2_exact(L)
     for norm, mag in zip(got.tolist(), mags):
         assert norm == magnitude_herz_norm(mag, L, params)
-        assert norm == float(_cells_mixed_herz(mag, (-G // 2,) * n, v,
-                                               params))
+        assert norm == float(_cells_mixed_herz([(mag, (-G // 2,) * n, v)],
+                                               params)[0])
 
 
 def test_magnitude_herz_norms_check_the_dimension():

@@ -43,7 +43,8 @@ def test_render_prints_one_digest_per_report(tmp_path):
     want += [f"sequence-norms {name}"
              for name in ("random-1d-K4-25", "random-1d-K4-200",
                           "random-1d-K8-25", "random-1d-K8-200",
-                          "random-2d-K3-40", "split-2d-K6", "kept-1d-K2-40",
+                          "random-2d-K3-40", "random-3d-K2-12",
+                          "split-2d-K6", "kept-1d-K2-40",
                           "probes-1d-K8", "probes-2d-K3",
                           "lambda-star-kernels")]
     assert [label for _, label in lines] == want

@@ -169,10 +169,11 @@ def test_f_norm_bitwise_equals_per_entry_painting(beta):
     herz = HerzParams((2.0, 1.5), (0.25, 0.0), (1.0, 2.0))
     params = SeqSpaceParams(herz, s=0.5, beta=beta, family="f")
     env, los, vf = per_entry_f_envelope(lam, params)
-    _, got, got_los, got_vf = next(_f_envelopes(lam, params))
+    [(_, got, got_los, got_vf)] = next(_f_envelopes(lam, params))
     assert np.array_equal(got[..., 0], env)
     assert np.array_equal(got_los, los) and got_vf == vf
-    assert f_norm(lam, params) == _cells_mixed_herz(env, los, vf, herz)
+    assert f_norm(lam, params) == _cells_mixed_herz([(env, los, vf)],
+                                                    herz)[0]
 
 
 @pytest.mark.parametrize("r", [1.5, math.inf])
@@ -241,9 +242,9 @@ def test_batches_stay_within_the_cell_budget(monkeypatch, family):
     singles = np.array([seq_norm(lam, params) for lam in sets])
     shapes = []
 
-    def recording(arr, los, v, herz):
-        shapes.append(arr.shape)
-        return _cells_mixed_herz(arr, los, v, herz)
+    def recording(stacks, herz):
+        shapes.extend(arr.shape for arr, _, _ in stacks)
+        return _cells_mixed_herz(stacks, herz)
 
     monkeypatch.setattr(seqspace, "_cells_mixed_herz", recording)
     got = seqspace.seq_norms(_as_batch(sets), params)
@@ -319,7 +320,7 @@ def reference_b_norms(batch, params):
             arr = np.zeros((*(hi - lo).tolist(), len(sel)))
             arr[(*(blk.pos[rows] - lo).T,
                  np.repeat(np.arange(len(sel)), lens))] = blk.mag[rows]
-            t = _cells_mixed_herz(arr, lo, k, params.herz)
+            [t] = _cells_mixed_herz([(arr, lo, k)], params.herz)
             terms[blk.d[sel], k] = 2.0 ** (k * (params.s + n / 2.0)) * t
     return lq_combine(terms, params.beta)
 
@@ -400,7 +401,8 @@ def test_one_pass_layout_equals_reference_layout(monkeypatch, n, budget,
     assert np.array_equal(seqspace.b_norms(batch, bparams),
                           reference_b_norms(layout, bparams))
     fparams = SeqSpaceParams(herz, 0.5, beta, "f")
-    got = list(_f_envelopes(batch, fparams))
+    got = [stack for stacks in _f_envelopes(batch, fparams)
+           for stack in stacks]
     want = reference_f_envelopes(layout, fparams)
     assert len(got) == len(want)
     for (sets, env, lo, top), (w_sets, w_env, w_lo, w_top) in zip(got, want):
@@ -410,14 +412,14 @@ def test_one_pass_layout_equals_reference_layout(monkeypatch, n, budget,
         assert np.array_equal(env, w_env)
     want_f = np.zeros(len(batch))
     for sets, env, lo, top in want:
-        want_f[sets] = _cells_mixed_herz(env, lo, top, herz)
+        [want_f[sets]] = _cells_mixed_herz([(env, lo, top)], herz)
     assert np.array_equal(seqspace.f_norms(batch, fparams), want_f)
 
 
 def _reference_f_norms(sets, params):
     out = np.zeros(len(sets))
     for members, env, lo, top in reference_f_envelopes(sets, params):
-        out[members] = _cells_mixed_herz(env, lo, top, params.herz)
+        [out[members]] = _cells_mixed_herz([(env, lo, top)], params.herz)
     return out
 
 

@@ -2,7 +2,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from herzlab import HerzParams, fs_vector_check
+from herzlab import (EmbeddingSpec, HerzParams, SpaceParams, build_fj_pair,
+                     fs_vector_check, random_band_field)
 from herzlab.cli import bump_family
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,3 +72,44 @@ def test_tracer_counts_the_windows_of_each_maximal_scan():
     assert totals.calls["accel.maximal_rows"] == n
     assert totals.counts["accel.maximal_rows.window_evals"] == (
         n * rows * G * (G // 2 + 1))
+
+
+def test_traced_calls_complete_with_the_untraced_outputs():
+    # run.py --trace 1 runs every workload under the tracer, whose counters
+    # read the arguments of the wrapped names (a herz.axis_reduce call's
+    # first argument must have a shape): one embedding sweep, the two
+    # function-space norms of a 2d field and one vector maximal check,
+    # each called through its module as the workloads reach it
+    def calls():
+        embedlab = importlib.import_module("herzlab.embedlab")
+        spaces = importlib.import_module("herzlab.spaces")
+        maximal = importlib.import_module("herzlab.maximal")
+        return [
+            embedlab.seq_embedding_check(sobolev, 4, 25, 9),
+            spaces.besov_norm(field, SpaceParams(herz, 0.5, 2.0, "B"),
+                              system),
+            spaces.triebel_norm(field, SpaceParams(herz, 0.5, 2.0, "F"),
+                                system),
+            maximal.fs_vector_check(fields, herz, 2.0, 0.5)]
+
+    sobolev = EmbeddingSpec(
+        "sobolev", SpaceParams(HerzParams(1.0, 0.125, 2.0), 1.75, 2.0, "f"),
+        SpaceParams(HerzParams(2.0, 0.0, 2.0), 1.125, 2.0, "f"))
+    herz = HerzParams((2.0, 1.5), (0.25, 0.0), (2.0, 1.5))
+    system = build_fj_pair(2, 16.0, 64, 2)
+    field = random_band_field(2, 16.0, 64, system.band_radius(), seed=5)
+    fields = bump_family(2, 16.0, 32, 3, seed=3)
+    want = calls()
+    tracer = tracing.Tracer()
+    totals = tracer.start_pass(keep_spans=False)
+    try:
+        tracer.install()
+        got = calls()
+    finally:
+        tracer.uninstall()
+    assert got == want
+    for layer in ("embedlab.seq_embedding_check", "spaces.besov_norm",
+                  "spaces.triebel_norm", "maximal.fs_vector_check",
+                  "herz.axis_reduce"):
+        assert totals.calls[layer] >= 1, layer
+    assert totals.counts["herz.axis_reduce.cells"] > 0

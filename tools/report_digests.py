@@ -21,8 +21,8 @@ per system the relative error of that field's analyze/synthesize round
 trip (so the round trip is pinned at the spectral workload sizes, 1d
 G = 4096 and 2d G = 512), and vector maximal
 numerators and denominators at the kernels workload sizes, and the
-sequence norms of ``sequence_norms``: b and f norms of embed-sweep draws,
-of a batch that BATCH_CELLS splits, of a batch of some of the sets of a
+sequence norms of ``sequence_norms``: b and f norms of embed-sweep draws
+(at n = 1, 2 and 3), of a batch that BATCH_CELLS splits, of a batch of some of the sets of a
 draws batch, of the probes and of the majorant outputs of the kernels
 workload, batched and set by set, each written as the repr of each
 value.  It prints one line per report: its sha256, the revision's commit
@@ -227,15 +227,17 @@ def function_norms(herzlab):
 # Herz layers (p, alpha, q) of the sequence norms by n, and the layer of
 # the kernels benchmark workload's f-norms.
 SEQUENCE_LAYERS = {1: ((1.5,), (0.25,), (2.0,)),
-                   2: ((2.0, 1.5), (0.25, 0.0), (1.0, 2.0))}
+                   2: ((2.0, 1.5), (0.25, 0.0), (1.0, 2.0)),
+                   3: ((2.0, 1.5, 3.0), (0.25, 0.0, 0.125), (1.0, 2.0, 1.5))}
 KERNELS_LAYER = ((2.0, 2.0), (0.0, 0.0), (2.0, 2.0))
 
 
 def sequence_batches(herzlab):
     """(name, layer, batch) of the batches of ``sequence_norms``.
 
-    embed-sweep draws at n = 1 (K = 4 and 8, 25 and 200 draws) and n = 2
-    (K = 3), an n = 2, K = 6 batch whose top-level stack BATCH_CELLS
+    embed-sweep draws at n = 1 (K = 4 and 8, 25 and 200 draws), n = 2
+    (K = 3) and n = 3 (K = 2, 12 draws, so the iterated reduction runs over
+    three axes), an n = 2, K = 6 batch whose top-level stack BATCH_CELLS
     splits, the take of n = 1, K = 2 draws that drops the empty draw and
     every third one, and batches built by batch_from_levels of the probes
     of seq_embedding_check at K = 8 and 3 and of the lambda_star outputs
@@ -245,7 +247,7 @@ def sequence_batches(herzlab):
     from herzlab.seqspace import lambda_star
     from_levels = herzlab.CoeffSeq.batch_from_levels
     for n, K, draws in ((1, 4, 25), (1, 4, 200), (1, 8, 25), (1, 8, 200),
-                        (2, 3, 40)):
+                        (2, 3, 40), (3, 2, 12)):
         rng = np.random.default_rng(9000 + 100 * n + K)
         yield (f"random-{n}d-K{K}-{draws}", SEQUENCE_LAYERS[n],
                _random_coeffs(n, K, rng, draws))
