@@ -15,6 +15,7 @@ json's shortest round-trip repr in JSON.
 """
 
 import argparse
+import cmath
 import configparser
 import json
 import sys
@@ -34,9 +35,6 @@ from .lpdecomp import (band_width, bandlimited_witness, build_system,
 from .maximal import fs_vector_check
 from .seqspace import seq_norm
 from .spaces import block_norms
-
-COMMANDS = ("norm", "decompose", "phitransform", "seqnorm", "embed-sweep",
-            "necessity", "maximal-check", "ppn-check", "hardy-check")
 
 
 class ConfigError(ValueError):
@@ -136,6 +134,22 @@ def _boolean(text):
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     except KeyError:
         raise ValueError(text) from None
+
+
+def _finite_complex(text):
+    """complex, with a ValueError for nan and infinite parts."""
+    value = complex(text)
+    if not cmath.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _nonnegative(text):
+    """float, with a ValueError for nan and numbers below 0 (inf passes)."""
+    value = float(text)
+    if not value >= 0.0:
+        raise ValueError(text)
+    return value
 
 
 def _each(parse):
@@ -246,15 +260,17 @@ def _build_field(cfg, n, L, G):
     if kind == "zero":
         return make_field(n, L, G)
     if kind == "constant":
-        value = cfg.parsed("field", "value", complex, "a complex number", "1")
+        value = cfg.parsed("field", "value", _finite_complex,
+                           "a finite complex number", "1")
         return make_field(n, L, G, sealed(np.full((G,) * n, value,
                                                   dtype=np.complex128)))
     if kind == "witness":
         return bandlimited_witness(n, L, G,
                                    cfg.get_int("field", "level", "0", low=0),
                                    cfg.get_int("field", "seed", low=0))
-    return random_band_field(n, L, G, cfg.get_float("field", "radius", "8"),
-                             cfg.get_int("field", "seed", low=0))
+    return random_band_field(
+        n, L, G, cfg.parsed("field", "radius", _nonnegative, "a number >= 0",
+                            "8"), cfg.get_int("field", "seed", low=0))
 
 
 def _system_kind(cfg, default_k):
@@ -311,7 +327,7 @@ def _cmd_seqnorm(cfg):
         lam = load_coeffs(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"[coeffs] path = {path!r}: {exc}") from None
-    meta = {"coeffs.count": len(lam.entries), "coeffs.k": lam.K}
+    meta = {"coeffs.count": len(lam.index), "coeffs.k": lam.K}
     return meta, [{"family": params.family, "norm": seq_norm(lam, params)}]
 
 
@@ -333,7 +349,7 @@ def _cmd_embed_sweep(cfg):
                         "max_random_ratio": rep["max_random_ratio"],
                         "probe_ratio_top": rep["probe_ratios"][-1]})
     meta = {"spec.balance_class": spec.balance_class(),
-            "spec.defect": f"{spec.defect():.17g}",
+            "spec.defect": spec.defect(),
             "ensemble.control": control}
     return meta, records
 
@@ -345,9 +361,9 @@ def _cmd_necessity(cfg):
                          _params_from(cfg, "target", "B", n))
     n_max = cfg.get_int("ensemble", "n_max", "4", low=1)
     rep = necessity_fit(spec, n, L, G, n_max, cfg.seed())
-    meta = _grid_meta(L, G, {"fit.c_fit": f"{rep['c_fit']:.17g}",
-                             "fit.c_expected": f"{rep['c_expected']:.17g}",
-                             "fit.residual": f"{rep['residual']:.17g}",
+    meta = _grid_meta(L, G, {"fit.c_fit": rep["c_fit"],
+                             "fit.c_expected": rep["c_expected"],
+                             "fit.residual": rep["residual"],
                              "spec.balance_class": rep["balance_class"]})
     return meta, rep["records"]
 
@@ -369,8 +385,8 @@ def _cmd_maximal_check(cfg):
         records.append({"G": G, "ratio": rep["ratio"]})
     slopes = np.polyfit(np.log2([r["G"] for r in records]),
                         np.log2([r["ratio"] for r in records]), 1)
-    meta = {"fit.log_slope": f"{float(slopes[0]):.17g}",
-            "maximal.t": f"{t:.17g}", "maximal.beta": f"{beta:.17g}"}
+    meta = {"fit.log_slope": float(slopes[0]), "maximal.t": t,
+            "maximal.beta": beta}
     return meta, records
 
 
@@ -380,9 +396,9 @@ def _cmd_ppn_check(cfg):
     target = _herz_from(cfg, "target", n)
     n_max = cfg.get_int("ensemble", "n_max", "4", low=1)
     rep = ppn_check(source, target, n, L, G, n_max, cfg.seed())
-    meta = _grid_meta(L, G, {"fit.gamma": f"{rep['gamma']:.17g}",
-                             "fit.slope": f"{rep['slope']:.17g}",
-                             "fit.residual": f"{rep['residual']:.17g}"})
+    meta = _grid_meta(L, G, {"fit.gamma": rep["gamma"],
+                             "fit.slope": rep["slope"],
+                             "fit.residual": rep["residual"]})
     return meta, rep["records"]
 
 
@@ -435,6 +451,7 @@ _HANDLERS = {
     "ppn-check": _cmd_ppn_check,
     "hardy-check": _cmd_hardy_check,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run_config(cfg):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import CoeffBatch
+from .frames import CoeffBatch, _sorted_blocks
 from .grid import SampledField, sealed
 from .herz import (HerzParams, HypothesisError, SpaceParams, _inv,
                    _rational, lq_combine, mixed_herz_norm)
@@ -391,8 +391,8 @@ def _random_coeffs(n, K, rng, draws):
             turns.append(rng.random(count))
             runs.append((d, k, count))
     values = np.concatenate(mags) * np.exp(2j * np.pi * np.concatenate(turns))
-    return CoeffBatch._of_keys(n, K, 16.0, draws, runs, np.concatenate(pos),
-                               values)
+    return CoeffBatch._of_blocks(n, K, 16.0, draws, *_sorted_blocks(
+        K, runs, np.concatenate(pos), values))
 
 
 def _probes(n, K, levels):

@@ -75,10 +75,9 @@ class CoeffBatch:
     The columns are a batch's one stored form.  ``batch_from_levels``
     validates, sorts and de-duplicates many sets at once; iterating a
     batch yields one ``CoeffSeq`` per set, whose columns are views of the
-    batch's, and ``take`` keeps the sets of a mask.  ``level`` (each
-    row's level), ``magnitudes`` and ``boxes`` are computed on first use
-    and kept; the norms of ``seqspace`` plan their stacks per call and keep
-    nothing on the batch.
+    batch's, and ``take`` keeps the sets of a mask.  ``magnitudes`` and
+    ``boxes`` are computed on first use and kept; the norms of
+    ``seqspace`` plan their stacks per call and keep nothing on the batch.
     """
 
     def _store(self, n, K, L, size, block_set, block_level, starts, index,
@@ -98,34 +97,6 @@ class CoeffBatch:
         return cls.__new__(cls)._store(n, K, L, size, block_set,
                                        block_level, starts, index, value)
 
-    def _sort(self, n, K, L, size, runs, index, value):
-        """Store rows given in any order, in runs of one (set, level): runs
-        holds the (set, level, count) triple of each run, in row order.
-
-        One stable lexsort orders the rows by set, level and index, and a
-        repeated index keeps the last value given for it within its
-        (set, level).
-        """
-        sets, levels, counts = np.array(runs, np.int64).reshape(-1, 3).T
-        keys = np.repeat(sets * (K + 1) + levels, counts)
-        order = np.lexsort((*index.T[::-1], keys))
-        keys, index, value = keys[order], index[order], value[order]
-        # a stable sort keeps repeats in the order given: keep the last
-        last = np.append((keys[1:] != keys[:-1])
-                         | (index[1:] != index[:-1]).any(axis=1), True)
-        if not last.all():
-            keys, index, value = keys[last], index[last], value[last]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        block_set, block_level = np.divmod(keys[starts], K + 1)
-        return self._store(n, K, L, size, block_set, block_level,
-                           np.append(starts, len(keys)), index, value)
-
-    @classmethod
-    def _of_keys(cls, n, K, L, size, runs, index, value):
-        """A batch of ``size`` sets from unsorted, unchecked rows (see
-        ``_sort``), for builders whose rows are valid by construction."""
-        return cls.__new__(cls)._sort(n, K, L, size, runs, index, value)
-
     @staticmethod
     def batch_from_levels(n, K, L, sets):
         """A batch of one set per list of (k, pos, values) groups.
@@ -136,8 +107,9 @@ class CoeffBatch:
         a level or an index: the last value given for an index wins within
         its set, and entries of different sets are never merged.
         """
-        return CoeffBatch._of_keys(n, K, L, len(sets),
-                                   *_checked_rows(n, K, sets))
+        rows = _checked_rows(n, K, sets)
+        return CoeffBatch._of_blocks(n, K, L, len(sets),
+                                     *_sorted_blocks(K, *rows))
 
     def __len__(self):
         return self._size
@@ -175,11 +147,6 @@ class CoeffBatch:
             self.index[rows], self.value[rows])
 
     @functools.cached_property
-    def level(self):
-        """The (R,) level of each row, read-only."""
-        return sealed(np.repeat(self.block_level, np.diff(self.starts)))
-
-    @functools.cached_property
     def magnitudes(self):
         """|value| of each row, read-only.  np.hypot of the parts equals
         Python's abs of a complex bit for bit; np.abs of complex128 can
@@ -206,11 +173,9 @@ class CoeffSeq(CoeffBatch):
     and ``entries`` are views derived from the columns.
     """
 
-    _entries = None
     _levels = None
 
-    def __init__(self, n, K, L, entries=None):
-        entries = {} if entries is None else entries
+    def __init__(self, n, K, L, entries):
         # one group per (level, index length) in insertion order: a key's
         # level and length checks depend on those two only, so the first
         # group that fails them starts with the first key that does
@@ -220,7 +185,8 @@ class CoeffSeq(CoeffBatch):
             pos.append(m)
             vals.append(v)
         groups = [(k, pos, vals) for (k, _), (pos, vals) in groups.items()]
-        self._sort(n, K, L, 1, *_checked_rows(n, K, [groups]))
+        rows = _checked_rows(n, K, [groups])
+        self._store(n, K, L, 1, *_sorted_blocks(K, *rows))
 
     @classmethod
     def from_levels(cls, n, K, L, groups):
@@ -229,17 +195,16 @@ class CoeffSeq(CoeffBatch):
         Groups may come in any order and repeat a level or an index: the
         last value given for an index wins.
         """
-        return cls._of_keys(n, K, L, 1, *_checked_rows(n, K, [groups]))
+        rows = _checked_rows(n, K, [groups])
+        return cls._of_blocks(n, K, L, 1, *_sorted_blocks(K, *rows))
 
-    @property
+    @functools.cached_property
     def entries(self):
         """The read-only (k, m) -> complex mapping, built from ``levels``
         on first access, so in lexicographic order."""
-        if self._entries is None:
-            self._entries = MappingProxyType({
-                (k, m): v for k, pos, vals in self.levels()
-                for m, v in zip(map(tuple, pos.tolist()), vals.tolist())})
-        return self._entries
+        return MappingProxyType({
+            (k, m): v for k, pos, vals in self.levels()
+            for m, v in zip(map(tuple, pos.tolist()), vals.tolist())})
 
     def level_entries(self, k):
         return {m: v for (kk, m), v in self.entries.items() if kk == k}
@@ -261,7 +226,7 @@ class CoeffSeq(CoeffBatch):
 def _checked_rows(n, K, sets):
     """The rows of one list of (k, pos, values) groups per set, each group
     checked (see ``_checked_group``), as (runs, index, value) for
-    ``CoeffBatch._sort``."""
+    ``_sorted_blocks``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if K < 0:
@@ -276,6 +241,30 @@ def _checked_rows(n, K, sets):
                 vals.append(v)
     return (runs, np.concatenate([np.zeros((0, n), np.int64), *pos]),
             np.concatenate([np.zeros(0, np.complex128), *vals]))
+
+
+def _sorted_blocks(K, runs, index, value):
+    """The stored columns (block_set, block_level, starts, index, value) of
+    rows given in any order, in runs of one (set, level): runs holds the
+    (set, level, count) triple of each run, in row order.
+
+    One stable lexsort orders the rows by set, level and index, and a
+    repeated index keeps the last value given for it within its
+    (set, level).  Nothing is checked.
+    """
+    sets, levels, counts = np.array(runs, np.int64).reshape(-1, 3).T
+    keys = np.repeat(sets * (K + 1) + levels, counts)
+    order = np.lexsort((*index.T[::-1], keys))
+    keys, index, value = keys[order], index[order], value[order]
+    # a stable sort keeps repeats in the order given: keep the last
+    last = np.append((keys[1:] != keys[:-1])
+                     | (index[1:] != index[:-1]).any(axis=1), True)
+    if not last.all():
+        keys, index, value = keys[last], index[last], value[last]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    block_set, block_level = np.divmod(keys[starts], K + 1)
+    return (block_set, block_level, np.append(starts, len(keys)), index,
+            value)
 
 
 def _checked_group(k, pos, vals, n, K):

@@ -122,12 +122,6 @@ class HerzParams:
         """sum_i alpha_i."""
         return sum(self.alpha)
 
-    def p_minus(self):
-        return min(self.p)
-
-    def q_minus(self):
-        return min(self.q)
-
 
 @dataclass(frozen=True)
 class SpaceParams:
@@ -381,8 +375,9 @@ def _cells_mixed_herz(stacks, herz):
 
 
 def magnitude_herz_norms(mags, L, params):
-    """magnitude_herz_norm of each of a sequence of same-shape arrays, as an
-    (S,) float64 array, bit for bit.
+    """mixed_herz_norm of fields of period L whose magnitudes are the
+    same-shape (G,)^n arrays ``mags``, as an (S,) float64 array; each norm
+    has the bits of a batch of one.
 
     The axes before the last of every array are reduced in one call per
     axis, each array's columns with their own bits; the S last-axis
@@ -400,21 +395,14 @@ def magnitude_herz_norms(mags, L, params):
                              params.q[-1])
 
 
-def magnitude_herz_norm(mag, L, params):
-    """mixed_herz_norm of a field of period L whose magnitudes are ``mag``.
-
-    mag : the (G,)^n nonnegative float64 array |f| of a sampled field.
-    """
-    return float(magnitude_herz_norms([mag], L, params)[0])
-
-
 def mixed_herz_norm(field, params):
     """Iterated per-axis Herz norm, axis 1 innermost.
 
     params : HerzParams with params.n == field.n.  Grid cells have side h
     and indices m in [-G/2, G/2) on every axis.
     """
-    return magnitude_herz_norm(np.abs(field.values), field.L, params)
+    return float(magnitude_herz_norms([np.abs(field.values)], field.L,
+                                      params)[0])
 
 
 def mixed_lebesgue_norm(field, p):

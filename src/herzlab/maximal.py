@@ -94,7 +94,7 @@ def fs_vector_check(fields, herz, beta, t):
     """
     if not beta > 0.0:
         raise HypothesisError(f"beta = {beta} must be positive")
-    cap = min(herz.p_minus(), herz.q_minus(), beta)
+    cap = min(*herz.p, *herz.q, beta)
     if not 0.0 < t < cap:
         raise HypothesisError(
             f"t = {t} outside (0, min(p, q, beta)) = (0, {cap})")

@@ -256,7 +256,7 @@ def _f_envelopes(batch, params):
     gaps = sorted(set(gap.tolist()), reverse=True)
     weight = np.array([2.0 ** (k * (params.s + n / 2.0))
                        for k in range(batch.K + 1)])
-    contrib = weight[batch.level] * batch.magnitudes
+    contrib = np.repeat(weight[k], lens) * batch.magnitudes
     if not math.isinf(beta):
         contrib = np.fromiter(map(operator.pow, contrib.tolist(),
                                   repeat(beta)), np.float64, len(contrib))

@@ -13,7 +13,7 @@ on the field, so the two norms (and block_norms) of one field under one
 system share one decomposition.  block_norms (and so besov_norm) takes the
 Herz norms of every level in one herz.magnitude_herz_norms call: each level
 reduces its leading axes alone, and the last axis of every level goes into
-one reduction, with the bits of one magnitude_herz_norm call per level.
+one reduction, each level's norm with the bits of a batch of one.
 triebel_norm builds its envelope as herz.lq_envelope does, in one
 accumulator and one scratch array, each level multiplied by its weight
 2^{k s} into the scratch.
@@ -25,7 +25,7 @@ The parameters are herz.SpaceParams (re-exported here) with family 'B' or
 import numpy as np
 
 from .herz import (SpaceParams, _weighted_envelope, lq_combine,
-                   magnitude_herz_norm, magnitude_herz_norms)
+                   magnitude_herz_norms)
 from .lpdecomp import level_magnitudes
 
 
@@ -51,7 +51,7 @@ def triebel_norm(field, params, system):
     mags = level_magnitudes(field, system)
     env = _weighted_envelope(
         mags, [2.0 ** (k * params.s) for k in range(len(mags))], params.beta)
-    return magnitude_herz_norm(env, field.L, params.herz)
+    return float(magnitude_herz_norms([env], field.L, params.herz)[0])
 
 
 def space_norm(field, params, system):

@@ -604,6 +604,14 @@ def test_every_malformed_value_exits_cleanly(tmp_path, capsys, command):
     ("norm", "kind = witness", "kind = sphere", "[field] kind"),
     ("decompose", "kind = fj", "kind = haar", "[system] kind"),
     ("seqnorm", "lam.coeffs", "nope.coeffs", "[coeffs] path"),
+    ("norm", "kind = witness", "kind = constant\nvalue = nan",
+     "[field] value"),
+    ("norm", "kind = witness", "kind = constant\nvalue = inf",
+     "[field] value"),
+    ("norm", "kind = witness", "kind = constant\nvalue = nan+1j",
+     "[field] value"),
+    ("norm", "kind = witness", "kind = band\nradius = nan", "[field] radius"),
+    ("norm", "kind = witness", "kind = band\nradius = -1", "[field] radius"),
 ])
 def test_malformed_value_names_its_key(tmp_path, capsys, command, old, new,
                                        name):
@@ -614,6 +622,13 @@ def test_malformed_value_names_its_key(tmp_path, capsys, command, old, new,
                              base.replace(old, new, 1))
     assert code == 2 and len(err) == 1 and err[0].startswith("error:"), err
     assert name in err[0], err
+
+
+@pytest.mark.parametrize("kind", ["constant\nvalue = 2-1j",
+                                  "band\nradius = inf"])
+def test_constant_and_band_fields_run(tmp_path, capsys, kind):
+    text = NORM_CFG.replace("kind = witness", f"kind = {kind}")
+    assert _run_quietly(capsys, tmp_path, "norm", text) == (0, [])
 
 
 def test_report_format_is_checked_before_the_command_runs(tmp_path, capsys,

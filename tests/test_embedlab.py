@@ -76,6 +76,25 @@ def test_sequence_theorems_demand_sequence_params():
                       _seq("f", 2.0, 0.0, 2.0, 1.0, 2.0))
 
 
+def test_source_and_target_dimensions_must_match():
+    with pytest.raises(ValueError, match="source and target dimensions"):
+        EmbeddingSpec("sobolev", _seq("f", 1.0, 0.25, 2.0, 1.75, 2.0),
+                      _seq("f", (2.0, 2.0), (0.0, 0.0), (2.0, 2.0), 1.0,
+                           2.0))
+
+
+def test_wrong_family_of_the_right_case_is_a_broken_hypothesis():
+    # b is a sequence family, so the spec is built; sobolev needs f to f
+    good = conforming("sobolev")
+    spec = EmbeddingSpec("sobolev", SpaceParams(good.source.herz,
+                                                good.source.s,
+                                                good.source.beta, "b"),
+                         good.target)
+    assert spec.hypothesis_errors() == ["families must be f to f, got b to f"]
+    with pytest.raises(HypothesisError, match="families must be f to f"):
+        spec.validate()
+
+
 def test_one_parameter_class_whose_family_case_picks_the_theorems():
     assert SeqSpaceParams is SpaceParams  # both as exported by herzlab
     herz = HerzParams(2.0, 0.25, 2.0)
@@ -237,6 +256,15 @@ def test_ppn_hypothesis_guards():
                   1, 8.0, 256, 4, seed=9)
 
 
+def test_ppn_check_refuses_other_params_and_dimensions():
+    with pytest.raises(TypeError, match="must be HerzParams"):
+        ppn_check(_fun(1.0, 0.0, 2.0, 0.0, 2.0), HerzParams(2.0, 0.0, 2.0),
+                  1, 8.0, 256, 4, seed=9)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ppn_check(HerzParams(1.0, 0.0, 2.0), HerzParams(2.0, 0.0, 2.0),
+                  2, 8.0, 256, 4, seed=9)
+
+
 def _probe(n, K, level):
     """The probe of seq_embedding_check, built from its dict."""
     return CoeffSeq(n, K, 16.0, {(level, (1,) * n): 1})
@@ -377,8 +405,9 @@ def test_random_coeffs_draw_the_former_sets(n):
     assert np.array_equal(
         np.repeat(batch.block_set, np.diff(batch.starts)),
         np.concatenate([np.full(len(vals), d) for d, _, _, vals in rows]))
-    assert np.array_equal(batch.level, np.concatenate(
-        [np.full(len(vals), k) for _, k, _, vals in rows]))
+    assert np.array_equal(
+        np.repeat(batch.block_level, np.diff(batch.starts)),
+        np.concatenate([np.full(len(vals), k) for _, k, _, vals in rows]))
     assert np.array_equal(batch.index,
                           np.concatenate([pos for _, _, pos, _ in rows]))
     assert np.array_equal(
@@ -422,6 +451,11 @@ def test_sweep_needs_a_positive_top_level():
     with pytest.raises(ValueError, match=r"K = 0 must be >= 1"):
         seq_embedding_check(conforming("sobolev"), 0, draws=5, seed=1)
     assert seq_embedding_check(conforming("sobolev"), 1, 5, 1)["K"] == 1
+
+
+def test_sweep_refuses_function_specs():
+    with pytest.raises(HypothesisError, match="needs a sequence spec"):
+        seq_embedding_check(conforming("besov-function"), 2, 3, 1)
 
 
 def test_negative_draws_rejected_by_name():

@@ -8,7 +8,7 @@ from herzlab import (HerzParams, HypothesisError, lq_combine, lq_envelope,
 from herzlab.grid import _log2_exact
 from herzlab.herz import (_axis_reduce_herz, _axis_reduce_stacks,
                           _cells_mixed_herz, _weighted_envelope,
-                          magnitude_herz_norm, magnitude_herz_norms)
+                          magnitude_herz_norms)
 
 # ---------------------------------------------------------------------------
 # Reference implementation, kept deliberately naive: every cell's |x| interval
@@ -381,7 +381,7 @@ BATCH_CASES = [
 @pytest.mark.parametrize("n, G, L, params", BATCH_CASES)
 def test_magnitude_herz_norms_equal_one_call_per_array(n, G, L, params):
     # three arrays of a wide dynamic range and one all-zero level: the
-    # batch has the bits of one magnitude_herz_norm call per array, and
+    # batch has the bits of a batch of one per array, and
     # that of the one reduction it was before the batch
     rng = np.random.default_rng(n * 1000 + G)
     mags = [rng.lognormal(0.0, 2.0, size=(G,) * n)
@@ -391,7 +391,7 @@ def test_magnitude_herz_norms_equal_one_call_per_array(n, G, L, params):
     assert got.shape == (4,) and got[2] == 0.0
     v = _log2_exact(G) - _log2_exact(L)
     for norm, mag in zip(got.tolist(), mags):
-        assert norm == magnitude_herz_norm(mag, L, params)
+        assert norm == magnitude_herz_norms([mag], L, params)[0]
         assert norm == float(_cells_mixed_herz([(mag, (-G // 2,) * n, v)],
                                                params)[0])
 

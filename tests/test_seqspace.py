@@ -424,9 +424,9 @@ def _reference_f_norms(sets, params):
 
 
 def _stored(batch):
-    """vars(batch) as bytes, apart from the three views a batch caches."""
+    """vars(batch) as bytes, apart from the two views a batch caches."""
     return pickle.dumps({k: v for k, v in vars(batch).items()
-                         if k not in ("level", "magnitudes", "boxes")})
+                         if k not in ("magnitudes", "boxes")})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -461,8 +461,8 @@ def test_batch_norms_equal_reference_layout(monkeypatch, n, budget, beta):
         assert np.array_equal(seqspace.b_norms(part, bparams), got_b)
         assert np.array_equal(seqspace.f_norms(part, fparams), got_f)
         assert _stored(part) == stored
-        # the cached magnitudes, boxes and levels cannot be written
-        for array in [part.magnitudes, *part.boxes, part.level]:
+        # the cached magnitudes and boxes cannot be written
+        for array in [part.magnitudes, *part.boxes]:
             assert not array.flags.writeable
     # keeping every set is the batch itself
     assert batch.take(np.ones(len(batch), bool)) is batch
