@@ -84,12 +84,10 @@ def test_source_and_target_dimensions_must_match():
 
 
 def test_wrong_family_of_the_right_case_is_a_broken_hypothesis():
-    # b is a sequence family, so the spec is built; sobolev needs f to f
-    good = conforming("sobolev")
-    spec = EmbeddingSpec("sobolev", SpaceParams(good.source.herz,
-                                                good.source.s,
-                                                good.source.beta, "b"),
-                         good.target)
+    # the conforming sobolev spec with a b source: b is a sequence family,
+    # so the spec is built, but sobolev needs f to f
+    spec = EmbeddingSpec("sobolev", _seq("b", 1.0, 0.25, 2.0, 1.75, 2.0),
+                         _seq("f", 2.0, 0.0, 2.0, 1.0, 2.0))
     assert spec.hypothesis_errors() == ["families must be f to f, got b to f"]
     with pytest.raises(HypothesisError, match="families must be f to f"):
         spec.validate()
