@@ -208,13 +208,13 @@ def _grid_from(cfg, g_list=False):
     L = cfg.parsed("grid", "l", _power_of_two, "a power of two")
     if not g_list:
         G = cfg.parsed("grid", "g", _grid_size, "a power of two >= 4")
-        _check_grid(n, G, "[grid] g")
+        _check_grid(n, G, f"[grid] g = {G}")
         return n, L, G
     grids = cfg.parsed("maximal", "g_list", _each(_grid_size),
                        "a comma-separated list of powers of two >= 4",
                        "256,512")
     for G in grids:
-        _check_grid(n, G, "[maximal] g_list")
+        _check_grid(n, G, f"[maximal] g_list = {G}")
     return n, L, grids
 
 
@@ -238,12 +238,13 @@ def _grid_size(text):
     return G
 
 
-def _check_grid(n, G, key, fields=1):
-    """check_grid_memory as a ConfigError naming the key that gave G."""
+def _check_grid(n, G, setting, fields=1):
+    """check_grid_memory as a ConfigError led by the "[section] key =
+    value" setting that gave G."""
     try:
         check_grid_memory(n, G, fields)
     except ValueError as exc:
-        raise ConfigError(f"{key} = {G}: {exc}") from None
+        raise ConfigError(f"{setting}: {exc}") from None
 
 
 def _grid_meta(L, G, extra=None):
@@ -295,7 +296,7 @@ def _cmd_decompose(cfg):
     kind, K = _system_kind(cfg, default_k=3)
     # block_norms keeps the field's level magnitudes on it: check them too,
     # before the system is built
-    _check_grid(n, G, "[grid] g",
+    _check_grid(n, G, f"[grid] g = {G}",
                 1 + decomposition_fields(n, G, K, band_width(kind, L, G, K)))
     system = build_system(kind, n, L, G, K)
     f = _build_field(cfg, n, L, G)
@@ -341,6 +342,13 @@ def _cmd_embed_sweep(cfg):
     control = cfg.parsed("ensemble", "control", _boolean,
                          "yes/no, true/false, on/off or 1/0", "no")
     levels = cfg.get_ints("ensemble", "k_list", "4,6,8", low=1)
+    for K in levels:
+        # a draw reaching level K spans (2^(K+2))^n cells of that level's
+        # lattice, and its norms hold up to ~21 bytes a cell (tracemalloc);
+        # min keeps the integers small, as 2^64 cells outgrow any memory
+        if draws:
+            _check_grid(spec.n, 1 << (min(K, 62) + 2),
+                        f"[ensemble] k_list = {K}", 2)
     records = []
     for K in levels:
         rep = seq_embedding_check(spec, K, draws, seed, control=control)
@@ -408,6 +416,8 @@ def _cmd_hardy_check(cfg):
     q_list = cfg.get_vector("hardy", "q", "0.5,1,2,inf")
     draws = cfg.get_int("ensemble", "draws", "100", low=0)
     length = cfg.get_int("ensemble", "length", "64", low=1)
+    # hardy_check holds ~145 bytes a term (tracemalloc)
+    _check_grid(1, length, f"[ensemble] length = {length}", 10)
     seed = cfg.seed()
     records = []
     for a in a_list:

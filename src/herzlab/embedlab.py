@@ -33,6 +33,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -452,7 +453,7 @@ def seq_embedding_check(spec, K, draws, seed, control=False):
     lams = _random_coeffs(spec.n, K, rng, draws)
     den = seq_norms(lams, spec.source)
     kept = den != 0.0
-    ratios = seq_norms(lams.take(kept), spec.target) / den[kept]
+    ratios = seq_norms(lams, spec.target)[kept] / den[kept]
     # the probes sit on distinct levels, so each is reduced on its own; in
     # the draws' batch they would share stacks and change bits
     probes = _probes(spec.n, K, sorted({K, max(1, K // 2)}))
@@ -497,16 +498,10 @@ def hardy_check(a, q, draws, length, seed):
         else:
             eps = np.zeros(length)
             eps[rng.integers(0, length)] = 1.0
-        delta = np.empty(length)
-        acc = 0.0
-        for k in range(length):
-            acc = a * acc + eps[k]
-            delta[k] = acc
-        eta = np.empty(length)
-        acc = 0.0
-        for k in range(length - 1, -1, -1):
-            acc = a * acc + eps[k]
-            eta[k] = acc
+        values = eps.tolist()
+        delta = list(accumulate(values, lambda acc, e: a * acc + e))
+        eta = list(accumulate(values[::-1],
+                              lambda acc, e: a * acc + e))[::-1]
         base = lq_combine(eps, q)
         if base == 0.0:
             continue

@@ -75,9 +75,9 @@ class CoeffBatch:
     The columns are a batch's one stored form.  ``batch_from_levels``
     validates, sorts and de-duplicates many sets at once; iterating a
     batch yields one ``CoeffSeq`` per set, whose columns are views of the
-    batch's, and ``take`` keeps the sets of a mask.  ``magnitudes`` and
-    ``boxes`` are computed on first use and kept; the norms of
-    ``seqspace`` plan their stacks per call and keep nothing on the batch.
+    batch's.  ``magnitudes`` and ``boxes`` are computed on first use and
+    kept; the norms of ``seqspace`` plan their stacks per call and keep
+    nothing on the batch.
     """
 
     def _store(self, n, K, L, size, block_set, block_level, starts, index,
@@ -129,23 +129,6 @@ class CoeffBatch:
     def __iter__(self):
         return map(self.__getitem__, range(self._size))
 
-    def take(self, keep):
-        """The batch of the sets where the (D,) boolean mask keep is true,
-        in order; the batch itself when it keeps every set."""
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != (self._size,):
-            raise ValueError(f"mask of shape {keep.shape} for a batch of "
-                             f"{self._size} sets")
-        if keep.all():
-            return self
-        blocks, lens = keep[self.block_set], np.diff(self.starts)
-        rows = np.repeat(blocks, lens)
-        return CoeffBatch._of_blocks(
-            self.n, self.K, self.L, int(np.count_nonzero(keep)),
-            (np.cumsum(keep) - 1)[self.block_set[blocks]],
-            self.block_level[blocks], np.cumsum([0, *lens[blocks].tolist()]),
-            self.index[rows], self.value[rows])
-
     @functools.cached_property
     def magnitudes(self):
         """|value| of each row, read-only.  np.hypot of the parts equals
@@ -168,12 +151,12 @@ class CoeffSeq(CoeffBatch):
     """Sparse dyadic coefficients: (level k, lattice index tuple) -> value.
 
     A set is a batch of one (its blocks are its occupied levels), built by
-    ``from_levels`` or by ``CoeffSeq(n, K, L, entries)`` from a dict keyed
-    by (k, m), both checked as ``batch_from_levels`` checks.  ``levels()``
-    and ``entries`` are views derived from the columns.
+    ``from_levels``, checked as ``batch_from_levels`` checks.  ``levels()``
+    gives views of the columns.  The dict form (``CoeffSeq(n, K, L,
+    entries)`` keyed by (k, m), ``entries`` and ``level_entries``) is built
+    and read by no program code; it stays for the benchmark's inputs and
+    tracer and for the tests.
     """
-
-    _levels = None
 
     def __init__(self, n, K, L, entries):
         # one group per (level, index length) in insertion order: a key's
@@ -212,15 +195,14 @@ class CoeffSeq(CoeffBatch):
     def levels(self):
         """Occupied levels as read-only views of the columns, in ascending k.
 
-        Returns a list of (k, pos, values): pos (H, n) int64 lattice indices
-        in lexicographic order, values (H,) complex128 the matching lam[k, m].
+        Returns a new list of (k, pos, values) on each call: pos (H, n)
+        int64 lattice indices in lexicographic order, values (H,) complex128
+        the matching lam[k, m].
         """
-        if self._levels is None:
-            bounds = self.starts.tolist()
-            self._levels = [(k, self.index[a:b], self.value[a:b])
-                            for k, a, b in zip(self.block_level.tolist(),
-                                               bounds, bounds[1:])]
-        return self._levels
+        bounds = self.starts.tolist()
+        return [(k, self.index[a:b], self.value[a:b])
+                for k, a, b in zip(self.block_level.tolist(), bounds,
+                                   bounds[1:])]
 
 
 def _checked_rows(n, K, sets):
@@ -424,33 +406,6 @@ def roundtrip_error(field, system):
 COEFF_MAGIC = "herzcoeffs 1"
 
 
-def parse_header(line, casts):
-    """The key=value fields of a coefficient snapshot's header line,
-    converted.
-
-    casts maps each required key to its converter; a ValueError names the
-    malformed, missing or unconvertible field.
-    """
-    fields = {}
-    for part in line.split():
-        key, eq, text = part.partition("=")
-        if not eq:
-            raise ValueError(
-                f"malformed header field {part!r}, expected key=value")
-        fields[key] = text
-    out = {}
-    for key, cast in casts.items():
-        if key not in fields:
-            raise ValueError(f"header has no {key!r} field")
-        try:
-            out[key] = cast(fields[key])
-        except ValueError:
-            raise ValueError(
-                f"header field {key}={fields[key]!r} is not a valid "
-                f"{cast.__name__}") from None
-    return out
-
-
 def save_coeffs(coeffs, path):
     """Text snapshot; %.17g per float round-trips bit-exactly."""
     rows = [f"{k} {' '.join(map(str, m))} {v.real:.17g} {v.imag:.17g}"
@@ -462,32 +417,59 @@ def save_coeffs(coeffs, path):
 
 
 def load_coeffs(path):
+    """The set of a ``save_coeffs`` snapshot; a ValueError names the
+    malformed header field or line.
+
+    Each level's lines form one (k, pos, values) group, the groups in order
+    of first appearance, so of two bad levels the first in the file is
+    named; a repeated (k, m) keeps the value of its last line.
+    """
     with open(path, "r", encoding="ascii") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != COEFF_MAGIC:
             raise ValueError(f"not a coefficient snapshot: {magic!r}")
-        head = parse_header(fh.readline(),
-                            {"n": int, "K": int, "L": float, "count": int})
+        fields = {}
+        for part in fh.readline().split():
+            key, eq, text = part.partition("=")
+            if not eq:
+                raise ValueError(
+                    f"malformed header field {part!r}, expected key=value")
+            fields[key] = text
+        head = {}
+        for key, cast in (("n", int), ("K", int), ("L", float),
+                          ("count", int)):
+            if key not in fields:
+                raise ValueError(f"header has no {key!r} field")
+            try:
+                head[key] = cast(fields[key])
+            except ValueError:
+                raise ValueError(
+                    f"header field {key}={fields[key]!r} is not a valid "
+                    f"{cast.__name__}") from None
         n, L, count = head["n"], head["L"], head["count"]
         if not (math.isfinite(L) and L > 0.0):
             raise ValueError(f"header field L={L!r} must be finite and "
                              f"positive")
         if count < 0:
             raise ValueError(f"header field count={count} must be >= 0")
-        entries = {}
+        groups = {}
         for lineno in range(3, count + 3):
             toks = fh.readline().split()
             if len(toks) != n + 3:
                 raise ValueError(f"line {lineno}: {len(toks)} fields, a "
                                  f"coefficient line has {n + 3}")
             try:
-                key = (int(toks[0]), tuple(int(t) for t in toks[1:n + 1]))
-                entries[key] = complex(float(toks[n + 1]), float(toks[n + 2]))
+                k, m = int(toks[0]), tuple(int(t) for t in toks[1:n + 1])
+                v = complex(float(toks[n + 1]), float(toks[n + 2]))
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed coefficient line "
                                  f"{' '.join(toks)!r}") from None
+            pos, vals = groups.setdefault(k, ([], []))
+            pos.append(m)
+            vals.append(v)
         for lineno, line in enumerate(fh, count + 3):
             if line.strip():
                 raise ValueError(f"line {lineno}: {line.strip()!r} after the "
                                  f"count={count} coefficient lines")
-    return CoeffSeq(n, head["K"], L, entries)
+    return CoeffSeq.from_levels(n, head["K"], L, [
+        (k, pos, vals) for k, (pos, vals) in groups.items()])

@@ -338,20 +338,27 @@ def witness_modes(n, L, G, N):
     integer array of centered indices in lexicographic order, the base
     radii (M,) and the indices dilated to level N.
     """
-    half = G // 2
-    # base indices t with 3/4 < |t| 2 pi / L < 1 and 2^N t resolvable
+    # base indices t with 3/4 < |t| 2 pi / L < 1 and 2^N t resolvable: the
+    # shell is symmetric, so it fits the band iff its largest index is
+    # below reach
+    reach = -(-(G // 2) >> N)
+    band = f"level-{N} shell exceeds the grid band; enlarge G or lower N"
     span = int(np.floor(L / TAU)) + 1
+    # every base index has |t_i| 2 pi / L <= |xi| < 1, so none exceeds top,
+    # and (top, 0, .., 0) is a base mode once top 2 pi / L > 3/4 (L > 8 pi):
+    # then the band is checked before the (2 span + 1)^n candidates are built
+    top = next(t for t in range(span, -1, -1) if t * (TAU / L) < 1.0)
+    if top * (TAU / L) > 0.75 and top >= reach:
+        raise ValueError(band)
     idx = np.indices((2 * span + 1,) * n).reshape(n, -1).T - span
     rad = _radial_freq(np.arange(-span, span + 1), n, L).ravel()
     keep = (rad > 0.75) & (rad < 1.0)
     idx, rad = idx[keep], rad[keep]
     if idx.shape[0] == 0:
         raise ValueError("no on-grid modes in the base shell; enlarge L")
-    scaled = idx * (1 << N)
-    if not np.all((scaled >= -half) & (scaled < half)):
-        raise ValueError(
-            f"level-{N} shell exceeds the grid band; enlarge G or lower N")
-    return idx, rad, scaled
+    if idx.max() >= reach:
+        raise ValueError(band)
+    return idx, rad, idx * (1 << N)
 
 
 def random_band_field(n, L, G, radius, seed):

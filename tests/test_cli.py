@@ -612,6 +612,12 @@ def test_every_malformed_value_exits_cleanly(tmp_path, capsys, command):
      "[field] value"),
     ("norm", "kind = witness", "kind = band\nradius = nan", "[field] radius"),
     ("norm", "kind = witness", "kind = band\nradius = -1", "[field] radius"),
+    # each refused before anything is allocated: 2^40 is far beyond the band
+    # and beyond physical memory
+    ("norm", "l = 8", "l = 1099511627776", "level-0 shell exceeds the grid"),
+    ("hardy-check", "length = 8", "length = 1099511627776",
+     "[ensemble] length = 1099511627776: "),
+    ("embed-sweep", "k_list = 2", "k_list = 40", "[ensemble] k_list = 40: "),
 ])
 def test_malformed_value_names_its_key(tmp_path, capsys, command, old, new,
                                        name):

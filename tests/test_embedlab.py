@@ -444,6 +444,21 @@ def test_batched_sweep_matches_per_draw_route(n, theorem, control, K, draws,
         assert draws * (4 << K) ** n > seqspace.BATCH_CELLS
 
 
+def test_skipped_draws_are_the_empty_draws():
+    # at K = 4, seed 9026 of the benchmark's pool draws one empty set; the
+    # kept draws' ratios are those of a batch of the kept draws alone
+    spec = conforming("sobolev")
+    draws = _random_coeffs(1, 4, np.random.default_rng(9026), 25)
+    kept = [lam.levels() for lam in draws if len(lam.index)]
+    assert len(kept) == 24
+    got = seq_embedding_check(spec, 4, 25, 9026)
+    assert (got["draws"], got["skipped"]) == (24, 1)
+    batch = CoeffSeq.batch_from_levels(1, 4, 16.0, kept)
+    ratios = (seqspace.seq_norms(batch, spec.target)
+              / seqspace.seq_norms(batch, spec.source))
+    assert got["max_random_ratio"] == ratios.max()
+
+
 def test_sweep_needs_a_positive_top_level():
     # the mid-level probe sits at level max(1, K // 2)
     with pytest.raises(ValueError, match=r"K = 0 must be >= 1"):

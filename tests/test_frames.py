@@ -294,7 +294,6 @@ def test_levels_are_sorted_arrays_per_level():
     assert pos.tolist() == [[-4, 5], [1, -3], [1, -1]]
     assert vals.tolist() == [-1.0 + 0j, 0.5j, 2j]
     assert CoeffSeq(1, 2, 16.0, {}).levels() == []
-    assert lam.levels() is levels
     assert not pos.flags.writeable and not vals.flags.writeable
 
 
@@ -532,6 +531,14 @@ def test_analyze_validates_field_when_called():
     ("n=1 K=2 L=16\n", ["count"]),
     ("n=1 K=2 L=16 count=2\n0 0 1 0\n0 z 1 0\n", ["line 4", "0 z 1 0"]),
     ("n=1 K=2 L=16 count=1\n0 0 1\n", ["line 3", "3 fields"]),
+    ("n=1 K=2 L=16 count=2\n0 1 1 0\n5 0 1 0\n",
+     ["entry level 5 outside 0..2"]),
+    ("n=1 K=2 L=16 count=1\n0 0 nan 0\n", ["level 0 values are not finite"]),
+    # two bad levels: the first in file order is named
+    ("n=1 K=2 L=16 count=3\n1 0 1 0\n7 0 1 0\n2 0 inf 0\n",
+     ["entry level 7 outside 0..2"]),
+    ("n=1 K=2 L=16 count=3\n2 0 inf 0\n1 0 1 0\n7 0 1 0\n",
+     ["level 2 values are not finite"]),
 ])
 def test_load_coeffs_names_the_malformed_part(tmp_path, body, names):
     path = tmp_path / "bad.coeffs"
@@ -540,6 +547,15 @@ def test_load_coeffs_names_the_malformed_part(tmp_path, body, names):
         load_coeffs(path)
     for name in names:
         assert name in str(info.value)
+
+
+def test_load_coeffs_keeps_the_last_value_of_a_repeated_index(tmp_path):
+    path = tmp_path / "lam.coeffs"
+    path.write_text("herzcoeffs 1\nn=1 K=2 L=16 count=4\n"
+                    "1 3 1 0\n0 2 5 0\n1 3 2 -1\n1 -1 0 1\n")
+    assert [(k, pos.tolist(), vals.tolist())
+            for k, pos, vals in load_coeffs(path).levels()] == [
+        (0, [[2]], [5 + 0j]), (1, [[-1], [3]], [1j, 2 - 1j])]
 
 
 def _assert_same_set(got, want):

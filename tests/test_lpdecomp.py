@@ -130,6 +130,18 @@ def test_witness_modes_failure_modes():
         witness_modes(1, 32.0, 2048, 20)  # scaled shell leaves the grid band
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_witness_band_is_checked_before_the_candidates(monkeypatch, n):
+    # at L = 2^40 the candidates would be (2 floor(L / 2 pi) + 3)^n indices;
+    # the shell's largest index alone shows that it leaves the band
+    def refuse(*args, **kwargs):
+        raise AssertionError("the candidate indices were built")
+    monkeypatch.setattr(lpdecomp.np, "indices", refuse)
+    with pytest.raises(ValueError, match="level-0 shell exceeds the grid "
+                                         "band; enlarge G or lower N"):
+        witness_modes(n, 2.0 ** 40, 256, 0)
+
+
 def test_witness_is_reproduced_by_its_block():
     # the level-N witness occupies 3/4 * 2^N < |xi| < 2^N, where resolution
     # level N is identically one and every other level vanishes

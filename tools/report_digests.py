@@ -32,8 +32,8 @@ exits 1 if not.
 
 This script renders every revision, so a revision can be compared only
 if its herzlab has each function the script calls; the sequence norms
-need ``CoeffBatch.take`` and ``batch_from_levels``, which herzlab has
-had since the flat batch form came in (7e54af6).
+need ``batch_from_levels``, which herzlab has had since the flat batch
+form came in (7e54af6).
 """
 
 import argparse
@@ -238,7 +238,7 @@ def sequence_batches(herzlab):
     embed-sweep draws at n = 1 (K = 4 and 8, 25 and 200 draws), n = 2
     (K = 3) and n = 3 (K = 2, 12 draws, so the iterated reduction runs over
     three axes), an n = 2, K = 6 batch whose top-level stack BATCH_CELLS
-    splits, the take of n = 1, K = 2 draws that drops the empty draw and
+    splits, a batch of the n = 1, K = 2 draws without the empty draw and
     every third one, and batches built by batch_from_levels of the probes
     of seq_embedding_check at K = 8 and 3 and of the lambda_star outputs
     of ``kernels_sources`` at r = 1 and r = inf.
@@ -256,8 +256,9 @@ def sequence_batches(herzlab):
     # draw 2 is empty; every third draw goes too, so the batch holds
     # non-adjacent sets of the draws
     draws = _random_coeffs(1, 2, np.random.default_rng(5), 40)
-    keep = [bool(lam.entries) and d % 3 != 0 for d, lam in enumerate(draws)]
-    yield "kept-1d-K2-40", SEQUENCE_LAYERS[1], draws.take(keep)
+    kept = [groups for d, groups in enumerate(lam.levels() for lam in draws)
+            if groups and d % 3 != 0]
+    yield "kept-1d-K2-40", SEQUENCE_LAYERS[1], from_levels(1, 2, 16.0, kept)
     for n, K in ((1, 8), (2, 3)):
         yield (f"probes-{n}d-K{K}", SEQUENCE_LAYERS[n],
                from_levels(n, K, 16.0, [[(level, [(1,) * n], [1.0])]
