@@ -385,6 +385,10 @@ def _cmd_maximal_check(cfg):
     beta = cfg.get_float("maximal", "beta")
     t = cfg.get_float("maximal", "t")
     count = cfg.get_int("ensemble", "count", "16", low=1)
+    # the fields and fs_vector_check hold up to ~4.5 field sizes a field
+    # (tracemalloc, n = 1-3, 256 to 2048 fields)
+    for G in grids:
+        _check_grid(n, G, f"[ensemble] count = {count}", 5 * count)
     seed = cfg.seed()
     records = []
     for G in grids:

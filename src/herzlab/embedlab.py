@@ -41,7 +41,7 @@ from .frames import CoeffBatch, _sorted_blocks
 from .grid import SampledField, sealed
 from .herz import (HerzParams, HypothesisError, SpaceParams, _inv,
                    _rational, lq_combine, mixed_herz_norm)
-from .seqspace import seq_norms
+from .seqspace import _joint_norms
 
 THEOREMS = ("sobolev", "jawerth-strict", "jawerth-equal",
             "franke-strict", "franke-equal", "besov-function")
@@ -429,11 +429,12 @@ def seq_embedding_check(spec, K, draws, seed, control=False):
     permits exactly one defect: a broken smoothness balance.  Probe
     spikes at the top level K and mid level max(1, K // 2) are always
     included, so K must be >= 1; they pin the growth rate when the balance
-    is broken.  All draws are built as one CoeffBatch and their norms taken
-    on it; the target norms are taken on the batch of the draws whose
-    source norm is not zero (the batch itself when none is skipped, so its
-    cached magnitudes and boxes are not computed again), and the other
-    draws are skipped.
+    is broken.  All draws are built as one CoeffBatch, the probes as
+    another, and each side's norms of both are taken in one joint call
+    (``seqspace._joint_norms``), two norm calls per check.  The two batches
+    never share a stack, so each keeps the bits of its own call.  A draw
+    whose source norm is zero (an empty draw) is skipped; its target norm
+    is taken with the others and dropped.
     """
     if K < 1:
         raise ValueError(f"K = {K} must be >= 1")
@@ -451,15 +452,12 @@ def seq_embedding_check(spec, K, draws, seed, control=False):
         spec.validate()
     rng = np.random.default_rng(seed)
     lams = _random_coeffs(spec.n, K, rng, draws)
-    den = seq_norms(lams, spec.source)
-    kept = den != 0.0
-    ratios = seq_norms(lams, spec.target)[kept] / den[kept]
-    # the probes sit on distinct levels, so each is reduced on its own; in
-    # the draws' batch they would share stacks and change bits
     probes = _probes(spec.n, K, sorted({K, max(1, K // 2)}))
-    probe_ratios = (seq_norms(probes, spec.target)
-                    / seq_norms(probes, spec.source)).tolist()
-    ratios = ratios.tolist()
+    den, probe_den = _joint_norms([lams, probes], spec.source)
+    num, probe_num = _joint_norms([lams, probes], spec.target)
+    kept = den != 0.0
+    ratios = (num[kept] / den[kept]).tolist()
+    probe_ratios = (probe_num / probe_den).tolist()
     return {
         "K": K,
         "draws": len(ratios),

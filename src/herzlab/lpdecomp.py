@@ -310,8 +310,17 @@ def decomposition_fields(n, G, K, width):
     last level is taken, 2 more are counted.  Its inverse transform runs
     in place on the zero-padded array it starts from, so one full-grid
     array is in flight and the count keeps one field size of headroom.
+    The forward band_fft's whole-axis pass holds one full-grid array and
+    its first crop, before anything is kept, which the same 2 cover.
+    Kept for the process: the band indices the transforms build and cache
+    on first use (``grid._band_index``), one of the forward crop and two
+    of each level's (into the spectrum, and into the grid), 2K + 3 int64
+    arrays of at most ``width`` entries.  On small 1d grids they are
+    several field sizes: at n = 1, G = 256, K = 4 (fj) the peak is 7.6
+    field sizes with them and 5.4 without.
     """
-    return (width / G) ** n + (K + 1) / 2 + 2
+    return ((width / G) ** n + (K + 1) / 2 + 2
+            + (2 * K + 3) * width / (2 * G ** n))
 
 
 def level_blocks(field, system):

@@ -165,7 +165,8 @@ def test_grid_beyond_physical_memory_names_its_key(tmp_path, capsys, command,
 def test_decompose_preflight_counts_the_kept_magnitudes(tmp_path, capsys,
                                                         monkeypatch):
     # three pages of 4 KiB hold the n = 1, G = 256 field (4 KiB) but not its
-    # K = 4 decomposition: band spectrum, 5/2 of magnitudes, 2 in flight
+    # K = 4 decomposition: band spectrum, 5/2 of magnitudes, 2 in flight and
+    # 11 cached band indices of at most 81 entries
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 3}
     monkeypatch.setattr(herzlab.grid, "os", SimpleNamespace(sysconf=pages.get))
     cfg = _write(tmp_path, "norm.ini", NORM_CFG)
@@ -173,16 +174,16 @@ def test_decompose_preflight_counts_the_kept_magnitudes(tmp_path, capsys,
                  str(tmp_path / "norm.csv")]) == 0
     line = _one_error_line(capsys, ["decompose", "--config", cfg],
                            "[grid] g = 256", "field sizes", "physical memory")
-    assert "5.8" in line
-    pages["SC_PHYS_PAGES"] = 6
+    assert "7.55664 field sizes" in line
+    pages["SC_PHYS_PAGES"] = 8
     assert main(["decompose", "--config", cfg, "--out",
                  str(tmp_path / "decompose.csv")]) == 0
 
 
 @pytest.mark.parametrize("kind, k, fields, need", [
-    ("fj", 12, "9.52466", 40908114576),
-    ("resolution", 12, "9.51401", 40862344848),
-    ("fj", 13, "10.0987", 43373538704)])
+    ("fj", 12, "9.52479", 40908670344),
+    ("resolution", 12, "9.5141", 40862763672),
+    ("fj", 13, "10.099", 43374732808)])
 def test_decompose_preflight_runs_before_the_system_is_built(
         tmp_path, capsys, monkeypatch, kind, k, fields, need):
     # n = 2, G = 16384 keeps 67 MiB of crops at K = 12; the rejection must
@@ -618,6 +619,8 @@ def test_every_malformed_value_exits_cleanly(tmp_path, capsys, command):
     ("hardy-check", "length = 8", "length = 1099511627776",
      "[ensemble] length = 1099511627776: "),
     ("embed-sweep", "k_list = 2", "k_list = 40", "[ensemble] k_list = 40: "),
+    ("maximal-check", "count = 2", "count = 1000000000000",
+     "[ensemble] count = 1000000000000: "),
 ])
 def test_malformed_value_names_its_key(tmp_path, capsys, command, old, new,
                                        name):

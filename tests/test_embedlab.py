@@ -459,6 +459,70 @@ def test_skipped_draws_are_the_empty_draws():
     assert got["max_random_ratio"] == ratios.max()
 
 
+# ---------------------------------------------------------------------------
+# Former batched route: four norm calls, the draws' source and target norms
+# on their batch and the probes' on theirs.  The sweep now takes each side's
+# norms of the draws and the probes in one joint call, which keeps every
+# stack of each batch, so every bit of the report.
+# ---------------------------------------------------------------------------
+
+
+def former_batched_seq_embedding_check(spec, K, draws, seed):
+    rng = np.random.default_rng(seed)
+    lams = _random_coeffs(spec.n, K, rng, draws)
+    den = seqspace.seq_norms(lams, spec.source)
+    kept = den != 0.0
+    ratios = seqspace.seq_norms(lams, spec.target)[kept] / den[kept]
+    probes = _probes(spec.n, K, sorted({K, max(1, K // 2)}))
+    probe_ratios = (seqspace.seq_norms(probes, spec.target)
+                    / seqspace.seq_norms(probes, spec.source)).tolist()
+    ratios = ratios.tolist()
+    return {
+        "K": K,
+        "draws": len(ratios),
+        "skipped": draws - len(ratios),
+        "max_ratio": max(ratios + probe_ratios),
+        "max_random_ratio": max(ratios) if ratios else 0.0,
+        "probe_ratios": probe_ratios,
+    }
+
+
+def _seq3(family, p, alpha, r, s, beta):
+    return SeqSpaceParams(HerzParams((p,) * 3, (alpha,) * 3, (r,) * 3), s=s,
+                          beta=beta, family=family)
+
+
+# s - bold 1/p - bold alpha is -1/2 on both sides
+CONFORMING_3D = (
+    EmbeddingSpec("franke-strict", _seq3("b", 1.0, 0.25, 2.0, 3.25, 2.0),
+                  _seq3("f", 2.0, 0.0, 2.0, 1.0, 2.0)),
+    EmbeddingSpec("jawerth-strict", _seq3("f", 1.0, 0.25, 2.0, 3.25, 3.0),
+                  _seq3("b", 2.0, 0.0, 1.5, 1.0, 2.0)))
+
+
+def _joint_cases():
+    # the specs of each n taken in turn over K; n = 3 stops at K = 4, as a
+    # 25-draw batch at K = 6 already holds ~0.5 GB
+    specs = {1: [conforming(t) for t in ALL_THEOREMS[:-1]],
+             2: [conforming_2d(t) for t in ("franke-strict", "jawerth-strict")],
+             3: list(CONFORMING_3D)}
+    for n, top in ((1, 8), (2, 8), (3, 4)):
+        for K in range(1, top + 1):
+            for control in (False, True):
+                spec = specs[n][K % len(specs[n])]
+                yield pytest.param(_lowered(spec) if control else spec, K,
+                                   control, id=f"{n}d-K{K}-"
+                                   f"{spec.theorem}{'-control' * control}")
+
+
+@pytest.mark.parametrize("spec, K, control", _joint_cases())
+def test_joint_norms_equal_the_four_call_check(spec, K, control):
+    for draws in (0, 1, 25):
+        seed = 600 + 10 * K + draws
+        got = seq_embedding_check(spec, K, draws, seed, control=control)
+        assert got == former_batched_seq_embedding_check(spec, K, draws, seed)
+
+
 def test_sweep_needs_a_positive_top_level():
     # the mid-level probe sits at level max(1, K // 2)
     with pytest.raises(ValueError, match=r"K = 0 must be >= 1"):

@@ -356,6 +356,31 @@ def test_build_memory_stays_near_the_kept_crops():
     assert peak < 4 * kept
 
 
+@pytest.mark.parametrize("builder", [build_fj_pair, build_resolution])
+@pytest.mark.parametrize("n, G, K", [(1, 256, 4), (1, 4096, 6), (2, 128, 3),
+                                     (3, 32, 2)])
+def test_decomposition_fields_bound_the_measured_peak(builder, n, G, K):
+    # a fresh field decomposed once its shape has run, with the band index
+    # caches empty, as for the first decomposition by a system; at n = 3
+    # L = 8 keeps the fj top level inside the band
+    from herzlab import grid
+    L = 8.0 if n == 3 else 16.0
+    system = builder(n, L, G, K)
+    fresh = [random_band_field(n, L, G, system.band_radius(), seed=s)
+             for s in (1, 2)]
+    level_magnitudes(fresh[0], system)
+    grid._band_index.cache_clear()
+    grid.band_box.cache_clear()
+    tracemalloc.start()
+    try:
+        level_magnitudes(fresh[1], system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fields = lpdecomp.decomposition_fields(n, G, K, system.width)
+    assert peak <= fields * 16 * G ** n
+
+
 def test_crops_are_read_only_and_the_systems_own():
     system = build_fj_pair(1, 16.0, 256, 3)
     f = random_band_field(1, 16.0, 256, 8.0, seed=2)

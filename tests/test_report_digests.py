@@ -23,7 +23,8 @@ def test_render_prints_one_digest_per_report(tmp_path):
     want += [f"{source} embed-sweep {fmt}"
              for source in [f"criterion-09-{name}{tag}"
                             for name in EMBEDDING_SPECS
-                            for tag in ("", "-control")] + ["n2-sweep"]
+                            for tag in ("", "-control")] + ["n2-sweep",
+                                                             "n3-sweep"]
              for fmt in ("csv", "json")]
     want += [f"kernels-{n}d maximal-check {fmt}" for n in (1, 2)
              for fmt in ("csv", "json")]

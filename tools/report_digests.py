@@ -10,9 +10,9 @@ tree's herzlab and tests and runs, under its command, every config of
 DETERMINISM_CONFIGS (tests/test_acceptance.py, acceptance criterion 14),
 every base config of tests/test_cli.py (``_fuzz_configs``) and the
 embed-sweep configs of ``sweep_configs`` (the five sequence specs of
-acceptance criterion 09, each with its control, and one n = 2 sweep) and
-the maximal-check configs of ``kernel_configs``, each rendered in csv and
-json.  It also takes the ``save_coeffs`` bytes of the
+acceptance criterion 09, each with its control, one n = 2 sweep and one
+n = 3 sweep) and the maximal-check configs of ``kernel_configs``, each
+rendered in csv and json.  It also takes the ``save_coeffs`` bytes of the
 coefficient sets of ``coeff_sets`` and the crop bytes and lower bounds of
 the systems of SYSTEM_SIZES (``system_bytes``), and the function-side
 norms of ``function_norms``: block, Besov and Triebel-Lizorkin norms of a
@@ -75,6 +75,33 @@ k_list = 2,3
 """
 
 
+# An n = 3 franke-strict sweep: a b source and an f target, each planned
+# with the probes on three axes; s - bold 1/p - bold alpha is -1/2 on both
+# sides.
+N3_SWEEP = """
+[run]
+theorem = franke-strict
+[source]
+family = b
+s = 3.25
+beta = 2
+p = 1,1,1
+alpha = 0.25
+q = 2
+[target]
+family = f
+s = 1
+beta = 2
+p = 2,2,2
+alpha = 0
+q = 2
+[ensemble]
+seed = 906
+draws = 12
+k_list = 2,3
+"""
+
+
 def _sweep_text(theorem, source, target, seed, control):
     """embed-sweep config of one sequence spec at K = 4, 6, 8, 200 draws."""
     sections = [f"[run]\ntheorem = {theorem}\n"]
@@ -92,7 +119,7 @@ def _sweep_text(theorem, source, target, seed, control):
 
 
 def sweep_configs(specs, lowered):
-    """(source, text) of the criterion-09 sweeps and N2_SWEEP.
+    """(source, text) of the criterion-09 sweeps, N2_SWEEP and N3_SWEEP.
 
     specs maps a theorem to its (source, target) SpaceParams, and lowered
     gives a control's source; the seeds are those of criterion 09.
@@ -103,6 +130,7 @@ def sweep_configs(specs, lowered):
         yield (f"criterion-09-{name}-control",
                _sweep_text(name, lowered(source), target, 901, True))
     yield "n2-sweep", N2_SWEEP
+    yield "n3-sweep", N3_SWEEP
 
 
 def kernel_configs():
