@@ -316,8 +316,8 @@ def decomposition_fields(n, G, K, width):
     on first use (``grid._band_index``), one of the forward crop and two
     of each level's (into the spectrum, and into the grid), 2K + 3 int64
     arrays of at most ``width`` entries.  On small 1d grids they are
-    several field sizes: at n = 1, G = 256, K = 4 (fj) the peak is 7.6
-    field sizes with them and 5.4 without.
+    several field sizes: at n = 1, G = 256, K = 4 (fj, L = 16) the peak
+    is 7.6 field sizes with them and 5.4 without.
     """
     return ((width / G) ** n + (K + 1) / 2 + 2
             + (2 * K + 3) * width / (2 * G ** n))

@@ -504,7 +504,8 @@ def _joint_cases():
     # the specs of each n taken in turn over K; n = 3 stops at K = 4, as a
     # 25-draw batch at K = 6 already holds ~0.5 GB
     specs = {1: [conforming(t) for t in ALL_THEOREMS[:-1]],
-             2: [conforming_2d(t) for t in ("franke-strict", "jawerth-strict")],
+             2: [conforming_2d("franke-strict"),
+                 conforming_2d("jawerth-strict")],
              3: list(CONFORMING_3D)}
     for n, top in ((1, 8), (2, 8), (3, 4)):
         for K in range(1, top + 1):
