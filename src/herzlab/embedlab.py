@@ -41,7 +41,7 @@ from .frames import CoeffBatch, _sorted_blocks
 from .grid import SampledField, sealed
 from .herz import (HerzParams, HypothesisError, SpaceParams, _inv,
                    _rational, lq_combine, mixed_herz_norm)
-from .seqspace import _joint_norms
+from .seqspace import seq_norms
 
 THEOREMS = ("sobolev", "jawerth-strict", "jawerth-equal",
             "franke-strict", "franke-equal", "besov-function")
@@ -396,17 +396,6 @@ def _random_coeffs(n, K, rng, draws):
         K, runs, np.concatenate(pos), values))
 
 
-def _probes(n, K, levels):
-    """One probe set per ascending level of 0..K, as one batch built from
-    its columns without checks: a single unit coefficient at index
-    (1, .., 1), on the cell touching the origin corner."""
-    count = len(levels)
-    return CoeffBatch._of_blocks(
-        n, K, 16.0, count, np.arange(count), np.array(levels, np.int64),
-        np.arange(count + 1), np.ones((count, n), np.int64),
-        np.ones(count, np.complex128))
-
-
 def single_spike_ratio(spec, level):
     """Closed-form target/source ratio of the probe at the given level.
 
@@ -429,12 +418,12 @@ def seq_embedding_check(spec, K, draws, seed, control=False):
     permits exactly one defect: a broken smoothness balance.  Probe
     spikes at the top level K and mid level max(1, K // 2) are always
     included, so K must be >= 1; they pin the growth rate when the balance
-    is broken.  All draws are built as one CoeffBatch, the probes as
-    another, and each side's norms of both are taken in one joint call
-    (``seqspace._joint_norms``), two norm calls per check.  The two batches
-    never share a stack, so each keeps the bits of its own call.  A draw
-    whose source norm is zero (an empty draw) is skipped; its target norm
-    is taken with the others and dropped.
+    is broken.  A probe is one unit coefficient at index (1, .., 1), and
+    its target/source ratio is taken in closed form (single_spike_ratio),
+    not from its norms.  All draws are built as one CoeffBatch, and each
+    side's norms of them are taken in one seq_norms call.  A draw whose
+    source norm is zero (an empty draw) is skipped; its target norm is
+    taken with the others and dropped.
     """
     if K < 1:
         raise ValueError(f"K = {K} must be >= 1")
@@ -452,12 +441,11 @@ def seq_embedding_check(spec, K, draws, seed, control=False):
         spec.validate()
     rng = np.random.default_rng(seed)
     lams = _random_coeffs(spec.n, K, rng, draws)
-    probes = _probes(spec.n, K, sorted({K, max(1, K // 2)}))
-    den, probe_den = _joint_norms([lams, probes], spec.source)
-    num, probe_num = _joint_norms([lams, probes], spec.target)
+    den = seq_norms(lams, spec.source)
     kept = den != 0.0
-    ratios = (num[kept] / den[kept]).tolist()
-    probe_ratios = (probe_num / probe_den).tolist()
+    ratios = (seq_norms(lams, spec.target)[kept] / den[kept]).tolist()
+    probe_ratios = [single_spike_ratio(spec, level)
+                    for level in sorted({K, max(1, K // 2)})]
     return {
         "K": K,
         "draws": len(ratios),

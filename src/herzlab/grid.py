@@ -87,7 +87,8 @@ class SampledField:
 
     A field owns its ``values``, stored read-only as complex128 by the rule
     of ``owned``, so that what is derived from a field and kept on it
-    (``lpdecomp.level_magnitudes``) cannot go stale.
+    (``lpdecomp.level_magnitudes``) cannot go stale.  Every sample must be
+    finite: a nan or infinite one would give a nan norm.
     """
 
     n: int
@@ -107,6 +108,11 @@ class SampledField:
         v = owned(self.values, np.complex128)
         if v.shape != (self.G,) * self.n:
             raise ValueError(f"values shape {v.shape} != {(self.G,) * self.n}")
+        finite = np.isfinite(v)
+        if not finite.all():
+            at = tuple(int(i) for i in np.unravel_index(np.argmin(finite),
+                                                          v.shape))
+            raise ValueError(f"sample {at} is {complex(v[at])}, not finite")
         object.__setattr__(self, "values", v)
 
     @property

@@ -30,19 +30,6 @@ scatter per level gap and takes the 1/beta root once.  The stacks' views
 of a buffer go to one Herz reduction per axis, which finishes them all
 together (see ``herz._axis_reduce_stacks``).
 
-Several batches of one n and K are planned together by one call
-(``_joint_norms``, which the public norms call with a list of one; the
-embedding sweep passes its draws and its probes).  Stacks are keyed by
-(batch, level) for b and by (batch, finest level) for f, so no stack holds
-sets of two batches, and each batch gets exactly the stacks of its own
-call: the same members, union boxes and column order.  The first batch
-also keeps its packing into buffers; the stacks of a later one follow in
-the last buffer before them while it has room, and each buffer still goes
-to one reduction.  So the joint norms of a batch equal its own norms bit
-for bit: a buffer's values are written cell by cell, and the reduction
-sums each stack's rows as it would alone (a one-column stack pairwise, a
-C-ordered stack row by row), whatever else shares the call.
-
 The bits of each norm are fixed by what the layout keeps: which stack
 holds a set and in which column, each stack's union box, the order in
 which an envelope cell's terms are added (ascending k, from zero) and
@@ -100,10 +87,11 @@ def _chunks(los, his):
 class _Stacks(NamedTuple):
     """Boxes stacked as columns, one array per key and BATCH_CELLS chunk.
 
-    Keys run ascending, and the boxes of a key are split by _chunks in
-    their given order.  Stack j holds box members[j][c] in column c of a
-    C-ordered (*box, len(members[j])) array of cells of side 2^-sides[j]
-    whose box has corner index los[j].  The stacks are numbered by global
+    Boxes are keyed by their cell side, sides running ascending, and the
+    boxes of a side are split by _chunks in their given order.  Stack j
+    holds box members[j][c] in column c of a C-ordered (*box,
+    len(members[j])) array of cells of side 2^-sides[j] whose box has
+    corner index los[j].  The stacks are numbered by global
     cells, stack j holding cells starts[j]..starts[j+1] - 1.
     """
 
@@ -114,12 +102,12 @@ class _Stacks(NamedTuple):
     starts: list
 
     @classmethod
-    def of(cls, keys, sides, los, his, owner, lens, pos):
-        """The stacks of boxes [los[b], his[b]) of keys[b] and cell sides
-        sides[b] (one side per key), for B >= 1 boxes, and the global cell
-        of each row of pos and each row's strides.
+    def of(cls, sides, los, his, owner, lens, pos):
+        """The stacks of boxes [los[b], his[b]) of cells of side
+        2^-sides[b], for B >= 1 boxes, and the global cell of each row of
+        pos and each row's strides.
 
-        A key whose boxes fit together is one stack; _chunks splits the
+        A side whose boxes fit together is one stack; _chunks splits the
         others.  Rows run in blocks, lens[j] rows in box owner[j]; box b's
         cell at lattice index m is global cell base[b] + sum_i m_i
         strides[i, b], every per-box value gathered one axis at a time.
@@ -127,8 +115,8 @@ class _Stacks(NamedTuple):
         each axis.
         """
         B, n = los.shape
-        order = np.argsort(keys, kind="stable")
-        opens = np.flatnonzero(np.diff(keys[order])) + 1
+        order = np.argsort(sides, kind="stable")
+        opens = np.flatnonzero(np.diff(sides[order])) + 1
         firsts, lasts = [0, *opens.tolist()], [*opens.tolist(), B]
         lo = np.minimum.reduceat(los[order], firsts, axis=0)
         hi = np.maximum.reduceat(his[order], firsts, axis=0)
@@ -192,120 +180,85 @@ class _Stacks(NamedTuple):
             j = end
 
 
-def _check(batches, params, family):
-    """The checks of the family's norm: its family, and each batch's n and
-    K, which must be those of the first."""
+def _check(batch, params, family):
+    """The checks of the family's norm: its family, and the batch's n."""
     if params.family != family:
         raise ValueError(f"{family}_norm needs family {family!r} parameters")
-    for batch in batches:
-        if params.herz.n != batch.n:
-            raise ValueError(f"params for n = {params.herz.n}, coeffs have "
-                             f"n = {batch.n}")
-        if batch.K != batches[0].K:
-            raise ValueError(f"batches of K = {batches[0].K} and {batch.K} "
-                             f"cannot be planned together")
+    if params.herz.n != batch.n:
+        raise ValueError(f"params for n = {params.herz.n}, coeffs have "
+                         f"n = {batch.n}")
 
 
-def _joined(batches):
-    """The columns of a list of batches, batch after batch.
+def b_norms(batch, params):
+    """b_norm of each coefficient set of a batch, as an array.
 
-    The sets of all batches are numbered in one run, batch i's set d being
-    set offsets[i] + d.  Returns the offsets, then per block its batch, its
-    set in that numbering, its level, the corner and end indices of its
-    box and its row count, then per row its index and magnitude.  Each
-    batch's cached magnitudes and boxes are read, never computed again on
-    the joined columns.  A lone batch's columns are its own arrays, not
-    copies: copying the rows of a ~9k-row majorant output cost a quarter
-    of its f-norm.
-    """
-    offsets = [0, *accumulate(map(len, batches))]
-    tag = np.repeat(np.arange(len(batches)),
-                    [len(b.block_level) for b in batches])
-    columns = zip(*((b.block_set + o, b.block_level, *b.boxes,
-                     np.diff(b.starts), b.index, b.magnitudes)
-                    for b, o in zip(batches, offsets)))
-    return offsets, tag, *(c[0] if len(c) == 1 else np.concatenate(c)
-                           for c in columns)
-
-
-def _per_batch(values, batches):
-    """The values of the sets of all batches, numbered in one run (see
-    _joined), as one array per batch."""
-    ends = [0, *accumulate(map(len, batches))]
-    return [values[a:b] for a, b in zip(ends, ends[1:])]
-
-
-def _joint_b_norms(batches, params):
-    """b_norms of each batch of a list, planned and reduced together.
-
-    Each (batch, level)'s blocks are stacked as columns on their union box
-    (split by _chunks), the magnitudes of every block are written in one
+    Each level's blocks are stacked as columns on their union box (split
+    by _chunks), the magnitudes of every block are written in one
     assignment, and the stacks of each buffer are reduced in one call.
-    Every set's levels are combined over the batches' K + 1 terms.
+    Every set's levels are combined over the batch's K + 1 terms.
     """
-    _check(batches, params, "b")
-    n, K = params.herz.n, batches[0].K
-    offsets, tag, sets, level, lo, hi, lens, index, mags = _joined(batches)
-    terms = np.zeros((offsets[-1], K + 1))
-    if len(level):
-        stk, cells, _ = _Stacks.of(tag * (K + 1) + level, level, lo, hi,
-                                   slice(None), lens, index)
+    _check(batch, params, "b")
+    n = params.herz.n
+    terms = np.zeros((len(batch), batch.K + 1))
+    if len(batch.block_level):
+        stk, cells, _ = _Stacks.of(batch.block_level, *batch.boxes,
+                                   slice(None), np.diff(batch.starts),
+                                   batch.index)
         for rows, local, buf, stacks in stk.buffers(cells):
-            buf[local] = mags[rows]
+            buf[local] = batch.magnitudes[rows]
             norms = _cells_mixed_herz([(arr, stk.los[j], stk.sides[j])
                                        for j, arr in stacks], params.herz)
             for (j, _), t in zip(stacks, norms):
                 k = stk.sides[j]
-                terms[sets[stk.members[j]], k] = (
+                terms[batch.block_set[stk.members[j]], k] = (
                     2.0 ** (k * (params.s + n / 2.0)) * t)
-    return _per_batch(lq_combine(terms, params.beta), batches)
+    return lq_combine(terms, params.beta)
 
 
-def _f_envelopes(batches, params):
-    """The l^beta envelopes across levels, on the finest occupied tilings,
-    of the sets of a list of batches.
+def _f_envelopes(batch, params):
+    """The l^beta envelopes across levels, on the finest occupied tilings.
 
-    Sets are grouped by batch and finest occupied level vf, and a group's
-    envelopes are stacked as columns on their union box (split by
-    _chunks).  A level-k coefficient covers the 2^(g n) finest cells from
-    its corner cell on, g = vf - k being its gap.  Each corner cell is
-    computed once per call.  The terms are then added with one scatter per
-    distinct gap over the whole buffer, in descending g.  Within one
-    stack, descending g is ascending k, so every cell is summed from zero
-    in ascending k.  The cells of the coefficients of one gap are
-    distinct, so a scatter adds to each cell at most once.  Each
-    coefficient's power is taken with Python's float power (libm pow,
-    ``operator.pow`` mapped over the terms in one pass), as in a per-entry
-    painting; numpy's vectorised power can differ from it in the last bit.
-    The 1/beta root is then taken once over the buffer.  Yields, per
-    buffer, the list of (sets, env, corner index, vf) of its stacks, each
-    env a view of the buffer and sets numbered across the batches (see
-    _joined); empty sets are in none.
+    Sets are grouped by finest occupied level vf, and a group's envelopes
+    are stacked as columns on their union box (split by _chunks).  A
+    level-k coefficient covers the 2^(g n) finest cells from its corner
+    cell on, g = vf - k being its gap.  Each corner cell is computed once
+    per call.  The terms are then added with one scatter per distinct gap
+    over the whole buffer, in descending g.  Within one stack, descending
+    g is ascending k, so every cell is summed from zero in ascending k.
+    The cells of the coefficients of one gap are distinct, so a scatter
+    adds to each cell at most once.  Each coefficient's power is taken
+    with Python's float power (libm pow, ``operator.pow`` mapped over the
+    terms in one pass), as in a per-entry painting; numpy's vectorised
+    power can differ from it in the last bit.  The 1/beta root is then
+    taken once over the buffer.  Yields, per buffer, the list of
+    (sets, env, corner index, vf) of its stacks, each env a view of the
+    buffer; empty sets are in none.
     """
-    _check(batches, params, "f")
-    n, beta, K = params.herz.n, params.beta, batches[0].K
-    offsets, tag, d, k, lo, hi, lens, index, mags = _joined(batches)
-    if not len(k):
+    _check(batch, params, "f")
+    n, beta = params.herz.n, params.beta
+    if not len(batch.block_level):
         return
+    d, k = batch.block_set, batch.block_level
+    lens = np.diff(batch.starts)
     # each set's finest level and envelope box, in finest-level indices
     new_set = np.diff(d, prepend=-1) != 0
     first = np.flatnonzero(new_set)
     sets = d[first]
-    vf = np.zeros(offsets[-1], np.int64)
+    vf = np.zeros(len(batch), np.int64)
     vf[sets] = k[np.append(first[1:], len(d)) - 1]
     gap = vf[d] - k
+    lo, hi = batch.boxes
     los = np.minimum.reduceat(lo << gap[:, None], first, axis=0)
     his = np.maximum.reduceat(hi << gap[:, None], first, axis=0)
     # each coefficient's corner cell, at its index shifted to the finest level
     row_gap = np.repeat(gap, lens)
-    stk, corner, strides = _Stacks.of(tag[first] * (K + 1) + vf[sets],
-                                      vf[sets], los, his,
+    stk, corner, strides = _Stacks.of(vf[sets], los, his,
                                       np.cumsum(new_set) - 1, lens,
-                                      index << row_gap[:, None])
+                                      batch.index << row_gap[:, None])
     gaps = sorted(set(gap.tolist()), reverse=True)
     weight = np.array([2.0 ** (k * (params.s + n / 2.0))
-                       for k in range(K + 1)])
-    contrib = np.repeat(weight[k], lens) * mags
+                       for k in range(batch.K + 1)])
+    contrib = np.repeat(weight[k], lens) * batch.magnitudes
     if not math.isinf(beta):
         contrib = np.fromiter(map(operator.pow, contrib.tolist(),
                                   repeat(beta)), np.float64, len(contrib))
@@ -334,44 +287,27 @@ def _f_envelopes(batches, params):
                for j, env in stacks]
 
 
-def _joint_f_norms(batches, params):
-    """f_norms of each batch of a list, planned and reduced together.
+def f_norms(batch, params):
+    """f_norm of each coefficient set of a batch, as an array.
 
     One reduction per buffer of stacked envelopes, each stack holding a
-    (batch, finest level) group (or a _chunks split of one).
+    finest-level group (or a _chunks split of one).
     """
-    out = np.zeros(sum(map(len, batches)))
-    for stacks in _f_envelopes(batches, params):
+    out = np.zeros(len(batch))
+    for stacks in _f_envelopes(batch, params):
         norms = _cells_mixed_herz([(env, lo, top)
                                    for _, env, lo, top in stacks], params.herz)
         for (members, *_), norm in zip(stacks, norms):
             out[members] = norm
-    return _per_batch(out, batches)
-
-
-def _joint_norms(batches, params):
-    """The params family's norm of each set of a list of batches of one n
-    and K, as one array per batch: every batch keeps the stacks, and so
-    the bits, of its own call, and no stack holds sets of two batches."""
-    norms = {"b": _joint_b_norms, "f": _joint_f_norms}.get(params.family)
-    if norms is None:
-        raise ValueError("seq_norm needs family 'b' or 'f' parameters")
-    return norms(batches, params)
-
-
-def b_norms(batch, params):
-    """b_norm of each coefficient set of a batch, as an array."""
-    return _joint_b_norms([batch], params)[0]
-
-
-def f_norms(batch, params):
-    """f_norm of each coefficient set of a batch, as an array."""
-    return _joint_f_norms([batch], params)[0]
+    return out
 
 
 def seq_norms(batch, params):
     """The params family's norm of each coefficient set of a batch."""
-    return _joint_norms([batch], params)[0]
+    norms = {"b": b_norms, "f": f_norms}.get(params.family)
+    if norms is None:
+        raise ValueError("seq_norm needs family 'b' or 'f' parameters")
+    return norms(batch, params)
 
 
 def b_norm(coeffs, params):

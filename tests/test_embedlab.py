@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from herzlab import (CoeffSeq, EmbeddingSpec, HerzParams, HypothesisError,
                      necessity_fit, ppn_check, seq_embedding_check, seq_norm,
                      single_spike_ratio)
 from herzlab import seqspace
-from herzlab.embedlab import _probes, _random_coeffs, _rational
+from herzlab.embedlab import _random_coeffs, _rational
 
 
 def _seq(family, p, alpha, r, s, beta):
@@ -270,9 +271,8 @@ def _probe(n, K, level):
 
 def test_single_spike_ratio_closed_form():
     spec = conforming("sobolev")
-    probes = _probes(1, 4, [2, 4])
-    for level, probe in zip((2, 4), probes):
-        assert probe.entries == _probe(1, 4, level).entries
+    for level in (2, 4):
+        probe = _probe(1, 4, level)
         got = seq_norm(probe, spec.target) / seq_norm(probe, spec.source)
         assert math.isclose(got, single_spike_ratio(spec, level), rel_tol=1e-10)
 
@@ -434,10 +434,12 @@ def test_batched_sweep_matches_per_draw_route(n, theorem, control, K, draws,
         spec = _lowered(spec)
     got = seq_embedding_check(spec, K, draws, seed, control=control)
     want = former_seq_embedding_check(spec, K, draws, seed)
-    for key in ("draws", "skipped", "probe_ratios"):
+    for key in ("draws", "skipped"):
         assert got[key] == want[key]
     for key in ("max_ratio", "max_random_ratio"):
         assert math.isclose(got[key], want[key], rel_tol=1e-12)
+    _assert_closed_form_probes(got, spec, want["probe_ratios"],
+                               got["max_random_ratio"])
     if K == 2:
         assert got["skipped"] > 0
     if K == 5:
@@ -461,10 +463,32 @@ def test_skipped_draws_are_the_empty_draws():
 
 # ---------------------------------------------------------------------------
 # Former batched route: four norm calls, the draws' source and target norms
-# on their batch and the probes' on theirs.  The sweep now takes each side's
-# norms of the draws and the probes in one joint call, which keeps every
-# stack of each batch, so every bit of the report.
+# on their batch and the probes' on theirs.  The sweep still takes the
+# draws' norms on their batch, so their bits are kept; it takes the probe
+# ratios in closed form instead of from the probes' norms.
 # ---------------------------------------------------------------------------
+
+# The largest |norm ratio - closed form| of a probe, in ulps of the closed
+# form, measured over every spec and level these tests use: 9, for the
+# n = 2 jawerth-strict spec of conforming_2d at level 8.  Each norm of a
+# one-coefficient set rounds at every weight, power and root of its Herz
+# reduction; the closed form (within half an ulp of the exact value here)
+# rounds once per exponent term and once in its power of 2.
+PROBE_ULPS = 9
+
+
+def _assert_closed_form_probes(got, spec, former_probes, random_max):
+    """The sweep's probe ratios are single_spike_ratio's, its max_ratio is
+    the max of random_max and them, and each former norm ratio of a probe
+    lies within PROBE_ULPS of them."""
+    K = got["K"]
+    levels = sorted({K, max(1, K // 2)})
+    assert got["probe_ratios"] == [single_spike_ratio(spec, level)
+                                   for level in levels]
+    assert got["max_ratio"] == max(random_max, *got["probe_ratios"])
+    assert len(former_probes) == len(levels)
+    for former, exact in zip(former_probes, got["probe_ratios"]):
+        assert abs(former - exact) <= PROBE_ULPS * math.ulp(exact)
 
 
 def former_batched_seq_embedding_check(spec, K, draws, seed):
@@ -473,7 +497,9 @@ def former_batched_seq_embedding_check(spec, K, draws, seed):
     den = seqspace.seq_norms(lams, spec.source)
     kept = den != 0.0
     ratios = seqspace.seq_norms(lams, spec.target)[kept] / den[kept]
-    probes = _probes(spec.n, K, sorted({K, max(1, K // 2)}))
+    probes = CoeffSeq.batch_from_levels(
+        spec.n, K, 16.0, [[(level, [(1,) * spec.n], [1.0])]
+                          for level in sorted({K, max(1, K // 2)})])
     probe_ratios = (seqspace.seq_norms(probes, spec.target)
                     / seqspace.seq_norms(probes, spec.source)).tolist()
     ratios = ratios.tolist()
@@ -518,10 +544,66 @@ def _joint_cases():
 
 @pytest.mark.parametrize("spec, K, control", _joint_cases())
 def test_joint_norms_equal_the_four_call_check(spec, K, control):
+    # the draws keep every bit of the four-call check; the probes come in
+    # closed form
     for draws in (0, 1, 25):
         seed = 600 + 10 * K + draws
         got = seq_embedding_check(spec, K, draws, seed, control=control)
-        assert got == former_batched_seq_embedding_check(spec, K, draws, seed)
+        want = former_batched_seq_embedding_check(spec, K, draws, seed)
+        for key in ("K", "draws", "skipped", "max_random_ratio"):
+            assert got[key] == want[key]
+        _assert_closed_form_probes(got, spec, want["probe_ratios"],
+                                   want["max_random_ratio"])
+
+
+def _on_axes(spec, n):
+    """spec with each side's exponents repeated on n axes and its s raised
+    by (n - 1)(1/p + alpha), so that both balance sides keep their value."""
+    sides = [SeqSpaceParams(HerzParams(side.herz.p * n, side.herz.alpha * n,
+                                       side.herz.q * n),
+                            side.s + (n - 1) * (1.0 / side.herz.p[0]
+                                                + side.herz.alpha[0]),
+                            side.beta, side.family)
+             for side in (spec.source, spec.target)]
+    return EmbeddingSpec(spec.theorem, *sides)
+
+
+def _spike_cases():
+    # levels 1..top; n = 3 stops at 4, as _joint_cases does
+    for n, top in ((1, 8), (2, 8), (3, 4)):
+        for theorem in ALL_THEOREMS[:-1]:
+            spec = _on_axes(conforming(theorem), n)
+            for control in (False, True):
+                yield pytest.param(_lowered(spec) if control else spec, top,
+                                   id=f"{n}d-{theorem}{'-control' * control}")
+
+
+def _decimal_spike_ratio(spec, level):
+    """single_spike_ratio to 60 digits, from the exact value of each float
+    exponent."""
+    t, s = spec.target, spec.source
+    log2r = level * (Fraction(t.s) - Fraction(s.s))
+    for i in range(spec.n):
+        log2r += (1 - level) * (Fraction(t.herz.alpha[i])
+                                - Fraction(s.herz.alpha[i]))
+        log2r -= level * (1 / Fraction(t.herz.p[i])
+                          - 1 / Fraction(s.herz.p[i]))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(2) ** (Decimal(log2r.numerator)
+                              / Decimal(log2r.denominator))
+
+
+@pytest.mark.parametrize("spec, top", _spike_cases())
+def test_single_spike_ratio_bounds_the_probe_norm_ratio(spec, top):
+    assert spec.hypothesis_errors(ignore_balance=True) == []
+    for level in range(1, top + 1):
+        exact = single_spike_ratio(spec, level)
+        probe = _probe(spec.n, top, level)
+        numeric = seq_norm(probe, spec.target) / seq_norm(probe, spec.source)
+        assert abs(numeric - exact) <= PROBE_ULPS * math.ulp(exact)
+        assert (abs(Decimal(exact) - _decimal_spike_ratio(spec, level))
+                <= Decimal(math.ulp(exact)))
 
 
 def test_sweep_needs_a_positive_top_level():

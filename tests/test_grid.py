@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -59,6 +60,24 @@ def test_grid_validation():
         make_field(1, 8.0, 2)
     with pytest.raises(ValueError):
         make_field(0, 8.0, 64)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(math.nan, 1.0),
+                                 complex(0.0, math.inf)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_non_finite_sample_is_refused_by_index(bad, n):
+    # one nan sample once gave a nan norm, and an inf one a nan norm and a
+    # leaked numpy warning
+    values = np.ones((16,) * n, np.complex128)
+    at = (5, 3)[:n]
+    values[at] = bad
+    values[(7,) * n] = math.nan  # a later one is not the one named
+    message = re.escape(f"sample {at} is {complex(bad)}, not finite")
+    with pytest.raises(ValueError, match=message):
+        SampledField(n, 8.0, 16, values)
+    with pytest.raises(ValueError, match=message):
+        make_field(n, 8.0, 16).with_values(values, "freq")
 
 
 def test_axis_coords_left_edges():

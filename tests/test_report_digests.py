@@ -55,3 +55,5 @@ def test_render_prints_one_digest_per_report(tmp_path):
     by_label = {label: digest for digest, label in lines}
     assert by_label.pop("coeffs dict-roundtrip") == by_label["coeffs dict"]
     assert len(set(by_label.values())) == len(by_label)
+    # every config and coefficient file went to the child's own directory
+    assert list(tmp_path.iterdir()) == []

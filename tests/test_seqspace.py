@@ -8,7 +8,6 @@ import pytest
 from herzlab import (CoeffSeq, HerzParams, SeqSpaceParams, b_norm, f_norm,
                      lambda_star, lq_combine, make_field, mixed_herz_norm,
                      seq_norm, seqspace)
-from herzlab.embedlab import _probes, _random_coeffs
 from herzlab.seqspace import _cells_mixed_herz, _f_envelopes
 
 # ---------------------------------------------------------------------------
@@ -170,7 +169,7 @@ def test_f_norm_bitwise_equals_per_entry_painting(beta):
     herz = HerzParams((2.0, 1.5), (0.25, 0.0), (1.0, 2.0))
     params = SeqSpaceParams(herz, s=0.5, beta=beta, family="f")
     env, los, vf = per_entry_f_envelope(lam, params)
-    [(_, got, got_los, got_vf)] = next(_f_envelopes([lam], params))
+    [(_, got, got_los, got_vf)] = next(_f_envelopes(lam, params))
     assert np.array_equal(got[..., 0], env)
     assert np.array_equal(got_los, los) and got_vf == vf
     assert f_norm(lam, params) == _cells_mixed_herz([(env, los, vf)],
@@ -402,7 +401,7 @@ def test_one_pass_layout_equals_reference_layout(monkeypatch, n, budget,
     assert np.array_equal(seqspace.b_norms(batch, bparams),
                           reference_b_norms(layout, bparams))
     fparams = SeqSpaceParams(herz, 0.5, beta, "f")
-    got = [stack for stacks in _f_envelopes([batch], fparams)
+    got = [stack for stacks in _f_envelopes(batch, fparams)
            for stack in stacks]
     want = reference_f_envelopes(layout, fparams)
     assert len(got) == len(want)
@@ -478,60 +477,11 @@ def test_batched_norms_check_every_set():
         seqspace.f_norms(lam, PARAMS_B)
     empty = CoeffSeq.batch_from_levels(1, 2, 16.0, [])
     assert seqspace.seq_norms(empty, PARAMS_F).shape == (0,)
-
-
-def _joint_batches():
-    """Batches of n = 1, K = 8 to plan together: draws with a level held by
-    one draw alone, one-entry probes on their own levels (one of them on
-    that level), a batch that BATCH_CELLS splits, an empty batch and a batch
-    of one empty set."""
-    draws = _random_coeffs(1, 8, np.random.default_rng(9011), 8)
-    held = [len(set(draws.block_set[draws.block_level == k].tolist()))
-            for k in range(9)]
-    assert 1 in held
-    big = [CoeffSeq(1, 8, 16.0, {(8, (-20000,)): 1 + 2j, (8, (20000,)): 3.0}),
-           CoeffSeq(1, 8, 16.0, {(8, (-15000,)): 1j, (2, (3,)): 0.5}),
-           _random_seq(1, 8, 12, 1)]
-    split = CoeffSeq.batch_from_levels(1, 8, 16.0, [s.levels() for s in big])
-    return [draws, _probes(1, 8, [4, 8]), split,
-            CoeffSeq.batch_from_levels(1, 8, 16.0, []),
-            CoeffSeq.batch_from_levels(1, 8, 16.0, [[]])]
-
-
-@pytest.mark.parametrize("family", ["b", "f"])
-@pytest.mark.parametrize("beta", [1.5, 2.0, math.inf])
-def test_joint_pass_keeps_each_batch_bits(monkeypatch, family, beta):
-    # no stack holds sets of two batches, so each batch keeps the stacks of
-    # its own call and every norm its bits (a probe stacked with the draw
-    # that alone holds its level would change that draw's last bit here);
-    # the stacks of all batches share buffers, so the joint pass makes fewer
-    # reductions
-    herz = HerzParams(2.0, 0.25, 1.0)
-    params = SeqSpaceParams(herz, 0.5, beta, family)
-    batches = _joint_batches()
-    calls = []
-
-    def counting(stacks, herz):
-        calls.append([math.prod(arr.shape) for arr, _, _ in stacks])
-        return _cells_mixed_herz(stacks, herz)
-
-    monkeypatch.setattr(seqspace, "_cells_mixed_herz", counting)
-    own = [seqspace.seq_norms(batch, params) for batch in batches]
-    own_calls, calls[:] = len(calls), []
-    joint = seqspace._joint_norms(batches, params)
-    assert len(joint) == len(batches)
-    for got, want in zip(joint, own):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert len(calls) < own_calls
-    # the split batch alone outgrows one buffer
-    assert sum(map(sum, calls)) > seqspace.BATCH_CELLS
-    assert len(calls) > 1
-
-
-def test_joint_pass_needs_one_K():
-    batches = [_probes(1, 4, [4]), _probes(1, 5, [5])]
-    with pytest.raises(ValueError, match="K = 4 and 5"):
-        seqspace._joint_norms(batches, PARAMS_B)
+    # a batch of one empty set: 0.0 for b and f
+    one_empty = CoeffSeq.batch_from_levels(1, 2, 16.0, [[]])
+    for params in (PARAMS_B, PARAMS_F):
+        got = seqspace.seq_norms(one_empty, params)
+        assert got.dtype == np.float64 and got.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("norm, families", [(b_norm, "b"), (f_norm, "f"),

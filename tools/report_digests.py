@@ -22,8 +22,9 @@ trip (so the round trip is pinned at the spectral workload sizes, 1d
 G = 4096 and 2d G = 512), and vector maximal
 numerators and denominators at the kernels workload sizes, and the
 sequence norms of ``sequence_norms``: b and f norms of embed-sweep draws
-(at n = 1, 2 and 3), of a batch that BATCH_CELLS splits, of a batch of some of the sets of a
-draws batch, of the probes and of the majorant outputs of the kernels
+(at n = 1, 2 and 3), of a batch that BATCH_CELLS splits, of a batch of
+some of the sets of a draws batch, of one-coefficient sets at (1, .., 1)
+on levels K and K // 2 and of the majorant outputs of the kernels
 workload, batched and set by set, each written as the repr of each
 value.  It prints one line per report: its sha256, the revision's commit
 and the report's label.  With several revisions it ends with a line
@@ -75,8 +76,8 @@ k_list = 2,3
 """
 
 
-# An n = 3 franke-strict sweep: a b source and an f target, each planned
-# with the probes on three axes; s - bold 1/p - bold alpha is -1/2 on both
+# An n = 3 franke-strict sweep: a b source and an f target, each taking
+# the draws' norms on three axes; s - bold 1/p - bold alpha is -1/2 on both
 # sides.
 N3_SWEEP = """
 [run]
@@ -267,9 +268,10 @@ def sequence_batches(herzlab):
     (K = 3) and n = 3 (K = 2, 12 draws, so the iterated reduction runs over
     three axes), an n = 2, K = 6 batch whose top-level stack BATCH_CELLS
     splits, a batch of the n = 1, K = 2 draws without the empty draw and
-    every third one, and batches built by batch_from_levels of the probes
-    of seq_embedding_check at K = 8 and 3 and of the lambda_star outputs
-    of ``kernels_sources`` at r = 1 and r = inf.
+    every third one, and batches built by batch_from_levels of
+    one-coefficient sets at (1, .., 1) on levels K and K // 2, at K = 8 and
+    3, and of the lambda_star outputs of ``kernels_sources`` at r = 1 and
+    r = inf.
     """
     from herzlab.embedlab import _random_coeffs
     from herzlab.seqspace import lambda_star
@@ -333,7 +335,8 @@ def render_all(tree):
     Config files, and the coefficient file of the seqnorm config, are
     written to the current directory under fixed relative names, so the
     config echo in each report does not depend on where it runs; so are the
-    coefficient snapshots.
+    coefficient snapshots.  ``--render`` runs it in a fresh temporary
+    directory.
     """
     sys.path[:0] = [str(tree / "src"), str(tree / "tests")]
     import herzlab
@@ -373,12 +376,12 @@ def render_all(tree):
         yield f"sequence-norms {name}", text.encode("ascii")
 
 
-def digests(tree, workdir):
+def digests(tree):
     """{label: sha256} of the reports of the tree, rendered in a child."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--render", str(tree)],
-        cwd=str(workdir), env=env, capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"rendering {tree.name[:12]} exited "
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -391,18 +394,24 @@ def main(argv=None):
     ap.add_argument("--render", metavar="TREE", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.render:
-        for label, data in render_all(Path(args.render)):
-            print(hashlib.sha256(data).hexdigest(), label)
+        # render_all writes its files under fixed relative names; they go
+        # to a fresh directory, not to the caller's
+        tree, here = Path(args.render).resolve(), os.getcwd()
+        with tempfile.TemporaryDirectory(prefix="report_digests-") as tmp:
+            os.chdir(tmp)
+            try:
+                for label, data in render_all(tree):
+                    print(hashlib.sha256(data).hexdigest(), label)
+            finally:
+                os.chdir(here)
         return 0
     if not args.revs:
         ap.error("give at least one revision")
     with tempfile.TemporaryDirectory(prefix="report_digests-") as tmp:
         runs = []
-        for i, rev in enumerate(args.revs):
+        for rev in args.revs:
             commit, tree = unpack(rev, Path(tmp))
-            workdir = Path(tmp) / f"run{i}"
-            workdir.mkdir()
-            runs.append(digests(tree, workdir))
+            runs.append(digests(tree))
             for label, digest in runs[-1].items():
                 print(digest, commit[:12], label)
     if len(runs) > 1:
