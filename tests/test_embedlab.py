@@ -526,7 +526,7 @@ CONFORMING_3D = (
                   _seq3("b", 2.0, 0.0, 1.5, 1.0, 2.0)))
 
 
-def _joint_cases():
+def _four_call_cases():
     # the specs of each n taken in turn over K; n = 3 stops at K = 4, as a
     # 25-draw batch at K = 6 already holds ~0.5 GB
     specs = {1: [conforming(t) for t in ALL_THEOREMS[:-1]],
@@ -542,7 +542,7 @@ def _joint_cases():
                                    f"{spec.theorem}{'-control' * control}")
 
 
-@pytest.mark.parametrize("spec, K, control", _joint_cases())
+@pytest.mark.parametrize("spec, K, control", _four_call_cases())
 def test_joint_norms_equal_the_four_call_check(spec, K, control):
     # the draws keep every bit of the four-call check; the probes come in
     # closed form
@@ -569,7 +569,7 @@ def _on_axes(spec, n):
 
 
 def _spike_cases():
-    # levels 1..top; n = 3 stops at 4, as _joint_cases does
+    # levels 1..top; n = 3 stops at 4, as _four_call_cases does
     for n, top in ((1, 8), (2, 8), (3, 4)):
         for theorem in ALL_THEOREMS[:-1]:
             spec = _on_axes(conforming(theorem), n)
