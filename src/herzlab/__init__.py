@@ -14,8 +14,7 @@ from .embedlab import (EmbeddingSpec, dilation_family, dilation_scan,
                        seq_embedding_check, single_spike_ratio)
 from .frames import (CoeffSeq, analyze, load_coeffs, roundtrip_error,
                      save_coeffs, synthesize)
-from .grid import (DyadicGeometry, SampledField, make_field,
-                   spectral_transform)
+from .grid import SampledField, make_field, spectral_transform
 from .herz import (HerzParams, HypothesisError, lq_combine, lq_envelope,
                    mixed_herz_norm, mixed_lebesgue_norm)
 from .lpdecomp import (SpectralSystem, bandlimited_witness, build_fj_pair,

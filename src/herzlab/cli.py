@@ -1,12 +1,12 @@
 """Config-driven batch runner with CSV/JSON reports.
 
-Configuration files are INI-style: a [run] section naming the command,
-a [grid] section (n, L, G), parameter sections ([space], [source],
-[target]) holding per-axis exponent lists, command-specific blocks
-([field], [ensemble], [hardy], [maximal]) and an optional [output]
-section (format = csv | json).  Exponents accept 'inf'; vectors are
-comma-separated, and a single value is broadcast over the axes (the
-grid's n where the command has a [grid]).
+Configuration files are INI-style: a [grid] section (n, L, G), parameter
+sections ([space], [source], [target]) holding per-axis exponent lists,
+command-specific blocks ([field], [ensemble], [hardy], [maximal], and the
+[run] theorem of embed-sweep) and an optional [output] section (format =
+csv | json); the command is named on the command line.  Exponents accept
+'inf'; vectors are comma-separated, and a single value is broadcast over
+the axes (the grid's n where the command has a [grid]).
 
 Reports carry a meta block (config echo, version, truncation parameters
 in effect) and a record list.  Identical configs and seeds produce
@@ -27,8 +27,7 @@ from . import __version__
 from .embedlab import (THEOREMS, EmbeddingSpec, hardy_check, necessity_fit,
                        ppn_check, seq_embedding_check)
 from .frames import load_coeffs, roundtrip_error
-from .grid import (DyadicGeometry, _log2_exact, check_grid_memory,
-                   make_field, sealed)
+from .grid import _log2_exact, check_grid_memory, make_field, sealed
 from .herz import HerzParams, HypothesisError, SpaceParams, mixed_herz_norm
 from .lpdecomp import (band_width, bandlimited_witness, build_system,
                        decomposition_fields, random_band_field, smooth_step)
@@ -47,7 +46,7 @@ class ExperimentConfig:
     sections: dict
 
     @classmethod
-    def load(cls, path, command=None, seed=None):
+    def load(cls, path, command, seed=None):
         cp = configparser.ConfigParser(interpolation=None)
         try:
             if not cp.read(path):
@@ -55,9 +54,6 @@ class ExperimentConfig:
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         sections = {name: dict(cp[name]) for name in cp.sections()}
-        command = command or sections.get("run", {}).get("command")
-        if command is None:
-            raise ConfigError("no command given ([run] command = ... or CLI)")
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
         if seed is not None:
@@ -84,25 +80,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"[{section}] {key} = {text!r} is not {what}") from None
 
-    def get_int(self, section, key, default=None, low=None):
-        """An integer, at least ``low`` if given."""
-        what = "an integer" if low is None else f"an integer >= {low}"
-        return self.parsed(section, key, _int_at_least(low), what, default)
+    def get_int(self, section, key, default=None, *, low):
+        """An integer, at least ``low``."""
+        return self.parsed(section, key, _int_at_least(low),
+                           f"an integer >= {low}", default)
 
-    def get_float(self, section, key, default=None):
-        return self.parsed(section, key, float, "a number", default)
+    def get_float(self, section, key):
+        return self.parsed(section, key, float, "a number")
 
     def get_vector(self, section, key, default=None):
         return self.parsed(section, key, _vector,
                            "a comma-separated list of numbers", default)
-
-    def get_ints(self, section, key, default=None, low=None):
-        """A comma-separated list of integers, each at least ``low`` if given."""
-        what = "a comma-separated list of integers"
-        if low is not None:
-            what += f" >= {low}"
-        return self.parsed(section, key, _each(_int_at_least(low)), what,
-                           default)
 
     def get_choice(self, section, key, choices, default=None):
         """A value that must be one of ``choices``."""
@@ -158,10 +146,10 @@ def _each(parse):
 
 
 def _int_at_least(low):
-    """int, with a ValueError below low (None: no bound)."""
+    """int, with a ValueError below low."""
     def parse(text):
         value = int(text)
-        if low is not None and value < low:
+        if value < low:
             raise ValueError
         return value
     return parse
@@ -197,25 +185,20 @@ def _params_from(cfg, name, family, n=None):
         raise ConfigError(f"[{name}]: {exc}") from exc
 
 
-def _grid_from(cfg, g_list=False):
-    """n, L and G of [grid], or with ``g_list`` n, L and the list of G in
-    [maximal] g_list.
+def _grid_n_l(cfg):
+    """n and L of [grid]: n must be 1, 2 or 3 and L a power of two; a
+    ConfigError names the key."""
+    return (cfg.parsed("grid", "n", _dimension, "1, 2 or 3"),
+            cfg.parsed("grid", "l", _power_of_two, "a power of two"))
 
-    n must be 1, 2 or 3, L a power of two and each G a power of two >= 4
-    whose field fits in memory; a ConfigError names the key.
-    """
-    n = cfg.parsed("grid", "n", _dimension, "1, 2 or 3")
-    L = cfg.parsed("grid", "l", _power_of_two, "a power of two")
-    if not g_list:
-        G = cfg.parsed("grid", "g", _grid_size, "a power of two >= 4")
-        _check_grid(n, G, f"[grid] g = {G}")
-        return n, L, G
-    grids = cfg.parsed("maximal", "g_list", _each(_grid_size),
-                       "a comma-separated list of powers of two >= 4",
-                       "256,512")
-    for G in grids:
-        _check_grid(n, G, f"[maximal] g_list = {G}")
-    return n, L, grids
+
+def _grid_from(cfg):
+    """n, L and G of [grid]; G must be a power of two >= 4 whose field
+    fits in memory, and a ConfigError names the key."""
+    n, L = _grid_n_l(cfg)
+    G = cfg.parsed("grid", "g", _grid_size, "a power of two >= 4")
+    _check_grid(n, G, f"[grid] g = {G}")
+    return n, L, G
 
 
 def _dimension(text):
@@ -248,10 +231,15 @@ def _check_grid(n, G, setting, fields=1):
 
 
 def _grid_meta(L, G, extra=None):
-    """The grid's dyadic index ranges, then the ``extra`` meta entries."""
-    geo = DyadicGeometry.of(L, G)
-    return {"grid.k_min": geo.k_min, "grid.k_max": geo.k_max,
-            "grid.v_max": geo.v_max, **(extra or {})}
+    """The grid's dyadic index ranges, then the ``extra`` meta entries.
+
+    Annulus indices k with 2^(k-1) <= |x_i| < 2^k run over [k_min, k_max]
+    where 2^k_min = h and 2^k_max = L/2; cube levels v (side 2^-v) resolve
+    exactly for v <= v_max = log2(G/L).
+    """
+    k_min = _log2_exact(L) - _log2_exact(G)
+    return {"grid.k_min": k_min, "grid.k_max": _log2_exact(L) - 1,
+            "grid.v_max": -k_min, **(extra or {})}
 
 
 def _build_field(cfg, n, L, G):
@@ -274,10 +262,10 @@ def _build_field(cfg, n, L, G):
                             "8"), cfg.get_int("field", "seed", low=0))
 
 
-def _system_kind(cfg, default_k):
+def _system_kind(cfg):
     """[system] kind and k."""
     kind = cfg.get_choice("system", "kind", ("fj", "resolution"), "fj")
-    return kind, cfg.get_int("system", "k", default_k, low=1)
+    return kind, cfg.get_int("system", "k", "3", low=1)
 
 
 # -- command handlers -------------------------------------------------------
@@ -293,7 +281,7 @@ def _cmd_norm(cfg):
 def _cmd_decompose(cfg):
     n, L, G = _grid_from(cfg)
     herz = _herz_from(cfg, "space", n)
-    kind, K = _system_kind(cfg, default_k=3)
+    kind, K = _system_kind(cfg)
     # block_norms keeps the field's level magnitudes on it: check them too,
     # before the system is built
     _check_grid(n, G, f"[grid] g = {G}",
@@ -308,7 +296,7 @@ def _cmd_decompose(cfg):
 
 def _cmd_phitransform(cfg):
     n, L, G = _grid_from(cfg)
-    kind, K = _system_kind(cfg, default_k=3)
+    kind, K = _system_kind(cfg)
     system = build_system(kind, n, L, G, K)
     count = cfg.get_int("ensemble", "count", "8", low=1)
     seed = cfg.seed()
@@ -341,7 +329,8 @@ def _cmd_embed_sweep(cfg):
     seed = cfg.seed()
     control = cfg.parsed("ensemble", "control", _boolean,
                          "yes/no, true/false, on/off or 1/0", "no")
-    levels = cfg.get_ints("ensemble", "k_list", "4,6,8", low=1)
+    levels = cfg.parsed("ensemble", "k_list", _each(_int_at_least(1)),
+                        "a comma-separated list of integers >= 1", "4,6,8")
     for K in levels:
         # a draw reaching level K spans (2^(K+2))^n cells of that level's
         # lattice, and its norms hold up to ~21 bytes a cell (tracemalloc);
@@ -377,7 +366,12 @@ def _cmd_necessity(cfg):
 
 
 def _cmd_maximal_check(cfg):
-    n, L, grids = _grid_from(cfg, g_list=True)
+    n, L = _grid_n_l(cfg)
+    grids = cfg.parsed("maximal", "g_list", _each(_grid_size),
+                       "a comma-separated list of powers of two >= 4",
+                       "256,512")
+    for G in grids:
+        _check_grid(n, G, f"[maximal] g_list = {G}")
     if len(set(grids)) < 2:
         raise ConfigError(f"[maximal] g_list = {grids} needs at least two "
                           "distinct sizes for the fit")
@@ -503,15 +497,6 @@ def render_report(report, fmt):
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report, fmt, path=None):
-    text = render_report(report, fmt)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="herzlab",
@@ -524,7 +509,12 @@ def main(argv=None):
     try:
         cfg = ExperimentConfig.load(args.config, args.command, args.seed)
         fmt = cfg.get_choice("output", "format", ("csv", "json"), "csv")
-        emit_report(run_config(cfg), fmt, args.out)
+        text = render_report(run_config(cfg), fmt)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="ascii", newline="\n") as fh:
+                fh.write(text)
     except (ConfigError, HypothesisError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -128,26 +128,6 @@ class SampledField:
                             self.domain if domain is None else domain)
 
 
-@dataclass(frozen=True)
-class DyadicGeometry:
-    """Resolvable dyadic index ranges for a grid.
-
-    Annulus indices k with 2^(k-1) <= |x_i| < 2^k run over [k_min, k_max]
-    where 2^k_min = h and 2^k_max = L/2; cube levels v (side 2^-v) resolve
-    exactly for v <= v_max = log2(G/L).
-    """
-
-    k_min: int
-    k_max: int
-    v_max: int
-
-    @classmethod
-    def of(cls, L, G):
-        k_min = _log2_exact(L) - _log2_exact(G)
-        k_max = _log2_exact(L) - 1
-        return cls(k_min=k_min, k_max=k_max, v_max=-k_min)
-
-
 def check_grid_memory(n, G, fields=1):
     """Reject a grid where ``fields`` complex fields outgrow physical memory.
 

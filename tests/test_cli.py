@@ -246,6 +246,7 @@ def test_grid_meta_allocates_no_field():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert meta == {"grid.k_min": -7, "grid.k_max": 3, "grid.v_max": 7}
+    assert 2.0 ** -meta["grid.v_max"] == 16.0 / 2048  # the cell side h
 
 
 def test_non_integer_draws_names_its_key(tmp_path, capsys):
@@ -417,15 +418,13 @@ def test_render_report_refuses_empty_records():
 
 def test_config_exponent_parsing(tmp_path):
     cfg = ExperimentConfig.load(_write(tmp_path, "c.ini", """
-[run]
-command = norm
-
 [space]
 p = inf
-"""))
+"""), "norm")
     assert cfg.get_float("space", "p") == float("inf")
-    with pytest.raises(ConfigError):
-        ExperimentConfig.load(_write(tmp_path, "d.ini", "[a]\nb = 1\n"))
+    with pytest.raises(ConfigError, match="unknown command 'nrom'"):
+        ExperimentConfig.load(_write(tmp_path, "d.ini", "[a]\nb = 1\n"),
+                              "nrom")
 
 
 def test_console_entry_point(tmp_path):

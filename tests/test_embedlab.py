@@ -544,8 +544,8 @@ def _four_call_cases():
 
 @pytest.mark.parametrize("spec, K, control", _four_call_cases())
 def test_joint_norms_equal_the_four_call_check(spec, K, control):
-    # the draws keep every bit of the four-call check; the probes come in
-    # closed form
+    # the sweep against the former four-call check: the draws keep every
+    # bit, and the probe ratios come in closed form
     for draws in (0, 1, 25):
         seed = 600 + 10 * K + draws
         got = seq_embedding_check(spec, K, draws, seed, control=control)
