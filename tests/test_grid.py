@@ -8,6 +8,7 @@ import pytest
 
 from herzlab import SampledField, make_field, spectral_transform
 from herzlab import frames, grid, lpdecomp
+from herzlab.cli import _grid_meta
 from herzlab.grid import (_log2_exact, band_box, band_fft, band_freqs,
                           band_ifft, check_grid_memory, sealed)
 
@@ -109,6 +110,13 @@ def test_constant_field_transforms_to_single_bin():
     assert math.isclose(g.values[idx].real, 2.0 * math.sqrt(G), rel_tol=1e-14)
     rest = np.abs(np.delete(g.values, idx))
     assert np.max(rest) < 1e-13
+
+
+def test_dyadic_geometry_of_grid():
+    f = make_field(1, 16.0, 2048)
+    meta = _grid_meta(f.L, f.G)
+    assert meta["grid.v_max"] == 7  # h = 16/2048 = 2^-7
+    assert 2.0 ** -meta["grid.v_max"] == f.h
 
 
 def test_band_freqs_native_order():
